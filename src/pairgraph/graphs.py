@@ -9,6 +9,7 @@ the construction reduces to the ordinary Cayley graph.
 
 from __future__ import annotations
 
+import mmap
 from dataclasses import dataclass
 from typing import Iterable, Optional, Union
 
@@ -63,15 +64,22 @@ def build_pair_graph(subgroup: Subgroup, s: Union[GeneratingSet, Iterable[int]])
     gen = _as_generating_set(subgroup, s)
     group = subgroup.parent
     m = group.order
-    adjacency = np.zeros((m, m), dtype=np.int8)
-    for h in subgroup.elements:
-        row = group.left_row(h)
-        for s_elem in gen.elements:
-            v = int(row[s_elem])
-            adjacency[h, v] = 1
-            adjacency[v, h] = 1
-    neighbors = tuple(tuple(int(v) for v in np.flatnonzero(adjacency[u])) for u in range(m))
-    degrees = adjacency.sum(axis=1, dtype=np.int64)
+    h = np.array(subgroup.elements)
+    targets = group.product(h[:, None], np.array(gen.elements, dtype=np.int64))
+    sources = np.broadcast_to(h[:, None], targets.shape)
+    # each edge in both directions, deduplicated and sorted by (u, v)
+    pairs = np.unique(np.concatenate([sources * m + targets, targets * m + sources], axis=None))
+    us, vs = np.divmod(pairs, m)
+    # once a row fills a page, a sparse adjacency leaves most pages unwritten;
+    # a mapping of its own keeps them out of memory, where numpy would back
+    # them with 2 MB huge pages (all 144 MB resident at order 12000)
+    adjacency = (np.frombuffer(mmap.mmap(-1, m * m), dtype=np.int8).reshape(m, m)
+                 if m >= mmap.PAGESIZE else np.zeros((m, m), dtype=np.int8))
+    adjacency[us, vs] = 1
+    degrees = np.bincount(us, minlength=m)
+    ends = np.cumsum(degrees).tolist()
+    vs = vs.tolist()
+    neighbors = tuple(tuple(vs[a:b]) for a, b in zip([0] + ends[:-1], ends))
     return PairGraph(gen=gen, adjacency=adjacency, neighbors=neighbors, degrees=degrees)
 
 
@@ -90,10 +98,8 @@ def adjacency_rows_via_group_matrix(
     group = subgroup.parent
     indicator = np.zeros(group.order, dtype=np.int8)
     indicator[list(gen.elements)] = 1
-    rows = np.empty((subgroup.order, group.order), dtype=np.int8)
-    for i, h in enumerate(subgroup.elements):
-        rows[i] = indicator[group.left_row(group.inv(h))]
-    return rows
+    h_inv = group.inverses[np.array(subgroup.elements)]
+    return indicator[group.product(h_inv[:, None], np.arange(group.order))]
 
 
 def cayley_adjacency(group: FiniteGroup, s: Iterable[int]) -> np.ndarray:

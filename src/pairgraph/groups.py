@@ -2,16 +2,22 @@
 
 Concrete structure (permutations, matrices, field elements) lives only in the
 constructors and in element labels; every other module works with indices
-0..order-1, the multiplication table/function and the inverse map.
+0..order-1, the product and the inverse map.
 
-Multiplication is stored as a full order x order table up to ``TABLE_CAP`` and
-computed on demand above it; the hard cap on group order is ``ORDER_CAP``.
+Each family supplies one vectorised kernel, a numpy function that multiplies
+two index arrays elementwise under broadcasting.  ``FiniteGroup.product`` runs
+it in blocks of at most ``BLOCK`` products, so a batch allocates at most a few
+megabytes of temporaries; ``mul``, ``left_row`` and the full order x order
+table all derive from it, and the table is kept as a cache for groups of
+order up to ``TABLE_CAP``.  The hard cap on group order is ``ORDER_CAP``,
+checked from each family's order formula before any element is listed.
 Permutations compose left to right: ``(p*q)(x) = q(p(x))``.
 """
 
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -30,10 +36,19 @@ TABLE_CAP = 4096
 ORDER_CAP = 20000
 PERMUTATION_DEGREE_CAP = 8
 PRIME_CAP = 13
+# products per kernel call: a permutation kernel then holds under half a
+# megabyte of temporaries, and large frees do not make malloc keep freed heap
+BLOCK = 1 << 13
+
+Kernel = Callable[[np.ndarray, np.ndarray], np.ndarray]
 
 
 class FiniteGroup:
-    """A finite group on element indices 0..order-1."""
+    """A finite group on element indices 0..order-1.
+
+    ``kernel(a, b)`` returns the products of two broadcastable integer index
+    arrays, 0-d included; ``inverses`` is the inverse map as an array.
+    """
 
     def __init__(
         self,
@@ -42,44 +57,57 @@ class FiniteGroup:
         labels: Sequence[str],
         identity: int,
         inverse: Sequence[int],
-        table: Optional[np.ndarray] = None,
-        mul_fn: Optional[Callable[[int, int], int]] = None,
+        kernel: Kernel,
         descriptor: Optional[dict] = None,
     ) -> None:
         order = len(labels)
         if order == 0:
             raise ValidationError("a group needs at least the identity element")
-        if order > ORDER_CAP:
-            raise SizeCapExceeded(f"group order {order} exceeds the cap {ORDER_CAP}")
-        if table is None and mul_fn is None:
-            raise ValidationError("either a multiplication table or a function is required")
+        _check_order(order)
         self.order = order
         self.name = name
         self.labels = [str(x) for x in labels]
         self.identity = int(identity)
         self.descriptor = descriptor or {}
-        self._inverse = np.asarray(inverse, dtype=np.int32)
-        self.table = None if table is None else np.asarray(table, dtype=np.int32)
-        self._mul_fn = mul_fn
+        self.inverses = np.asarray(inverse, dtype=np.int32)
+        self._kernel = kernel
+        self.table: Optional[np.ndarray] = None
+        if order <= TABLE_CAP:
+            idx = np.arange(order, dtype=np.int32)
+            self.table = self.product(idx[:, None], idx).astype(np.int32, copy=False)
         # concrete views, set by the constructors that have them
         self.perms: Optional[list[tuple[int, ...]]] = None
         self.matrices: Optional[list[tuple[int, int, int, int]]] = None
         self.field: Optional[PrimePowerField] = None
 
-    def mul(self, a: int, b: int) -> int:
+    def product(self, a, b) -> np.ndarray:
+        """Products a*b for index arrays a and b, elementwise under broadcasting.
+
+        Read from the table when the group keeps one, else computed by the
+        kernel in blocks of ``BLOCK`` products.
+        """
         if self.table is not None:
-            return int(self.table[a, b])
-        return self._mul_fn(a, b)
+            return self.table[a, b]
+        a, b = np.asarray(a), np.asarray(b)
+        shape = np.broadcast_shapes(a.shape, b.shape)
+        if math.prod(shape) <= BLOCK:
+            return self._kernel(a, b)
+        a, b = np.broadcast_to(a, shape), np.broadcast_to(b, shape)
+        out = np.empty(shape, dtype=np.int32)
+        rows = max(1, BLOCK // math.prod(shape[1:]))
+        for i in range(0, shape[0], rows):
+            out[i : i + rows] = self._kernel(a[i : i + rows], b[i : i + rows])
+        return out
+
+    def mul(self, a: int, b: int) -> int:
+        return int(self.product(a, b))
 
     def inv(self, a: int) -> int:
-        return int(self._inverse[a])
+        return int(self.inverses[a])
 
     def left_row(self, a: int) -> np.ndarray:
         """Products a*g for every g, as one vector."""
-        if self.table is not None:
-            return self.table[a]
-        fn = self._mul_fn
-        return np.fromiter((fn(a, j) for j in range(self.order)), dtype=np.int32, count=self.order)
+        return self.product(a, np.arange(self.order))
 
     def elements(self) -> range:
         return range(self.order)
@@ -102,11 +130,9 @@ class FiniteGroup:
         return f"FiniteGroup({self.name}, order={self.order})"
 
 
-def _table_from_mul(order: int, mul_obj, elems, index) -> np.ndarray:
-    table = np.empty((order, order), dtype=np.int32)
-    for i, a in enumerate(elems):
-        table[i] = [index[mul_obj(a, b)] for b in elems]
-    return table
+def _check_order(order: int) -> None:
+    if order > ORDER_CAP:
+        raise SizeCapExceeded(f"group order {order} exceeds the cap {ORDER_CAP}")
 
 
 # ---------------------------------------------------------------------------
@@ -117,18 +143,13 @@ def make_cyclic(n: int) -> FiniteGroup:
     """Z/nZ with addition; the identity is 0."""
     if n < 1:
         raise ValidationError("cyclic group order must be >= 1")
-    if n > ORDER_CAP:
-        raise SizeCapExceeded(f"order {n} exceeds the cap {ORDER_CAP}")
-    idx = np.arange(n, dtype=np.int32)
-    table = (idx[:, None] + idx[None, :]) % n if n <= TABLE_CAP else None
-    mul_fn = None if table is not None else (lambda a, b: (a + b) % n)
+    _check_order(n)
     return FiniteGroup(
         name=f"Z/{n}",
         labels=[str(i) for i in range(n)],
         identity=0,
-        inverse=(-idx) % n,
-        table=table,
-        mul_fn=mul_fn,
+        inverse=(-np.arange(n)) % n,
+        kernel=lambda a, b: (a + b) % n,
         descriptor={"kind": "cyclic", "params": [n]},
     )
 
@@ -136,7 +157,6 @@ def make_cyclic(n: int) -> FiniteGroup:
 def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
     # left-to-right: apply p first, then q
     return tuple(q[x] for x in p)
-
 
 def perm_from_cycles(n: int, spec) -> tuple[int, ...]:
     """Permutation of degree n from 1-indexed cycles, e.g. "(1,2)(3,4)" or [(1,2),(3,4)].
@@ -218,47 +238,49 @@ def perm_index(group: FiniteGroup, spec) -> int:
         raise ValidationError(f"permutation {spec!r} not in {group.name}") from None
 
 
-def _permutation_group(name: str, n: int, perms: list[tuple[int, ...]], descriptor: dict) -> FiniteGroup:
-    order = len(perms)
-    if order > ORDER_CAP:
-        raise SizeCapExceeded(f"group order {order} exceeds the cap {ORDER_CAP}")
-    index = {p: i for i, p in enumerate(perms)}
-    identity = index[tuple(range(n))]
-    inverse = []
-    for p in perms:
-        q = [0] * n
-        for i, v in enumerate(p):
-            q[v] = i
-        inverse.append(index[tuple(q)])
-    table = _table_from_mul(order, _compose, perms, index) if order <= TABLE_CAP else None
-    mul_fn = None if table is not None else (lambda a, b: index[_compose(perms[a], perms[b])])
+def _permutation_group(name: str, n: int, even_only: bool, descriptor: dict) -> FiniteGroup:
+    """Permutations of degree n in lexicographic order, all of them or the even ones.
+
+    The base-n key of an image tuple is then increasing along the element
+    order, so the kernel finds a composed permutation by binary search.
+    """
+    perms = [p for p in itertools.permutations(range(n)) if not even_only or perm_parity(p) == 0]
+    images = np.array(perms, dtype=np.int64)
+    powers = n ** np.arange(n - 1, -1, -1)
+    keys = images @ powers
+
+    def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return np.searchsorted(keys, images[b[..., None], images[a]] @ powers)
+
     g = FiniteGroup(
         name=name,
         labels=[perm_cycle_label(p) for p in perms],
-        identity=identity,
-        inverse=inverse,
-        table=table,
-        mul_fn=mul_fn,
+        identity=0,
+        inverse=np.searchsorted(keys, np.argsort(images, axis=1) @ powers),
+        kernel=kernel,
         descriptor=descriptor,
     )
     g.perms = perms
     return g
 
 
+def _check_degree(n: int, kind: str) -> None:
+    if not 1 <= n <= PERMUTATION_DEGREE_CAP:
+        raise ValidationError(f"{kind} group degree must be 1..{PERMUTATION_DEGREE_CAP}")
+
+
 def make_symmetric(n: int) -> FiniteGroup:
     """S_n on image tuples in lexicographic order."""
-    if not 1 <= n <= PERMUTATION_DEGREE_CAP:
-        raise ValidationError(f"symmetric group degree must be 1..{PERMUTATION_DEGREE_CAP}")
-    perms = list(itertools.permutations(range(n)))
-    return _permutation_group(f"S{n}", n, perms, {"kind": "symmetric", "params": [n]})
+    _check_degree(n, "symmetric")
+    _check_order(math.factorial(n))
+    return _permutation_group(f"S{n}", n, False, {"kind": "symmetric", "params": [n]})
 
 
 def make_alternating(n: int) -> FiniteGroup:
     """A_n: the even permutations of S_n, lexicographic order."""
-    if not 1 <= n <= PERMUTATION_DEGREE_CAP:
-        raise ValidationError(f"alternating group degree must be 1..{PERMUTATION_DEGREE_CAP}")
-    perms = [p for p in itertools.permutations(range(n)) if perm_parity(p) == 0]
-    return _permutation_group(f"A{n}", n, perms, {"kind": "alternating", "params": [n]})
+    _check_degree(n, "alternating")
+    _check_order(max(1, math.factorial(n) // 2))
+    return _permutation_group(f"A{n}", n, True, {"kind": "alternating", "params": [n]})
 
 
 def make_dihedral(n: int) -> FiniteGroup:
@@ -267,11 +289,10 @@ def make_dihedral(n: int) -> FiniteGroup:
         raise ValidationError("dihedral parameter must be 1..8")
     order = 2 * n
 
-    def mul(a: int, b: int) -> int:
-        f1, j1 = divmod(a, n)
-        f2, j2 = divmod(b, n)
-        j = (j2 + (j1 if f2 == 0 else -j1)) % n
-        return ((f1 + f2) % 2) * n + j
+    def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        f1, j1 = np.divmod(a, n)
+        f2, j2 = np.divmod(b, n)
+        return (f1 ^ f2) * n + (j2 + j1 - 2 * f2 * j1) % n
 
     labels = []
     for f in (0, 1):
@@ -281,133 +302,109 @@ def make_dihedral(n: int) -> FiniteGroup:
             else:
                 labels.append("s" if j == 0 else f"s·r^{j}")
     inverse = [(-a) % n if a < n else a for a in range(order)]
-    table = _table_from_mul(order, mul, range(order), {i: i for i in range(order)})
     return FiniteGroup(
         name=f"D{n}",
         labels=labels,
         identity=0,
         inverse=inverse,
-        table=table,
+        kernel=kernel,
         descriptor={"kind": "dihedral", "params": [n]},
     )
 
 
 def make_direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """Direct product; element a*|G2| + b represents the pair (a, b)."""
-    order = g1.order * g2.order
-    if order > ORDER_CAP:
-        raise SizeCapExceeded(f"product order {order} exceeds the cap {ORDER_CAP}")
+    _check_order(g1.order * g2.order)
     o2 = g2.order
+
+    def kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        a1, b1 = np.divmod(x, o2)
+        a2, b2 = np.divmod(y, o2)
+        return g1.product(a1, a2) * o2 + g2.product(b1, b2)
+
     labels = [f"({g1.labels[a]},{g2.labels[b]})" for a in range(g1.order) for b in range(o2)]
     inverse = [g1.inv(a) * o2 + g2.inv(b) for a in range(g1.order) for b in range(o2)]
-    table = None
-    mul_fn = None
-    if order <= TABLE_CAP and g1.table is not None and g2.table is not None:
-        a = np.arange(order, dtype=np.int64) // o2
-        b = np.arange(order, dtype=np.int64) % o2
-        table = g1.table[a[:, None], a[None, :]].astype(np.int64) * o2
-        table += g2.table[b[:, None], b[None, :]]
-    else:
-        def mul_fn(x: int, y: int) -> int:
-            a1, b1 = divmod(x, o2)
-            a2, b2 = divmod(y, o2)
-            return g1.mul(a1, a2) * o2 + g2.mul(b1, b2)
-
     return FiniteGroup(
         name=f"{g1.name}x{g2.name}",
         labels=labels,
         identity=g1.identity * o2 + g2.identity,
         inverse=inverse,
-        table=table,
-        mul_fn=mul_fn,
+        kernel=kernel,
         descriptor={"kind": "product", "params": [g1.descriptor, g2.descriptor]},
     )
 
 
-def _matrix_group(name: str, p: int, keep_det, descriptor: dict) -> FiniteGroup:
+def _check_prime(p: int) -> None:
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
     if p > PRIME_CAP:
         raise ValidationError(f"prime {p} exceeds the cap {PRIME_CAP}")
-    mats = []
-    for a in range(p):
-        for b in range(p):
-            for c in range(p):
-                for d in range(p):
-                    if keep_det((a * d - b * c) % p):
-                        mats.append((a, b, c, d))
-    order = len(mats)
-    if order > ORDER_CAP:
-        raise SizeCapExceeded(f"group order {order} exceeds the cap {ORDER_CAP}")
+
+
+def _matrix_group(name: str, p: int, order: int, keep_det, descriptor: dict) -> FiniteGroup:
+    """2x2 matrices over F_p with an admissible determinant, lexicographic (a,b,c,d) order."""
+    _check_prime(p)
+    _check_order(order)
+    quads = np.array(list(itertools.product(range(p), repeat=4)), dtype=np.int64)
+    a, b, c, d = quads.T
+    mats = quads[keep_det((a * d - b * c) % p)]
     lookup = np.full(p**4, -1, dtype=np.int32)
-    for i, (a, b, c, d) in enumerate(mats):
-        lookup[((a * p + b) * p + c) * p + d] = i
-    arr = np.array(mats, dtype=np.int64)
-    A, B, C, D = arr[:, 0], arr[:, 1], arr[:, 2], arr[:, 3]
-    table = np.empty((order, order), dtype=np.int32)
-    for i, (a, b, c, d) in enumerate(mats):
-        ra = (a * A + b * C) % p
-        rb = (a * B + b * D) % p
-        rc = (c * A + d * C) % p
-        rd = (c * B + d * D) % p
-        table[i] = lookup[((ra * p + rb) * p + rc) * p + rd]
-    inverse = []
-    for a, b, c, d in mats:
-        det = (a * d - b * c) % p
-        di = pow(det, p - 2, p)
-        key = (((d * di) % p * p + (-b * di) % p) * p + (-c * di) % p) * p + (a * di) % p
-        inverse.append(int(lookup[key]))
+    lookup[mats @ p ** np.arange(3, -1, -1)] = np.arange(len(mats))
+    a, b, c, d = mats.T.astype(np.int32)
+
+    def key(ra, rb, rc, rd):
+        return lookup[(((ra % p) * p + rb % p) * p + rc % p) * p + rd % p]
+
+    def kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+        ax, bx, cx, dx, ay, by, cy, dy = a[x], b[x], c[x], d[x], a[y], b[y], c[y], d[y]
+        return key(ax * ay + bx * cy, ax * by + bx * dy, cx * ay + dx * cy, cx * by + dx * dy)
+
+    det_inverse = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)])[(a * d - b * c) % p]
     g = FiniteGroup(
         name=name,
-        labels=[f"[[{a},{b}],[{c},{d}]]" for a, b, c, d in mats],
-        identity=int(lookup[((1 * p + 0) * p + 0) * p + 1]),
-        inverse=inverse,
-        table=table,
+        labels=["[[{},{}],[{},{}]]".format(*m) for m in mats.tolist()],
+        identity=int(lookup[p**3 + 1]),
+        inverse=key(d * det_inverse, -b * det_inverse, -c * det_inverse, a * det_inverse),
+        kernel=kernel,
         descriptor=descriptor,
     )
-    g.matrices = mats
+    g.matrices = [tuple(m) for m in mats.tolist()]
     return g
 
 
 def make_gl2(p: int) -> FiniteGroup:
     """GL_2(F_p), order (p^2-1)(p^2-p), matrices in lexicographic (a,b,c,d) order."""
-    return _matrix_group(f"GL2(F{p})", p, lambda det: det != 0, {"kind": "gl2", "params": [p]})
+    order = (p * p - 1) * (p * p - p)
+    return _matrix_group(f"GL2(F{p})", p, order, lambda det: det != 0, {"kind": "gl2", "params": [p]})
 
 
 def make_sl2(p: int) -> FiniteGroup:
     """SL_2(F_p), order p(p^2-1)."""
-    return _matrix_group(f"SL2(F{p})", p, lambda det: det == 1, {"kind": "sl2", "params": [p]})
+    order = p * (p * p - 1)
+    return _matrix_group(f"SL2(F{p})", p, order, lambda det: det == 1, {"kind": "sl2", "params": [p]})
 
 
 def make_field_additive(p: int, k: int) -> FiniteGroup:
     """The additive group of F_{p^k}; the field structure rides along in ``.field``."""
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
-    if p > PRIME_CAP:
-        raise ValidationError(f"prime {p} exceeds the cap {PRIME_CAP}")
+    _check_prime(p)
     if k < 1:
         raise ValidationError("extension degree must be >= 1")
     if p**k > TABLE_CAP:
         raise SizeCapExceeded(f"field order {p}^{k} exceeds the cap {TABLE_CAP}")
     gf = PrimePowerField.create(p, k)
-    m = gf.order
-    digits = np.empty((m, k), dtype=np.int64)
-    v = np.arange(m)
-    for d in range(k):
-        digits[:, d] = v % p
-        v = v // p
-    table = np.zeros((m, m), dtype=np.int64)
-    for d in range(k):
-        table += ((digits[:, d][:, None] + digits[:, d][None, :]) % p) * p**d
-    inverse = np.zeros(m, dtype=np.int64)
-    for d in range(k):
-        inverse += ((-digits[:, d]) % p) * p**d
+    weights = [p**d for d in range(k)]
+
+    def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # digit d of a // w plus digit d of b // w, mod p: higher digits vanish
+        return sum((a // w + b // w) % p * w for w in weights)
+
+    idx = np.arange(gf.order)
     g = FiniteGroup(
         name=f"F{p}^{k}" if k > 1 else f"F{p}",
-        labels=[gf.label(i) for i in range(m)],
+        labels=[gf.label(i) for i in range(gf.order)],
         identity=0,
-        inverse=inverse,
-        table=table,
+        inverse=sum((-(idx // w)) % p * w for w in weights),
+        kernel=kernel,
         descriptor={"kind": "field_additive", "params": [p, k]},
     )
     g.field = gf
@@ -471,57 +468,57 @@ def subgroup_from_elements(group: FiniteGroup, elems: Iterable[int]) -> Subgroup
     for x in members:
         if not 0 <= x < group.order:
             raise NotASubgroup(f"element {x} out of range")
-    member_set = set(members)
-    if group.identity not in member_set:
+    h = np.array(members)
+    inside = np.zeros(group.order, dtype=bool)
+    inside[h] = True
+    if not inside[group.identity]:
         raise NotASubgroup("the identity is missing")
-    for a in members:
-        if group.inv(a) not in member_set:
-            raise NotASubgroup(f"inverse of {a} is missing")
-        for b in members:
-            if group.mul(a, b) not in member_set:
-                raise NotASubgroup(f"product of {a} and {b} escapes the set")
-    m = group.order
-    coset_of = [-1] * m
-    reps: list[int] = []
-    all_members: list[tuple[int, ...]] = []
-
-    def assign(x: int) -> None:
-        cid = len(reps)
-        coset = sorted(group.mul(h, x) for h in members)
-        for y in coset:
-            coset_of[y] = cid
-        reps.append(coset[0])
-        all_members.append(tuple(coset))
-
-    assign(group.identity)  # coset 0 = the subgroup itself
-    for x in range(m):
-        if coset_of[x] == -1:
-            assign(x)
+    missing = h[~inside[group.inverses[h]]]
+    if missing.size:
+        raise NotASubgroup(f"inverse of {missing[0]} is missing")
+    rows = max(1, BLOCK // len(h))
+    for i in range(0, len(h), rows):
+        escaped = np.argwhere(~inside[group.product(h[i : i + rows, None], h)])
+        if escaped.size:
+            r, c = escaped[0]
+            raise NotASubgroup(f"product of {h[i + r]} and {h[c]} escapes the set")
+    # right cosets H*x, numbered in the order of their least elements.  Each
+    # pass takes the lowest BLOCK // |H| unassigned elements; the least element
+    # of each one's coset is unassigned and lower, so in the batch as well
+    coset_of = np.full(group.order, -1, dtype=np.int64)
+    coset_of[h] = 0
+    free = np.flatnonzero(coset_of < 0)
+    while free.size:
+        batch = group.product(h[:, None], free[:rows])
+        _, first = np.unique(batch.min(axis=0), return_index=True)
+        coset_of[batch[:, first]] = coset_of.max() + 1 + np.arange(first.size)
+        free = free[coset_of[free] < 0]
+    # a stable sort groups the elements by coset, each coset in ascending order
+    cosets = np.argsort(coset_of, kind="stable").reshape(-1, len(h))
     return Subgroup(
         parent=group,
         elements=tuple(members),
-        coset_of=tuple(coset_of),
-        coset_reps=tuple(reps),
-        coset_members=tuple(all_members),
+        coset_of=tuple(coset_of.tolist()),
+        coset_reps=tuple(cosets[:, 0].tolist()),
+        coset_members=tuple(map(tuple, cosets.tolist())),
     )
 
 
 def generated_elements(group: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
-    """Elements of the subgroup generated by ``gens`` (worklist closure)."""
+    """Elements of the subgroup generated by ``gens`` (breadth-first closure)."""
     gens = sorted(set(int(x) for x in gens))
     for x in gens:
         if not 0 <= x < group.order:
             raise ValidationError(f"generator {x} out of range")
-    seen = {group.identity}
-    queue = [group.identity]
-    while queue:
-        u = queue.pop()
-        for g in gens:
-            v = group.mul(u, g)
-            if v not in seen:
-                seen.add(v)
-                queue.append(v)
-    return tuple(sorted(seen))
+    gens_arr = np.array(gens, dtype=np.int64)
+    seen = np.zeros(group.order, dtype=bool)
+    seen[group.identity] = True
+    frontier = np.array([group.identity])
+    while frontier.size:
+        reached = np.unique(group.product(frontier[:, None], gens_arr))
+        frontier = reached[~seen[reached]]
+        seen[frontier] = True
+    return tuple(np.flatnonzero(seen).tolist())
 
 
 def subgroup_generated(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
@@ -531,9 +528,9 @@ def subgroup_generated(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
 
 def difference_set(group: FiniteGroup, a_set: Iterable[int], b_set: Iterable[int]) -> tuple[int, ...]:
     """All products a * b^-1 for a in A, b in B."""
-    bs = [group.inv(b) for b in set(b_set)]
-    out = {group.mul(a, bi) for a in set(a_set) for bi in bs}
-    return tuple(sorted(out))
+    a = np.array(sorted(set(a_set)), dtype=np.int64)
+    b_inv = group.inverses[np.array(sorted(set(b_set)), dtype=np.int64)]
+    return tuple(np.unique(group.product(a[:, None], b_inv)).tolist())
 
 
 @dataclass(frozen=True, eq=False)

@@ -15,6 +15,8 @@ from collections import deque
 from dataclasses import dataclass
 from typing import Optional
 
+import numpy as np
+
 from .errors import ValidationError
 from .graphs import PairGraph
 from .groups import (
@@ -133,21 +135,16 @@ def is_connected(gen: GeneratingSet) -> ConnectivityReport:
 
 def identity_component_by_closure(gen: GeneratingSet) -> tuple[int, ...]:
     """Vertices of the identity's component: U together with its outside translates."""
-    group = gen.group
-    u = reachable_subgroup(gen)
-    vertices = set(u.elements)
-    for s in gen.outside:
-        for x in u.elements:
-            vertices.add(group.mul(x, s))
-    return tuple(sorted(vertices))
+    u = np.array(reachable_subgroup(gen).elements)
+    translates = gen.group.product(u[:, None], np.array(gen.outside, dtype=np.int64))
+    return tuple(np.union1d(u, translates).tolist())
 
 
 def translate_component(graph: PairGraph, h: int, component: tuple[int, ...]) -> tuple[int, ...]:
     """Left translate of a component by a subgroup element; lands on a component."""
     if not graph.subgroup.contains(h):
         raise ValidationError(f"translating element {h} is not in the subgroup")
-    group = graph.group
-    return tuple(sorted(group.mul(h, x) for x in component))
+    return tuple(np.sort(graph.group.product(h, np.array(component, dtype=np.int64))).tolist())
 
 
 @dataclass(frozen=True)
@@ -187,8 +184,8 @@ def sign_homomorphism_exists(group: FiniteGroup, s_elements) -> bool:
     for x in s_elements:
         if not 0 <= x < group.order:
             raise ValidationError(f"element {x} out of range")
-    squares = {group.mul(g, g) for g in group.elements()}
-    q = subgroup_from_elements(group, generated_elements(group, squares))
+    idx = np.arange(group.order)
+    q = subgroup_from_elements(group, generated_elements(group, group.product(idx, idx)))
     quotient_order = group.order // q.order
     if quotient_order == 1:
         return False

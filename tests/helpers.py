@@ -1,12 +1,14 @@
-"""Shared seeded instance corpus for the property suites."""
+"""Shared seeded instance corpus and pure-Python reference arithmetic for the test suites."""
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
 
-from pairgraph.descriptors import builtin_subgroup
+from pairgraph.descriptors import builtin_subgroup, group_from_descriptor
+from pairgraph.errors import NotASubgroup
 from pairgraph.groups import (
+    FiniteGroup,
     GeneratingSet,
     Subgroup,
     make_alternating,
@@ -93,3 +95,104 @@ def instance_corpus(count: int, seed: int, outside_only: bool = False) -> list[G
         sub = pool[rng.randrange(len(pool))]
         out.append(random_generating_set(rng, sub, outside_only=outside_only))
     return out
+
+
+def reference_mul(group: FiniteGroup):
+    """Scalar multiplication rebuilt from the group's concrete structure, one family at a time."""
+    kind = group.descriptor["kind"]
+    params = group.descriptor["params"]
+    if kind == "cyclic":
+        n = params[0]
+        return lambda a, b: (a + b) % n
+    if kind == "dihedral":
+        n = params[0]
+
+        def dihedral(a, b):
+            f1, j1 = divmod(a, n)
+            f2, j2 = divmod(b, n)
+            return ((f1 + f2) % 2) * n + (j2 + (j1 if f2 == 0 else -j1)) % n
+
+        return dihedral
+    if kind in ("symmetric", "alternating"):
+        perms = group.perms
+        perm_index = {perm: i for i, perm in enumerate(perms)}
+        # left to right: apply perms[a] first, then perms[b]
+        return lambda a, b: perm_index[tuple(perms[b][x] for x in perms[a])]
+    if kind in ("gl2", "sl2"):
+        p = params[0]
+        mats = group.matrices
+        mat_index = {mat: i for i, mat in enumerate(mats)}
+
+        def matrix(x, y):
+            a, b, c, d = mats[x]
+            e, f, g, h = mats[y]
+            return mat_index[((a * e + b * g) % p, (a * f + b * h) % p, (c * e + d * g) % p, (c * f + d * h) % p)]
+
+        return matrix
+    if kind == "field_additive":
+        p, k = params
+
+        def digitwise(a, b):
+            out, weight = 0, 1
+            for _ in range(k):
+                a, da = divmod(a, p)
+                b, db = divmod(b, p)
+                out += (da + db) % p * weight
+                weight *= p
+            return out
+
+        return digitwise
+    if kind == "product":
+        g1, g2 = (group_from_descriptor(d) for d in params)
+        mul1, mul2 = reference_mul(g1), reference_mul(g2)
+        o2 = g2.order
+
+        def pairwise(x, y):
+            a1, b1 = divmod(x, o2)
+            a2, b2 = divmod(y, o2)
+            return mul1(a1, a2) * o2 + mul2(b1, b2)
+
+        return pairwise
+    raise ValueError(f"no reference multiplication for {kind!r}")
+
+
+def reference_subgroup(group: FiniteGroup, elems, mul) -> Subgroup:
+    """The pair-by-pair closure check and coset decomposition that the vectorised one replaced."""
+    members = sorted(set(int(x) for x in elems))
+    if not members:
+        raise NotASubgroup("a subgroup cannot be empty")
+    for x in members:
+        if not 0 <= x < group.order:
+            raise NotASubgroup(f"element {x} out of range")
+    member_set = set(members)
+    if group.identity not in member_set:
+        raise NotASubgroup("the identity is missing")
+    for a in members:
+        if group.inv(a) not in member_set:
+            raise NotASubgroup(f"inverse of {a} is missing")
+        for b in members:
+            if mul(a, b) not in member_set:
+                raise NotASubgroup(f"product of {a} and {b} escapes the set")
+    coset_of = [-1] * group.order
+    reps: list[int] = []
+    all_members: list[tuple[int, ...]] = []
+
+    def assign(x: int) -> None:
+        cid = len(reps)
+        coset = sorted(mul(h, x) for h in members)
+        for y in coset:
+            coset_of[y] = cid
+        reps.append(coset[0])
+        all_members.append(tuple(coset))
+
+    assign(group.identity)  # coset 0 = the subgroup itself
+    for x in range(group.order):
+        if coset_of[x] == -1:
+            assign(x)
+    return Subgroup(
+        parent=group,
+        elements=tuple(members),
+        coset_of=tuple(coset_of),
+        coset_reps=tuple(reps),
+        coset_members=tuple(all_members),
+    )

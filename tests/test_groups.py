@@ -2,8 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
+from pairgraph import groups
+from pairgraph.descriptors import group_from_descriptor
 from pairgraph.errors import (
     IdentityInGeneratingSet,
     NotASubgroup,
@@ -30,7 +33,7 @@ from pairgraph.groups import (
     validate_generating_set,
 )
 
-from helpers import instance_corpus, subgroup_pool
+from helpers import instance_corpus, reference_mul, reference_subgroup, subgroup_pool
 
 
 def assert_group_axioms(group, rng=None, samples=10000):
@@ -76,11 +79,62 @@ def test_axioms_exhaustive_small(maker, args, order):
 
 
 def test_axioms_sampled_large():
-    # above the table cap: multiplication is computed on demand
+    # above the table cap: products come from the kernel and no table is kept
     s7 = make_symmetric(7)
     assert s7.order == 5040
     assert s7.table is None
     assert_group_axioms(s7, rng=random.Random(7))
+    gl11 = make_gl2(11)
+    assert gl11.order == 13200
+    assert gl11.table is None
+    assert_group_axioms(gl11, rng=random.Random(11))
+
+
+SMALL_FAMILIES = [
+    lambda: make_cyclic(12),
+    lambda: make_symmetric(4),
+    lambda: make_alternating(4),
+    lambda: make_dihedral(6),
+    lambda: make_sl2(3),
+    lambda: make_gl2(3),
+    lambda: make_field_additive(7, 2),
+    lambda: make_field_additive(2, 5),
+    lambda: make_direct_product(make_cyclic(3), make_symmetric(3)),
+    lambda: make_direct_product(make_dihedral(4), make_cyclic(2)),
+]
+
+LARGE_DESCRIPTORS = [
+    "symmetric:7",
+    "cyclic:12000",
+    {"kind": "product", "params": ["gl2:3", "cyclic:100"]},
+]
+
+
+@pytest.mark.parametrize("maker", SMALL_FAMILIES)
+def test_products_match_reference_on_all_pairs(maker):
+    group = maker()
+    assert group.order <= 64
+    ref = reference_mul(group)
+    for a in range(group.order):
+        expected = [ref(a, b) for b in range(group.order)]
+        assert group.left_row(a).tolist() == expected
+        assert [group.mul(a, b) for b in range(group.order)] == expected
+        assert ref(a, group.inv(a)) == group.identity
+
+
+@pytest.mark.parametrize("descriptor", LARGE_DESCRIPTORS, ids=str)
+def test_products_match_reference_above_table_cap(descriptor):
+    group = group_from_descriptor(descriptor)
+    assert group.order > groups.TABLE_CAP and group.table is None
+    ref = reference_mul(group)
+    rng = random.Random(group.order)
+    pairs = [(rng.randrange(group.order), rng.randrange(group.order)) for _ in range(2000)]
+    assert [group.mul(a, b) for a, b in pairs] == [ref(a, b) for a, b in pairs]
+    a, b = np.array(pairs).T
+    assert group.product(a, b).tolist() == [ref(x, y) for x, y in pairs]
+    for x in rng.sample(range(group.order), 3):
+        assert group.left_row(x).tolist() == [ref(x, y) for y in range(group.order)]
+        assert ref(x, group.inv(x)) == group.identity
 
 
 def test_cyclic_examples():
@@ -116,6 +170,20 @@ def test_constructor_caps():
         make_field_additive(2, 13)
     with pytest.raises(SizeCapExceeded):
         make_direct_product(make_symmetric(7), make_symmetric(7))
+
+
+class _NoEnumeration:
+    def __getattr__(self, name):
+        raise AssertionError(f"itertools.{name} used before the order cap was checked")
+
+
+def test_caps_checked_before_enumeration(monkeypatch):
+    monkeypatch.setattr(groups, "itertools", _NoEnumeration())
+    for maker, arg in [(make_symmetric, 8), (make_alternating, 8), (make_gl2, 13)]:
+        with pytest.raises(SizeCapExceeded):
+            maker(arg)
+    with pytest.raises(ValidationError):
+        make_symmetric(9)
 
 
 def test_permutation_composition_is_left_to_right():
@@ -168,6 +236,53 @@ def test_subgroup_from_elements():
     z20 = make_cyclic(20)
     evens = subgroup_from_elements(z20, range(0, 20, 2))
     assert evens.index == 2
+
+
+def _large_subgroup_cases():
+    s7 = make_symmetric(7)
+    s4 = subgroup_generated(s7, [perm_index(s7, "(1,2)"), perm_index(s7, "(1,2,3,4)")])
+    yield s7, s4.elements
+    # lexicographic neighbours share a coset, so each batch meets cosets twice
+    yield s7, (0, perm_index(s7, "(6,7)"))
+    yield make_cyclic(12000), range(0, 12000, 120)
+    # one coset per element: more cosets than one batch holds
+    yield make_cyclic(12000), (0,)
+
+
+def test_vectorised_cosets_match_reference_loop():
+    cases = [(sub.parent, sub.elements) for sub in subgroup_pool()]
+    for group, elems in cases + list(_large_subgroup_cases()):
+        new = subgroup_from_elements(group, elems)
+        old = reference_subgroup(group, elems, reference_mul(group))
+        assert new.elements == old.elements
+        assert new.coset_of == old.coset_of
+        assert new.coset_reps == old.coset_reps
+        assert new.coset_members == old.coset_members
+
+
+def _raised(fn, *args):
+    try:
+        fn(*args)
+    except Exception as exc:  # the type is what the test compares
+        return type(exc)
+    return None
+
+
+def test_bad_sets_raise_like_reference_loop():
+    z12 = make_cyclic(12)
+    s3 = make_symmetric(3)
+    transpositions = [perm_index(s3, "(1,2)"), perm_index(s3, "(2,3)")]
+    bad = [
+        (z12, [0, 1, 2]),  # inverse missing
+        (z12, [0, 1, 11]),  # inverse-closed, product escapes
+        (z12, [3, 6, 9]),  # identity missing
+        (z12, []),
+        (z12, [0, 12]),  # out of range
+        (s3, [s3.identity] + transpositions),  # involutions whose product escapes
+    ]
+    for group, elems in bad:
+        assert _raised(subgroup_from_elements, group, elems) is NotASubgroup
+        assert _raised(reference_subgroup, group, elems, reference_mul(group)) is NotASubgroup
 
 
 def test_subgroup_rejects_bad_sets():
