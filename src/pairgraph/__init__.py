@@ -33,7 +33,6 @@ from .graphs import (
     graph_to_json,
     is_cayley_reduction,
     isolated_vertices,
-    left_translation_matrix,
     regularity_check,
 )
 from .groups import (

@@ -61,16 +61,20 @@ def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", help="write the report here instead of stdout")
 
 
-def _resolve_instance(args) -> tuple[FiniteGroup, Subgroup, tuple[int, ...]]:
+def _resolve_subgroup(args) -> Subgroup:
     group = group_from_descriptor(args.group)
     if args.subgroup_gen:
         from .groups import subgroup_generated
 
-        subgroup = subgroup_generated(group, [int(v) for v in args.subgroup_gen.split(",") if v != ""])
-    elif args.subgroup:
-        subgroup = subgroup_from_descriptor(group, args.subgroup)
-    else:
-        raise ValidationError("one of --subgroup / --subgroup-gen is required")
+        return subgroup_generated(group, [int(v) for v in args.subgroup_gen.split(",") if v != ""])
+    if args.subgroup:
+        return subgroup_from_descriptor(group, args.subgroup)
+    raise ValidationError("one of --subgroup / --subgroup-gen is required")
+
+
+def _resolve_instance(args) -> tuple[FiniteGroup, Subgroup, tuple[int, ...]]:
+    subgroup = _resolve_subgroup(args)
+    group = subgroup.parent
     chosen = [
         name
         for name, value in (
@@ -207,15 +211,7 @@ def cmd_ramanujan(args) -> int:
 
 
 def cmd_search(args) -> int:
-    group = group_from_descriptor(args.group)
-    if args.subgroup_gen:
-        from .groups import subgroup_generated
-
-        subgroup = subgroup_generated(group, [int(v) for v in args.subgroup_gen.split(",") if v != ""])
-    elif args.subgroup:
-        subgroup = subgroup_from_descriptor(group, args.subgroup)
-    else:
-        raise ValidationError("one of --subgroup / --subgroup-gen is required")
+    subgroup = _resolve_subgroup(args)
     if args.mode == "random" and args.seed is None:
         raise ValidationError("random search requires an explicit --seed")
     config = SearchConfig(

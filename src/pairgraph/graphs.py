@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .errors import IndexNotTwo, PairGraphError, ValidationError
-from .groups import FiniteGroup, GeneratingSet, Subgroup, validate_generating_set
+from .groups import FiniteGroup, GeneratingSet, Subgroup, _sorted_unique, validate_generating_set
 
 
 @dataclass(frozen=True, eq=False)
@@ -44,8 +44,7 @@ class PairGraph:
         return int(self.degrees.sum()) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        us, vs = np.nonzero(np.triu(self.adjacency))
-        return [(int(u), int(v)) for u, v in zip(us, vs)]
+        return [(u, v) for u, row in enumerate(self.neighbors) for v in row if v > u]
 
     def __repr__(self) -> str:
         return f"PairGraph(order={self.order}, edges={self.edge_count()})"
@@ -68,7 +67,7 @@ def build_pair_graph(subgroup: Subgroup, s: Union[GeneratingSet, Iterable[int]])
     targets = group.product(h[:, None], np.array(gen.elements, dtype=np.int64))
     sources = np.broadcast_to(h[:, None], targets.shape)
     # each edge in both directions, deduplicated and sorted by (u, v)
-    pairs = np.unique(np.concatenate([sources * m + targets, targets * m + sources], axis=None))
+    pairs = _sorted_unique(np.concatenate([sources * m + targets, targets * m + sources], axis=None))
     us, vs = np.divmod(pairs, m)
     # once a row fills a page, a sparse adjacency leaves most pages unwritten;
     # a mapping of its own keeps them out of memory, where numpy would back
@@ -95,11 +94,14 @@ def adjacency_rows_via_group_matrix(
     is used as an oracle against ``build_pair_graph``.
     """
     gen = _as_generating_set(subgroup, s)
-    group = subgroup.parent
+    return _group_matrix_rows(subgroup.parent, gen.elements, np.array(subgroup.elements))
+
+
+def _group_matrix_rows(group: FiniteGroup, elements: Iterable[int], rows: np.ndarray) -> np.ndarray:
+    """Entry (i, j) is 1 iff rows[i]^-1 * g_j lies in ``elements``."""
     indicator = np.zeros(group.order, dtype=np.int8)
-    indicator[list(gen.elements)] = 1
-    h_inv = group.inverses[np.array(subgroup.elements)]
-    return indicator[group.product(h_inv[:, None], np.arange(group.order))]
+    indicator[list(elements)] = 1
+    return indicator[group.product(group.inverses[rows][:, None], np.arange(group.order))]
 
 
 def cayley_adjacency(group: FiniteGroup, s: Iterable[int]) -> np.ndarray:
@@ -111,12 +113,7 @@ def cayley_adjacency(group: FiniteGroup, s: Iterable[int]) -> np.ndarray:
     for x in elems:
         if group.inv(x) not in elem_set:
             raise ValidationError(f"Cayley generating set must be symmetric; inverse of {x} missing")
-    indicator = np.zeros(group.order, dtype=np.int8)
-    indicator[elems] = 1
-    adjacency = np.empty((group.order, group.order), dtype=np.int8)
-    for i in range(group.order):
-        adjacency[i] = indicator[group.left_row(group.inv(i))]
-    return adjacency
+    return _group_matrix_rows(group, elems, np.arange(group.order))
 
 
 def degree_profile(graph: PairGraph) -> list[tuple[int, int, int]]:
@@ -184,16 +181,6 @@ def is_cayley_reduction(graph: PairGraph) -> bool:
     if not np.array_equal(graph.adjacency, expected):  # pragma: no cover
         raise PairGraphError("symmetric index-2 pair graph does not match its Cayley graph")
     return True
-
-
-def left_translation_matrix(group: FiniteGroup, h: int) -> np.ndarray:
-    """Permutation matrix of left multiplication by h (column j maps to h*j)."""
-    m = group.order
-    p = np.zeros((m, m), dtype=np.int8)
-    row = group.left_row(h)
-    for j in range(m):
-        p[int(row[j]), j] = 1
-    return p
 
 
 def graph_to_json(graph: PairGraph) -> dict:

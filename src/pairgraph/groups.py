@@ -504,6 +504,14 @@ def subgroup_from_elements(group: FiniteGroup, elems: Iterable[int]) -> Subgroup
     )
 
 
+def _sorted_unique(values: np.ndarray) -> np.ndarray:
+    """Distinct values in ascending order, by a sort: a plain ``np.unique`` hashes, far slower."""
+    values = np.sort(values, axis=None)
+    keep = np.ones(values.size, dtype=bool)
+    keep[1:] = values[1:] != values[:-1]
+    return values[keep]
+
+
 def generated_elements(group: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
     """Elements of the subgroup generated by ``gens`` (breadth-first closure)."""
     gens = sorted(set(int(x) for x in gens))
@@ -515,7 +523,7 @@ def generated_elements(group: FiniteGroup, gens: Iterable[int]) -> tuple[int, ..
     seen[group.identity] = True
     frontier = np.array([group.identity])
     while frontier.size:
-        reached = np.unique(group.product(frontier[:, None], gens_arr))
+        reached = _sorted_unique(group.product(frontier[:, None], gens_arr))
         frontier = reached[~seen[reached]]
         seen[frontier] = True
     return tuple(np.flatnonzero(seen).tolist())
@@ -530,7 +538,7 @@ def difference_set(group: FiniteGroup, a_set: Iterable[int], b_set: Iterable[int
     """All products a * b^-1 for a in A, b in B."""
     a = np.array(sorted(set(a_set)), dtype=np.int64)
     b_inv = group.inverses[np.array(sorted(set(b_set)), dtype=np.int64)]
-    return tuple(np.unique(group.product(a[:, None], b_inv)).tolist())
+    return tuple(_sorted_unique(group.product(a[:, None], b_inv)).tolist())
 
 
 @dataclass(frozen=True, eq=False)

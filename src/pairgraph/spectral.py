@@ -1,10 +1,12 @@
 """Adjacency spectra, closed-form trivial eigenvalues, and Ramanujan certification.
 
-Eigenvalues come from the dense symmetric eigensolver (LAPACK: Householder
-tridiagonalization plus implicitly shifted iteration), which is deterministic
-for a fixed input matrix.  The clustering tolerance is absolute on the
-spectrum scaled by the maximum degree; clusters are formed by single linkage
-on the sorted eigenvalue list.
+With H listed first the adjacency is [[C, B], [B^T, 0]] (C inside H, B the
+|H| x |G - H| cross block), so at most 2|H| eigenvalues are nonzero and the
+spectrum comes from the |H| rows: +/- the singular values of B if S avoids H,
+else, with B^T = QR, the eigenvalues of [[C, R^T], [R, 0]]; zeros fill the
+rest.  LAPACK makes both deterministic; one route serves every group family,
+capped at 3000 vertices.  Clusters form by single linkage on the sorted values
+with a tolerance absolute on the spectrum scaled by the maximum degree.
 """
 
 from __future__ import annotations
@@ -72,17 +74,24 @@ def _cluster(sorted_desc: np.ndarray, gap: float) -> tuple[tuple[float, int], ..
 
 
 def compute_spectrum(graph: PairGraph, tolerance: float = DEFAULT_TOLERANCE) -> Spectrum:
-    """Full adjacency spectrum of a pair graph (dense solver, order capped)."""
+    """Full adjacency spectrum of a pair graph from its |H|-row block (order capped)."""
     if graph.order > SPECTRUM_ORDER_CAP:
         raise SizeCapExceeded(
             f"graph order {graph.order} exceeds the dense solver cap {SPECTRUM_ORDER_CAP}"
         )
-    matrix = graph.adjacency.astype(np.float64)
+    inside = np.array(graph.subgroup.elements)
+    rows = graph.adjacency[inside]
+    cross = rows[:, np.delete(np.arange(graph.order), inside)].astype(np.float64)
     try:
-        values = np.linalg.eigvalsh(matrix)
+        if graph.gen.inside:
+            r = np.linalg.qr(cross.T, mode="r")
+            values = np.linalg.eigvalsh(np.block([[rows[:, inside], r.T], [r, np.zeros((len(r),) * 2)]]))
+        else:
+            sigma = np.linalg.svd(cross, compute_uv=False)
+            values = np.concatenate([sigma, -sigma])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigensolverError(f"symmetric eigensolver did not converge: {exc}") from exc
-    values = values[::-1].copy()
+    values = np.sort(np.concatenate([values, np.zeros(graph.order - len(values))]))[::-1].copy()
     scale = float(max(1.0, graph.degrees.max(initial=0)))
     return Spectrum(
         eigenvalues=values,

@@ -23,6 +23,7 @@ from .groups import (
     FiniteGroup,
     GeneratingSet,
     Subgroup,
+    _sorted_unique,
     difference_set,
     generated_elements,
     subgroup_from_elements,
@@ -137,7 +138,7 @@ def identity_component_by_closure(gen: GeneratingSet) -> tuple[int, ...]:
     """Vertices of the identity's component: U together with its outside translates."""
     u = np.array(reachable_subgroup(gen).elements)
     translates = gen.group.product(u[:, None], np.array(gen.outside, dtype=np.int64))
-    return tuple(np.union1d(u, translates).tolist())
+    return tuple(_sorted_unique(np.concatenate([u, translates], axis=None)).tolist())
 
 
 def translate_component(graph: PairGraph, h: int, component: tuple[int, ...]) -> tuple[int, ...]:

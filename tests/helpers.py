@@ -1,12 +1,15 @@
-"""Shared seeded instance corpus and pure-Python reference arithmetic for the test suites."""
+"""Shared seeded instance corpus, pure-Python reference arithmetic and dense oracles for the test suites."""
 
 from __future__ import annotations
 
 import random
 from functools import lru_cache
 
+import numpy as np
+
 from pairgraph.descriptors import builtin_subgroup, group_from_descriptor
 from pairgraph.errors import NotASubgroup
+from pairgraph.graphs import PairGraph
 from pairgraph.groups import (
     FiniteGroup,
     GeneratingSet,
@@ -196,3 +199,15 @@ def reference_subgroup(group: FiniteGroup, elems, mul) -> Subgroup:
         coset_reps=tuple(reps),
         coset_members=tuple(all_members),
     )
+
+
+def dense_eigenvalues(graph: PairGraph) -> np.ndarray:
+    """The full m x m symmetric eigen-solve, sorted descending: the oracle for the block route."""
+    return np.linalg.eigvalsh(graph.adjacency.astype(np.float64))[::-1]
+
+
+def left_translation_matrix(group: FiniteGroup, h: int) -> np.ndarray:
+    """Permutation matrix of left multiplication by h (column j maps to h*j)."""
+    p = np.zeros((group.order, group.order), dtype=np.int8)
+    p[group.left_row(h), np.arange(group.order)] = 1
+    return p

@@ -23,7 +23,6 @@ from pairgraph.graphs import (
     adjacency_rows_via_group_matrix,
     build_pair_graph,
     degree_profile,
-    left_translation_matrix,
 )
 from pairgraph.groups import (
     field_norm_preimage,
@@ -51,7 +50,7 @@ from pairgraph.structure import (
     is_connected,
 )
 
-from helpers import index_two_pool, instance_corpus, random_generating_set
+from helpers import index_two_pool, instance_corpus, left_translation_matrix, random_generating_set
 
 ATOL = 1e-6
 

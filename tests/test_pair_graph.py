@@ -16,7 +16,6 @@ from pairgraph.graphs import (
     graph_to_json,
     is_cayley_reduction,
     isolated_vertices,
-    left_translation_matrix,
     regularity_check,
 )
 from pairgraph.groups import (
@@ -27,7 +26,7 @@ from pairgraph.groups import (
     validate_generating_set,
 )
 
-from helpers import instance_corpus
+from helpers import instance_corpus, left_translation_matrix
 
 
 @pytest.fixture(scope="module")
@@ -232,3 +231,14 @@ def test_dot_export(z12_sub):
     assert dot.startswith("graph pairgraph {")
     assert dot.count("shape=box") == 4
     assert dot.count(" -- ") == graph.edge_count()
+
+
+def test_edges_match_upper_triangle_listing():
+    # the neighbour-tuple listing equals the np.triu scan of the dense matrix,
+    # in the same order, so JSON and DOT exports are unchanged
+    for gen in instance_corpus(80, seed=113):
+        graph = build_pair_graph(gen.subgroup, gen)
+        us, vs = np.nonzero(np.triu(graph.adjacency))
+        expected = list(zip(us.tolist(), vs.tolist()))
+        assert graph.edges() == expected
+        assert json.dumps(graph_to_json(graph)["edges"]) == json.dumps([[u, v] for u, v in expected])

@@ -21,6 +21,9 @@ from pairgraph.groups import (
     validate_generating_set,
 )
 from pairgraph.spectral import (
+    DEFAULT_TOLERANCE,
+    Spectrum,
+    _cluster,
     compare_complementary_spectra,
     compute_spectrum,
     eigensystem,
@@ -33,7 +36,13 @@ from pairgraph.spectral import (
 from pairgraph.structure import connected_components
 from pairgraph.actions import random_candidate
 
-from helpers import index_two_pool, instance_corpus, random_generating_set
+from helpers import (
+    dense_eigenvalues,
+    index_two_pool,
+    instance_corpus,
+    random_generating_set,
+    subgroup_pool,
+)
 
 
 @pytest.fixture(scope="module")
@@ -56,6 +65,75 @@ def test_edgeless_spectrum():
     sub = subgroup_from_elements(make_cyclic(12), [0, 3, 6, 9])
     spec = compute_spectrum(build_pair_graph(sub, []))
     assert spec.clusters == ((0.0, 12),)
+
+
+def _oracle_instances():
+    """The seeded corpus, plus empty, inside-only, outside-only and mixed sets on every
+    pooled subgroup, GL2(5) > SL2(5) and F_{7^3} > F_7 with norm preimages."""
+    rng = random.Random(107)
+    gens = list(instance_corpus(200, seed=109))
+    for sub in subgroup_pool():
+        group = sub.parent
+        inside = rng.sample([x for x in sub.elements if x != group.identity], min(2, sub.order - 1))
+        inside = set(inside) | {group.inv(x) for x in inside}
+        outside = set(rng.sample(sub.outside(), min(3, group.order - sub.order)))
+        for s in (set(), inside, outside, inside | outside):
+            gens.append(validate_generating_set(sub, s))
+    gl5 = make_gl2(5)
+    gens.append(random_generating_set(rng, builtin_subgroup(gl5, "sl2_in_gl2"), max_size=12, min_size=8))
+    f343 = make_field_additive(7, 3)
+    f7 = subgroup_from_elements(f343, range(7))
+    gens.append(validate_generating_set(f7, field_norm_preimage(f343, [2, 3])))
+    gens.append(validate_generating_set(f7, [1, 6, *field_norm_preimage(f343, [2])]))
+    return gens
+
+
+def test_block_spectrum_matches_dense_oracle():
+    covered = set()
+    for gen in _oracle_instances():
+        graph = build_pair_graph(gen.subgroup, gen)
+        spec = compute_spectrum(graph)
+        dense = dense_eigenvalues(graph)
+        atol = 1e-10 * max(1, int(graph.degrees.max()))
+        assert spec.eigenvalues.shape == dense.shape
+        assert np.abs(spec.eigenvalues - dense).max() <= atol, gen
+        dense_clusters = _cluster(dense, spec.cluster_gap)
+        assert [c for _, c in spec.clusters] == [c for _, c in dense_clusters], gen
+        kind = ("empty", "outside", "inside", "mixed")[2 * bool(gen.inside) + bool(gen.outside)]
+        covered.add((min(gen.subgroup.index, 3), kind, gen.group.descriptor["kind"]))
+    cases = {(index, kind) for index, kind, _ in covered}
+    kinds = ("empty", "outside", "inside", "mixed")
+    assert cases >= {(1, "empty"), (1, "inside")} | {(i, k) for i in (2, 3) for k in kinds}
+    families = {family for _, _, family in covered}
+    assert families >= {
+        "cyclic", "dihedral", "symmetric", "alternating", "product", "sl2", "gl2", "field_additive"
+    }
+
+
+def _crafted_spectrum(k, order, worst, with_minus_k):
+    values = np.zeros(order)
+    values[0], values[1] = k, worst
+    if with_minus_k:
+        values[-1] = -k
+    return Spectrum(np.sort(values)[::-1], (), DEFAULT_TOLERANCE, float(k))
+
+
+def test_ramanujan_boundary_pinned(z20_evens):
+    graph = build_pair_graph(z20_evens, [1, 3, 5, 7, 9])  # connected, 5-regular
+    k = 5
+    bound = 2.0 * math.sqrt(k - 1)
+    eps = DEFAULT_TOLERANCE * k
+    for with_minus_k in (True, False):
+        for sign in (1.0, -1.0):
+            within = _crafted_spectrum(k, graph.order, sign * (bound + 0.5 * eps), with_minus_k)
+            report = is_ramanujan(graph, within)
+            assert report.ramanujan, (with_minus_k, sign)
+            assert report.worst_nontrivial == pytest.approx(bound + 0.5 * eps, abs=1e-12)
+            assert report.margin == pytest.approx(-0.5 * eps, abs=1e-12)
+            beyond = _crafted_spectrum(k, graph.order, sign * (bound + 2.0 * eps), with_minus_k)
+            report = is_ramanujan(graph, beyond)
+            assert not report.ramanujan, (with_minus_k, sign)
+            assert report.margin == pytest.approx(-2.0 * eps, abs=1e-12)
 
 
 def test_eigensolver_residuals():
