@@ -61,7 +61,6 @@ from .spectral import (
     TrivialEigenvalues,
     compare_complementary_spectra,
     compute_spectrum,
-    eigensystem,
     is_ramanujan,
     largest_eigenvalue_multiplicity,
     ramanujan_size_bound,

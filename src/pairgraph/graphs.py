@@ -21,11 +21,11 @@ from .groups import FiniteGroup, GeneratingSet, Subgroup, _sorted_unique, valida
 
 @dataclass(frozen=True, eq=False)
 class PairGraph:
-    """Immutable pair graph with both matrix and neighbor-list views."""
+    """Immutable pair graph as a CSR edge list: u's sorted neighbours are indices[indptr[u]:indptr[u+1]]."""
 
     gen: GeneratingSet
-    adjacency: np.ndarray
-    neighbors: tuple[tuple[int, ...], ...]
+    indptr: np.ndarray
+    indices: np.ndarray
     degrees: np.ndarray
 
     @property
@@ -40,11 +40,25 @@ class PairGraph:
     def order(self) -> int:
         return self.group.order
 
+    @property
+    def adjacency(self) -> np.ndarray:
+        """The dense m x m 0/1 int8 matrix, built anew on every access."""
+        m = self.order
+        # once a row fills a page, a sparse adjacency leaves most pages unwritten;
+        # a mapping of its own keeps them out of memory, where numpy would back
+        # them with 2 MB huge pages (all 144 MB resident at order 12000)
+        out = (np.frombuffer(mmap.mmap(-1, m * m), dtype=np.int8).reshape(m, m)
+               if m >= mmap.PAGESIZE else np.zeros((m, m), dtype=np.int8))
+        out[np.repeat(np.arange(m), self.degrees), self.indices] = 1
+        return out
+
     def edge_count(self) -> int:
-        return int(self.degrees.sum()) // 2
+        return len(self.indices) // 2
 
     def edges(self) -> list[tuple[int, int]]:
-        return [(u, v) for u, row in enumerate(self.neighbors) for v in row if v > u]
+        us = np.repeat(np.arange(self.order), self.degrees)
+        upper = us < self.indices
+        return list(zip(us[upper].tolist(), self.indices[upper].tolist()))
 
     def __repr__(self) -> str:
         return f"PairGraph(order={self.order}, edges={self.edge_count()})"
@@ -69,17 +83,9 @@ def build_pair_graph(subgroup: Subgroup, s: Union[GeneratingSet, Iterable[int]])
     # each edge in both directions, deduplicated and sorted by (u, v)
     pairs = _sorted_unique(np.concatenate([sources * m + targets, targets * m + sources], axis=None))
     us, vs = np.divmod(pairs, m)
-    # once a row fills a page, a sparse adjacency leaves most pages unwritten;
-    # a mapping of its own keeps them out of memory, where numpy would back
-    # them with 2 MB huge pages (all 144 MB resident at order 12000)
-    adjacency = (np.frombuffer(mmap.mmap(-1, m * m), dtype=np.int8).reshape(m, m)
-                 if m >= mmap.PAGESIZE else np.zeros((m, m), dtype=np.int8))
-    adjacency[us, vs] = 1
     degrees = np.bincount(us, minlength=m)
-    ends = np.cumsum(degrees).tolist()
-    vs = vs.tolist()
-    neighbors = tuple(tuple(vs[a:b]) for a, b in zip([0] + ends[:-1], ends))
-    return PairGraph(gen=gen, adjacency=adjacency, neighbors=neighbors, degrees=degrees)
+    indptr = np.concatenate([[0], np.cumsum(degrees)])
+    return PairGraph(gen=gen, indptr=indptr, indices=vs, degrees=degrees)
 
 
 def adjacency_rows_via_group_matrix(

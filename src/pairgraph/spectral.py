@@ -3,10 +3,11 @@
 With H listed first the adjacency is [[C, B], [B^T, 0]] (C inside H, B the
 |H| x |G - H| cross block), so at most 2|H| eigenvalues are nonzero and the
 spectrum comes from the |H| rows: +/- the singular values of B if S avoids H,
-else, with B^T = QR, the eigenvalues of [[C, R^T], [R, 0]]; zeros fill the
-rest.  LAPACK makes both deterministic; one route serves every group family,
-capped at 3000 vertices.  Clusters form by single linkage on the sorted values
-with a tolerance absolute on the spectrum scaled by the maximum degree.
+else the eigenvalues of [[C, R^T], [R, 0]], with B^T = QR when B^T is taller
+than wide and R = B^T otherwise; zeros fill the rest.  LAPACK makes both
+deterministic; one route serves every group family, capped at 3000 vertices.
+Clusters form by single linkage on the sorted values with a tolerance
+absolute on the spectrum scaled by the maximum degree.
 """
 
 from __future__ import annotations
@@ -84,7 +85,8 @@ def compute_spectrum(graph: PairGraph, tolerance: float = DEFAULT_TOLERANCE) -> 
     cross = rows[:, np.delete(np.arange(graph.order), inside)].astype(np.float64)
     try:
         if graph.gen.inside:
-            r = np.linalg.qr(cross.T, mode="r")
+            # QR only shrinks B^T when it has more rows than columns
+            r = cross.T if cross.shape[1] <= len(inside) else np.linalg.qr(cross.T, mode="r")
             values = np.linalg.eigvalsh(np.block([[rows[:, inside], r.T], [r, np.zeros((len(r),) * 2)]]))
         else:
             sigma = np.linalg.svd(cross, compute_uv=False)
@@ -99,16 +101,6 @@ def compute_spectrum(graph: PairGraph, tolerance: float = DEFAULT_TOLERANCE) -> 
         tolerance=tolerance,
         scale=scale,
     )
-
-
-def eigensystem(graph: PairGraph) -> tuple[np.ndarray, np.ndarray]:
-    """Eigenvalues (ascending) and eigenvectors, for residual checks."""
-    if graph.order > SPECTRUM_ORDER_CAP:
-        raise SizeCapExceeded("graph too large for the dense solver")
-    try:
-        return np.linalg.eigh(graph.adjacency.astype(np.float64))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover
-        raise EigensolverError(f"symmetric eigensolver did not converge: {exc}") from exc
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,7 @@ class ComponentDecomposition:
 def connected_components(graph: PairGraph) -> ComponentDecomposition:
     """Breadth-first component labeling; ids ordered by minimal contained vertex."""
     m = graph.order
+    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
     component_of = [-1] * m
     sizes = []
     for start in range(m):
@@ -53,7 +54,7 @@ def connected_components(graph: PairGraph) -> ComponentDecomposition:
         while queue:
             u = queue.popleft()
             size += 1
-            for v in graph.neighbors[u]:
+            for v in indices[indptr[u]:indptr[u + 1]]:
                 if component_of[v] == -1:
                     component_of[v] = cid
                     queue.append(v)
@@ -157,6 +158,7 @@ class BipartiteReport:
 def is_bipartite(graph: PairGraph) -> BipartiteReport:
     """Exact two-coloring test by breadth-first search."""
     m = graph.order
+    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
     color = [-1] * m
     for start in range(m):
         if color[start] != -1:
@@ -165,7 +167,7 @@ def is_bipartite(graph: PairGraph) -> BipartiteReport:
         queue = deque([start])
         while queue:
             u = queue.popleft()
-            for v in graph.neighbors[u]:
+            for v in indices[indptr[u]:indptr[u + 1]]:
                 if color[v] == -1:
                     color[v] = 1 - color[u]
                     queue.append(v)

@@ -32,10 +32,10 @@ from pairgraph.groups import (
     subgroup_from_elements,
     subgroup_generated,
 )
-from pairgraph.isomorphism import are_isomorphic, find_isomorphism
 from pairgraph.spectral import compute_spectrum
 from pairgraph.structure import connected_components
 
+from isomorphism import are_isomorphic, find_isomorphism
 from helpers import index_two_pool, instance_corpus, random_generating_set
 
 

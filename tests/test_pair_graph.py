@@ -25,6 +25,7 @@ from pairgraph.groups import (
     subgroup_from_elements,
     validate_generating_set,
 )
+from pairgraph.structure import connected_components, is_bipartite
 
 from helpers import instance_corpus, left_translation_matrix
 
@@ -234,7 +235,7 @@ def test_dot_export(z12_sub):
 
 
 def test_edges_match_upper_triangle_listing():
-    # the neighbour-tuple listing equals the np.triu scan of the dense matrix,
+    # the CSR listing equals the np.triu scan of the dense matrix,
     # in the same order, so JSON and DOT exports are unchanged
     for gen in instance_corpus(80, seed=113):
         graph = build_pair_graph(gen.subgroup, gen)
@@ -242,3 +243,19 @@ def test_edges_match_upper_triangle_listing():
         expected = list(zip(us.tolist(), vs.tolist()))
         assert graph.edges() == expected
         assert json.dumps(graph_to_json(graph)["edges"]) == json.dumps([[u, v] for u, v in expected])
+
+
+def test_storage_is_linear_in_edges():
+    # Z/20000 > evens with 30 odd generators: 300 000 edges on 20 000 vertices;
+    # every stored array is CSR-sized, none is the 4*10^8-entry dense matrix
+    group = make_cyclic(20000)
+    evens = subgroup_from_elements(group, range(0, 20000, 2))
+    s = range(1, 60, 2)
+    graph = build_pair_graph(evens, s)
+    bound = graph.order + 1 + 2 * evens.order * len(s)
+    arrays = [v for v in vars(graph).values() if isinstance(v, np.ndarray)]
+    assert all(a.size <= bound for a in arrays)
+    assert len(arrays) == 3
+    assert connected_components(graph).count == 1
+    assert is_bipartite(graph).bipartite
+    assert len(graph.edges()) == evens.order * len(s)
