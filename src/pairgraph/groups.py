@@ -109,9 +109,6 @@ class FiniteGroup:
         """Products a*g for every g, as one vector."""
         return self.product(a, np.arange(self.order))
 
-    def elements(self) -> range:
-        return range(self.order)
-
     def element_order(self, a: int) -> int:
         n = 1
         x = a
@@ -119,12 +116,6 @@ class FiniteGroup:
             x = self.mul(x, a)
             n += 1
         return n
-
-    def label(self, a: int) -> str:
-        return self.labels[a]
-
-    def __len__(self) -> int:
-        return self.order
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -454,7 +445,7 @@ class Subgroup:
         return self.coset_of[x] == 0
 
     def outside(self) -> tuple[int, ...]:
-        return tuple(x for x in self.parent.elements() if self.coset_of[x] != 0)
+        return tuple(x for x in range(self.parent.order) if self.coset_of[x] != 0)
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, index={self.index} in {self.parent.name})"

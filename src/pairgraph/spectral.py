@@ -64,14 +64,8 @@ class Spectrum:
 
 
 def _cluster(sorted_desc: np.ndarray, gap: float) -> tuple[tuple[float, int], ...]:
-    clusters = []
-    start = 0
-    for i in range(1, len(sorted_desc) + 1):
-        if i == len(sorted_desc) or sorted_desc[i - 1] - sorted_desc[i] > gap:
-            block = sorted_desc[start:i]
-            clusters.append((float(block.mean()), len(block)))
-            start = i
-    return tuple(clusters)
+    blocks = np.split(sorted_desc, np.flatnonzero(sorted_desc[:-1] - sorted_desc[1:] > gap) + 1)
+    return tuple((float(block.mean()), len(block)) for block in blocks)
 
 
 def compute_spectrum(graph: PairGraph, tolerance: float = DEFAULT_TOLERANCE) -> Spectrum:

@@ -1,8 +1,9 @@
-"""Shared seeded instance corpus, pure-Python reference arithmetic and dense oracles for the test suites."""
+"""Shared seeded instance corpus, pure-Python reference arithmetic and search, and dense oracles for the test suites."""
 
 from __future__ import annotations
 
 import random
+from collections import deque
 from functools import lru_cache
 
 import numpy as np
@@ -24,6 +25,7 @@ from pairgraph.groups import (
     subgroup_generated,
     validate_generating_set,
 )
+from pairgraph.structure import BipartiteReport, ComponentDecomposition
 
 
 @lru_cache(maxsize=None)
@@ -211,3 +213,55 @@ def left_translation_matrix(group: FiniteGroup, h: int) -> np.ndarray:
     p = np.zeros((group.order, group.order), dtype=np.int8)
     p[group.left_row(h), np.arange(group.order)] = 1
     return p
+
+
+def reference_components(graph: PairGraph) -> ComponentDecomposition:
+    """Breadth-first component labeling; ids ordered by minimal contained vertex."""
+    m = graph.order
+    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
+    component_of = [-1] * m
+    sizes = []
+    for start in range(m):
+        if component_of[start] != -1:
+            continue
+        cid = len(sizes)
+        queue = deque([start])
+        component_of[start] = cid
+        size = 0
+        while queue:
+            u = queue.popleft()
+            size += 1
+            for v in indices[indptr[u]:indptr[u + 1]]:
+                if component_of[v] == -1:
+                    component_of[v] = cid
+                    queue.append(v)
+        sizes.append(size)
+    e = graph.group.identity
+    identity_component = tuple(v for v in range(m) if component_of[v] == component_of[e])
+    return ComponentDecomposition(
+        component_of=tuple(component_of),
+        count=len(sizes),
+        sizes=tuple(sizes),
+        identity_component=identity_component,
+    )
+
+
+def reference_bipartite(graph: PairGraph) -> BipartiteReport:
+    """Exact two-coloring test by breadth-first search."""
+    m = graph.order
+    indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
+    color = [-1] * m
+    for start in range(m):
+        if color[start] != -1:
+            continue
+        color[start] = 0
+        queue = deque([start])
+        while queue:
+            u = queue.popleft()
+            for v in indices[indptr[u]:indptr[u + 1]]:
+                if color[v] == -1:
+                    color[v] = 1 - color[u]
+                    queue.append(v)
+                elif color[v] == color[u]:
+                    return BipartiteReport(False, None)
+    return BipartiteReport(True, tuple(color))

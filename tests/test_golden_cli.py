@@ -21,6 +21,8 @@ from pairgraph.cli import main
 GOLDEN = Path(__file__).parent / "data" / "golden"
 README = ["--group", "cyclic:12", "--subgroup", "0,3,6,9"]
 DIHEDRAL = ["--group", "dihedral:6", "--subgroup", "0,2,4,6,8,10", "--set", "1,3,7"]
+ROTATIONS = ["--group", "dihedral:5", "--subgroup", "0,1,2,3,4", "--set", "1,4"]
+MIXED = [*README, "--set", "3,9,1"]
 CASES = {
     "build-readme-text": ["build", *README, "--set", "2,4,5,7,8"],
     "build-readme-json": ["build", *README, "--set", "2,4,5,7,8", "--format", "json"],
@@ -34,6 +36,10 @@ CASES = {
                         "--set-random", "12", "--seed", "3"],
     "analyze-s5-json": ["analyze", "--group", "symmetric:5", "--subgroup", "alternating_in_symmetric",
                         "--set-random", "12", "--seed", "3", "--format", "json"],
+    "analyze-rotations-text": ["analyze", *ROTATIONS],
+    "analyze-rotations-json": ["analyze", *ROTATIONS, "--format", "json"],
+    "analyze-mixed-text": ["analyze", *MIXED],
+    "analyze-mixed-json": ["analyze", *MIXED, "--format", "json"],
 }
 FILES = {"{out}": ".out-file", "{dot}": ".dot"}
 

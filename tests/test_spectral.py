@@ -371,3 +371,14 @@ def test_coarse_tolerance_merges_clusters(z20_evens):
     coarse = compute_spectrum(graph, tolerance=1e-2)
     assert len(fine.clusters) == 12
     assert len(coarse.clusters) < len(fine.clusters)
+
+
+def test_cluster_gap_boundary():
+    # a step equal to the gap joins its neighbours; a step just above it splits them
+    below = np.nextafter(1.5, 0.0)
+    assert 2.0 - below > 0.5
+    assert _cluster(np.array([3.0, 2.5, 1.75, 1.0]), 0.5) == ((2.75, 2), (1.75, 1), (1.0, 1))
+    assert _cluster(np.array([1.0, 0.5]), 0.5) == ((0.75, 2),)
+    assert _cluster(np.array([2.0, 1.5]), 0.5) == ((1.75, 2),)
+    assert _cluster(np.array([2.0, below]), 0.5) == ((2.0, 1), (below, 1))
+    assert _cluster(np.array([2.0]), 0.5) == ((2.0, 1),)

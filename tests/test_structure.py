@@ -10,6 +10,7 @@ from pairgraph.groups import (
     make_symmetric,
     perm_index,
     subgroup_from_elements,
+    subgroup_generated,
     validate_generating_set,
 )
 from pairgraph.descriptors import builtin_subgroup
@@ -24,7 +25,7 @@ from pairgraph.structure import (
     translate_component,
 )
 
-from helpers import instance_corpus
+from helpers import instance_corpus, reference_bipartite, reference_components, subgroup_pool
 
 
 @pytest.fixture(scope="module")
@@ -97,6 +98,21 @@ def test_identity_component_matches_search_on_corpus():
             continue
         graph = build_pair_graph(gen.subgroup, gen)
         assert identity_component_by_closure(gen) == connected_components(graph).identity_component
+
+
+def test_least_labels_match_breadth_first_reference():
+    z4000 = subgroup_generated(make_cyclic(4000), [1])
+    trivial = subgroup_generated(make_cyclic(1), [])
+    cases = [(gen.subgroup, gen) for gen in instance_corpus(400, seed=83)]
+    cases += [(trivial, [])] + [(sub, []) for sub in subgroup_pool()]
+    cases += [(z4000, [1, 3999]), (z4000, [679, 3321])]
+    verdicts = set()
+    for sub, s in cases:
+        graph = build_pair_graph(sub, s)
+        assert connected_components(graph) == reference_components(graph)
+        assert is_bipartite(graph) == reference_bipartite(graph)
+        verdicts.add(is_bipartite(graph).bipartite)
+    assert verdicts == {True, False}
 
 
 def test_translate_component(z12_sub):
