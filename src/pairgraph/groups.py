@@ -19,6 +19,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
 import numpy as np
@@ -447,8 +448,46 @@ class Subgroup:
     def outside(self) -> tuple[int, ...]:
         return tuple(x for x in range(self.parent.order) if self.coset_of[x] != 0)
 
+    @cached_property
+    def cyclic_listing(self) -> Optional[np.ndarray]:
+        """H as g^0, g^1, ..., g^(n-1) for its least generator g, or None if H is not cyclic.
+
+        x generates H exactly when x^(n/p) is not the identity for any prime p
+        dividing n = |H|, tested on all of H at once; the powers of g then
+        follow by doubling, in about log2(n) batched products.
+        """
+        group, n = self.parent, self.order
+        h = np.array(self.elements)
+        generates = np.ones(n, dtype=bool)
+        for p in _prime_divisors(n):
+            generates &= _power(group, h, n // p) != group.identity
+        if not generates.any():
+            return None
+        g = h[generates.argmax()]
+        listing = np.array([group.identity])
+        while len(listing) < n:
+            listing = np.concatenate([listing, group.product(listing, group.product(listing[-1], g))])
+        listing = listing[:n]
+        listing.flags.writeable = False
+        return listing
+
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, index={self.index} in {self.parent.name})"
+
+
+def _prime_divisors(n: int) -> list[int]:
+    return [p for p in range(2, n + 1) if n % p == 0 and is_prime(p)]
+
+
+def _power(group: FiniteGroup, x: np.ndarray, e: int) -> np.ndarray:
+    """x^e for every entry of x, by square-and-multiply."""
+    result = np.full_like(x, group.identity)
+    while e:
+        if e & 1:
+            result = group.product(result, x)
+        x = group.product(x, x)
+        e >>= 1
+    return result
 
 
 def subgroup_from_elements(group: FiniteGroup, elems: Iterable[int]) -> Subgroup:
@@ -561,6 +600,16 @@ class GeneratingSet:
     def covered_vertex_count(self) -> int:
         """Size of the union of the cosets met by the outside part."""
         return len(self.covered_cosets()) * self.subgroup.order
+
+    @cached_property
+    def reachable(self) -> Subgroup:
+        """The subgroup U of H generated by H ∩ (inside ∪ outside·outside^-1), built once."""
+        group = self.group
+        seeds = set(self.inside)
+        for d in difference_set(group, self.outside, self.outside):
+            if self.subgroup.contains(d):
+                seeds.add(d)
+        return subgroup_from_elements(group, generated_elements(group, seeds))
 
     def __repr__(self) -> str:
         return f"GeneratingSet(size={self.size}, inside={len(self.inside)}, outside={len(self.outside)})"

@@ -1,11 +1,17 @@
 """Adjacency spectra, closed-form trivial eigenvalues, and Ramanujan certification.
 
 With H listed first the adjacency is [[C, B], [B^T, 0]] (C inside H, B the
-|H| x |G - H| cross block), so at most 2|H| eigenvalues are nonzero and the
-spectrum comes from the |H| rows: +/- the singular values of B if S avoids H,
-else the eigenvalues of [[C, R^T], [R, 0]], with B^T = QR when B^T is taller
-than wide and R = B^T otherwise; zeros fill the rest.  LAPACK makes both
-deterministic; one route serves every group family, capped at 3000 vertices.
+|H| x |G - H| cross block), so at most 2|H| eigenvalues are nonzero; zeros
+fill the rest.  Two routes find them, chosen by ``Subgroup.cyclic_listing``:
+
+- H cyclic: C and each coset's part of B B^T are convolutions on H, so the
+  characters of H diagonalise them together and each one gives the two
+  roots of x^2 - c x - d from two FFTs (c alone when H = G).
+- any other H: +/- the singular values of B if S avoids H, else the
+  eigenvalues of [[C, R^T], [R, 0]], with B^T = QR when B^T is taller than
+  wide and R = B^T otherwise.
+
+Both are deterministic and serve every group family, capped at 3000 vertices.
 Clusters form by single linkage on the sorted values with a tolerance
 absolute on the spectrum scaled by the maximum degree.
 """
@@ -69,24 +75,13 @@ def _cluster(sorted_desc: np.ndarray, gap: float) -> tuple[tuple[float, int], ..
 
 
 def compute_spectrum(graph: PairGraph, tolerance: float = DEFAULT_TOLERANCE) -> Spectrum:
-    """Full adjacency spectrum of a pair graph from its |H|-row block (order capped)."""
+    """Full adjacency spectrum of a pair graph: by characters for cyclic H, else from the block."""
     if graph.order > SPECTRUM_ORDER_CAP:
         raise SizeCapExceeded(
             f"graph order {graph.order} exceeds the dense solver cap {SPECTRUM_ORDER_CAP}"
         )
-    inside = np.array(graph.subgroup.elements)
-    rows = graph.adjacency[inside]
-    cross = rows[:, np.delete(np.arange(graph.order), inside)].astype(np.float64)
-    try:
-        if graph.gen.inside:
-            # QR only shrinks B^T when it has more rows than columns
-            r = cross.T if cross.shape[1] <= len(inside) else np.linalg.qr(cross.T, mode="r")
-            values = np.linalg.eigvalsh(np.block([[rows[:, inside], r.T], [r, np.zeros((len(r),) * 2)]]))
-        else:
-            sigma = np.linalg.svd(cross, compute_uv=False)
-            values = np.concatenate([sigma, -sigma])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigensolverError(f"symmetric eigensolver did not converge: {exc}") from exc
+    listing = graph.subgroup.cyclic_listing
+    values = _block_values(graph) if listing is None else _character_values(graph, listing)
     values = np.sort(np.concatenate([values, np.zeros(graph.order - len(values))]))[::-1].copy()
     scale = float(max(1.0, graph.degrees.max(initial=0)))
     return Spectrum(
@@ -95,6 +90,52 @@ def compute_spectrum(graph: PairGraph, tolerance: float = DEFAULT_TOLERANCE) -> 
         tolerance=tolerance,
         scale=scale,
     )
+
+
+def _block_values(graph: PairGraph) -> np.ndarray:
+    """The at most 2|H| eigenvalues that may be nonzero, from the |H| x m row block."""
+    inside = np.array(graph.subgroup.elements)
+    rows = graph.adjacency[inside]
+    cross = rows[:, np.delete(np.arange(graph.order), inside)].astype(np.float64)
+    try:
+        if graph.gen.inside:
+            # QR only shrinks B^T when it has more rows than columns
+            r = cross.T if cross.shape[1] <= len(inside) else np.linalg.qr(cross.T, mode="r")
+            # eigvalsh reads the lower triangle only, so the R^T copy is never written
+            block = np.zeros((len(inside) + len(r),) * 2)
+            block[: len(inside), : len(inside)] = rows[:, inside]
+            block[len(inside) :, : len(inside)] = r
+            return np.linalg.eigvalsh(block)
+        # the same singular values, faster from the tall orientation
+        sigma = np.linalg.svd(cross.T if cross.shape[1] > cross.shape[0] else cross, compute_uv=False)
+        return np.concatenate([sigma, -sigma])
+    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
+        raise EigensolverError(f"symmetric eigensolver did not converge: {exc}") from exc
+
+
+def _character_values(graph: PairGraph, listing: np.ndarray) -> np.ndarray:
+    """Both roots of x^2 - c(k) x - d(k) for each character k of H = <g>, or c(k) alone at index 1.
+
+    With H indexed by exponents, C is the circulant of S ∩ H, and coset i
+    contributes the circulant of T_i = {s r_i^-1 : s in S ∩ H r_i}, r_i the
+    coset's least element.  The Fourier modes diagonalise them all: c = FFT of
+    the indicator of S ∩ H, d = sum over cosets of |FFT of the indicator of T_i|^2.
+    """
+    sub, group, gen = graph.subgroup, graph.group, graph.gen
+    n = sub.order
+    exponent = np.empty(group.order, dtype=np.int64)
+    exponent[listing] = np.arange(n)
+    c = np.fft.fft(np.bincount(exponent[list(gen.inside)], minlength=n)).real
+    if sub.index == 1:
+        return c
+    cosets = [sub.coset_of[x] for x in gen.outside]
+    reps = [sub.coset_reps[i] for i in cosets]
+    h = group.product(np.array(gen.outside, dtype=np.int64), group.inverses[reps])  # s = h_s * r
+    indicator = np.zeros((sub.index, n))
+    indicator[cosets, exponent[h]] = 1
+    d = (np.abs(np.fft.fft(indicator, axis=1)) ** 2).sum(axis=0)
+    root = np.sqrt(c * c + 4.0 * d)
+    return np.concatenate([(c + root) / 2.0, (c - root) / 2.0])
 
 
 @dataclass(frozen=True)

@@ -23,7 +23,6 @@ from .groups import (
     GeneratingSet,
     Subgroup,
     _sorted_unique,
-    difference_set,
     generated_elements,
     subgroup_from_elements,
 )
@@ -77,13 +76,12 @@ def connected_components(graph: PairGraph) -> ComponentDecomposition:
 
 
 def reachable_subgroup(gen: GeneratingSet) -> Subgroup:
-    """The subgroup U of H generated by H ∩ (inside ∪ outside·outside^-1)."""
-    group = gen.group
-    seeds = set(gen.inside)
-    for d in difference_set(group, gen.outside, gen.outside):
-        if gen.subgroup.contains(d):
-            seeds.add(d)
-    return subgroup_from_elements(group, generated_elements(group, seeds))
+    """The subgroup U of H generated by H ∩ (inside ∪ outside·outside^-1).
+
+    Computed once per generating set and kept on it, so the closed-form count
+    and the connectivity test share one closure.
+    """
+    return gen.reachable
 
 
 @dataclass(frozen=True)

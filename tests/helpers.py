@@ -204,7 +204,7 @@ def reference_subgroup(group: FiniteGroup, elems, mul) -> Subgroup:
 
 
 def dense_eigenvalues(graph: PairGraph) -> np.ndarray:
-    """The full m x m symmetric eigen-solve, sorted descending: the oracle for the block route."""
+    """The full m x m symmetric eigen-solve, sorted descending: the oracle for both spectrum routes."""
     return np.linalg.eigvalsh(graph.adjacency.astype(np.float64))[::-1]
 
 

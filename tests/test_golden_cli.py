@@ -1,9 +1,11 @@
-"""Byte-for-byte replay of recorded ``build`` and ``analyze`` output.
+"""Byte-for-byte replay of recorded ``build``, ``analyze`` and ``spectrum`` output.
 
 Each case's stdout is stored as ``tests/data/golden/<case>.out``; a case that
 writes ``--out``/``--dot`` files also stores them as ``<case>.out-file`` and
-``<case>.dot``.  ``spectrum``, ``ramanujan``, ``search`` and ``verify`` are
-left out: their full-precision floats can differ between BLAS builds.
+``<case>.dot``.  ``spectrum`` appears only in text and CSV, which round to 8
+decimals and 12 significant digits; its JSON, ``ramanujan``, ``search`` and
+``verify`` are left out: their full-precision floats can differ between BLAS
+builds.
 Re-record after an intended output change with
 ``PYTHONPATH=src python tests/test_golden_cli.py``.
 """
@@ -23,6 +25,7 @@ README = ["--group", "cyclic:12", "--subgroup", "0,3,6,9"]
 DIHEDRAL = ["--group", "dihedral:6", "--subgroup", "0,2,4,6,8,10", "--set", "1,3,7"]
 ROTATIONS = ["--group", "dihedral:5", "--subgroup", "0,1,2,3,4", "--set", "1,4"]
 MIXED = [*README, "--set", "3,9,1"]
+SPECTRUM_MIXED = [*README, "--set", "2,3,4,5,7,8,9"]
 CASES = {
     "build-readme-text": ["build", *README, "--set", "2,4,5,7,8"],
     "build-readme-json": ["build", *README, "--set", "2,4,5,7,8", "--format", "json"],
@@ -40,6 +43,10 @@ CASES = {
     "analyze-rotations-json": ["analyze", *ROTATIONS, "--format", "json"],
     "analyze-mixed-text": ["analyze", *MIXED],
     "analyze-mixed-json": ["analyze", *MIXED, "--format", "json"],
+    "spectrum-readme-csv": ["spectrum", "--group", "cyclic:20", "--subgroup", "evens", "--set", "3,5,7",
+                            "--format", "csv"],
+    "spectrum-mixed-text": ["spectrum", *SPECTRUM_MIXED],
+    "spectrum-mixed-csv": ["spectrum", *SPECTRUM_MIXED, "--format", "csv"],
 }
 FILES = {"{out}": ".out-file", "{dot}": ".dot"}
 

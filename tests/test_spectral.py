@@ -13,16 +13,21 @@ from pairgraph.groups import (
     field_norm_preimage,
     make_alternating,
     make_cyclic,
+    make_dihedral,
+    make_direct_product,
     make_field_additive,
     make_gl2,
     make_symmetric,
     perm_index,
     subgroup_from_elements,
+    subgroup_generated,
     validate_generating_set,
 )
 from pairgraph.spectral import (
     DEFAULT_TOLERANCE,
     Spectrum,
+    _block_values,
+    _character_values,
     _cluster,
     compare_complementary_spectra,
     compute_spectrum,
@@ -89,7 +94,9 @@ def _oracle_instances():
 
 def test_block_spectrum_matches_dense_oracle():
     covered = set()
+    cyclic = set()
     for gen in _oracle_instances():
+        cyclic.add(gen.subgroup.cyclic_listing is not None)
         graph = build_pair_graph(gen.subgroup, gen)
         spec = compute_spectrum(graph)
         dense = dense_eigenvalues(graph)
@@ -107,6 +114,79 @@ def test_block_spectrum_matches_dense_oracle():
     assert families >= {
         "cyclic", "dihedral", "symmetric", "alternating", "product", "sl2", "gl2", "field_additive"
     }
+    assert cyclic == {True, False}  # both the character route and the block route ran
+
+
+def _cyclic_subgroups():
+    """Cyclic H of every shape the character route serves."""
+    s4, s5 = make_symmetric(4), make_symmetric(5)
+    z12 = make_cyclic(12)
+    return [
+        subgroup_generated(make_cyclic(360), [3]),
+        subgroup_generated(z12, [3]),
+        subgroup_generated(make_dihedral(8), [1]),  # the rotations
+        subgroup_generated(make_dihedral(6), [2]),
+        subgroup_generated(s4, [perm_index(s4, "(1,2,3,4)")]),
+        subgroup_generated(s5, [perm_index(s5, "(1,2,3,4,5)")]),
+        subgroup_from_elements(make_field_additive(7, 2), range(7)),
+        subgroup_from_elements(make_field_additive(3, 3), range(3)),
+        # (1, 1) generates all of Z/3 x Z/4, and an order-6 subgroup of Z/2 x Z/6
+        subgroup_generated(make_direct_product(make_cyclic(3), make_cyclic(4)), [5]),
+        subgroup_generated(make_direct_product(make_cyclic(2), make_cyclic(6)), [7]),
+        subgroup_generated(make_cyclic(10), []),
+        subgroup_generated(make_symmetric(3), []),
+        subgroup_generated(z12, [1]),
+    ]
+
+
+def _padded(graph, values):
+    return np.sort(np.concatenate([values, np.zeros(graph.order - len(values))]))[::-1]
+
+
+def test_character_route_matches_block_route_and_dense_oracle():
+    rng = random.Random(113)
+    kinds = set()
+    for sub in _cyclic_subgroups():
+        group = sub.parent
+        listing = sub.cyclic_listing
+        assert listing is not None, sub
+        for _ in range(2):
+            inside = rng.sample([x for x in sub.elements if x != group.identity], min(2, sub.order - 1))
+            inside = set(inside) | {group.inv(x) for x in inside}
+            outside = set(rng.sample(sub.outside(), min(5, group.order - sub.order)))
+            for s in {frozenset(), frozenset(inside), frozenset(outside), frozenset(inside | outside)}:
+                gen = validate_generating_set(sub, s)
+                graph = build_pair_graph(sub, gen)
+                spec = compute_spectrum(graph)
+                character = _padded(graph, _character_values(graph, listing))
+                block = _padded(graph, _block_values(graph))
+                dense = dense_eigenvalues(graph)
+                assert np.array_equal(spec.eigenvalues, character)
+                atol = 1e-10 * max(1, int(graph.degrees.max()))
+                multiplicities = [c for _, c in spec.clusters]
+                for other in (block, dense):
+                    assert np.abs(character - other).max() <= atol, (sub, sorted(s))
+                    assert [c for _, c in _cluster(other, spec.cluster_gap)] == multiplicities, (sub, sorted(s))
+                kinds.add(("empty", "outside", "inside", "mixed")[2 * bool(gen.inside) + bool(gen.outside)])
+    assert kinds == {"empty", "outside", "inside", "mixed"}
+
+
+def test_cyclic_listing():
+    for sub in _cyclic_subgroups():
+        group, listing = sub.parent, sub.cyclic_listing
+        assert not listing.flags.writeable
+        assert sorted(listing.tolist()) == list(sub.elements)  # a bijection onto H
+        assert listing[0] == group.identity
+        if sub.order > 1:  # consecutive powers of listing[1]
+            assert np.array_equal(group.product(listing[:-1], listing[1]), listing[1:])
+    a4, s3, f49 = make_alternating(4), make_symmetric(3), make_field_additive(7, 2)
+    for sub in (
+        builtin_subgroup(a4, "klein_in_a4"),
+        builtin_subgroup(make_symmetric(4), "alternating_in_symmetric"),
+        subgroup_from_elements(s3, range(6)),
+        subgroup_from_elements(f49, range(49)),
+    ):
+        assert sub.cyclic_listing is None, sub
 
 
 def _crafted_spectrum(k, order, worst, with_minus_k):

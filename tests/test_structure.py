@@ -2,6 +2,7 @@
 
 import pytest
 
+from pairgraph import groups
 from pairgraph.errors import ValidationError
 from pairgraph.graphs import build_pair_graph
 from pairgraph.groups import (
@@ -75,6 +76,18 @@ def test_connectivity_criterion(z12_sub):
     assert not report2.connected
     assert report2.uncovered_cosets == ()  # only the closure clause fails
     assert "order 2" in report2.witness
+
+
+def test_reachable_subgroup_built_once_per_generating_set(z12_sub, monkeypatch):
+    calls = []
+    closure = groups.subgroup_from_elements
+    monkeypatch.setattr(groups, "subgroup_from_elements", lambda *args: calls.append(args) or closure(*args))
+    gen = validate_generating_set(z12_sub, [1, 7])
+    component_count_by_formula(gen)
+    is_connected(gen)
+    identity_component_by_closure(gen)
+    assert len(calls) == 1
+    assert reachable_subgroup(gen) is reachable_subgroup(gen)
 
 
 def test_connectivity_matches_search_on_corpus():
