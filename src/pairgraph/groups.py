@@ -420,6 +420,23 @@ def field_norm_preimage(group: FiniteGroup, values: Iterable[int]) -> tuple[int,
 
 
 @dataclass(frozen=True, eq=False)
+class CyclicOrbits:
+    """A cyclic K = <k> <= H listed as k^0, ..., k^(n-1), and its orbits K*t on the parent.
+
+    Orbit ``orbit_of[x]`` is the right coset K*x; ``reps`` holds each orbit's
+    least element t, the orbits inside H first, then the rest, each part by
+    ascending t, with ``inside`` the number of orbits in H; and
+    ``exponent[x]`` is the l with x = k^l * t.
+    """
+
+    listing: np.ndarray
+    orbit_of: np.ndarray
+    exponent: np.ndarray
+    reps: np.ndarray
+    inside: int
+
+
+@dataclass(frozen=True, eq=False)
 class Subgroup:
     """A subgroup together with the right-coset decomposition of its parent.
 
@@ -449,45 +466,64 @@ class Subgroup:
         return tuple(x for x in range(self.parent.order) if self.coset_of[x] != 0)
 
     @cached_property
-    def cyclic_listing(self) -> Optional[np.ndarray]:
-        """H as g^0, g^1, ..., g^(n-1) for its least generator g, or None if H is not cyclic.
+    def cyclic_orbits(self) -> CyclicOrbits:
+        """The right cosets K*x of K = <k> in the parent, k an element of largest order in H.
 
-        x generates H exactly when x^(n/p) is not the identity for any prime p
-        dividing n = |H|, tested on all of H at once; the powers of g then
-        follow by doubling, in about log2(n) batched products.
+        Ties go to the least index, so K = H, listed from its least generator,
+        exactly when H is cyclic.  For each prime power p^a exactly dividing
+        n = |H|, x^(n / p^a) has order the p-part of x's order, found by
+        raising it to the p-th power until it is the identity, for all of H
+        at once; the powers of k then follow by doubling.
         """
         group, n = self.parent, self.order
         h = np.array(self.elements)
-        generates = np.ones(n, dtype=bool)
-        for p in _prime_divisors(n):
-            generates &= _power(group, h, n // p) != group.identity
-        if not generates.any():
-            return None
-        g = h[generates.argmax()]
-        listing = np.array([group.identity])
-        while len(listing) < n:
-            listing = np.concatenate([listing, group.product(listing, group.product(listing[-1], g))])
-        listing = listing[:n]
-        listing.flags.writeable = False
-        return listing
+        order = np.ones(n, dtype=np.int64)
+        for p in (p for p in range(2, n + 1) if n % p == 0 and is_prime(p)):
+            part = p
+            while n % (part * p) == 0:
+                part *= p
+            y = _power(group, h, n // part)
+            while (y != group.identity).any():
+                order[y != group.identity] *= p
+                y = _power(group, y, p)
+        k, listing = h[order.argmax()], np.array([group.identity])
+        while len(listing) < order.max():
+            listing = np.concatenate([listing, group.product(listing, group.product(listing[-1], k))])
+        listing = listing[: order.max()]
+        cosets = self if len(listing) == n else closed_subgroup(group, listing)
+        coset_of, reps = np.array(cosets.coset_of), np.array(cosets.coset_reps)
+        # renumber the orbits by (outside H, least element): those in H come first
+        outside = np.array(self.coset_of)[reps] != 0
+        old = np.lexsort((reps, outside))
+        renumber = np.empty(len(reps), dtype=np.int64)
+        renumber[old] = np.arange(len(reps))
+        power = np.empty(group.order, dtype=np.int64)
+        power[listing] = np.arange(len(listing))
+        orbits = CyclicOrbits(
+            listing=listing,
+            orbit_of=renumber[coset_of],
+            exponent=power[group.product(np.arange(group.order), group.inverses[reps[coset_of]])],
+            reps=reps[old],
+            inside=int(np.count_nonzero(~outside)),
+        )
+        for array in (orbits.listing, orbits.orbit_of, orbits.exponent, orbits.reps):
+            array.flags.writeable = False
+        return orbits
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, index={self.index} in {self.parent.name})"
 
 
-def _prime_divisors(n: int) -> list[int]:
-    return [p for p in range(2, n + 1) if n % p == 0 and is_prime(p)]
-
-
 def _power(group: FiniteGroup, x: np.ndarray, e: int) -> np.ndarray:
-    """x^e for every entry of x, by square-and-multiply."""
-    result = np.full_like(x, group.identity)
-    while e:
+    """x^e for every entry of x and e >= 1, by square-and-multiply."""
+    result = None
+    while True:
         if e & 1:
-            result = group.product(result, x)
-        x = group.product(x, x)
+            result = x if result is None else group.product(result, x)
         e >>= 1
-    return result
+        if not e:
+            return result
+        x = group.product(x, x)
 
 
 def subgroup_from_elements(group: FiniteGroup, elems: Iterable[int]) -> Subgroup:
@@ -512,6 +548,17 @@ def subgroup_from_elements(group: FiniteGroup, elems: Iterable[int]) -> Subgroup
         if escaped.size:
             r, c = escaped[0]
             raise NotASubgroup(f"product of {h[i + r]} and {h[c]} escapes the set")
+    return closed_subgroup(group, members)
+
+
+def closed_subgroup(group: FiniteGroup, elems: Iterable[int]) -> Subgroup:
+    """The right-coset decomposition by a set closed by construction, without the closure check.
+
+    For generated sets and cyclic listings; an explicit element list goes
+    through ``subgroup_from_elements``, which checks it first.
+    """
+    h = _sorted_unique(np.fromiter(elems, dtype=np.int64))
+    rows = max(1, BLOCK // len(h))
     # right cosets H*x, numbered in the order of their least elements.  Each
     # pass takes the lowest BLOCK // |H| unassigned elements; the least element
     # of each one's coset is unassigned and lower, so in the batch as well
@@ -527,7 +574,7 @@ def subgroup_from_elements(group: FiniteGroup, elems: Iterable[int]) -> Subgroup
     cosets = np.argsort(coset_of, kind="stable").reshape(-1, len(h))
     return Subgroup(
         parent=group,
-        elements=tuple(members),
+        elements=tuple(h.tolist()),
         coset_of=tuple(coset_of.tolist()),
         coset_reps=tuple(cosets[:, 0].tolist()),
         coset_members=tuple(map(tuple, cosets.tolist())),
@@ -561,7 +608,7 @@ def generated_elements(group: FiniteGroup, gens: Iterable[int]) -> tuple[int, ..
 
 def subgroup_generated(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing ``gens``; the empty set yields {e}."""
-    return subgroup_from_elements(group, generated_elements(group, gens))
+    return closed_subgroup(group, generated_elements(group, gens))
 
 
 def difference_set(group: FiniteGroup, a_set: Iterable[int], b_set: Iterable[int]) -> tuple[int, ...]:
@@ -609,7 +656,7 @@ class GeneratingSet:
         for d in difference_set(group, self.outside, self.outside):
             if self.subgroup.contains(d):
                 seeds.add(d)
-        return subgroup_from_elements(group, generated_elements(group, seeds))
+        return subgroup_generated(group, seeds)
 
     def __repr__(self) -> str:
         return f"GeneratingSet(size={self.size}, inside={len(self.inside)}, outside={len(self.outside)})"

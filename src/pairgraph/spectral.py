@@ -2,16 +2,21 @@
 
 With H listed first the adjacency is [[C, B], [B^T, 0]] (C inside H, B the
 |H| x |G - H| cross block), so at most 2|H| eigenvalues are nonzero; zeros
-fill the rest.  Two routes find them, chosen by ``Subgroup.cyclic_listing``:
+fill the rest.  Every block is invariant under left multiplication by H, so
+the characters of a cyclic K = <k> <= H split the solve into one block per
+character, K generated by an element of largest order in H
+(``Subgroup.cyclic_orbits``).  Each block [[C_j, B_j], [B_j^*, 0]] has one
+row per K-orbit in H and one column per K-orbit that S meets; its nonzero
+values are
 
-- H cyclic: C and each coset's part of B B^T are convolutions on H, so the
-  characters of H diagonalise them together and each one gives the two
-  roots of x^2 - c x - d from two FFTs (c alone when H = G).
-- any other H: +/- the singular values of B if S avoids H, else the
-  eigenvalues of [[C, R^T], [R, 0]], with B^T = QR when B^T is taller than
-  wide and R = B^T otherwise.
+- with one row (K = H, every cyclic H): the two roots of x^2 - C x - |B|^2,
+  or C alone when H = G;
+- otherwise: +/- the singular values of B_j if S avoids H, else the
+  eigenvalues of [[C_j, R^*], [R, 0]], with B_j^* = QR when B_j^* is taller
+  than wide and R = B_j^* otherwise.
 
-Both are deterministic and serve every group family, capped at 3000 vertices.
+Characters j and n - j give conjugate blocks and are solved once.  The route
+is deterministic, serves every group family, and is capped at 3000 vertices.
 Clusters form by single linkage on the sorted values with a tolerance
 absolute on the spectrum scaled by the maximum degree.
 """
@@ -70,18 +75,25 @@ class Spectrum:
 
 
 def _cluster(sorted_desc: np.ndarray, gap: float) -> tuple[tuple[float, int], ...]:
-    blocks = np.split(sorted_desc, np.flatnonzero(sorted_desc[:-1] - sorted_desc[1:] > gap) + 1)
-    return tuple((float(block.mean()), len(block)) for block in blocks)
+    starts = np.concatenate([[0], np.flatnonzero(sorted_desc[:-1] - sorted_desc[1:] > gap) + 1])
+    sizes = np.diff(np.append(starts, len(sorted_desc)))
+    # x / 1 and (a + b) / 2 are what ``mean`` computes for one and two values;
+    # from three on its summation order differs, so longer clusters keep it
+    means = sorted_desc[starts].copy()
+    pairs = starts[sizes == 2]
+    means[sizes == 2] = (sorted_desc[pairs] + sorted_desc[pairs + 1]) / 2
+    for i in np.flatnonzero(sizes > 2):
+        means[i] = sorted_desc[starts[i] : starts[i] + sizes[i]].mean()
+    return tuple(zip(means.tolist(), sizes.tolist()))
 
 
 def compute_spectrum(graph: PairGraph, tolerance: float = DEFAULT_TOLERANCE) -> Spectrum:
-    """Full adjacency spectrum of a pair graph: by characters for cyclic H, else from the block."""
+    """Full adjacency spectrum of a pair graph, one block per character of a cyclic K <= H."""
     if graph.order > SPECTRUM_ORDER_CAP:
         raise SizeCapExceeded(
             f"graph order {graph.order} exceeds the dense solver cap {SPECTRUM_ORDER_CAP}"
         )
-    listing = graph.subgroup.cyclic_listing
-    values = _block_values(graph) if listing is None else _character_values(graph, listing)
+    values = _character_values(graph)
     values = np.sort(np.concatenate([values, np.zeros(graph.order - len(values))]))[::-1].copy()
     scale = float(max(1.0, graph.degrees.max(initial=0)))
     return Spectrum(
@@ -92,50 +104,56 @@ def compute_spectrum(graph: PairGraph, tolerance: float = DEFAULT_TOLERANCE) -> 
     )
 
 
-def _block_values(graph: PairGraph) -> np.ndarray:
-    """The at most 2|H| eigenvalues that may be nonzero, from the |H| x m row block."""
-    inside = np.array(graph.subgroup.elements)
-    rows = graph.adjacency[inside]
-    cross = rows[:, np.delete(np.arange(graph.order), inside)].astype(np.float64)
+def _character_values(graph: PairGraph) -> np.ndarray:
+    """The at most 2|H| eigenvalues that may be nonzero, one block per character of K = <k>.
+
+    With t, t' the least elements of their K-orbits, character j's block is
+    M_j[t, t'] = sum_l a[t, k^l t'] exp(-2 pi i j l / n): the FFT over l of
+    the CSR rows of the orbit representatives in H, laid out as (row, column
+    orbit, l) over the orbits S meets.
+    """
+    orbits = graph.subgroup.cyclic_orbits
+    n, r = len(orbits.listing), orbits.inside
+    rows = orbits.reps[:r]
+    counts = graph.degrees[rows]
+    entries = np.arange(counts.sum()) + np.repeat(graph.indptr[rows] - np.cumsum(counts) + counts, counts)
+    neighbours = graph.indices[entries]
+    column = orbits.orbit_of[neighbours]
+    outside = column >= r
+    covered, rank = np.unique(column[outside], return_inverse=True)
+    column[outside] = r + rank
+    layout = np.zeros((r, r + len(covered), n))
+    layout[np.repeat(np.arange(r), counts), column, orbits.exponent[neighbours]] = 1.0
+    if r == 1:  # K = H: each block [[c, b], [b^*, 0]] has the nonzero values (c +/- sqrt(c^2 + 4|b|^2)) / 2
+        f = np.fft.fft(layout[0], axis=1)
+        c = f[0].real
+        if graph.subgroup.index == 1:
+            return c
+        root = np.sqrt(c * c + 4.0 * (np.abs(f[1:]) ** 2).sum(axis=0))
+        return np.concatenate([(c + root) / 2.0, (c - root) / 2.0])
+    # characters j and n - j give conjugate blocks, with the same values
+    f = np.moveaxis(np.fft.rfft(layout, axis=2), 2, 0)
+    weight = np.full(len(f), 2)
+    weight[0] = 1
+    if n % 2 == 0:
+        weight[-1] = 1
+    inside, cross = f[:, :, :r], f[:, :, r:]
     try:
         if graph.gen.inside:
-            # QR only shrinks B^T when it has more rows than columns
-            r = cross.T if cross.shape[1] <= len(inside) else np.linalg.qr(cross.T, mode="r")
-            # eigvalsh reads the lower triangle only, so the R^T copy is never written
-            block = np.zeros((len(inside) + len(r),) * 2)
-            block[: len(inside), : len(inside)] = rows[:, inside]
-            block[len(inside) :, : len(inside)] = r
-            return np.linalg.eigvalsh(block)
+            adjoint = cross.conj().swapaxes(1, 2)
+            # QR only shrinks B^* when it has more rows than columns
+            tail = adjoint if len(covered) <= r else np.linalg.qr(adjoint, mode="r")
+            # eigvalsh reads the lower triangle only, so the R^* copy is never written
+            block = np.zeros((len(f), r + tail.shape[1], r + tail.shape[1]), dtype=complex)
+            block[:, :r, :r] = inside
+            block[:, r:, :r] = tail
+            return np.repeat(np.linalg.eigvalsh(block), weight, axis=0).ravel()
         # the same singular values, faster from the tall orientation
-        sigma = np.linalg.svd(cross.T if cross.shape[1] > cross.shape[0] else cross, compute_uv=False)
+        sigma = np.linalg.svd(cross.swapaxes(1, 2) if len(covered) > r else cross, compute_uv=False)
+        sigma = np.repeat(sigma, weight, axis=0).ravel()
         return np.concatenate([sigma, -sigma])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigensolverError(f"symmetric eigensolver did not converge: {exc}") from exc
-
-
-def _character_values(graph: PairGraph, listing: np.ndarray) -> np.ndarray:
-    """Both roots of x^2 - c(k) x - d(k) for each character k of H = <g>, or c(k) alone at index 1.
-
-    With H indexed by exponents, C is the circulant of S ∩ H, and coset i
-    contributes the circulant of T_i = {s r_i^-1 : s in S ∩ H r_i}, r_i the
-    coset's least element.  The Fourier modes diagonalise them all: c = FFT of
-    the indicator of S ∩ H, d = sum over cosets of |FFT of the indicator of T_i|^2.
-    """
-    sub, group, gen = graph.subgroup, graph.group, graph.gen
-    n = sub.order
-    exponent = np.empty(group.order, dtype=np.int64)
-    exponent[listing] = np.arange(n)
-    c = np.fft.fft(np.bincount(exponent[list(gen.inside)], minlength=n)).real
-    if sub.index == 1:
-        return c
-    cosets = [sub.coset_of[x] for x in gen.outside]
-    reps = [sub.coset_reps[i] for i in cosets]
-    h = group.product(np.array(gen.outside, dtype=np.int64), group.inverses[reps])  # s = h_s * r
-    indicator = np.zeros((sub.index, n))
-    indicator[cosets, exponent[h]] = 1
-    d = (np.abs(np.fft.fft(indicator, axis=1)) ** 2).sum(axis=0)
-    root = np.sqrt(c * c + 4.0 * d)
-    return np.concatenate([(c + root) / 2.0, (c - root) / 2.0])
 
 
 @dataclass(frozen=True)

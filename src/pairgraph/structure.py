@@ -23,8 +23,7 @@ from .groups import (
     GeneratingSet,
     Subgroup,
     _sorted_unique,
-    generated_elements,
-    subgroup_from_elements,
+    subgroup_generated,
 )
 
 
@@ -187,7 +186,7 @@ def sign_homomorphism_exists(group: FiniteGroup, s_elements) -> bool:
         if not 0 <= x < group.order:
             raise ValidationError(f"element {x} out of range")
     idx = np.arange(group.order)
-    q = subgroup_from_elements(group, generated_elements(group, group.product(idx, idx)))
+    q = subgroup_generated(group, group.product(idx, idx))
     quotient_order = group.order // q.order
     if quotient_order == 1:
         return False

@@ -1,12 +1,13 @@
 """Group constructors, subgroup machinery, and generating-set validation."""
 
+import dataclasses
 import random
 
 import numpy as np
 import pytest
 
 from pairgraph import groups
-from pairgraph.descriptors import group_from_descriptor
+from pairgraph.descriptors import builtin_subgroup, group_from_descriptor
 from pairgraph.errors import (
     IdentityInGeneratingSet,
     NotASubgroup,
@@ -16,6 +17,7 @@ from pairgraph.errors import (
 )
 from pairgraph.fields import CONWAY_POLYNOMIALS, reducing_polynomial
 from pairgraph.groups import (
+    closed_subgroup,
     difference_set,
     field_norm_preimage,
     make_alternating,
@@ -314,6 +316,18 @@ def test_subgroup_generated_idempotent():
     for sub in subgroup_pool()[:12]:
         again = subgroup_generated(sub.parent, sub.elements)
         assert again.elements == sub.elements
+
+
+def test_closed_subgroup_matches_checked_build():
+    s6 = make_symmetric(6)
+    cases = [(sub.parent, sub.elements) for sub in subgroup_pool()]
+    cases.append((s6, builtin_subgroup(s6, "alternating_in_symmetric").elements))
+    for group, elems in cases:
+        checked = subgroup_from_elements(group, elems)
+        # any order, repeats allowed, as the checked build accepts them
+        unchecked = closed_subgroup(group, list(reversed(elems)) + [group.identity])
+        for field in dataclasses.fields(checked):
+            assert getattr(unchecked, field.name) == getattr(checked, field.name), (checked, field.name)
 
 
 def test_difference_set():

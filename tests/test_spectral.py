@@ -26,8 +26,6 @@ from pairgraph.groups import (
 from pairgraph.spectral import (
     DEFAULT_TOLERANCE,
     Spectrum,
-    _block_values,
-    _character_values,
     _cluster,
     compare_complementary_spectra,
     compute_spectrum,
@@ -94,9 +92,9 @@ def _oracle_instances():
 
 def test_block_spectrum_matches_dense_oracle():
     covered = set()
-    cyclic = set()
+    one_row = set()
     for gen in _oracle_instances():
-        cyclic.add(gen.subgroup.cyclic_listing is not None)
+        one_row.add(gen.subgroup.cyclic_orbits.inside == 1)
         graph = build_pair_graph(gen.subgroup, gen)
         spec = compute_spectrum(graph)
         dense = dense_eigenvalues(graph)
@@ -114,11 +112,21 @@ def test_block_spectrum_matches_dense_oracle():
     assert families >= {
         "cyclic", "dihedral", "symmetric", "alternating", "product", "sl2", "gl2", "field_additive"
     }
-    assert cyclic == {True, False}  # both the character route and the block route ran
+    assert one_row == {True, False}  # both one-row (K = H) and multi-row blocks ran
+
+
+def test_cluster_means_match_per_cluster_mean():
+    # the vectorised means are bit-identical to one ``mean`` per cluster
+    for gen in _oracle_instances():
+        graph = build_pair_graph(gen.subgroup, gen)
+        spec = compute_spectrum(graph)
+        for values in (spec.eigenvalues, dense_eigenvalues(graph)):
+            blocks = np.split(values, np.flatnonzero(values[:-1] - values[1:] > spec.cluster_gap) + 1)
+            assert _cluster(values, spec.cluster_gap) == tuple((float(b.mean()), len(b)) for b in blocks)
 
 
 def _cyclic_subgroups():
-    """Cyclic H of every shape the character route serves."""
+    """Cyclic H of every shape, so K = H and each block has one row."""
     s4, s5 = make_symmetric(4), make_symmetric(5)
     z12 = make_cyclic(12)
     return [
@@ -139,17 +147,25 @@ def _cyclic_subgroups():
     ]
 
 
-def _padded(graph, values):
-    return np.sort(np.concatenate([values, np.zeros(graph.order - len(values))]))[::-1]
+def _non_cyclic_subgroups():
+    """H that are not cyclic, so K is a proper subgroup of H and the blocks have several rows."""
+    s5 = make_symmetric(5)
+    return [
+        builtin_subgroup(make_alternating(4), "klein_in_a4"),
+        builtin_subgroup(make_symmetric(4), "alternating_in_symmetric"),
+        builtin_subgroup(make_gl2(3), "sl2_in_gl2"),
+        builtin_subgroup(make_gl2(5), "sl2_in_gl2"),
+        subgroup_generated(s5, [perm_index(s5, "(1,2)"), perm_index(s5, "(1,2,3,4)")]),  # S4, index 5
+        subgroup_from_elements(make_field_additive(7, 2), range(49)),
+        subgroup_from_elements(make_symmetric(3), range(6)),
+    ]
 
 
-def test_character_route_matches_block_route_and_dense_oracle():
+def test_character_blocks_match_dense_oracle():
     rng = random.Random(113)
     kinds = set()
-    for sub in _cyclic_subgroups():
+    for sub in _cyclic_subgroups() + _non_cyclic_subgroups():
         group = sub.parent
-        listing = sub.cyclic_listing
-        assert listing is not None, sub
         for _ in range(2):
             inside = rng.sample([x for x in sub.elements if x != group.identity], min(2, sub.order - 1))
             inside = set(inside) | {group.inv(x) for x in inside}
@@ -158,35 +174,42 @@ def test_character_route_matches_block_route_and_dense_oracle():
                 gen = validate_generating_set(sub, s)
                 graph = build_pair_graph(sub, gen)
                 spec = compute_spectrum(graph)
-                character = _padded(graph, _character_values(graph, listing))
-                block = _padded(graph, _block_values(graph))
                 dense = dense_eigenvalues(graph)
-                assert np.array_equal(spec.eigenvalues, character)
                 atol = 1e-10 * max(1, int(graph.degrees.max()))
+                assert np.abs(spec.eigenvalues - dense).max() <= atol, (sub, sorted(s))
                 multiplicities = [c for _, c in spec.clusters]
-                for other in (block, dense):
-                    assert np.abs(character - other).max() <= atol, (sub, sorted(s))
-                    assert [c for _, c in _cluster(other, spec.cluster_gap)] == multiplicities, (sub, sorted(s))
+                assert [c for _, c in _cluster(dense, spec.cluster_gap)] == multiplicities, (sub, sorted(s))
                 kinds.add(("empty", "outside", "inside", "mixed")[2 * bool(gen.inside) + bool(gen.outside)])
     assert kinds == {"empty", "outside", "inside", "mixed"}
 
 
-def test_cyclic_listing():
-    for sub in _cyclic_subgroups():
-        group, listing = sub.parent, sub.cyclic_listing
-        assert not listing.flags.writeable
-        assert sorted(listing.tolist()) == list(sub.elements)  # a bijection onto H
-        assert listing[0] == group.identity
-        if sub.order > 1:  # consecutive powers of listing[1]
-            assert np.array_equal(group.product(listing[:-1], listing[1]), listing[1:])
-    a4, s3, f49 = make_alternating(4), make_symmetric(3), make_field_additive(7, 2)
-    for sub in (
-        builtin_subgroup(a4, "klein_in_a4"),
-        builtin_subgroup(make_symmetric(4), "alternating_in_symmetric"),
-        subgroup_from_elements(s3, range(6)),
-        subgroup_from_elements(f49, range(49)),
-    ):
-        assert sub.cyclic_listing is None, sub
+def test_cyclic_orbits():
+    for cyclic, subs in ((True, _cyclic_subgroups()), (False, _non_cyclic_subgroups())):
+        for sub in subs:
+            group, orbits = sub.parent, sub.cyclic_orbits
+            listing, n = orbits.listing, len(orbits.listing)
+            # K = <k> listed as consecutive powers of k, inside H
+            assert listing[0] == group.identity and len(set(listing.tolist())) == n
+            assert set(listing.tolist()) <= set(sub.elements)
+            k = listing[1 % n]
+            assert np.array_equal(group.product(listing, k), np.roll(listing, -1))
+            # k has the largest order in H, least index on ties; K = H exactly when H is cyclic
+            orders = [group.element_order(h) for h in sub.elements]
+            assert n == max(orders) and k == sub.elements[orders.index(n)], sub
+            assert (n == sub.order) == cyclic, sub
+            # x = k^l * t with t the least element of the orbit K*x, the orbits in H first
+            x = np.arange(group.order)
+            assert np.array_equal(group.product(listing[orbits.exponent], orbits.reps[orbits.orbit_of]), x)
+            assert np.array_equal(np.bincount(orbits.orbit_of), np.full(len(orbits.reps), n))
+            assert np.array_equal(np.minimum.reduceat(x[np.argsort(orbits.orbit_of, kind="stable")],
+                                                      np.arange(0, group.order, n)), orbits.reps)
+            in_h = np.array([sub.contains(t) for t in orbits.reps])
+            assert orbits.inside * n == sub.order
+            assert in_h[: orbits.inside].all() and not in_h[orbits.inside :].any()
+            assert np.all(np.diff(orbits.reps[: orbits.inside]) > 0)
+            assert np.all(np.diff(orbits.reps[orbits.inside :]) > 0)
+            for array in (orbits.listing, orbits.orbit_of, orbits.exponent, orbits.reps):
+                assert not array.flags.writeable
 
 
 def _crafted_spectrum(k, order, worst, with_minus_k):

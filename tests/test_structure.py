@@ -80,8 +80,8 @@ def test_connectivity_criterion(z12_sub):
 
 def test_reachable_subgroup_built_once_per_generating_set(z12_sub, monkeypatch):
     calls = []
-    closure = groups.subgroup_from_elements
-    monkeypatch.setattr(groups, "subgroup_from_elements", lambda *args: calls.append(args) or closure(*args))
+    closure = groups.closed_subgroup
+    monkeypatch.setattr(groups, "closed_subgroup", lambda *args: calls.append(args) or closure(*args))
     gen = validate_generating_set(z12_sub, [1, 7])
     component_count_by_formula(gen)
     is_connected(gen)
