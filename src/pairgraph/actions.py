@@ -25,11 +25,12 @@ from .errors import (
     ValidationError,
 )
 from .graphs import build_pair_graph
-from .groups import FiniteGroup, Subgroup, generated_elements, validate_generating_set
+from .groups import FiniteGroup, Subgroup, _element_orders, generated_elements, validate_generating_set
 from .spectral import is_ramanujan, ramanujan_size_bound
 from .structure import is_connected
 
 AUTOMORPHISM_ORDER_CAP = 120
+AUTOMORPHISM_BATCH_CAP = 1 << 22  # map entries one depth of automorphism_group may hold
 EXHAUSTIVE_CANDIDATE_CAP = 10**6
 ORBIT_SIZE_CAP = 10**6
 SEED_STRIDE = 2654435761  # fixed trial-to-trial seed advance
@@ -50,41 +51,37 @@ def right_translate_set(subgroup: Subgroup, s_elements: Iterable[int], h: int) -
 def verify_automorphism(group: FiniteGroup, psi: Sequence[int]) -> None:
     """Raise unless psi is a bijective homomorphism.
 
-    Exact: the elements g with psi(g*x) = psi(g)*psi(x) for every x are closed
-    under products, so checking each generator of ``_generator_chain`` against
-    every x checks every pair.
+    The one-map case of the check in ``automorphism_group``, with U the whole
+    group: psi(u*h) = psi(u)*psi(h) for every u and each generator h of
+    ``_generator_chain``.
     """
     m = group.order
     if len(psi) != m or set(int(x) for x in psi) != set(range(m)):
         raise NotAnAutomorphism("map is not a permutation of the elements")
     if psi[group.identity] != group.identity:
         raise NotAnAutomorphism("map does not fix the identity")
-    image = np.array(psi, dtype=np.int64)
-    for g in _generator_chain(group):
-        broken = np.flatnonzero(image[group.left_row(g)] != group.product(image[g], image))
-        if broken.size:
-            raise NotAnAutomorphism(f"map breaks the product of {g} and {broken[0]}")
+    for h, broken in _product_breaks(group, np.array([psi]), np.arange(m), _generator_chain(group)):
+        if broken.any():
+            raise NotAnAutomorphism(f"map breaks the product of {np.argmax(broken)} and {h}")
+
+
+def _product_breaks(group: FiniteGroup, maps: np.ndarray, u: np.ndarray, gens: Sequence[int]):
+    """For each generator h, the mask of phi(x*h) != phi(x)*phi(h) over x in u, one row per map phi.
+
+    When u lists U = <gens>, a map with phi(e) = e and no break is a
+    homomorphism on U, exactly: the y in U with phi(x*y) = phi(x)*phi(y) for
+    every x in U hold the generators and are closed under products.
+    """
+    targets = group.product(u[:, None], np.array(gens, dtype=np.int64))
+    images = maps[:, u]
+    for j, h in enumerate(gens):
+        yield h, maps[:, targets[:, j]] != group.product(images, maps[:, h : h + 1])
 
 
 def apply_automorphism(group: FiniteGroup, psi: Sequence[int], s_elements: Iterable[int]) -> tuple[int, ...]:
     """Image of a set under a verified group automorphism."""
     verify_automorphism(group, psi)
     return tuple(sorted(int(psi[int(x)]) for x in set(s_elements)))
-
-
-def _conjugacy_class_sizes(group: FiniteGroup) -> list[int]:
-    m = group.order
-    class_of = [-1] * m
-    sizes = [0] * m
-    for x in range(m):
-        if class_of[x] != -1:
-            continue
-        members = {group.mul(group.mul(g, x), group.inv(g)) for g in range(m)}
-        for y in members:
-            class_of[y] = x
-        for y in members:
-            sizes[y] = len(members)
-    return sizes
 
 
 def _generator_chain(group: FiniteGroup) -> list[int]:
@@ -98,73 +95,65 @@ def _generator_chain(group: FiniteGroup) -> list[int]:
     return gens
 
 
+def _word_levels(group: FiniteGroup, gens: Sequence[int]):
+    """Breadth-first word levels of <gens> past the identity, as arrays v, u, g with v = u*g.
+
+    ``generated_elements`` finds the same set several times faster when the parents are not needed.
+    """
+    gens_arr = np.array(gens, dtype=np.int64)
+    seen = np.zeros(group.order, dtype=bool)
+    seen[group.identity] = True
+    frontier = np.array([group.identity])
+    while True:
+        reached, first = np.unique(group.product(frontier[:, None], gens_arr), return_index=True)
+        new = ~seen[reached]
+        if not new.any():
+            return
+        parents, steps = np.divmod(first[new], len(gens_arr))
+        yield reached[new], frontier[parents], gens_arr[steps]
+        frontier = reached[new]
+        seen[frontier] = True
+
+
 def automorphism_group(group: FiniteGroup) -> list[tuple[int, ...]]:
-    """All automorphisms, by backtracking over generator images (order capped)."""
+    """All automorphisms, sorted, by a breadth-first search over generator images (order capped).
+
+    Depth d repeats every surviving map once per candidate image of the d-th
+    generator of ``_generator_chain`` (an element of its order and
+    conjugacy-class size), evaluates the maps on U, the span of the
+    generators so far, one word level at a time, and keeps those that are
+    homomorphisms on U (``_product_breaks``) sending only the identity to the
+    identity.  A depth that would hold more than ``AUTOMORPHISM_BATCH_CAP``
+    map entries raises.
+    """
     m = group.order
     if m > AUTOMORPHISM_ORDER_CAP:
         raise SizeCapExceeded(
             f"automorphism enumeration is capped at order {AUTOMORPHISM_ORDER_CAP}"
         )
-    orders = [group.element_order(x) for x in range(m)]
-    class_sizes = _conjugacy_class_sizes(group)
-    signature = [(orders[x], class_sizes[x]) for x in range(m)]
+    idx = np.arange(m)
+    orders = _element_orders(group, idx, m)
+    # column x holds g*x*g^-1 for every g: its distinct values are x's class
+    conjugates = np.sort(group.product(group.product(idx[:, None], idx), group.inverses[:, None]), axis=0)
+    class_sizes = 1 + np.count_nonzero(np.diff(conjugates, axis=0), axis=0)
     gens = _generator_chain(group)
-    if not gens:
-        return [(group.identity,)] if m == 1 else [tuple(range(m))]
-
-    # per-depth closures in discovery order, with build recipes
-    # (element = earlier element * generator)
-    levels = []
-    for depth in range(len(gens)):
-        recipe: dict[int, tuple[int, int]] = {}
-        order = [group.identity]
-        seen = {group.identity}
-        head = 0
-        while head < len(order):
-            u = order[head]
-            head += 1
-            for g in gens[: depth + 1]:
-                v = group.mul(u, g)
-                if v not in seen:
-                    seen.add(v)
-                    recipe[v] = (u, g)
-                    order.append(v)
-        levels.append((order, recipe))
-
-    results: list[tuple[int, ...]] = []
-
-    def extend(depth: int, images: dict[int, int]) -> None:
-        if depth == len(gens):
-            phi = [images[x] for x in range(m)]
-            results.append(tuple(phi))
-            return
-        order, recipe = levels[depth]
-        target_sig = signature[gens[depth]]
-        for candidate in range(m):
-            if signature[candidate] != target_sig:
-                continue
-            trial = dict(images)
-            trial[gens[depth]] = candidate
-            for v in order:
-                if v not in trial:
-                    parent, g = recipe[v]
-                    trial[v] = group.mul(trial[parent], trial[g])
-            if len(set(trial.values())) != len(trial):
-                continue
-            ok = True
-            for a in order:
-                if not ok:
-                    break
-                fa = trial[a]
-                for b in order:
-                    if trial[group.mul(a, b)] != group.mul(fa, trial[b]):
-                        ok = False
-                        break
-            if ok:
-                extend(depth + 1, trial)
-
-    extend(0, {group.identity: group.identity})
-    return sorted(set(results))
+    maps = np.full((1, m), group.identity, dtype=np.int32)
+    for depth, g in enumerate(gens):
+        images = np.flatnonzero((orders == orders[g]) & (class_sizes == class_sizes[g]))
+        if len(maps) * len(images) * m > AUTOMORPHISM_BATCH_CAP:
+            raise SizeCapExceeded(f"automorphism search exceeds the cap of {AUTOMORPHISM_BATCH_CAP} map entries")
+        maps = np.repeat(maps, len(images), axis=0)
+        maps[:, g] = np.tile(images, len(maps) // len(images))
+        u = [np.array([group.identity])]
+        for reached, parents, steps in _word_levels(group, gens[: depth + 1]):
+            maps[:, reached] = group.product(maps[:, parents], maps[:, steps])
+            u.append(reached)
+        u = np.concatenate(u)
+        keep = (maps[:, u[1:]] != group.identity).all(axis=1)
+        for _, broken in _product_breaks(group, maps, u, gens[: depth + 1]):
+            keep &= ~broken.any(axis=1)
+        maps = maps[keep]
+    return sorted(map(tuple, maps.tolist()))
 
 
 def generating_set_orbit(
@@ -258,6 +247,8 @@ class SearchResult:
 
 def random_candidate(outside: Sequence[int], size: int, seed: int, trial: int) -> tuple[int, ...]:
     """Trial candidate: seeded shuffle of the outside elements, first ``size`` taken."""
+    if not 0 <= size <= len(outside):
+        raise ValidationError(f"random set size {size} is outside 0..{len(outside)}")
     pool = list(outside)
     random.Random(seed + trial * SEED_STRIDE).shuffle(pool)
     return tuple(sorted(pool[:size]))

@@ -1,7 +1,8 @@
 """Command-line front end.
 
 Commands: ``build``, ``analyze``, ``spectrum``, ``ramanujan``, ``search`` and
-``verify``.  Exit codes: 0 success, 2 validation error, 3 eigensolver
+``verify``.  Exit codes: 0 success, 2 validation error (a malformed
+descriptor or an out-of-range number included), 3 eigensolver
 non-convergence, 4 reference-case mismatch.  Every random operation requires
 an explicit ``--seed`` so runs are reproducible.
 """
@@ -64,9 +65,7 @@ def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
 def _resolve_subgroup(args) -> Subgroup:
     group = group_from_descriptor(args.group)
     if args.subgroup_gen:
-        from .groups import subgroup_generated
-
-        return subgroup_generated(group, [int(v) for v in args.subgroup_gen.split(",") if v != ""])
+        return subgroup_from_descriptor(group, {"generators": args.subgroup_gen.split(",")})
     if args.subgroup:
         return subgroup_from_descriptor(group, args.subgroup)
     raise ValidationError("one of --subgroup / --subgroup-gen is required")
@@ -89,9 +88,7 @@ def _resolve_instance(args) -> tuple[FiniteGroup, Subgroup, tuple[int, ...]]:
     if args.set_elements is not None:
         s = set_from_descriptor(group, args.set_elements)
     elif args.set_norm_preimage is not None:
-        s = set_from_descriptor(
-            group, {"norm_preimage": [int(v) for v in args.set_norm_preimage.split(",") if v != ""]}
-        )
+        s = set_from_descriptor(group, {"norm_preimage": args.set_norm_preimage.split(",")})
     else:
         if args.seed is None:
             raise ValidationError("--set-random requires an explicit --seed")

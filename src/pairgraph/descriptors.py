@@ -15,6 +15,7 @@ from .errors import ValidationError
 from .groups import (
     FiniteGroup,
     Subgroup,
+    closed_subgroup,
     field_norm_preimage,
     make_alternating,
     make_cyclic,
@@ -47,11 +48,12 @@ def group_from_descriptor(descriptor: Union[str, dict]) -> FiniteGroup:
     if isinstance(descriptor, str):
         text = descriptor.strip()
         if text.startswith("{"):
-            descriptor = json.loads(text)
+            descriptor = _json(text, "group descriptor")
         else:
             kind, _, rest = text.partition(":")
-            params = [int(v) for v in rest.split(",") if v != ""]
-            descriptor = {"kind": kind, "params": params}
+            descriptor = {"kind": kind, "params": _integers(rest.split(","), "group parameter")}
+    if not isinstance(descriptor, dict):
+        raise ValidationError(f"group descriptor must be a JSON object, got {descriptor!r}")
     kind = descriptor.get("kind")
     params = descriptor.get("params", [])
     if kind == "product":
@@ -63,27 +65,44 @@ def group_from_descriptor(descriptor: Union[str, dict]) -> FiniteGroup:
     maker, arity = GROUP_KINDS[kind]
     if len(params) != arity:
         raise ValidationError(f"group kind {kind!r} takes {arity} parameter(s), got {params}")
-    return maker(*[int(v) for v in params])
+    return maker(*_integers(params, "group parameter"))
+
+
+def _integers(tokens: Iterable, what: str) -> list[int]:
+    """Each token as an int, empty strings skipped; a token that is no integer raises, named."""
+    values = []
+    for token in (t for t in tokens if t != ""):
+        try:
+            values.append(int(token))
+        except (TypeError, ValueError):
+            raise ValidationError(f"{what} {token!r} is not an integer") from None
+    return values
+
+
+def _json(text: str, what: str):
+    try:
+        return json.loads(text)
+    except json.JSONDecodeError as exc:
+        raise ValidationError(f"{what} {text!r} is not valid JSON: {exc}") from None
 
 
 def builtin_subgroup(group: FiniteGroup, name: str) -> Subgroup:
+    """A stock subgroup by name; the three kernels (of det, sign and mod 2) skip the closure check."""
     kind = group.descriptor.get("kind")
     if name == "sl2_in_gl2":
         if kind != "gl2" or group.matrices is None:
             raise ValidationError("sl2_in_gl2 needs a gl2 group")
         p = group.descriptor["params"][0]
         elems = [i for i, (a, b, c, d) in enumerate(group.matrices) if (a * d - b * c) % p == 1]
-        return subgroup_from_elements(group, elems)
+        return closed_subgroup(group, elems)
     if name == "alternating_in_symmetric":
         if kind != "symmetric" or group.perms is None:
             raise ValidationError("alternating_in_symmetric needs a symmetric group")
-        return subgroup_from_elements(
-            group, [i for i, p in enumerate(group.perms) if perm_parity(p) == 0]
-        )
+        return closed_subgroup(group, [i for i, p in enumerate(group.perms) if perm_parity(p) == 0])
     if name == "evens":
         if kind != "cyclic" or group.order % 2 != 0:
             raise ValidationError("evens needs a cyclic group of even order")
-        return subgroup_from_elements(group, range(0, group.order, 2))
+        return closed_subgroup(group, range(0, group.order, 2))
     if name == "klein_in_a4":
         if kind != "alternating" or group.descriptor.get("params") != [4]:
             raise ValidationError("klein_in_a4 needs the alternating group on 4 letters")
@@ -97,19 +116,19 @@ def subgroup_from_descriptor(group: FiniteGroup, descriptor: Union[str, dict, It
     if isinstance(descriptor, str):
         text = descriptor.strip()
         if text.startswith("{"):
-            descriptor = json.loads(text)
+            descriptor = _json(text, "subgroup descriptor")
         elif text.replace(",", "").replace(" ", "").isdigit():
-            descriptor = {"elements": [int(v) for v in text.split(",") if v != ""]}
+            descriptor = {"elements": text.split(",")}
         else:
             descriptor = {"builtin": text}
     elif not isinstance(descriptor, dict):
-        descriptor = {"elements": [int(v) for v in descriptor]}
+        descriptor = {"elements": descriptor}
     if "builtin" in descriptor:
         return builtin_subgroup(group, descriptor["builtin"])
     if "elements" in descriptor:
-        return subgroup_from_elements(group, descriptor["elements"])
+        return subgroup_from_elements(group, _integers(descriptor["elements"], "subgroup element"))
     if "generators" in descriptor:
-        return subgroup_generated(group, descriptor["generators"])
+        return subgroup_generated(group, _integers(descriptor["generators"], "subgroup generator"))
     raise ValidationError("subgroup descriptor needs 'elements', 'generators' or 'builtin'")
 
 
@@ -118,13 +137,13 @@ def set_from_descriptor(group: FiniteGroup, descriptor: Union[str, dict, Iterabl
     if isinstance(descriptor, str):
         text = descriptor.strip()
         if text.startswith("{"):
-            descriptor = json.loads(text)
+            descriptor = _json(text, "set descriptor")
         else:
-            return tuple(int(v) for v in text.split(",") if v != "")
+            descriptor = {"elements": text.split(",")}
     if isinstance(descriptor, dict):
         if "norm_preimage" in descriptor:
-            return field_norm_preimage(group, descriptor["norm_preimage"])
+            return field_norm_preimage(group, _integers(descriptor["norm_preimage"], "norm value"))
         if "elements" in descriptor:
-            return tuple(int(v) for v in descriptor["elements"])
+            return tuple(_integers(descriptor["elements"], "set element"))
         raise ValidationError("set descriptor needs 'elements' or 'norm_preimage'")
-    return tuple(int(v) for v in descriptor)
+    return tuple(_integers(descriptor, "set element"))

@@ -110,14 +110,6 @@ class FiniteGroup:
         """Products a*g for every g, as one vector."""
         return self.product(a, np.arange(self.order))
 
-    def element_order(self, a: int) -> int:
-        n = 1
-        x = a
-        while x != self.identity:
-            x = self.mul(x, a)
-            n += 1
-        return n
-
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
 
@@ -470,22 +462,11 @@ class Subgroup:
         """The right cosets K*x of K = <k> in the parent, k an element of largest order in H.
 
         Ties go to the least index, so K = H, listed from its least generator,
-        exactly when H is cyclic.  For each prime power p^a exactly dividing
-        n = |H|, x^(n / p^a) has order the p-part of x's order, found by
-        raising it to the p-th power until it is the identity, for all of H
-        at once; the powers of k then follow by doubling.
+        exactly when H is cyclic.  The powers of k follow by doubling.
         """
         group, n = self.parent, self.order
         h = np.array(self.elements)
-        order = np.ones(n, dtype=np.int64)
-        for p in (p for p in range(2, n + 1) if n % p == 0 and is_prime(p)):
-            part = p
-            while n % (part * p) == 0:
-                part *= p
-            y = _power(group, h, n // part)
-            while (y != group.identity).any():
-                order[y != group.identity] *= p
-                y = _power(group, y, p)
+        order = _element_orders(group, h, n)
         k, listing = h[order.argmax()], np.array([group.identity])
         while len(listing) < order.max():
             listing = np.concatenate([listing, group.product(listing, group.product(listing[-1], k))])
@@ -512,6 +493,25 @@ class Subgroup:
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, index={self.index} in {self.parent.name})"
+
+
+def _element_orders(group: FiniteGroup, x: np.ndarray, n: int) -> np.ndarray:
+    """The order of every entry of x, given that each order divides n.
+
+    For each prime power p^a exactly dividing n, x^(n / p^a) has order the
+    p-part of x's order, found by raising it to the p-th power until it is
+    the identity, for all of x at once.
+    """
+    order = np.ones(np.shape(x), dtype=np.int64)
+    for p in (p for p in range(2, n + 1) if n % p == 0 and is_prime(p)):
+        part = p
+        while n % (part * p) == 0:
+            part *= p
+        y = _power(group, x, n // part)
+        while (y != group.identity).any():
+            order[y != group.identity] *= p
+            y = _power(group, y, p)
+    return order
 
 
 def _power(group: FiniteGroup, x: np.ndarray, e: int) -> np.ndarray:

@@ -87,8 +87,14 @@ def _cluster(sorted_desc: np.ndarray, gap: float) -> tuple[tuple[float, int], ..
     return tuple(zip(means.tolist(), sizes.tolist()))
 
 
+def _check_tolerance(tolerance: float) -> None:
+    if not (math.isfinite(tolerance) and tolerance > 0):
+        raise ValidationError(f"tolerance must be finite and positive, got {tolerance}")
+
+
 def compute_spectrum(graph: PairGraph, tolerance: float = DEFAULT_TOLERANCE) -> Spectrum:
     """Full adjacency spectrum of a pair graph, one block per character of a cyclic K <= H."""
+    _check_tolerance(tolerance)
     if graph.order > SPECTRUM_ORDER_CAP:
         raise SizeCapExceeded(
             f"graph order {graph.order} exceeds the dense solver cap {SPECTRUM_ORDER_CAP}"
@@ -225,6 +231,7 @@ def is_ramanujan(
     |mu| <= 2*sqrt(degree - 1), tested with an absolute slack of
     tolerance * max(1, degree) so boundary cases do not flap.
     """
+    _check_tolerance(tolerance)
     degrees = graph.degrees
     if degrees.min() != degrees.max():
         raise NotRegular("graph is not regular")

@@ -23,7 +23,7 @@ from .groups import (
     GeneratingSet,
     Subgroup,
     _sorted_unique,
-    subgroup_generated,
+    generated_elements,
 )
 
 
@@ -177,38 +177,17 @@ def is_bipartite(graph: PairGraph) -> BipartiteReport:
 def sign_homomorphism_exists(group: FiniteGroup, s_elements) -> bool:
     """Is there a homomorphism G -> {-1, 1} sending every element of the set to -1?
 
-    Equivalently: an index-2 subgroup disjoint from the set.  Index-2 subgroups
-    all contain the subgroup generated by the squares, so they are enumerated
-    through the elementary abelian 2-quotient by that subgroup.
+    Equivalently: an index-2 subgroup disjoint from the set.  Such a kernel
+    holds W, generated by the squares and the products s*t of set elements.
+    W holds the commutators too, so G/W is an F_2-space, and the set lies in
+    one coset of W; hence the map exists exactly when W is proper and misses
+    the set.
     """
-    s_elements = sorted(set(int(x) for x in s_elements))
-    for x in s_elements:
+    s = np.array(sorted(set(int(x) for x in s_elements)), dtype=np.int64)
+    for x in s:
         if not 0 <= x < group.order:
             raise ValidationError(f"element {x} out of range")
     idx = np.arange(group.order)
-    q = subgroup_generated(group, group.product(idx, idx))
-    quotient_order = group.order // q.order
-    if quotient_order == 1:
-        return False
-    reps = q.coset_reps
-    cos = q.coset_of
-
-    def coset_product(c1: int, c2: int) -> int:
-        return cos[group.mul(reps[c1], reps[c2])]
-
-    # F_2 coordinates on the quotient
-    coords = {0: 0}
-    basis_size = 0
-    for c in range(1, quotient_order):
-        if c not in coords:
-            bit = 1 << basis_size
-            basis_size += 1
-            for known, vec in list(coords.items()):
-                coords[coset_product(known, c)] = vec | bit
-    if len(coords) != quotient_order:  # pragma: no cover
-        raise ValidationError("quotient by squares is not elementary abelian")
-    s_vectors = {coords[cos[x]] for x in s_elements}
-    for functional in range(1, 1 << basis_size):
-        if all(bin(functional & vec).count("1") & 1 for vec in s_vectors):
-            return True
-    return False
+    squares = group.product(idx, idx)
+    w = generated_elements(group, np.concatenate([squares, group.product(s[:, None], s).ravel()]))
+    return len(w) < group.order and not np.isin(s, w).any()

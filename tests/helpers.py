@@ -55,7 +55,7 @@ def subgroup_pool() -> tuple[Subgroup, ...]:
     pool.append(subgroup_generated(p26, [1]))
     pool.append(subgroup_generated(p26, [9]))
     sl3 = make_sl2(3)
-    involution = next(i for i in range(sl3.order) if sl3.element_order(i) == 2)
+    involution = next(i for i in range(sl3.order) if reference_element_order(sl3, i) == 2)
     pool.append(subgroup_generated(sl3, [involution]))
     gl3 = make_gl2(3)
     pool.append(builtin_subgroup(gl3, "sl2_in_gl2"))
@@ -102,6 +102,7 @@ def instance_corpus(count: int, seed: int, outside_only: bool = False) -> list[G
     return out
 
 
+@lru_cache(maxsize=None)
 def reference_mul(group: FiniteGroup):
     """Scalar multiplication rebuilt from the group's concrete structure, one family at a time."""
     kind = group.descriptor["kind"]
@@ -159,6 +160,16 @@ def reference_mul(group: FiniteGroup):
 
         return pairwise
     raise ValueError(f"no reference multiplication for {kind!r}")
+
+
+def reference_element_order(group: FiniteGroup, a: int) -> int:
+    """Order of a by repeated scalar multiplication with ``reference_mul``."""
+    mul = reference_mul(group)
+    n, x = 1, a
+    while x != group.identity:
+        x = mul(x, a)
+        n += 1
+    return n
 
 
 def reference_subgroup(group: FiniteGroup, elems, mul) -> Subgroup:

@@ -26,7 +26,9 @@ from pairgraph.errors import (
 )
 from pairgraph.graphs import build_pair_graph, degree_profile
 from pairgraph.groups import (
+    make_alternating,
     make_cyclic,
+    make_field_additive,
     make_gl2,
     make_symmetric,
     subgroup_from_elements,
@@ -36,7 +38,7 @@ from pairgraph.spectral import compute_spectrum
 from pairgraph.structure import connected_components
 
 from isomorphism import are_isomorphic, find_isomorphism
-from helpers import index_two_pool, instance_corpus, random_generating_set
+from helpers import index_two_pool, instance_corpus, random_generating_set, reference_mul
 
 
 @pytest.fixture(scope="module")
@@ -96,6 +98,44 @@ def test_automorphism_group_brute_force_oracle():
             ):
                 expected.add(tuple(psi))
         assert set(automorphism_group(group)) == expected
+
+
+def _conjugations(group, by):
+    """The maps x -> c^-1 * x * c for every c in ``by``, on the permutations of ``group``."""
+    index = {perm: i for i, perm in enumerate(group.perms)}
+    maps = set()
+    for c in by.perms:
+        c_inv = tuple(sorted(range(len(c)), key=c.__getitem__))
+        # left to right: apply c^-1, then x, then c
+        maps.add(tuple(index[tuple(c[x[c_inv[v]]] for v in range(len(c)))] for x in group.perms))
+    return sorted(maps)
+
+
+def test_automorphism_group_independent_oracles():
+    s4, s5 = make_symmetric(4), make_symmetric(5)
+    # S4 and S5 have only inner automorphisms, and every automorphism of A5 is conjugation in S5
+    assert automorphism_group(s4) == _conjugations(s4, s4)
+    assert automorphism_group(s5) == _conjugations(s5, s5)
+    assert automorphism_group(make_alternating(5)) == _conjugations(make_alternating(5), s5)
+    # the automorphisms of Z/n are x -> u*x for the units u
+    for n in (12, 20, 120):
+        units = [u for u in range(1, n) if np.gcd(u, n) == 1]
+        assert automorphism_group(make_cyclic(n)) == sorted(tuple(u * x % n for x in range(n)) for u in units)
+
+
+def test_automorphisms_are_homomorphisms_by_reference_product():
+    group = make_gl2(3)
+    mul = reference_mul(group)
+    auts = automorphism_group(group)
+    assert len(auts) == 48
+    for psi in auts:
+        assert all(psi[mul(a, b)] == mul(psi[a], psi[b]) for a in range(48) for b in range(48))
+
+
+def test_automorphism_batch_cap():
+    # Aut(F_2^6) = GL6(F2): the third generator's candidates would hold 63*62*63 maps of 64 entries
+    with pytest.raises(SizeCapExceeded, match="exceeds the cap"):
+        automorphism_group(make_field_additive(2, 6))
 
 
 def test_apply_automorphism_examples(z20_evens):
@@ -285,3 +325,12 @@ def test_random_candidate_is_seeded_shuffle_prefix(z20_evens):
     pool = list(outside)
     random.Random(5 + 0 * 2654435761).shuffle(pool)
     assert random_candidate(outside, 3, 5, 0) == tuple(sorted(pool[:3]))
+
+
+def test_random_candidate_rejects_sizes_out_of_range(z20_evens):
+    outside = z20_evens.outside()
+    assert random_candidate(outside, 0, 5, 0) == ()
+    assert random_candidate(outside, 10, 5, 0) == outside
+    for size in (-3, -1, 11, 100):
+        with pytest.raises(ValidationError, match="outside 0..10"):
+            random_candidate(outside, size, 5, 0)

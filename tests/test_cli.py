@@ -3,6 +3,8 @@
 import json
 import math
 
+import pytest
+
 from pairgraph.cli import main
 
 
@@ -210,6 +212,39 @@ def test_validation_exit_codes(capsys):
         capsys, "build", "--group", "cyclic:12", "--subgroup", "0,3,6,9", "--set", "3"
     )
     assert code == 2 and "inverse" in err
+
+
+@pytest.mark.parametrize(
+    "flags, token",
+    [
+        (["--group", "cyclic:abc", "--subgroup", "evens", "--set", "1"], "'abc'"),
+        (["--group", "cyclic:12", "--subgroup", "evens", "--set", "1,x"], "'x'"),
+        (["--group", "cyclic:12", "--subgroup-gen", "x", "--set", "1"], "'x'"),
+        (["--group", "{bad", "--subgroup", "evens", "--set", "1"], "'{bad'"),
+        (["--group", '{"kind": "product", "params": [2, 6]}', "--subgroup-gen", "1", "--set", "1"], "got 2"),
+    ],
+    ids=["group-param", "set-element", "subgroup-generator", "group-json", "product-factor"],
+)
+def test_malformed_descriptors_exit_2(capsys, flags, token):
+    code, out, err = run_cli(capsys, "analyze", *flags)
+    assert code == 2 and out == ""
+    assert err.startswith("error: ") and token in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("build", ["--set-random", "-3", "--seed", "1"], "-3 is outside 0..8"),
+        ("build", ["--set-random", "100", "--seed", "1"], "100 is outside 0..8"),
+        ("spectrum", ["--set", "1,2", "--tolerance", "-1"], "got -1.0"),
+        ("ramanujan", ["--set", "1,2", "--tolerance", "nan"], "got nan"),
+    ],
+    ids=["set-random-negative", "set-random-too-large", "tolerance-negative", "tolerance-nan"],
+)
+def test_out_of_range_numbers_exit_2(capsys, command, flags, message):
+    code, out, err = run_cli(capsys, command, "--group", "cyclic:12", "--subgroup", "0,3,6,9", *flags)
+    assert code == 2 and out == ""
+    assert message in err
 
 
 def test_verify_all_cases(capsys):

@@ -35,7 +35,13 @@ from pairgraph.groups import (
     validate_generating_set,
 )
 
-from helpers import instance_corpus, reference_mul, reference_subgroup, subgroup_pool
+from helpers import (
+    instance_corpus,
+    reference_element_order,
+    reference_mul,
+    reference_subgroup,
+    subgroup_pool,
+)
 
 
 def assert_group_axioms(group, rng=None, samples=10000):
@@ -394,10 +400,33 @@ def test_generating_set_split_properties():
             assert len(members & set(gen.outside)) == gen.coset_counts[cid]
 
 
+def test_kernel_builtins_equal_checked_subgroups():
+    # built without the closure check: the all-pairs check runs here instead
+    cases = [(make_cyclic(n), "evens") for n in (2, 4, 12, 30)]
+    cases += [(make_symmetric(n), "alternating_in_symmetric") for n in (1, 2, 3, 4, 5)]
+    cases += [(make_gl2(p), "sl2_in_gl2") for p in (2, 3, 5)]
+    for group, name in cases:
+        built = builtin_subgroup(group, name)
+        checked = subgroup_from_elements(group, built.elements)
+        for field in dataclasses.fields(built):
+            assert getattr(built, field.name) == getattr(checked, field.name), (group, name, field.name)
+
+
+def test_element_orders_match_reference():
+    for sub in subgroup_pool():
+        group = sub.parent
+        x = np.arange(group.order)
+        expected = [reference_element_order(group, a) for a in range(group.order)]
+        assert groups._element_orders(group, x, group.order).tolist() == expected
+        assert groups._element_orders(group, x[list(sub.elements)], sub.order).tolist() == [
+            expected[h] for h in sub.elements
+        ]
+
+
 def test_dihedral_relations():
     d6 = make_dihedral(6)
     r, s = 1, 6
-    assert d6.element_order(r) == 6 and d6.element_order(s) == 2
+    assert reference_element_order(d6, r) == 6 and reference_element_order(d6, s) == 2
     # s r s = r^-1
     assert d6.mul(d6.mul(s, r), s) == d6.inv(r)
     assert all(d6.inv(x) == x for x in range(6, 12))  # reflections are involutions

@@ -6,8 +6,9 @@ import random
 import numpy as np
 import pytest
 
-from pairgraph.errors import IdentityInGeneratingSet, IndexNotTwo, SymmetryViolation
+from pairgraph.errors import IdentityInGeneratingSet, IndexNotTwo, PairGraphError, SymmetryViolation
 from pairgraph.graphs import (
+    PairGraph,
     adjacency_rows_via_group_matrix,
     build_pair_graph,
     cayley_adjacency,
@@ -27,7 +28,7 @@ from pairgraph.groups import (
 )
 from pairgraph.structure import connected_components, is_bipartite
 
-from helpers import instance_corpus, left_translation_matrix
+from helpers import index_two_pool, instance_corpus, left_translation_matrix
 
 
 @pytest.fixture(scope="module")
@@ -185,6 +186,40 @@ def test_cayley_reduction():
     sub3 = subgroup_from_elements(z12, [0, 3, 6, 9])
     with pytest.raises(IndexNotTwo):
         is_cayley_reduction(build_pair_graph(sub3, [1, 11]))
+
+
+def test_cayley_reduction_matches_dense_cayley_matrix():
+    rng = random.Random(41)
+    checked = 0
+    for sub in index_two_pool():
+        group = sub.parent
+        outside = list(sub.outside())
+        for _ in range(8):
+            chosen = set(rng.sample(outside, rng.randint(1, min(6, len(outside)))))
+            if rng.random() < 0.7:
+                chosen |= {group.inv(x) for x in chosen}
+            graph = build_pair_graph(sub, chosen)
+            symmetric = all(group.inv(x) in chosen for x in chosen)
+            assert is_cayley_reduction(graph) == symmetric
+            if symmetric:
+                assert np.array_equal(graph.adjacency, cayley_adjacency(group, chosen))
+                checked += 1
+    assert checked >= 40
+
+
+def test_cayley_reduction_rejects_a_moved_edge():
+    # the 20-cycle Z/20 on S = {1, 19}, with the edge {0, 1} moved to {0, 3}
+    evens = subgroup_from_elements(make_cyclic(20), range(0, 20, 2))
+    cycle = build_pair_graph(evens, [1, 19])
+    edges = [(0, 3) if edge == (0, 1) else edge for edge in cycle.edges()]
+    pairs = sorted(edges + [(v, u) for u, v in edges])
+    us, vs = np.array(pairs).T
+    degrees = np.bincount(us, minlength=20)
+    moved = PairGraph(
+        gen=cycle.gen, indptr=np.concatenate([[0], np.cumsum(degrees)]), indices=vs, degrees=degrees
+    )
+    with pytest.raises(PairGraphError, match="does not match its Cayley graph"):
+        is_cayley_reduction(moved)
 
 
 def test_involution_sets_always_reduce():

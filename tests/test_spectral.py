@@ -43,6 +43,7 @@ from helpers import (
     index_two_pool,
     instance_corpus,
     random_generating_set,
+    reference_element_order,
     subgroup_pool,
 )
 
@@ -194,7 +195,7 @@ def test_cyclic_orbits():
             k = listing[1 % n]
             assert np.array_equal(group.product(listing, k), np.roll(listing, -1))
             # k has the largest order in H, least index on ties; K = H exactly when H is cyclic
-            orders = [group.element_order(h) for h in sub.elements]
+            orders = [reference_element_order(group, h) for h in sub.elements]
             assert n == max(orders) and k == sub.elements[orders.index(n)], sub
             assert (n == sub.order) == cyclic, sub
             # x = k^l * t with t the least element of the orbit K*x, the orbits in H first
@@ -359,6 +360,16 @@ def test_ramanujan_preconditions(z20_evens):
         is_ramanujan(build_pair_graph(sub, [2, 4, 5, 7, 8]))
     with pytest.raises(NotConnected):
         is_ramanujan(build_pair_graph(z20_evens, [5, 15]))  # 2-regular, 5 components
+
+
+def test_tolerance_must_be_finite_and_positive(z20_evens):
+    graph = build_pair_graph(z20_evens, [1, 19])
+    for tolerance in (-1.0, 0.0, math.nan, math.inf):
+        with pytest.raises(ValidationError, match="finite and positive"):
+            compute_spectrum(graph, tolerance)
+        with pytest.raises(ValidationError, match="finite and positive"):
+            is_ramanujan(graph, tolerance=tolerance)
+    assert compute_spectrum(graph, 1e-3).tolerance == 1e-3
 
 
 def test_spectral_symmetry_z20(z20_evens):

@@ -1,8 +1,11 @@
 """Components (search vs closed formula), connectivity, translation, bipartiteness."""
 
+import random
+
 import pytest
 
 from pairgraph import groups
+from pairgraph.actions import _generator_chain
 from pairgraph.errors import ValidationError
 from pairgraph.graphs import build_pair_graph
 from pairgraph.groups import (
@@ -26,7 +29,13 @@ from pairgraph.structure import (
     translate_component,
 )
 
-from helpers import instance_corpus, reference_bipartite, reference_components, subgroup_pool
+from helpers import (
+    instance_corpus,
+    reference_bipartite,
+    reference_components,
+    reference_mul,
+    subgroup_pool,
+)
 
 
 @pytest.fixture(scope="module")
@@ -219,3 +228,46 @@ def test_sign_homomorphism_implies_bipartite():
             assert is_bipartite(graph).bipartite
             hits += 1
     assert hits > 10  # the implication was actually exercised
+
+
+def _brute_force_signs(group):
+    """Every homomorphism to {1, -1}: each sign choice on the generators, kept when multiplicative on all pairs."""
+    mul = reference_mul(group)
+    gens = _generator_chain(group)
+    kept = []
+    for choice in range(1 << len(gens)):
+        sign = {group.identity: 1}
+        frontier = [group.identity]
+        while frontier:
+            reached = []
+            for u in frontier:
+                for bit, g in enumerate(gens):
+                    v = mul(u, g)
+                    if v not in sign:
+                        sign[v] = sign[u] * (-1 if choice >> bit & 1 else 1)
+                        reached.append(v)
+            frontier = reached
+        m = group.order
+        if all(sign[mul(a, b)] == sign[a] * sign[b] for a in range(m) for b in range(m)):
+            kept.append(sign)
+    return kept
+
+
+def test_sign_homomorphism_matches_brute_force():
+    rng = random.Random(97)
+    groups_seen = {}
+    checked = found = 0
+    for sub in subgroup_pool():
+        group = sub.parent
+        if group not in groups_seen:
+            groups_seen[group] = _brute_force_signs(group)
+        signs = groups_seen[group]
+        for _ in range(12):
+            s = rng.sample(range(group.order), min(rng.randint(0, 6), group.order))
+            if s and rng.random() < 0.2:
+                s[0] = group.identity
+            expected = any(-1 in sign.values() and all(sign[x] == -1 for x in s) for sign in signs)
+            assert sign_homomorphism_exists(group, s) == expected, (group, s)
+            checked += 1
+            found += expected
+    assert checked >= 200 and 20 <= found <= checked - 20
