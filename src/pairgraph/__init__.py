@@ -39,7 +39,6 @@ from .groups import (
     FiniteGroup,
     GeneratingSet,
     Subgroup,
-    difference_set,
     field_norm_preimage,
     make_alternating,
     make_cyclic,

@@ -11,6 +11,8 @@ from __future__ import annotations
 import json
 from typing import Iterable, Union
 
+import numpy as np
+
 from .errors import ValidationError
 from .groups import (
     FiniteGroup,
@@ -26,7 +28,7 @@ from .groups import (
     make_sl2,
     make_symmetric,
     perm_from_cycles,
-    perm_parity,
+    perm_parities,
     subgroup_from_elements,
     subgroup_generated,
 )
@@ -98,7 +100,7 @@ def builtin_subgroup(group: FiniteGroup, name: str) -> Subgroup:
     if name == "alternating_in_symmetric":
         if kind != "symmetric" or group.perms is None:
             raise ValidationError("alternating_in_symmetric needs a symmetric group")
-        return closed_subgroup(group, [i for i, p in enumerate(group.perms) if perm_parity(p) == 0])
+        return closed_subgroup(group, np.flatnonzero(perm_parities(np.array(group.perms)) == 0))
     if name == "evens":
         if kind != "cyclic" or group.order % 2 != 0:
             raise ValidationError("evens needs a cyclic group of even order")

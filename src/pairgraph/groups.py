@@ -5,13 +5,19 @@ constructors and in element labels; every other module works with indices
 0..order-1, the product and the inverse map.
 
 Each family supplies one vectorised kernel, a numpy function that multiplies
-two index arrays elementwise under broadcasting.  ``FiniteGroup.product`` runs
-it in blocks of at most ``BLOCK`` products, so a batch allocates at most a few
-megabytes of temporaries; ``mul``, ``left_row`` and the full order x order
-table all derive from it, and the table is kept as a cache for groups of
-order up to ``TABLE_CAP``.  The hard cap on group order is ``ORDER_CAP``,
-checked from each family's order formula before any element is listed.
-Permutations compose left to right: ``(p*q)(x) = q(p(x))``.
+two index arrays elementwise under broadcasting.  The slow families multiply
+by gathers from small per-family arrays: a permutation's composite images are
+one flat gather and the composite's index is a dense rank array indexed by
+its first n-1 images; a matrix acts on the p^2 column vectors through one
+m x p^2 array, and the product is looked up by its two column codes; F_{2^k}
+adds by XOR.  ``FiniteGroup.product`` runs the kernel in blocks of at most
+``BLOCK`` products, so a batch allocates at most a few megabytes of
+temporaries; ``mul``, ``left_row`` and the full order x order table all
+derive from it, and the table is kept as a cache for groups of order up to
+``TABLE_CAP``.  The hard cap on group order is ``ORDER_CAP``, checked from
+each family's order formula before any element is listed.  Element labels
+are formatted on first read.  Permutations compose left to right:
+``(p*q)(x) = q(p(x))``.
 """
 
 from __future__ import annotations
@@ -49,25 +55,27 @@ class FiniteGroup:
 
     ``kernel(a, b)`` returns the products of two broadcastable integer index
     arrays, 0-d included; ``inverses`` is the inverse map as an array.
+    ``make_labels()`` lists the element labels; it runs on the first read of
+    ``labels``.
     """
 
     def __init__(
         self,
         *,
         name: str,
-        labels: Sequence[str],
+        order: int,
+        make_labels: Callable[[], Iterable[str]],
         identity: int,
         inverse: Sequence[int],
         kernel: Kernel,
         descriptor: Optional[dict] = None,
     ) -> None:
-        order = len(labels)
         if order == 0:
             raise ValidationError("a group needs at least the identity element")
         _check_order(order)
         self.order = order
         self.name = name
-        self.labels = [str(x) for x in labels]
+        self._make_labels = make_labels
         self.identity = int(identity)
         self.descriptor = descriptor or {}
         self.inverses = np.asarray(inverse, dtype=np.int32)
@@ -81,6 +89,10 @@ class FiniteGroup:
         self.matrices: Optional[list[tuple[int, int, int, int]]] = None
         self.field: Optional[PrimePowerField] = None
 
+    @cached_property
+    def labels(self) -> list[str]:
+        return [str(x) for x in self._make_labels()]
+
     def product(self, a, b) -> np.ndarray:
         """Products a*b for index arrays a and b, elementwise under broadcasting.
 
@@ -93,11 +105,13 @@ class FiniteGroup:
         shape = np.broadcast_shapes(a.shape, b.shape)
         if math.prod(shape) <= BLOCK:
             return self._kernel(a, b)
-        a, b = np.broadcast_to(a, shape), np.broadcast_to(b, shape)
+        # split along the first axis only where an operand has it, so a
+        # kernel gathers for a row vector, not for its broadcast block
+        a, b = (x.reshape((1,) * (len(shape) - x.ndim) + x.shape) for x in (a, b))
         out = np.empty(shape, dtype=np.int32)
         rows = max(1, BLOCK // math.prod(shape[1:]))
         for i in range(0, shape[0], rows):
-            out[i : i + rows] = self._kernel(a[i : i + rows], b[i : i + rows])
+            out[i : i + rows] = self._kernel(*(x[i : i + rows] if len(x) > 1 else x for x in (a, b)))
         return out
 
     def mul(self, a: int, b: int) -> int:
@@ -130,7 +144,8 @@ def make_cyclic(n: int) -> FiniteGroup:
     _check_order(n)
     return FiniteGroup(
         name=f"Z/{n}",
-        labels=[str(i) for i in range(n)],
+        order=n,
+        make_labels=lambda: map(str, range(n)),
         identity=0,
         inverse=(-np.arange(n)) % n,
         kernel=lambda a, b: (a + b) % n,
@@ -190,21 +205,10 @@ def perm_cycle_label(perm: tuple[int, ...]) -> str:
     return "".join(parts) if parts else "e"
 
 
-def perm_parity(perm: tuple[int, ...]) -> int:
-    """0 for even permutations, 1 for odd."""
-    seen = [False] * len(perm)
-    parity = 0
-    for start in range(len(perm)):
-        if seen[start]:
-            continue
-        length = 0
-        v = start
-        while not seen[v]:
-            seen[v] = True
-            v = perm[v]
-            length += 1
-        parity ^= (length - 1) & 1
-    return parity
+def perm_parities(images: np.ndarray) -> np.ndarray:
+    """0 for each even row of an array of image tuples, 1 for each odd one, by counting inversions."""
+    i, j = np.triu_indices(images.shape[1], 1)
+    return np.count_nonzero(images[:, i] > images[:, j], axis=1) & 1
 
 
 def perm_index(group: FiniteGroup, spec) -> int:
@@ -225,22 +229,37 @@ def perm_index(group: FiniteGroup, spec) -> int:
 def _permutation_group(name: str, n: int, even_only: bool, descriptor: dict) -> FiniteGroup:
     """Permutations of degree n in lexicographic order, all of them or the even ones.
 
-    The base-n key of an image tuple is then increasing along the element
-    order, so the kernel finds a composed permutation by binary search.
+    A permutation is fixed by its first n-1 images (its first image when
+    n = 1), so ``rank`` maps their base-n key to the element index: n^(n-1)
+    entries, 470 KB at n = 7.  The kernel composes the images by one flat
+    gather each, ``flat[b*n + images[a, i]]``, and keys them by Horner's rule.
     """
-    perms = [p for p in itertools.permutations(range(n)) if not even_only or perm_parity(p) == 0]
-    images = np.array(perms, dtype=np.int64)
-    powers = n ** np.arange(n - 1, -1, -1)
-    keys = images @ powers
+    perms = list(itertools.permutations(range(n)))
+    images = np.array(perms, dtype=np.int32)
+    if even_only:
+        even = np.flatnonzero(perm_parities(images) == 0)
+        perms, images = [perms[i] for i in even], images[even]
+    width = max(n - 1, 1)
+    weights = n ** np.arange(width - 1, -1, -1, dtype=np.int32)
+    rank = np.zeros(n**width, dtype=np.int32)
+    rank[images[:, :width] @ weights] = np.arange(len(perms), dtype=np.int32)
+    flat = images.ravel()
+    heads = [np.ascontiguousarray(images[:, i]) for i in range(width)]
 
     def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return np.searchsorted(keys, images[b[..., None], images[a]] @ powers)
+        offset = b * n
+        key = flat[offset + heads[0][a]]
+        for head in heads[1:]:
+            key *= n
+            key += flat[offset + head[a]]
+        return rank[key]
 
     g = FiniteGroup(
         name=name,
-        labels=[perm_cycle_label(p) for p in perms],
+        order=len(perms),
+        make_labels=lambda: map(perm_cycle_label, perms),
         identity=0,
-        inverse=np.searchsorted(keys, np.argsort(images, axis=1) @ powers),
+        inverse=rank[np.argsort(images, axis=1)[:, :width] @ weights],
         kernel=kernel,
         descriptor=descriptor,
     )
@@ -278,17 +297,11 @@ def make_dihedral(n: int) -> FiniteGroup:
         f2, j2 = np.divmod(b, n)
         return (f1 ^ f2) * n + (j2 + j1 - 2 * f2 * j1) % n
 
-    labels = []
-    for f in (0, 1):
-        for j in range(n):
-            if f == 0:
-                labels.append("e" if j == 0 else f"r^{j}")
-            else:
-                labels.append("s" if j == 0 else f"s·r^{j}")
     inverse = [(-a) % n if a < n else a for a in range(order)]
     return FiniteGroup(
         name=f"D{n}",
-        labels=labels,
+        order=order,
+        make_labels=lambda: ["e"] + [f"r^{j}" for j in range(1, n)] + ["s"] + [f"s·r^{j}" for j in range(1, n)],
         identity=0,
         inverse=inverse,
         kernel=kernel,
@@ -306,13 +319,12 @@ def make_direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
         a2, b2 = np.divmod(y, o2)
         return g1.product(a1, a2) * o2 + g2.product(b1, b2)
 
-    labels = [f"({g1.labels[a]},{g2.labels[b]})" for a in range(g1.order) for b in range(o2)]
-    inverse = [g1.inv(a) * o2 + g2.inv(b) for a in range(g1.order) for b in range(o2)]
     return FiniteGroup(
         name=f"{g1.name}x{g2.name}",
-        labels=labels,
+        order=g1.order * o2,
+        make_labels=lambda: (f"({x},{y})" for x in g1.labels for y in g2.labels),
         identity=g1.identity * o2 + g2.identity,
-        inverse=inverse,
+        inverse=(g1.inverses[:, None] * o2 + g2.inverses).ravel(),
         kernel=kernel,
         descriptor={"kind": "product", "params": [g1.descriptor, g2.descriptor]},
     )
@@ -326,33 +338,53 @@ def _check_prime(p: int) -> None:
 
 
 def _matrix_group(name: str, p: int, order: int, keep_det, descriptor: dict) -> FiniteGroup:
-    """2x2 matrices over F_p with an admissible determinant, lexicographic (a,b,c,d) order."""
+    """2x2 matrices over F_p with an admissible determinant, lexicographic (a,b,c,d) order.
+
+    x*y is x applied to the two columns of y.  The column (u, v) has code
+    u*p + v; ``act[x*p^2 + c]`` is the code of x applied to column c, and
+    ``by_columns[c1*p^2 + c2]`` the index of the matrix with columns c1, c2,
+    so a product is gathers only and pays no ``% p``.
+    """
     _check_prime(p)
     _check_order(order)
-    quads = np.array(list(itertools.product(range(p), repeat=4)), dtype=np.int64)
+    quads = np.indices((p,) * 4).reshape(4, -1).T
     a, b, c, d = quads.T
     mats = quads[keep_det((a * d - b * c) % p)]
-    lookup = np.full(p**4, -1, dtype=np.int32)
-    lookup[mats @ p ** np.arange(3, -1, -1)] = np.arange(len(mats))
-    a, b, c, d = mats.T.astype(np.int32)
-
-    def key(ra, rb, rc, rd):
-        return lookup[(((ra % p) * p + rb % p) * p + rc % p) * p + rd % p]
+    a, b, c, d = mats.T
+    p2 = p * p
+    first, second = a * p + c, b * p + d
+    by_columns = np.full(p2 * p2, -1, dtype=np.int32)
+    by_columns[first * p2 + second] = np.arange(len(mats))
+    # x applied to (v1, v2) is v1 * first(x) + v2 * second(x): multiples and
+    # sums of column codes come from p x p^2 and p^2 x p^2 tables
+    v1, v2 = np.divmod(np.arange(p2), p)
+    add = ((v1[:, None] + v1) % p * p + (v2[:, None] + v2) % p).astype(np.min_scalar_type(p2 - 1)).ravel()
+    scalar = np.arange(p)[:, None]
+    multiples = scalar * v1 % p * p + scalar * v2 % p
+    first_multiples, second_multiples = multiples[:, first].T * p2, multiples[:, second].T
+    act = np.empty((len(mats), p, p), dtype=add.dtype)
+    for v in range(p):
+        act[:, v] = add[first_multiples[:, v, None] + second_multiples]
+    act = act.ravel()
 
     def kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        ax, bx, cx, dx, ay, by, cy, dy = a[x], b[x], c[x], d[x], a[y], b[y], c[y], d[y]
-        return key(ax * ay + bx * cy, ax * by + bx * dy, cx * ay + dx * cy, cx * by + dx * dy)
+        offset = x * p2
+        return by_columns[act[offset + first[y]].astype(np.intp) * p2 + act[offset + second[y]]]
 
     det_inverse = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)])[(a * d - b * c) % p]
+    # the inverse is det^-1 * [[d, -b], [-c, a]]
+    a, b, c, d = (v * det_inverse % p for v in (d, -b, -c, a))
+    matrices = list(map(tuple, mats.tolist()))
     g = FiniteGroup(
         name=name,
-        labels=["[[{},{}],[{},{}]]".format(*m) for m in mats.tolist()],
-        identity=int(lookup[p**3 + 1]),
-        inverse=key(d * det_inverse, -b * det_inverse, -c * det_inverse, a * det_inverse),
+        order=len(mats),
+        make_labels=lambda: ("[[{},{}],[{},{}]]".format(*m) for m in matrices),
+        identity=int(by_columns[p * p2 + 1]),
+        inverse=by_columns[(a * p + c) * p2 + b * p + d],
         kernel=kernel,
         descriptor=descriptor,
     )
-    g.matrices = [tuple(m) for m in mats.tolist()]
+    g.matrices = matrices
     return g
 
 
@@ -378,17 +410,19 @@ def make_field_additive(p: int, k: int) -> FiniteGroup:
     gf = PrimePowerField.create(p, k)
     weights = [p**d for d in range(k)]
 
-    def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    def digitwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         # digit d of a // w plus digit d of b // w, mod p: higher digits vanish
         return sum((a // w + b // w) % p * w for w in weights)
 
     idx = np.arange(gf.order)
     g = FiniteGroup(
         name=f"F{p}^{k}" if k > 1 else f"F{p}",
-        labels=[gf.label(i) for i in range(gf.order)],
+        order=gf.order,
+        make_labels=lambda: map(gf.label, range(gf.order)),
         identity=0,
         inverse=sum((-(idx // w)) % p * w for w in weights),
-        kernel=kernel,
+        # binary digits add by XOR
+        kernel=(lambda a, b: a ^ b) if p == 2 else digitwise,
         descriptor={"kind": "field_additive", "params": [p, k]},
     )
     g.field = gf
@@ -590,32 +624,42 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
 
 
 def generated_elements(group: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
-    """Elements of the subgroup generated by ``gens`` (breadth-first closure)."""
+    """Elements of the subgroup generated by ``gens``.
+
+    The seeds are taken in ascending order, and one is adjoined only when
+    the closure has not reached it yet, so at most log2 |G| of them are.
+    Adjoining g adjoins its powers g^(2^j) too, so a long cycle takes log2
+    rounds, not one round a step.  The closure so far is closed under right
+    multiplication by the elements adjoined before, so adjoining g starts a
+    breadth-first search from the products x*g^(2^j) and multiplies each new
+    element by every adjoined element.
+    """
     gens = sorted(set(int(x) for x in gens))
     for x in gens:
         if not 0 <= x < group.order:
             raise ValidationError(f"generator {x} out of range")
-    gens_arr = np.array(gens, dtype=np.int64)
+    pending = np.array(gens, dtype=np.int64)
     seen = np.zeros(group.order, dtype=bool)
     seen[group.identity] = True
-    frontier = np.array([group.identity])
-    while frontier.size:
-        reached = _sorted_unique(group.product(frontier[:, None], gens_arr))
-        frontier = reached[~seen[reached]]
-        seen[frontier] = True
+    adjoined = np.empty(0, dtype=np.int64)
+    while (pending := pending[~seen[pending]]).size:
+        powers = [pending[0]]
+        square = group.product(powers[-1], powers[-1])
+        while square != group.identity and square not in powers:
+            powers.append(square)
+            square = group.product(square, square)
+        adjoined = np.append(adjoined, powers)
+        frontier = group.product(np.flatnonzero(seen)[:, None], powers)
+        while frontier.size:
+            frontier = _sorted_unique(frontier[~seen[frontier]])
+            seen[frontier] = True
+            frontier = group.product(frontier[:, None], adjoined)
     return tuple(np.flatnonzero(seen).tolist())
 
 
 def subgroup_generated(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing ``gens``; the empty set yields {e}."""
     return closed_subgroup(group, generated_elements(group, gens))
-
-
-def difference_set(group: FiniteGroup, a_set: Iterable[int], b_set: Iterable[int]) -> tuple[int, ...]:
-    """All products a * b^-1 for a in A, b in B."""
-    a = np.array(sorted(set(a_set)), dtype=np.int64)
-    b_inv = group.inverses[np.array(sorted(set(b_set)), dtype=np.int64)]
-    return tuple(_sorted_unique(group.product(a[:, None], b_inv)).tolist())
 
 
 @dataclass(frozen=True, eq=False)
@@ -650,13 +694,20 @@ class GeneratingSet:
 
     @cached_property
     def reachable(self) -> Subgroup:
-        """The subgroup U of H generated by H ∩ (inside ∪ outside·outside^-1), built once."""
-        group = self.group
-        seeds = set(self.inside)
-        for d in difference_set(group, self.outside, self.outside):
-            if self.subgroup.contains(d):
-                seeds.add(d)
-        return subgroup_generated(group, seeds)
+        """The subgroup U of H generated by H ∩ (inside ∪ outside·outside^-1), built once.
+
+        s·t^-1 lies in H exactly when H·s = H·t, and it is then
+        (s·t_c^-1)·(t·t_c^-1)^-1 for any t_c in that coset; so the inside part
+        and the quotients s·t_c^-1, one fixed t_c per covered coset c,
+        generate U in |outside| products.
+        """
+        group, coset_of = self.group, self.subgroup.coset_of
+        fixed: dict[int, int] = {}
+        for s in self.outside:
+            fixed.setdefault(coset_of[s], s)
+        t = np.array([fixed[coset_of[s]] for s in self.outside], dtype=np.int64)
+        quotients = group.product(np.array(self.outside, dtype=np.int64), group.inverses[t])
+        return subgroup_generated(group, [*self.inside, *quotients.tolist()])
 
     def __repr__(self) -> str:
         return f"GeneratingSet(size={self.size}, inside={len(self.inside)}, outside={len(self.outside)})"

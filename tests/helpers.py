@@ -214,6 +214,33 @@ def reference_subgroup(group: FiniteGroup, elems, mul) -> Subgroup:
     )
 
 
+def difference_set(group: FiniteGroup, a_set, b_set) -> tuple[int, ...]:
+    """All products a * b^-1 for a in A, b in B."""
+    a = np.array(sorted(set(a_set)), dtype=np.int64)
+    b_inv = group.inverses[np.array(sorted(set(b_set)), dtype=np.int64)]
+    return tuple(np.unique(group.product(a[:, None], b_inv)).tolist())
+
+
+def reference_generated_elements(group: FiniteGroup, gens) -> tuple[int, ...]:
+    """Breadth-first closure that multiplies each new element by every generator."""
+    gens_arr = np.array(sorted(set(int(x) for x in gens)), dtype=np.int64)
+    seen = np.zeros(group.order, dtype=bool)
+    seen[group.identity] = True
+    frontier = np.array([group.identity])
+    while frontier.size:
+        reached = np.unique(group.product(frontier[:, None], gens_arr))
+        frontier = reached[~seen[reached]]
+        seen[frontier] = True
+    return tuple(np.flatnonzero(seen).tolist())
+
+
+def reference_reachable(gen: GeneratingSet) -> tuple[int, ...]:
+    """Elements of U from the inside part and every quotient s*t^-1 of outside elements that lies in H."""
+    seeds = set(gen.inside)
+    seeds.update(d for d in difference_set(gen.group, gen.outside, gen.outside) if gen.subgroup.contains(d))
+    return reference_generated_elements(gen.group, seeds)
+
+
 def dense_eigenvalues(graph: PairGraph) -> np.ndarray:
     """The full m x m symmetric eigen-solve, sorted descending: the oracle for both spectrum routes."""
     return np.linalg.eigvalsh(graph.adjacency.astype(np.float64))[::-1]

@@ -18,7 +18,6 @@ from pairgraph.errors import (
 from pairgraph.fields import CONWAY_POLYNOMIALS, reducing_polynomial
 from pairgraph.groups import (
     closed_subgroup,
-    difference_set,
     field_norm_preimage,
     make_alternating,
     make_cyclic,
@@ -36,6 +35,7 @@ from pairgraph.groups import (
 )
 
 from helpers import (
+    difference_set,
     instance_corpus,
     reference_element_order,
     reference_mul,
