@@ -627,12 +627,15 @@ def generated_elements(group: FiniteGroup, gens: Iterable[int]) -> tuple[int, ..
     """Elements of the subgroup generated by ``gens``.
 
     The seeds are taken in ascending order, and one is adjoined only when
-    the closure has not reached it yet, so at most log2 |G| of them are.
-    Adjoining g adjoins its powers g^(2^j) too, so a long cycle takes log2
-    rounds, not one round a step.  The closure so far is closed under right
-    multiplication by the elements adjoined before, so adjoining g starts a
-    breadth-first search from the products x*g^(2^j) and multiplies each new
-    element by every adjoined element.
+    the closure has not reached it yet; each such seed at least doubles the
+    closure, so at most log2 |G| seeds are adjoined.  Adjoining g adjoins its
+    powers g^(2^j) for 2^j < 2^b too, b the bit length of |G|: every power
+    g^k with k < |G| is a product of at most b of them, so a long cycle takes
+    at most b rounds, not one round a step, and a seed brings at most b
+    elements.  The closure so far is closed under right multiplication by the
+    elements adjoined before, so adjoining g starts a breadth-first search
+    from the products x*g^(2^j) and multiplies each new element by every
+    adjoined element.
     """
     gens = sorted(set(int(x) for x in gens))
     for x in gens:
@@ -644,10 +647,11 @@ def generated_elements(group: FiniteGroup, gens: Iterable[int]) -> tuple[int, ..
     adjoined = np.empty(0, dtype=np.int64)
     while (pending := pending[~seen[pending]]).size:
         powers = [pending[0]]
-        square = group.product(powers[-1], powers[-1])
-        while square != group.identity and square not in powers:
+        for _ in range(group.order.bit_length() - 1):
+            square = group.product(powers[-1], powers[-1])
+            if square == group.identity or square in powers:
+                break
             powers.append(square)
-            square = group.product(square, square)
         adjoined = np.append(adjoined, powers)
         frontier = group.product(np.flatnonzero(seen)[:, None], powers)
         while frontier.size:

@@ -185,8 +185,18 @@ class _NoEnumeration:
         raise AssertionError(f"itertools.{name} used before the order cap was checked")
 
 
+class _NoIndices:
+    """numpy as seen from ``groups``, minus ``np.indices``, which lists the matrix quads."""
+
+    def __getattr__(self, name):
+        if name == "indices":
+            raise AssertionError("np.indices used before the order cap was checked")
+        return getattr(np, name)
+
+
 def test_caps_checked_before_enumeration(monkeypatch):
     monkeypatch.setattr(groups, "itertools", _NoEnumeration())
+    monkeypatch.setattr(groups, "np", _NoIndices())
     for maker, arg in [(make_symmetric, 8), (make_alternating, 8), (make_gl2, 13)]:
         with pytest.raises(SizeCapExceeded):
             maker(arg)

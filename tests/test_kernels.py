@@ -124,3 +124,22 @@ def test_generated_elements_match_breadth_first_closure():
     for seed in range(5):
         seeds = random.Random(seed).sample(range(720), 1 + seed)
         assert generated_elements(s6, seeds) == reference_generated_elements(s6, seeds)
+    z101 = groups.make_cyclic(101)
+    for seeds in ([1], [2], [3, 50], [0, 100]):
+        assert generated_elements(z101, seeds) == reference_generated_elements(z101, seeds)
+
+
+def test_generated_elements_bound_a_long_cycle():
+    # 19997 is prime with 2 a primitive root, so the repeated squares 2^j of 1
+    # run through every nonzero residue; the chain must stop at the bit length
+    z = groups.make_cyclic(19997)
+    bits = z.order.bit_length()
+    product, spent = z.product, []
+
+    def budgeted(a, b):
+        spent.append(int(np.broadcast(np.asarray(a), np.asarray(b)).size))
+        assert len(spent) <= 3 * bits and sum(spent) <= 2 * bits * z.order
+        return product(a, b)
+
+    z.product = budgeted
+    assert generated_elements(z, [1]) == tuple(range(z.order))
