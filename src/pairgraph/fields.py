@@ -1,4 +1,4 @@
-"""Arithmetic in small finite fields F_{p^k}.
+"""Small finite fields F_{p^k}: packed elements, reducing polynomials and the norm map.
 
 Field elements are packed integers: the element with polynomial coordinates
 (c_0, c_1, ..., c_{k-1}) over F_p is the index c_0 + c_1*p + ... + c_{k-1}*p^(k-1).
@@ -14,6 +14,8 @@ so that constructions are reproducible.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+
+import numpy as np
 
 from .errors import ValidationError
 
@@ -84,13 +86,6 @@ def _unpack(value: int, k: int, p: int) -> list[int]:
     return digits
 
 
-def _pack(digits, p: int) -> int:
-    out = 0
-    for c in reversed(list(digits)):
-        out = out * p + c
-    return out
-
-
 def reducing_polynomial(p: int, k: int) -> tuple[int, ...]:
     """The fixed monic irreducible used to realize F_{p^k}."""
     if (p, k) in CONWAY_POLYNOMIALS:
@@ -104,7 +99,7 @@ def reducing_polynomial(p: int, k: int) -> tuple[int, ...]:
 
 @dataclass(frozen=True)
 class PrimePowerField:
-    """F_{p^k} with packed-integer elements and full field arithmetic."""
+    """F_{p^k} with packed-integer elements, its reducing polynomial and its norm map."""
 
     p: int
     k: int
@@ -134,51 +129,35 @@ class PrimePowerField:
     def digits(self, a: int) -> list[int]:
         return _unpack(a, self.k, self.p)
 
-    def pack(self, digits) -> int:
-        return _pack(digits, self.p)
+    def norms(self) -> np.ndarray:
+        """The norm down to the prime field, x^((p^k-1)/(p-1)), of every element; 0 has norm 0.
 
-    def add(self, a: int, b: int) -> int:
-        da, db = self.digits(a), self.digits(b)
-        return self.pack((x + y) % self.p for x, y in zip(da, db))
+        One square-and-multiply over the order x k digit array.  A product's
+        digits are the convolution of its factors' digits, reduced by the
+        matrix ``_xpow`` whose row j is x^j mod the modulus.
+        """
+        p, k = self.p, self.k
+        xpow = np.array(self._xpow)
 
-    def neg(self, a: int) -> int:
-        return self.pack((-x) % self.p for x in self.digits(a))
+        def mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+            conv = np.zeros((len(x), 2 * k - 1), dtype=np.int64)
+            for i in range(k):
+                conv[:, i : i + k] += x[:, i, None] * y
+            return conv % p @ xpow % p
 
-    def mul(self, a: int, b: int) -> int:
-        da, db = self.digits(a), self.digits(b)
-        conv = [0] * (2 * self.k - 1)
-        for i, x in enumerate(da):
-            if x:
-                for j, y in enumerate(db):
-                    conv[i + j] += x * y
-        out = [0] * self.k
-        for j, c in enumerate(conv):
-            if c % self.p:
-                rep = self._xpow[j]
-                for i in range(self.k):
-                    out[i] += c * rep[i]
-        return self.pack(c % self.p for c in out)
-
-    def pow(self, a: int, e: int) -> int:
-        result = 1
-        base = a
-        while e:
+        base = np.arange(self.order)[:, None] // p ** np.arange(k) % p
+        result = None
+        e = (self.order - 1) // (p - 1)
+        while True:
             if e & 1:
-                result = self.mul(result, base)
-            base = self.mul(base, base)
+                result = base if result is None else mul(result, base)
             e >>= 1
-        return result
-
-    def norm(self, a: int) -> int:
-        """Norm down to the prime field: x^((p^k-1)/(p-1)), with norm(0) = 0."""
-        if a == 0:
-            return 0
-        e = (self.order - 1) // (self.p - 1)
-        value = self.pow(a, e)
-        digits = self.digits(value)
-        if any(digits[1:]):
+            if not e:
+                break
+            base = mul(base, base)
+        if result[:, 1:].any():
             raise ValidationError("norm did not land in the prime field")
-        return digits[0]
+        return result[:, 0]
 
     def label(self, a: int) -> str:
         digits = self.digits(a)

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .errors import IndexNotTwo, PairGraphError, ValidationError
-from .groups import FiniteGroup, GeneratingSet, Subgroup, _sorted_unique, validate_generating_set
+from .groups import FiniteGroup, GeneratingSet, Subgroup, validate_generating_set
 
 
 @dataclass(frozen=True, eq=False)
@@ -73,19 +73,26 @@ def _as_generating_set(subgroup: Subgroup, s: Union[GeneratingSet, Iterable[int]
 
 
 def build_pair_graph(subgroup: Subgroup, s: Union[GeneratingSet, Iterable[int]]) -> PairGraph:
-    """Build the pair graph for the parent group of ``subgroup`` and the set ``s``."""
+    """Build the pair graph for the parent group of ``subgroup`` and the set ``s``.
+
+    Each edge is listed once per direction, as the int32 key u*m + v (m^2 <=
+    ``ORDER_CAP``^2 < 2^31): the row h*S of each h in H lists an inside edge
+    from both of its ends already, so only the outside columns add reverse
+    keys.  One sort orders the keys by (u, v), and row u starts at the first
+    key >= u*m.
+    """
     gen = _as_generating_set(subgroup, s)
-    group = subgroup.parent
-    m = group.order
-    h = np.array(subgroup.elements)
-    targets = group.product(h[:, None], np.array(gen.elements, dtype=np.int64))
-    sources = np.broadcast_to(h[:, None], targets.shape)
-    # each edge in both directions, deduplicated and sorted by (u, v)
-    pairs = _sorted_unique(np.concatenate([sources * m + targets, targets * m + sources], axis=None))
-    us, vs = np.divmod(pairs, m)
-    degrees = np.bincount(us, minlength=m)
-    indptr = np.concatenate([[0], np.cumsum(degrees)])
-    return PairGraph(gen=gen, indptr=indptr, indices=vs, degrees=degrees)
+    m, size = subgroup.parent.order, gen.size
+    h = np.array(subgroup.elements, dtype=np.int32)[:, None]
+    targets = subgroup.parent.product(h, np.array(gen.inside + gen.outside, dtype=np.int64))
+    keys = np.empty((len(h), size + len(gen.outside)), dtype=np.int32)
+    np.add(h * m, targets, out=keys[:, :size])
+    np.multiply(targets[:, len(gen.inside) :], m, out=keys[:, size:])
+    keys[:, size:] += h
+    keys = keys.ravel()
+    keys.sort()
+    indptr = np.searchsorted(keys, np.arange(m + 1, dtype=np.int32) * m)
+    return PairGraph(gen=gen, indptr=indptr, indices=keys - keys // m * m, degrees=np.diff(indptr))
 
 
 def adjacency_rows_via_group_matrix(
@@ -180,7 +187,8 @@ def is_cayley_reduction(graph: PairGraph) -> bool:
     if gen.inside:
         raise ValidationError("Cayley reduction needs the generating set outside the subgroup")
     group = graph.group
-    symmetric = all(group.inv(x) in set(gen.elements) for x in gen.elements)
+    members = set(gen.elements)
+    symmetric = all(group.inv(x) in members for x in gen.elements)
     if not symmetric:
         return False
     m = graph.order

@@ -10,7 +10,9 @@ by gathers from small per-family arrays: a permutation's composite images are
 one flat gather and the composite's index is a dense rank array indexed by
 its first n-1 images; a matrix acts on the p^2 column vectors through one
 m x p^2 array, and the product is looked up by its two column codes; F_{2^k}
-adds by XOR.  ``FiniteGroup.product`` runs the kernel in blocks of at most
+adds by XOR; a cyclic sum is reduced by one conditional subtraction, and a
+direct product reads each element's two components from precomputed arrays.
+``FiniteGroup.product`` runs the kernel in blocks of at most
 ``BLOCK`` products, so a batch allocates at most a few megabytes of
 temporaries; ``mul``, ``left_row`` and the full order x order table all
 derive from it, and the table is kept as a cache for groups of order up to
@@ -142,13 +144,20 @@ def make_cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValidationError("cyclic group order must be >= 1")
     _check_order(n)
+
+    def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # a + b < 2n, so one conditional subtraction reduces it, far cheaper than % n
+        total = np.asarray(a + b)
+        np.subtract(total, n, out=total, where=total >= n)
+        return total
+
     return FiniteGroup(
         name=f"Z/{n}",
         order=n,
         make_labels=lambda: map(str, range(n)),
         identity=0,
         inverse=(-np.arange(n)) % n,
-        kernel=lambda a, b: (a + b) % n,
+        kernel=kernel,
         descriptor={"kind": "cyclic", "params": [n]},
     )
 
@@ -313,11 +322,11 @@ def make_direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     """Direct product; element a*|G2| + b represents the pair (a, b)."""
     _check_order(g1.order * g2.order)
     o2 = g2.order
+    # each element's two components, read by gathers rather than divided out per product
+    first, second = np.divmod(np.arange(g1.order * o2), o2)
 
     def kernel(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        a1, b1 = np.divmod(x, o2)
-        a2, b2 = np.divmod(y, o2)
-        return g1.product(a1, a2) * o2 + g2.product(b1, b2)
+        return g1.product(first[x], first[y]) * o2 + g2.product(second[x], second[y])
 
     return FiniteGroup(
         name=f"{g1.name}x{g2.name}",
@@ -438,7 +447,7 @@ def field_norm_preimage(group: FiniteGroup, values: Iterable[int]) -> tuple[int,
     for v in values:
         if not 0 <= v < gf.p:
             raise ValidationError(f"value {v} is outside the prime field F_{gf.p}")
-    return tuple(x for x in range(gf.order) if gf.norm(x) in values)
+    return tuple(np.flatnonzero(np.isin(gf.norms(), list(values))).tolist())
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ With H listed first the adjacency is [[C, B], [B^T, 0]] (C inside H, B the
 fill the rest.  Every block is invariant under left multiplication by H, so
 the characters of a cyclic K = <k> <= H split the solve into one block per
 character, K generated by an element of largest order in H
-(``Subgroup.cyclic_orbits``).  Each block [[C_j, B_j], [B_j^*, 0]] has one
-row per K-orbit in H and one column per K-orbit that S meets; its nonzero
-values are
+(``Subgroup.cyclic_orbits``).  The blocks come from the products t*S of
+the K-orbit representatives t in H, so the spectrum is read off (G, H, S)
+without a built graph.  Each block [[C_j, B_j], [B_j^*, 0]] has one row per
+K-orbit in H and one column per K-orbit that S meets; its nonzero values are
 
 - with one row (K = H, every cyclic H): the two roots of x^2 - C x - |B|^2,
   or C alone when H = G;
@@ -18,7 +19,7 @@ values are
 Characters j and n - j give conjugate blocks and are solved once.  The route
 is deterministic, serves every group family, and is capped at 3000 vertices.
 Clusters form by single linkage on the sorted values with a tolerance
-absolute on the spectrum scaled by the maximum degree.
+absolute on the spectrum scaled by the maximum degree, max(1, |S|).
 """
 
 from __future__ import annotations
@@ -38,7 +39,8 @@ from .errors import (
     SizeCapExceeded,
     ValidationError,
 )
-from .graphs import PairGraph, build_pair_graph
+# build_pair_graph stays importable here: perfbench/test_perfbench.py reaches it through this namespace
+from .graphs import PairGraph, build_pair_graph  # noqa: F401
 from .groups import GeneratingSet, Subgroup, validate_generating_set
 from .structure import connected_components, reachable_subgroup
 
@@ -94,14 +96,19 @@ def _check_tolerance(tolerance: float) -> None:
 
 def compute_spectrum(graph: PairGraph, tolerance: float = DEFAULT_TOLERANCE) -> Spectrum:
     """Full adjacency spectrum of a pair graph, one block per character of a cyclic K <= H."""
+    return _spectrum(graph.gen, tolerance)
+
+
+def _spectrum(gen: GeneratingSet, tolerance: float = DEFAULT_TOLERANCE) -> Spectrum:
+    """The spectrum of the pair graph on ``gen``, read off (G, H, S) without building the graph."""
     _check_tolerance(tolerance)
-    if graph.order > SPECTRUM_ORDER_CAP:
-        raise SizeCapExceeded(
-            f"graph order {graph.order} exceeds the dense solver cap {SPECTRUM_ORDER_CAP}"
-        )
-    values = _character_values(graph)
-    values = np.sort(np.concatenate([values, np.zeros(graph.order - len(values))]))[::-1].copy()
-    scale = float(max(1.0, graph.degrees.max(initial=0)))
+    m = gen.group.order
+    if m > SPECTRUM_ORDER_CAP:
+        raise SizeCapExceeded(f"graph order {m} exceeds the dense solver cap {SPECTRUM_ORDER_CAP}")
+    values = _character_values(gen)
+    values = np.sort(np.concatenate([values, np.zeros(m - len(values))]))[::-1].copy()
+    # the maximum degree: each vertex of H has |S| neighbours, a vertex x outside only |S ∩ Hx|
+    scale = float(max(1, gen.size))
     return Spectrum(
         eigenvalues=values,
         clusters=_cluster(values, 10.0 * tolerance * scale),
@@ -110,30 +117,27 @@ def compute_spectrum(graph: PairGraph, tolerance: float = DEFAULT_TOLERANCE) -> 
     )
 
 
-def _character_values(graph: PairGraph) -> np.ndarray:
+def _character_values(gen: GeneratingSet) -> np.ndarray:
     """The at most 2|H| eigenvalues that may be nonzero, one block per character of K = <k>.
 
     With t, t' the least elements of their K-orbits, character j's block is
     M_j[t, t'] = sum_l a[t, k^l t'] exp(-2 pi i j l / n): the FFT over l of
-    the CSR rows of the orbit representatives in H, laid out as (row, column
-    orbit, l) over the orbits S meets.
+    the neighbours t*S of the orbit representatives t in H, laid out as (row,
+    column orbit, l) over the orbits S meets.
     """
-    orbits = graph.subgroup.cyclic_orbits
+    orbits = gen.subgroup.cyclic_orbits
     n, r = len(orbits.listing), orbits.inside
-    rows = orbits.reps[:r]
-    counts = graph.degrees[rows]
-    entries = np.arange(counts.sum()) + np.repeat(graph.indptr[rows] - np.cumsum(counts) + counts, counts)
-    neighbours = graph.indices[entries]
+    neighbours = gen.group.product(orbits.reps[:r, None], np.array(gen.elements, dtype=np.int64))
     column = orbits.orbit_of[neighbours]
     outside = column >= r
     covered, rank = np.unique(column[outside], return_inverse=True)
     column[outside] = r + rank
     layout = np.zeros((r, r + len(covered), n))
-    layout[np.repeat(np.arange(r), counts), column, orbits.exponent[neighbours]] = 1.0
+    layout[np.arange(r)[:, None], column, orbits.exponent[neighbours]] = 1.0
     if r == 1:  # K = H: each block [[c, b], [b^*, 0]] has the nonzero values (c +/- sqrt(c^2 + 4|b|^2)) / 2
         f = np.fft.fft(layout[0], axis=1)
         c = f[0].real
-        if graph.subgroup.index == 1:
+        if gen.subgroup.index == 1:
             return c
         root = np.sqrt(c * c + 4.0 * (np.abs(f[1:]) ** 2).sum(axis=0))
         return np.concatenate([(c + root) / 2.0, (c - root) / 2.0])
@@ -145,7 +149,7 @@ def _character_values(graph: PairGraph) -> np.ndarray:
         weight[-1] = 1
     inside, cross = f[:, :, :r], f[:, :, r:]
     try:
-        if graph.gen.inside:
+        if gen.inside:
             adjoint = cross.conj().swapaxes(1, 2)
             # QR only shrinks B^* when it has more rows than columns
             tail = adjoint if len(covered) <= r else np.linalg.qr(adjoint, mode="r")
@@ -292,8 +296,7 @@ def compare_complementary_spectra(
         raise ValidationError("the sets must be disjoint")
     if len(gen1.elements) + len(gen2.elements) != subgroup.parent.order - subgroup.order:
         raise ValidationError("the sets must cover the complement of the subgroup")
-    spec1 = compute_spectrum(build_pair_graph(subgroup, gen1))
-    spec2 = compute_spectrum(build_pair_graph(subgroup, gen2))
+    spec1, spec2 = _spectrum(gen1), _spectrum(gen2)
     interior1 = spec1.eigenvalues[1:-1]
     interior2 = spec2.eigenvalues[1:-1]
     gap = float(np.max(np.abs(interior1 - interior2))) if len(interior1) else 0.0

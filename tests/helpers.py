@@ -9,7 +9,8 @@ from functools import lru_cache
 import numpy as np
 
 from pairgraph.descriptors import builtin_subgroup, group_from_descriptor
-from pairgraph.errors import NotASubgroup
+from pairgraph.errors import NotASubgroup, ValidationError
+from pairgraph.fields import PrimePowerField
 from pairgraph.graphs import PairGraph
 from pairgraph.groups import (
     FiniteGroup,
@@ -162,6 +163,54 @@ def reference_mul(group: FiniteGroup):
     raise ValueError(f"no reference multiplication for {kind!r}")
 
 
+class ScalarField:
+    """F_{p^k} one element at a time on digit lists: the oracle for ``PrimePowerField.norms``."""
+
+    def __init__(self, p: int, k: int) -> None:
+        self.field = PrimePowerField.create(p, k)
+        self.p, self.k, self.order = p, k, self.field.order
+
+    def pack(self, digits) -> int:
+        out = 0
+        for c in reversed(list(digits)):
+            out = out * self.p + c
+        return out
+
+    def add(self, a: int, b: int) -> int:
+        da, db = self.field.digits(a), self.field.digits(b)
+        return self.pack((x + y) % self.p for x, y in zip(da, db))
+
+    def neg(self, a: int) -> int:
+        return self.pack((-x) % self.p for x in self.field.digits(a))
+
+    def mul(self, a: int, b: int) -> int:
+        conv = [0] * (2 * self.k - 1)
+        for i, x in enumerate(self.field.digits(a)):
+            for j, y in enumerate(self.field.digits(b)):
+                conv[i + j] += x * y
+        out = [0] * self.k
+        for j, c in enumerate(conv):
+            for i in range(self.k):
+                out[i] += c * self.field._xpow[j][i]
+        return self.pack(c % self.p for c in out)
+
+    def pow(self, a: int, e: int) -> int:
+        result = 1
+        while e:
+            if e & 1:
+                result = self.mul(result, a)
+            a = self.mul(a, a)
+            e >>= 1
+        return result
+
+    def norm(self, a: int) -> int:
+        """x^((p^k-1)/(p-1)), with norm(0) = 0."""
+        digits = self.field.digits(self.pow(a, (self.order - 1) // (self.p - 1)))
+        if any(digits[1:]):
+            raise ValidationError("norm did not land in the prime field")
+        return digits[0]
+
+
 def reference_element_order(group: FiniteGroup, a: int) -> int:
     """Order of a by repeated scalar multiplication with ``reference_mul``."""
     mul = reference_mul(group)
@@ -239,6 +288,21 @@ def reference_reachable(gen: GeneratingSet) -> tuple[int, ...]:
     seeds = set(gen.inside)
     seeds.update(d for d in difference_set(gen.group, gen.outside, gen.outside) if gen.subgroup.contains(d))
     return reference_generated_elements(gen.group, seeds)
+
+
+def reference_csr(gen: GeneratingSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indptr, indices, degrees) from every edge listed from both ends as int64 keys, sorted and deduplicated."""
+    group, m = gen.group, gen.group.order
+    h = np.array(gen.subgroup.elements, dtype=np.int64)
+    targets = group.product(h[:, None], np.array(gen.elements, dtype=np.int64))
+    sources = np.broadcast_to(h[:, None], targets.shape)
+    pairs = np.sort(np.concatenate([sources * m + targets, targets * m + sources], axis=None))
+    keep = np.ones(pairs.size, dtype=bool)
+    keep[1:] = pairs[1:] != pairs[:-1]  # np.unique hashes, far slower
+    pairs = pairs[keep]
+    us, vs = np.divmod(pairs, m)
+    degrees = np.bincount(us, minlength=m)
+    return np.concatenate([[0], np.cumsum(degrees)]), vs, degrees
 
 
 def dense_eigenvalues(graph: PairGraph) -> np.ndarray:

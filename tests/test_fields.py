@@ -1,4 +1,4 @@
-"""Finite-field arithmetic backing the norm-preimage constructor."""
+"""Finite-field arithmetic backing the norm-preimage constructor: the vectorised norms against scalar arithmetic."""
 
 import random
 
@@ -7,10 +7,12 @@ import pytest
 from pairgraph.errors import ValidationError
 from pairgraph.fields import PrimePowerField, is_prime, reducing_polynomial
 
+from helpers import ScalarField
+
 
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 4), (3, 2), (5, 2), (7, 2), (3, 3)])
 def test_field_axioms(p, k):
-    gf = PrimePowerField.create(p, k)
+    gf = ScalarField(p, k)
     rng = random.Random(p * 100 + k)
     elems = [rng.randrange(gf.order) for _ in range(12)]
     for a in elems:
@@ -29,13 +31,13 @@ def test_field_axioms(p, k):
 
 
 def test_multiplicative_group_is_cyclic_of_right_order():
-    gf = PrimePowerField.create(7, 2)
+    gf = ScalarField(7, 2)
     for a in range(1, gf.order):
         assert gf.pow(a, gf.order - 1) == 1
 
 
 def test_norm_is_multiplicative_and_surjective():
-    gf = PrimePowerField.create(7, 2)
+    gf = ScalarField(7, 2)
     rng = random.Random(1)
     for _ in range(50):
         a, b = rng.randrange(1, 49), rng.randrange(1, 49)
@@ -49,7 +51,7 @@ def test_norm_is_multiplicative_and_surjective():
 
 def test_norm_restricted_to_prime_field():
     # on the prime field the norm is x^(k-fold product of conjugates) = x^... = x * x^p = x^2 for k=2
-    gf = PrimePowerField.create(7, 2)
+    gf = ScalarField(7, 2)
     for x in range(7):
         assert gf.norm(x) == (x * x) % 7
 
@@ -65,7 +67,7 @@ def test_reducing_polynomial_is_irreducible():
 
 
 def test_degree_one_field():
-    gf = PrimePowerField.create(7, 1)
+    gf = ScalarField(7, 1)
     assert gf.order == 7
     assert gf.mul(3, 5) == 1
     assert gf.norm(5) == 5
@@ -80,3 +82,13 @@ def test_create_rejects_bad_parameters():
         PrimePowerField.create(6, 2)
     with pytest.raises(ValidationError):
         PrimePowerField.create(7, 0)
+
+
+@pytest.mark.parametrize("p,k", [(2, 1), (2, 4), (3, 3), (5, 2), (7, 2), (13, 3), (7, 4), (2, 12)])
+def test_vectorised_norms_match_scalar_norm(p, k):
+    gf = ScalarField(p, k)
+    norms = gf.field.norms()
+    assert norms.shape == (gf.order,)
+    rng = random.Random(p * 100 + k)
+    xs = range(gf.order) if gf.order <= 200 else [0, 1, *rng.sample(range(2, gf.order), 60)]
+    assert [int(norms[x]) for x in xs] == [gf.norm(x) for x in xs]

@@ -26,8 +26,14 @@ from helpers import (
     subgroup_pool,
 )
 
-ALL_PAIRS = ["symmetric:4", "symmetric:5", "alternating:5", "gl2:3", "gl2:5", "sl2:5", "field_additive:2,4"]
-SAMPLED = ["symmetric:7", "alternating:7", "gl2:11", "sl2:13", "field_additive:2,12"]
+ALL_PAIRS = [
+    "symmetric:4", "symmetric:5", "alternating:5", "gl2:3", "gl2:5", "sl2:5", "field_additive:2,4",
+    "cyclic:1", "cyclic:2", "cyclic:60", '{"kind": "product", "params": ["cyclic:3", "dihedral:4"]}',
+]
+SAMPLED = [
+    "symmetric:7", "alternating:7", "gl2:11", "sl2:13", "field_additive:2,12",
+    "cyclic:12000", '{"kind": "product", "params": ["gl2:3", "cyclic:100"]}',
+]
 TABLES = ["symmetric:6", "gl2:5", "field_additive:2,6"]
 
 

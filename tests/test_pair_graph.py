@@ -19,16 +19,19 @@ from pairgraph.graphs import (
     isolated_vertices,
     regularity_check,
 )
+from pairgraph.descriptors import builtin_subgroup
 from pairgraph.groups import (
+    ORDER_CAP,
     make_cyclic,
     make_symmetric,
     perm_index,
     subgroup_from_elements,
+    subgroup_generated,
     validate_generating_set,
 )
 from pairgraph.structure import connected_components, is_bipartite
 
-from helpers import index_two_pool, instance_corpus, left_translation_matrix
+from helpers import index_two_pool, instance_corpus, left_translation_matrix, reference_csr, subgroup_pool
 
 
 @pytest.fixture(scope="module")
@@ -278,6 +281,35 @@ def test_edges_match_upper_triangle_listing():
         expected = list(zip(us.tolist(), vs.tolist()))
         assert graph.edges() == expected
         assert json.dumps(graph_to_json(graph)["edges"]) == json.dumps([[u, v] for u, v in expected])
+
+
+def test_build_matches_sort_and_dedupe_reference():
+    # keys u*m + v of the largest group stay below 2^31, so int32 keys never overflow
+    assert ORDER_CAP**2 < 2**31
+    rng = random.Random(29)
+    s6 = make_symmetric(6)
+    large = [
+        builtin_subgroup(s6, "alternating_in_symmetric"),
+        subgroup_generated(make_cyclic(12000), [2]),  # no table: the kernel multiplies
+    ]
+    gens = instance_corpus(200, seed=29)
+    for sub in subgroup_pool() + tuple(large):
+        group, outside = sub.parent, list(sub.outside())
+        inside = set(rng.sample([x for x in sub.elements if x != group.identity], min(3, sub.order - 1)))
+        inside |= {group.inv(x) for x in inside}
+        outside = rng.sample(outside, min(len(outside), 340 if sub in large else 4))
+        for s in ([], inside, outside, [*inside, *outside]):
+            gens.append(validate_generating_set(sub, s))
+    kinds = set()
+    for gen in gens:
+        graph = build_pair_graph(gen.subgroup, gen)
+        indptr, indices, degrees = reference_csr(gen)
+        assert graph.indices.dtype == np.int32
+        assert np.array_equal(graph.indptr, indptr)
+        assert np.array_equal(graph.indices, indices)
+        assert np.array_equal(graph.degrees, degrees)
+        kinds.add((bool(gen.inside), bool(gen.outside)))
+    assert len(kinds) == 4
 
 
 def test_storage_is_linear_in_edges():

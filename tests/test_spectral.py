@@ -6,6 +6,7 @@ import random
 import numpy as np
 import pytest
 
+from pairgraph import graphs, spectral
 from pairgraph.descriptors import builtin_subgroup
 from pairgraph.errors import NotConnected, NotRegular, SizeCapExceeded, ValidationError
 from pairgraph.graphs import build_pair_graph
@@ -62,6 +63,7 @@ def test_spectrum_basic_invariants():
         assert sum(c for _, c in spec.clusters) == graph.order
         assert abs(spec.eigenvalues.sum()) <= graph.order * 1e-9  # trace 0
         assert abs((spec.eigenvalues**2).sum() - graph.degrees.sum()) <= graph.order * 1e-8
+        assert spec.scale == max(1, graph.degrees.max())
 
 
 def test_edgeless_spectrum():
@@ -378,6 +380,31 @@ def test_spectral_symmetry_z20(z20_evens):
     assert report.max_interior_gap <= 1e-6
     assert report.first_spectrum.eigenvalues[0] == pytest.approx(3.0, abs=1e-9)
     assert report.second_spectrum.eigenvalues[0] == pytest.approx(7.0, abs=1e-9)
+
+
+def test_complementary_spectra_build_no_graph(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pair graph was built")
+
+    rng = random.Random(37)
+    splits = []
+    for sub in index_two_pool():
+        outside = list(sub.outside())
+        first = set(rng.sample(outside, rng.randint(1, len(outside) - 1)))
+        splits.append((sub, first, set(outside) - first))
+    monkeypatch.setattr(graphs, "build_pair_graph", refuse)
+    monkeypatch.setattr(spectral, "build_pair_graph", refuse)
+    reports = [compare_complementary_spectra(*split) for split in splits]
+    monkeypatch.undo()
+    # the spectra read off (G, H, S) are those of the built graphs, bit for bit
+    for (sub, first, second), report in zip(splits, reports):
+        assert report.ok
+        for s, spectrum in ((first, report.first_spectrum), (second, report.second_spectrum)):
+            graph = build_pair_graph(sub, s)
+            built = compute_spectrum(graph)
+            assert spectrum.eigenvalues.tobytes() == built.eigenvalues.tobytes()
+            assert spectrum.clusters == built.clusters
+            assert spectrum.scale == graph.degrees.max() == len(s)
 
 
 def test_spectral_symmetry_preconditions(z20_evens):
