@@ -73,7 +73,6 @@ from .structure import (
     identity_component_by_closure,
     is_bipartite,
     is_connected,
-    reachable_subgroup,
     sign_homomorphism_exists,
     translate_component,
 )

@@ -24,9 +24,8 @@ from .errors import (
     SizeCapExceeded,
     ValidationError,
 )
-from .graphs import build_pair_graph
 from .groups import FiniteGroup, Subgroup, _element_orders, generated_elements, validate_generating_set
-from .spectral import is_ramanujan, ramanujan_size_bound
+from .spectral import _certify, ramanujan_size_bound
 from .structure import is_connected
 
 AUTOMORPHISM_ORDER_CAP = 120
@@ -60,22 +59,11 @@ def verify_automorphism(group: FiniteGroup, psi: Sequence[int]) -> None:
         raise NotAnAutomorphism("map is not a permutation of the elements")
     if psi[group.identity] != group.identity:
         raise NotAnAutomorphism("map does not fix the identity")
-    for h, broken in _product_breaks(group, np.array([psi]), np.arange(m), _generator_chain(group)):
+    psi, idx = np.asarray(psi), np.arange(m)
+    for h in _generator_chain(group):
+        broken = psi[group.product(idx, h)] != group.product(psi, psi[h])
         if broken.any():
             raise NotAnAutomorphism(f"map breaks the product of {np.argmax(broken)} and {h}")
-
-
-def _product_breaks(group: FiniteGroup, maps: np.ndarray, u: np.ndarray, gens: Sequence[int]):
-    """For each generator h, the mask of phi(x*h) != phi(x)*phi(h) over x in u, one row per map phi.
-
-    When u lists U = <gens>, a map with phi(e) = e and no break is a
-    homomorphism on U, exactly: the y in U with phi(x*y) = phi(x)*phi(y) for
-    every x in U hold the generators and are closed under products.
-    """
-    targets = group.product(u[:, None], np.array(gens, dtype=np.int64))
-    images = maps[:, u]
-    for j, h in enumerate(gens):
-        yield h, maps[:, targets[:, j]] != group.product(images, maps[:, h : h + 1])
 
 
 def apply_automorphism(group: FiniteGroup, psi: Sequence[int], s_elements: Iterable[int]) -> tuple[int, ...]:
@@ -122,9 +110,16 @@ def automorphism_group(group: FiniteGroup) -> list[tuple[int, ...]]:
     generator of ``_generator_chain`` (an element of its order and
     conjugacy-class size), evaluates the maps on U, the span of the
     generators so far, one word level at a time, and keeps those that are
-    homomorphisms on U (``_product_breaks``) sending only the identity to the
-    identity.  A depth that would hold more than ``AUTOMORPHISM_BATCH_CAP``
-    map entries raises.
+    homomorphisms on U sending only the identity to the identity.  A depth
+    that would hold more than ``AUTOMORPHISM_BATCH_CAP`` map entries raises.
+    The search multiplies by gathers from one m x m array of all products,
+    at most 14 400 entries under the order cap.
+
+    A map with phi(e) = e is a homomorphism on U exactly when
+    phi(x*h) = phi(x)*phi(h) for every x in U and each generator h: the y in
+    U with phi(x*y) = phi(x)*phi(y) for every x hold the generators and are
+    closed under products.  Each generator's check runs on the maps that
+    passed the checks before it.
     """
     m = group.order
     if m > AUTOMORPHISM_ORDER_CAP:
@@ -132,9 +127,18 @@ def automorphism_group(group: FiniteGroup) -> list[tuple[int, ...]]:
             f"automorphism enumeration is capped at order {AUTOMORPHISM_ORDER_CAP}"
         )
     idx = np.arange(m)
+    products = group.product(idx[:, None], idx).ravel()
+
+    def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return products[a * m + b]
+
+    # the same group with ``product`` as its kernel; the map arrays call ``product``
+    # itself, which ``FiniteGroup.product`` would split into blocks
+    group = FiniteGroup(name=group.name, order=m, make_labels=group._make_labels, identity=group.identity,
+                        inverse=group.inverses, kernel=product)
     orders = _element_orders(group, idx, m)
     # column x holds g*x*g^-1 for every g: its distinct values are x's class
-    conjugates = np.sort(group.product(group.product(idx[:, None], idx), group.inverses[:, None]), axis=0)
+    conjugates = np.sort(product(product(idx[:, None], idx), group.inverses[:, None]), axis=0)
     class_sizes = 1 + np.count_nonzero(np.diff(conjugates, axis=0), axis=0)
     gens = _generator_chain(group)
     maps = np.full((1, m), group.identity, dtype=np.int32)
@@ -146,13 +150,13 @@ def automorphism_group(group: FiniteGroup) -> list[tuple[int, ...]]:
         maps[:, g] = np.tile(images, len(maps) // len(images))
         u = [np.array([group.identity])]
         for reached, parents, steps in _word_levels(group, gens[: depth + 1]):
-            maps[:, reached] = group.product(maps[:, parents], maps[:, steps])
+            maps[:, reached] = product(maps[:, parents], maps[:, steps])
             u.append(reached)
         u = np.concatenate(u)
-        keep = (maps[:, u[1:]] != group.identity).all(axis=1)
-        for _, broken in _product_breaks(group, maps, u, gens[: depth + 1]):
-            keep &= ~broken.any(axis=1)
-        maps = maps[keep]
+        maps = maps[(maps[:, u[1:]] != group.identity).all(axis=1)]
+        targets = product(u[:, None], np.array(gens[: depth + 1]))
+        for j, h in enumerate(gens[: depth + 1]):
+            maps = maps[(maps[:, targets[:, j]] == product(maps[:, u], maps[:, h : h + 1])).all(axis=1)]
     return sorted(map(tuple, maps.tolist()))
 
 
@@ -278,8 +282,7 @@ def search_ramanujan(config: SearchConfig) -> list[SearchResult]:
         verdict: Optional[bool] = None
         worst: Optional[float] = None
         if connected and config.certify:
-            graph = build_pair_graph(subgroup, gen)
-            report = is_ramanujan(graph, tolerance=config.tolerance)
+            report = _certify(gen, None, config.tolerance)
             verdict = report.ramanujan
             worst = report.worst_nontrivial
             if bound.satisfied and not verdict:  # pragma: no cover - the bound is sufficient

@@ -156,9 +156,8 @@ class RegularityReport:
 def regularity_check(graph: PairGraph) -> RegularityReport:
     """Whether all degrees are equal, cross-checked against the structural criterion.
 
-    A nontrivial pair graph is regular exactly when the generating set avoids
-    the subgroup and the subgroup has index 2, or the subgroup is the whole
-    group.
+    The criterion is ``GeneratingSet.regular``: a nontrivial pair graph is
+    regular exactly when the set avoids an index-2 subgroup, or H = G.
     """
     degrees = graph.degrees
     regular = bool(degrees.min() == degrees.max())
@@ -166,7 +165,7 @@ def regularity_check(graph: PairGraph) -> RegularityReport:
     gen = graph.gen
     if gen.size == 0:
         return RegularityReport(regular, degree, None, "trivial graph (empty generating set)")
-    criterion = (len(gen.inside) == 0 and graph.subgroup.index == 2) or graph.subgroup.index == 1
+    criterion = gen.regular
     if criterion == regular:
         reason = f"criterion agrees: inside={len(gen.inside)}, index={graph.subgroup.index}"
     else:  # pragma: no cover - the criterion is exact, disagreement means a bug

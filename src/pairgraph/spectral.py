@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional
 
 import numpy as np
@@ -42,7 +43,7 @@ from .errors import (
 # build_pair_graph stays importable here: perfbench/test_perfbench.py reaches it through this namespace
 from .graphs import PairGraph, build_pair_graph  # noqa: F401
 from .groups import GeneratingSet, Subgroup, validate_generating_set
-from .structure import connected_components, reachable_subgroup
+from .structure import is_connected
 
 SPECTRUM_ORDER_CAP = 3000
 DEFAULT_TOLERANCE = 1e-8
@@ -50,12 +51,15 @@ DEFAULT_TOLERANCE = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """All eigenvalues (descending) with (value, multiplicity) clusters."""
+    """All eigenvalues (descending), clustered into (value, multiplicity) pairs on first read."""
 
     eigenvalues: np.ndarray
-    clusters: tuple[tuple[float, int], ...]
     tolerance: float
     scale: float
+
+    @cached_property
+    def clusters(self) -> tuple[tuple[float, int], ...]:
+        return _cluster(self.eigenvalues, self.cluster_gap)
 
     @property
     def order(self) -> int:
@@ -109,12 +113,7 @@ def _spectrum(gen: GeneratingSet, tolerance: float = DEFAULT_TOLERANCE) -> Spect
     values = np.sort(np.concatenate([values, np.zeros(m - len(values))]))[::-1].copy()
     # the maximum degree: each vertex of H has |S| neighbours, a vertex x outside only |S ∩ Hx|
     scale = float(max(1, gen.size))
-    return Spectrum(
-        eigenvalues=values,
-        clusters=_cluster(values, 10.0 * tolerance * scale),
-        tolerance=tolerance,
-        scale=scale,
-    )
+    return Spectrum(eigenvalues=values, tolerance=tolerance, scale=scale)
 
 
 def _character_values(gen: GeneratingSet) -> np.ndarray:
@@ -205,8 +204,7 @@ def largest_eigenvalue_multiplicity(gen: GeneratingSet) -> int:
     """Multiplicity of the largest eigenvalue: the index of the reachable subgroup in H."""
     if gen.size == 0 or not gen.outside:
         raise ValidationError("requires a generating set with elements outside the subgroup")
-    u = reachable_subgroup(gen)
-    return gen.subgroup.order // u.order
+    return gen.subgroup.order // len(gen.reachable)
 
 
 def zero_multiplicity_lower_bound(gen: GeneratingSet) -> int:
@@ -233,17 +231,23 @@ def is_ramanujan(
 
     Every eigenvalue other than +/- the degree must satisfy
     |mu| <= 2*sqrt(degree - 1), tested with an absolute slack of
-    tolerance * max(1, degree) so boundary cases do not flap.
+    tolerance * max(1, degree) so boundary cases do not flap.  Regularity,
+    the degree |S| and connectivity are read off (G, H, S), by
+    ``GeneratingSet.regular`` and ``is_connected``, not off the graph.
     """
+    return _certify(graph.gen, spectrum, tolerance)
+
+
+def _certify(gen: GeneratingSet, spectrum: Optional[Spectrum], tolerance: float) -> RamanujanReport:
+    """``is_ramanujan`` on the pair graph of ``gen``, without building it."""
     _check_tolerance(tolerance)
-    degrees = graph.degrees
-    if degrees.min() != degrees.max():
+    if not gen.regular:
         raise NotRegular("graph is not regular")
-    k = int(degrees[0])
-    if connected_components(graph).count != 1:
+    k = gen.size
+    if not is_connected(gen).connected:
         raise NotConnected("graph is not connected")
     if spectrum is None:
-        spectrum = compute_spectrum(graph, tolerance)
+        spectrum = _spectrum(gen, tolerance)
     eps = tolerance * max(1.0, float(k))
     values = spectrum.eigenvalues
     if abs(values[0] - k) > 1e-6:  # pragma: no cover - Perron value must be the degree

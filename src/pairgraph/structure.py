@@ -18,13 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphs import PairGraph
-from .groups import (
-    FiniteGroup,
-    GeneratingSet,
-    Subgroup,
-    _sorted_unique,
-    generated_elements,
-)
+from .groups import FiniteGroup, GeneratingSet, _sorted_unique, generated_elements
 
 
 @dataclass(frozen=True)
@@ -74,15 +68,6 @@ def connected_components(graph: PairGraph) -> ComponentDecomposition:
     )
 
 
-def reachable_subgroup(gen: GeneratingSet) -> Subgroup:
-    """The subgroup U of H generated by H ∩ (inside ∪ outside·outside^-1).
-
-    Computed once per generating set and kept on it, so the closed-form count
-    and the connectivity test share one closure.
-    """
-    return gen.reachable
-
-
 @dataclass(frozen=True)
 class ComponentCountBreakdown:
     """The three terms of the closed component-count formula and their total."""
@@ -97,9 +82,8 @@ class ComponentCountBreakdown:
 
 
 def component_count_by_formula(gen: GeneratingSet) -> ComponentCountBreakdown:
-    u = reachable_subgroup(gen)
     return ComponentCountBreakdown(
-        subgroup_index_term=gen.subgroup.order // u.order,
+        subgroup_index_term=gen.subgroup.order // len(gen.reachable),
         outside_term=gen.group.order - gen.subgroup.order,
         covered_term=gen.covered_vertex_count(),
     )
@@ -120,20 +104,20 @@ def is_connected(gen: GeneratingSet) -> ConnectivityReport:
     Connected exactly when the reachable subgroup is all of H and the outside
     part meets every nontrivial coset.
     """
-    u = reachable_subgroup(gen)
-    closure_ok = u.order == gen.subgroup.order
+    u_order = len(gen.reachable)
+    closure_ok = u_order == gen.subgroup.order
     covered = set(gen.covered_cosets())
     uncovered = tuple(i for i in range(1, gen.subgroup.index) if i not in covered)
     connected = closure_ok and not uncovered
     witness = None
     if not closure_ok:
-        witness = f"reachable subgroup has order {u.order} < {gen.subgroup.order}"
+        witness = f"reachable subgroup has order {u_order} < {gen.subgroup.order}"
     elif uncovered:
         witness = f"cosets {list(uncovered)} contain no generating element"
     return ConnectivityReport(
         connected=connected,
         closure_generates=closure_ok,
-        closure_order=u.order,
+        closure_order=u_order,
         uncovered_cosets=uncovered,
         witness=witness,
     )
@@ -141,7 +125,7 @@ def is_connected(gen: GeneratingSet) -> ConnectivityReport:
 
 def identity_component_by_closure(gen: GeneratingSet) -> tuple[int, ...]:
     """Vertices of the identity's component: U together with its outside translates."""
-    u = np.array(reachable_subgroup(gen).elements)
+    u = np.array(gen.reachable)
     translates = gen.group.product(u[:, None], np.array(gen.outside, dtype=np.int64))
     return tuple(_sorted_unique(np.concatenate([u, translates], axis=None)).tolist())
 

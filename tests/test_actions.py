@@ -1,11 +1,13 @@
 """Set transformations, automorphism orbits, and the Ramanujan search driver."""
 
 import json
+import math
 import random
 
 import numpy as np
 import pytest
 
+from pairgraph import graphs
 from pairgraph.actions import (
     SearchConfig,
     _generator_chain,
@@ -84,19 +86,14 @@ def test_automorphism_group_brute_force_oracle():
 
     for group in (make_cyclic(6), make_cyclic(8), make_symmetric(3)):
         m = group.order
-        expected = set()
+        idx = np.arange(m)
+        products = group.product(idx[:, None], idx)
         others = [x for x in range(m) if x != group.identity]
-        for images in itertools.permutations(others):
-            psi = [0] * m
-            psi[group.identity] = group.identity
-            for x, y in zip(others, images):
-                psi[x] = y
-            if all(
-                psi[group.mul(a, b)] == group.mul(psi[a], psi[b])
-                for a in range(m)
-                for b in range(m)
-            ):
-                expected.add(tuple(psi))
+        psi = np.full((math.factorial(m - 1), m), group.identity)
+        psi[:, others] = list(itertools.permutations(others))
+        # psi(a*b) == psi(a)*psi(b) for every a, b, one row per bijection
+        homomorphic = (psi[:, products] == group.product(psi[:, :, None], psi[:, None, :])).all(axis=(1, 2))
+        expected = set(map(tuple, psi[homomorphic].tolist()))
         assert set(automorphism_group(group)) == expected
 
 
@@ -266,11 +263,17 @@ def test_isomorphism_helper_rejects_different_graphs():
     assert are_isomorphic(a, a)
 
 
-def test_search_determinism():
+def test_search_determinism(monkeypatch):
+    def refuse(*args, **kwargs):
+        raise AssertionError("a pair graph was built")
+
+    # candidates are certified from (G, H, S): no pair graph is built, by any name
+    monkeypatch.setattr(graphs, "PairGraph", refuse)
     gl3 = make_gl2(3)
     sl3 = builtin_subgroup(gl3, "sl2_in_gl2")
     config = SearchConfig(subgroup=sl3, size=17, mode="random", trials=5, seed=42)
     first = search_ramanujan(config)
+    assert any(r.connected and r.ramanujan for r in first)
     second = search_ramanujan(config)
     assert [json.dumps(r.to_json_dict(), sort_keys=True) for r in first] == [
         json.dumps(r.to_json_dict(), sort_keys=True) for r in second

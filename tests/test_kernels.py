@@ -27,14 +27,14 @@ from helpers import (
 )
 
 ALL_PAIRS = [
-    "symmetric:4", "symmetric:5", "alternating:5", "gl2:3", "gl2:5", "sl2:5", "field_additive:2,4",
-    "cyclic:1", "cyclic:2", "cyclic:60", '{"kind": "product", "params": ["cyclic:3", "dihedral:4"]}',
+    "symmetric:4", "symmetric:5", "symmetric:6", "alternating:5", "gl2:3", "gl2:5", "sl2:5",
+    "field_additive:2,4", "field_additive:2,6", "cyclic:1", "cyclic:2", "cyclic:60",
+    '{"kind": "product", "params": ["cyclic:3", "dihedral:4"]}',
 ]
 SAMPLED = [
     "symmetric:7", "alternating:7", "gl2:11", "sl2:13", "field_additive:2,12",
     "cyclic:12000", '{"kind": "product", "params": ["gl2:3", "cyclic:100"]}',
 ]
-TABLES = ["symmetric:6", "gl2:5", "field_additive:2,6"]
 
 
 def reference_table(group) -> np.ndarray:
@@ -47,9 +47,9 @@ def test_kernel_matches_reference_on_all_pairs(descriptor):
     group = group_from_descriptor(descriptor)
     idx = np.arange(group.order)
     expected = reference_table(group)
-    # the kernel itself, as one broadcast call, and the table built from it
+    # the kernel itself, as one broadcast call, and ``product`` running it in blocks
     assert np.array_equal(group._kernel(idx[:, None], idx), expected)
-    assert np.array_equal(group.table, expected)
+    assert np.array_equal(group.product(idx[:, None], idx), expected)
     assert np.array_equal(expected[idx, group.inverses], np.full(group.order, group.identity))
 
 
@@ -64,12 +64,6 @@ def test_kernel_matches_reference_on_sampled_pairs(descriptor):
     assert group.product(a, b).tolist() == expected
     assert [group.mul(x, y) for x, y in zip(a.tolist(), b.tolist())] == expected
     assert all(mul(x, group.inv(x)) == group.identity for x in a.tolist())
-
-
-@pytest.mark.parametrize("descriptor", TABLES)
-def test_table_matches_reference(descriptor):
-    group = group_from_descriptor(descriptor)
-    assert np.array_equal(group.table, reference_table(group))
 
 
 def test_construction_formats_no_label(monkeypatch):
@@ -107,7 +101,7 @@ def test_parities_match_cycle_count(n):
 
 def test_reachable_matches_all_quotients_on_corpus():
     for gen in instance_corpus(300, seed=91):
-        assert gen.reachable.elements == reference_reachable(gen)
+        assert gen.reachable == reference_reachable(gen)
 
 
 def test_reachable_matches_all_quotients_on_norm_preimages():
@@ -115,7 +109,7 @@ def test_reachable_matches_all_quotients_on_norm_preimages():
     f7 = subgroup_from_elements(f2401, range(7))
     for values in ([1], [5, 6], [0, 4]):
         gen = validate_generating_set(f7, set(field_norm_preimage(f2401, values)) - {0})
-        assert gen.reachable.elements == reference_reachable(gen)
+        assert gen.reachable == reference_reachable(gen)
 
 
 def test_generated_elements_match_breadth_first_closure():

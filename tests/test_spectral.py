@@ -8,7 +8,7 @@ import pytest
 
 from pairgraph import graphs, spectral
 from pairgraph.descriptors import builtin_subgroup
-from pairgraph.errors import NotConnected, NotRegular, SizeCapExceeded, ValidationError
+from pairgraph.errors import NotConnected, NotRegular, PairGraphError, SizeCapExceeded, ValidationError
 from pairgraph.graphs import build_pair_graph
 from pairgraph.groups import (
     field_norm_preimage,
@@ -220,7 +220,7 @@ def _crafted_spectrum(k, order, worst, with_minus_k):
     values[0], values[1] = k, worst
     if with_minus_k:
         values[-1] = -k
-    return Spectrum(np.sort(values)[::-1], (), DEFAULT_TOLERANCE, float(k))
+    return Spectrum(np.sort(values)[::-1], DEFAULT_TOLERANCE, float(k))
 
 
 def test_ramanujan_boundary_pinned(z20_evens):
@@ -362,6 +362,65 @@ def test_ramanujan_preconditions(z20_evens):
         is_ramanujan(build_pair_graph(sub, [2, 4, 5, 7, 8]))
     with pytest.raises(NotConnected):
         is_ramanujan(build_pair_graph(z20_evens, [5, 15]))  # 2-regular, 5 components
+
+
+def _graph_route(graph):
+    """The certification read off the built graph: regularity from its degrees,
+    connectivity from the least-label search, the worst value from the dense spectrum."""
+    degrees = graph.degrees
+    if degrees.min() != degrees.max():
+        raise NotRegular("graph is not regular")
+    if connected_components(graph).count != 1:
+        raise NotConnected("graph is not connected")
+    k = int(degrees[0])
+    eps = DEFAULT_TOLERANCE * max(1, k)
+    rest = dense_eigenvalues(graph)[1:]
+    if len(rest) and rest[-1] <= -k + eps:
+        rest = rest[:-1]
+    worst = float(np.abs(rest).max()) if len(rest) else 0.0
+    return k, worst <= (2.0 * math.sqrt(k - 1) if k else 0.0) + eps
+
+
+def _certified(graph):
+    report = is_ramanujan(graph)
+    return report.degree, report.ramanujan
+
+
+def _outcome(route, graph):
+    try:
+        return route(graph)
+    except PairGraphError as exc:
+        return type(exc), str(exc)
+
+
+def test_certification_matches_graph_route():
+    rng = random.Random(101)
+    gens = instance_corpus(150, seed=97)
+    gens += [random_generating_set(rng, sub, outside_only=True, min_size=1) for sub in index_two_pool() for _ in range(6)]
+    z12 = make_cyclic(12)
+    for sub, sets in [
+        (subgroup_generated(make_cyclic(1), []), [[]]),
+        (subgroup_generated(make_cyclic(2), []), [[]]),  # U = H = {0}, but the coset {1} is uncovered
+        (subgroup_generated(z12, [1]), [[], [1, 11], [3, 9], [2, 3, 9, 10]]),  # H = G
+        (subgroup_generated(z12, [4]), [[], [1, 2], [1, 5, 9]]),  # index 4
+        (subgroup_generated(make_cyclic(20), [2]), [[5, 15], [1, 3, 5, 7, 9]]),
+        # worst nontrivial 2.827 and 2.848 against the bound 2*sqrt(2) = 2.828
+        (subgroup_generated(make_cyclic(30), [2]), [[1, 3, 5]]),
+        (subgroup_generated(make_cyclic(32), [2]), [[1, 3, 5]]),
+    ]:
+        gens += [validate_generating_set(sub, s) for s in sets]
+    seen = set()
+    for gen in gens:
+        graph = build_pair_graph(gen.subgroup, gen)
+        expected = _outcome(_graph_route, graph)
+        assert _outcome(_certified, graph) == expected, gen
+        # the exception raised, else the verdict, and the kind of instance
+        seen.add(expected[0] if isinstance(expected[0], type) else expected[1])
+        index = gen.subgroup.index
+        seen.update(kind for kind, found in [
+            ("empty", not gen.size), ("whole", index == 1), ("index >= 3", index >= 3),
+        ] if found)
+    assert seen == {NotRegular, NotConnected, True, False, "empty", "whole", "index >= 3"}
 
 
 def test_tolerance_must_be_finite_and_positive(z20_evens):

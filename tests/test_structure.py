@@ -24,7 +24,6 @@ from pairgraph.structure import (
     identity_component_by_closure,
     is_bipartite,
     is_connected,
-    reachable_subgroup,
     sign_homomorphism_exists,
     translate_component,
 )
@@ -79,7 +78,7 @@ def test_connectivity_criterion(z12_sub):
     assert not report1.connected
     assert not report1.closure_generates and report1.closure_order == 2
     assert report1.uncovered_cosets == (2,)
-    assert reachable_subgroup(gen1).elements == (0, 6)
+    assert gen1.reachable == (0, 6)
     gen2 = validate_generating_set(z12_sub, [4, 5, 6, 10, 11])
     report2 = is_connected(gen2)
     assert not report2.connected
@@ -89,14 +88,14 @@ def test_connectivity_criterion(z12_sub):
 
 def test_reachable_subgroup_built_once_per_generating_set(z12_sub, monkeypatch):
     calls = []
-    closure = groups.closed_subgroup
-    monkeypatch.setattr(groups, "closed_subgroup", lambda *args: calls.append(args) or closure(*args))
+    closure = groups.generated_elements
+    monkeypatch.setattr(groups, "generated_elements", lambda *args: calls.append(args) or closure(*args))
     gen = validate_generating_set(z12_sub, [1, 7])
     component_count_by_formula(gen)
     is_connected(gen)
     identity_component_by_closure(gen)
     assert len(calls) == 1
-    assert reachable_subgroup(gen) is reachable_subgroup(gen)
+    assert gen.reachable is gen.reachable
 
 
 def test_connectivity_matches_search_on_corpus():
