@@ -27,14 +27,14 @@ from helpers import (
 )
 
 ALL_PAIRS = [
-    "symmetric:4", "symmetric:5", "symmetric:6", "alternating:5", "gl2:3", "gl2:5", "sl2:5",
-    "field_additive:2,4", "field_additive:2,6", "cyclic:1", "cyclic:2", "cyclic:60",
-    '{"kind": "product", "params": ["cyclic:3", "dihedral:4"]}',
+    "symmetric:4", "symmetric:5", "alternating:5", "gl2:3", "gl2:5", "sl2:5", "field_additive:2,4",
+    "cyclic:1", "cyclic:2", "cyclic:60", '{"kind": "product", "params": ["cyclic:3", "dihedral:4"]}',
 ]
 SAMPLED = [
     "symmetric:7", "alternating:7", "gl2:11", "sl2:13", "field_additive:2,12",
     "cyclic:12000", '{"kind": "product", "params": ["gl2:3", "cyclic:100"]}',
 ]
+TABLES = ["symmetric:6", "gl2:5", "field_additive:2,6"]
 
 
 def reference_table(group) -> np.ndarray:
@@ -64,6 +64,14 @@ def test_kernel_matches_reference_on_sampled_pairs(descriptor):
     assert group.product(a, b).tolist() == expected
     assert [group.mul(x, y) for x, y in zip(a.tolist(), b.tolist())] == expected
     assert all(mul(x, group.inv(x)) == group.identity for x in a.tolist())
+
+
+@pytest.mark.parametrize("descriptor", TABLES)
+def test_table_matches_reference(descriptor):
+    # the whole multiplication table, as ``product`` builds it block by block
+    group = group_from_descriptor(descriptor)
+    idx = np.arange(group.order)
+    assert np.array_equal(group.product(idx[:, None], idx), reference_table(group))
 
 
 def test_construction_formats_no_label(monkeypatch):
