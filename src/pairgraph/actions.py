@@ -136,7 +136,7 @@ def automorphism_group(group: FiniteGroup) -> list[tuple[int, ...]]:
     # itself, which ``FiniteGroup.product`` would split into blocks
     group = FiniteGroup(name=group.name, order=m, make_labels=group._make_labels, identity=group.identity,
                         inverse=group.inverses, kernel=product)
-    orders = _element_orders(group, idx, m)
+    orders, _ = _element_orders(group, idx, m)
     # column x holds g*x*g^-1 for every g: its distinct values are x's class
     conjugates = np.sort(product(product(idx[:, None], idx), group.inverses[:, None]), axis=0)
     class_sizes = 1 + np.count_nonzero(np.diff(conjugates, axis=0), axis=0)

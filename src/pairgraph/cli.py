@@ -26,12 +26,12 @@ from .graphs import (
     isolated_vertices,
     regularity_check,
 )
-from .groups import FiniteGroup, Subgroup, validate_generating_set
+from .groups import FiniteGroup, GeneratingSet, Subgroup, validate_generating_set
 from .reference_cases import run_all
 from .spectral import (
     DEFAULT_TOLERANCE,
-    compute_spectrum,
-    is_ramanujan,
+    _certify,
+    _spectrum,
     ramanujan_size_bound,
     trivial_eigenvalues,
     zero_multiplicity_lower_bound,
@@ -104,12 +104,17 @@ def _emit(text: str, out: Optional[str]) -> None:
         sys.stdout.write(text)
 
 
-def _build_graph(args) -> PairGraph:
+def _resolve_gen(args) -> GeneratingSet:
     _, subgroup, s = _resolve_instance(args)
     gen = validate_generating_set(subgroup, s)
     if not gen.elements:
         print("warning: empty generating set, the graph has no edges", file=sys.stderr)
-    return build_pair_graph(subgroup, gen)
+    return gen
+
+
+def _build_graph(args) -> PairGraph:
+    gen = _resolve_gen(args)
+    return build_pair_graph(gen.subgroup, gen)
 
 
 def cmd_build(args) -> int:
@@ -161,8 +166,8 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_spectrum(args) -> int:
-    graph = _build_graph(args)
-    spectrum = compute_spectrum(graph, args.tolerance)
+    gen = _resolve_gen(args)
+    spectrum = _spectrum(gen, args.tolerance)
     if args.format == "csv":
         rows = ["value,multiplicity"]
         rows += [f"{value:.12g},{count}" for value, count in spectrum.clusters]
@@ -172,11 +177,11 @@ def cmd_spectrum(args) -> int:
             "clusters": [[value, count] for value, count in spectrum.clusters],
             "tolerance": spectrum.tolerance,
         }
-        if graph.gen.elements:
-            te = trivial_eigenvalues(graph.gen)
+        if gen.elements:
+            te = trivial_eigenvalues(gen)
             payload["trivial_upper"] = te.upper
             payload["trivial_lower"] = te.lower
-            payload["zero_multiplicity_lower_bound"] = zero_multiplicity_lower_bound(graph.gen)
+            payload["zero_multiplicity_lower_bound"] = zero_multiplicity_lower_bound(gen)
         text = json.dumps(payload, sort_keys=True) + "\n"
     else:
         lines = [f"{value:>14.8f}  x{count}" for value, count in spectrum.clusters]
@@ -186,8 +191,8 @@ def cmd_spectrum(args) -> int:
 
 
 def cmd_ramanujan(args) -> int:
-    graph = _build_graph(args)
-    report = is_ramanujan(graph, tolerance=args.tolerance)
+    gen = _resolve_gen(args)
+    report = _certify(gen, None, args.tolerance)
     payload = {
         "ramanujan": report.ramanujan,
         "degree": report.degree,
@@ -195,8 +200,8 @@ def cmd_ramanujan(args) -> int:
         "bound": report.bound,
         "margin": report.margin,
     }
-    if graph.subgroup.index == 2 and not graph.gen.inside:
-        size_bound = ramanujan_size_bound(graph.gen)
+    if gen.subgroup.index == 2 and not gen.inside:
+        size_bound = ramanujan_size_bound(gen)
         payload["size_bound"] = size_bound.bound
         payload["size_bound_satisfied"] = size_bound.satisfied
     if args.format == "json":

@@ -448,13 +448,15 @@ def field_norm_preimage(group: FiniteGroup, values: Iterable[int]) -> tuple[int,
 
 
 @dataclass(frozen=True, eq=False)
-class CyclicOrbits:
-    """A cyclic K = <k> <= H listed as k^0, ..., k^(n-1), and its orbits K*t on the parent.
+class AbelianOrbits:
+    """An abelian K = <k_1> x ... x <k_d> <= H and its orbits K*t on the parent.
 
-    Orbit ``orbit_of[x]`` is the right coset K*x; ``reps`` holds each orbit's
-    least element t, the orbits inside H first, then the rest, each part by
-    ascending t, with ``inside`` the number of orbits in H; and
-    ``exponent[x]`` is the l with x = k^l * t.
+    ``listing`` has shape (n_1, ..., n_d), n_i the order of k_i, and holds
+    k_1^l_1 * ... * k_d^l_d at [l_1, ..., l_d]; the basis k_i sits at the unit
+    vectors.  Orbit ``orbit_of[x]`` is the right coset K*x; ``reps`` holds
+    each orbit's least element t, the orbits inside H first, then the rest,
+    each part by ascending t, with ``inside`` the number of orbits in H; and
+    ``exponent[x]`` is the flat index of k^l in ``listing``, where x = k^l * t.
     """
 
     listing: np.ndarray
@@ -494,20 +496,15 @@ class Subgroup:
         return tuple(x for x in range(self.parent.order) if self.coset_of[x] != 0)
 
     @cached_property
-    def cyclic_orbits(self) -> CyclicOrbits:
-        """The right cosets K*x of K = <k> in the parent, k an element of largest order in H.
+    def abelian_orbits(self) -> AbelianOrbits:
+        """The right cosets K*x in the parent of the abelian K <= H that ``_abelian_subgroup`` chooses.
 
-        Ties go to the least index, so K = H, listed from its least generator,
-        exactly when H is cyclic.  The powers of k follow by doubling.
+        Chosen on first read, which the first spectrum of a pair graph on H makes.
         """
         group, n = self.parent, self.order
-        h = np.array(self.elements)
-        order = _element_orders(group, h, n)
-        k, listing = h[order.argmax()], np.array([group.identity])
-        while len(listing) < order.max():
-            listing = np.concatenate([listing, group.product(listing, group.product(listing[-1], k))])
-        listing = listing[: order.max()]
-        cosets = self if len(listing) == n else closed_subgroup(group, listing)
+        listing = _abelian_subgroup(group, np.array(self.elements))
+        flat = listing.ravel()
+        cosets = self if flat.size == n else closed_subgroup(group, flat)
         coset_of, reps = np.array(cosets.coset_of), np.array(cosets.coset_reps)
         # renumber the orbits by (outside H, least element): those in H come first
         outside = np.array(self.coset_of)[reps] != 0
@@ -515,8 +512,8 @@ class Subgroup:
         renumber = np.empty(len(reps), dtype=np.int64)
         renumber[old] = np.arange(len(reps))
         power = np.empty(group.order, dtype=np.int64)
-        power[listing] = np.arange(len(listing))
-        orbits = CyclicOrbits(
+        power[flat] = np.arange(flat.size)
+        orbits = AbelianOrbits(
             listing=listing,
             orbit_of=renumber[coset_of],
             exponent=power[group.product(np.arange(group.order), group.inverses[reps[coset_of]])],
@@ -531,23 +528,90 @@ class Subgroup:
         return f"Subgroup(order={self.order}, index={self.index} in {self.parent.name})"
 
 
-def _element_orders(group: FiniteGroup, x: np.ndarray, n: int) -> np.ndarray:
-    """The order of every entry of x, given that each order divides n.
+def _abelian_subgroup(group: FiniteGroup, h: np.ndarray) -> np.ndarray:
+    """An abelian K = <k_1> x ... x <k_d> <= H, listed as in ``AbelianOrbits.listing``.
+
+    K grows from each of several starts: k, an element of largest order in
+    H, least index on ties, then the least element of each prime order.  Each
+    step adjoins the element g of largest order, least index on ties, that
+    commutes with K and whose cyclic group meets K only in e, found by g's
+    elements of prime order lying outside K; so K<g> = K x <g>.  The largest
+    K wins, ties going to the earliest start, so K = <k> unless a larger K
+    is found, and K = H when H is cyclic.  For abelian H the first start
+    already gives K = H: <k> is a direct factor of H, and when K is one, with
+    H = K x C, the image of g in H/K ~ C has g's order, the largest in C, so
+    it spans a direct factor of C and K x <g> is a direct factor of H too.
+    This is the basis by lifting from the quotient of Buchmann and Schmidt,
+    "Computing the structure of a finite abelian group", Math. Comp. 74
+    (2005), each p-part at once.
+    """
+    n = len(h)
+    order, low = _element_orders(group, h, n)
+    first = int(order.argmax())
+    if order[first] == n:
+        return _powers(group, h[first], n)
+    # largest order first, least index on ties; the identity, last, never qualifies
+    by_order = np.argsort(-order, kind="stable")[:-1]
+    h, order, low = h[by_order], order[by_order], np.array(list(low.values()))[:, by_order]
+    # k, then the least element of each prime order p | n, which exists for every such p
+    primes = [p for p in np.unique(order).tolist() if is_prime(p)]
+    starts = np.array(list(dict.fromkeys([0, *(int(np.argmax(order == p)) for p in primes)])))
+    # a start's centralizer bounds every K through it, so the starts go by
+    # descending centralizer and one that can at best lose or tie later is skipped
+    commuting = group.product(h[:, None], h[starts]) == group.product(h[starts], h[:, None])
+    ranked = [(-np.count_nonzero(commuting[:, rank]), rank, start) for rank, start in enumerate(starts)]
+    best, best_rank = None, None
+    for bound, rank, start in sorted(ranked):
+        if best is not None and (1 - bound, -rank) <= (best.size, -best_rank):
+            continue
+        free = np.flatnonzero(commuting[:, rank])
+        listing = _powers(group, h[start], order[start])
+        while True:
+            in_k = np.zeros(group.order, dtype=bool)
+            in_k[listing] = True
+            in_k[group.identity] = False  # where p does not divide the order, low holds e
+            # an element meeting K in more than e meets every larger K so too
+            free = free[~in_k[low[:, free]].any(axis=0)]
+            if not free.size:
+                break
+            g = h[free[0]]
+            listing = group.product(listing[..., None], _powers(group, g, order[free[0]]))
+            free = free[group.product(h[free], g) == group.product(g, h[free])]
+        if best is None or (listing.size, -rank) > (best.size, -best_rank):
+            best, best_rank = listing, rank
+    return best
+
+
+def _powers(group: FiniteGroup, k: int, n: int) -> np.ndarray:
+    """k^0, ..., k^(n-1) for k of order n, by doubling."""
+    listing = np.array([group.identity])
+    while len(listing) < n:
+        listing = np.concatenate([listing, group.product(listing, group.product(listing[-1], k))])
+    return listing[:n]
+
+
+def _element_orders(group: FiniteGroup, x: np.ndarray, n: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
+    """The order of every entry of x, given that each order divides n, and its elements of prime order.
 
     For each prime power p^a exactly dividing n, x^(n / p^a) has order the
     p-part of x's order, found by raising it to the p-th power until it is
-    the identity, for all of x at once.
+    the identity, for all of x at once; the last power before the identity
+    is ``low[p]``, an element of order p in <x>, or e where p does not divide
+    x's order.
     """
     order = np.ones(np.shape(x), dtype=np.int64)
+    low = {}
     for p in (p for p in range(2, n + 1) if n % p == 0 and is_prime(p)):
         part = p
         while n % (part * p) == 0:
             part *= p
         y = _power(group, x, n // part)
-        while (y != group.identity).any():
-            order[y != group.identity] *= p
+        low[p] = np.full(np.shape(x), group.identity)
+        while (moved := y != group.identity).any():
+            order[moved] *= p
+            low[p][moved] = y[moved]
             y = _power(group, y, p)
-    return order
+    return order, low
 
 
 def _power(group: FiniteGroup, x: np.ndarray, e: int) -> np.ndarray:
@@ -590,7 +654,7 @@ def subgroup_from_elements(group: FiniteGroup, elems: Iterable[int]) -> Subgroup
 def closed_subgroup(group: FiniteGroup, elems: Iterable[int]) -> Subgroup:
     """The right-coset decomposition by a set closed by construction, without the closure check.
 
-    For generated sets and cyclic listings; an explicit element list goes
+    For generated sets and the listings of an abelian K; an explicit element list goes
     through ``subgroup_from_elements``, which checks it first.
     """
     h = _sorted_unique(np.fromiter(elems, dtype=np.int64))

@@ -3,20 +3,22 @@
 With H listed first the adjacency is [[C, B], [B^T, 0]] (C inside H, B the
 |H| x |G - H| cross block), so at most 2|H| eigenvalues are nonzero; zeros
 fill the rest.  Every block is invariant under left multiplication by H, so
-the characters of a cyclic K = <k> <= H split the solve into one block per
-character, K generated by an element of largest order in H
-(``Subgroup.cyclic_orbits``).  The blocks come from the products t*S of
-the K-orbit representatives t in H, so the spectrum is read off (G, H, S)
-without a built graph.  Each block [[C_j, B_j], [B_j^*, 0]] has one row per
-K-orbit in H and one column per K-orbit that S meets; its nonzero values are
+the characters of an abelian K = <k_1> x ... x <k_d> <= H split the solve
+into one block per character (``Subgroup.abelian_orbits``).  K is grown
+greedily from an element of largest order in H and from the least element
+of each prime order, the largest K kept: C3 x C3 in A6, V4 in A4, and K = H
+for every abelian H.  The blocks come from the products t*S of the K-orbit
+representatives t in H, so the spectrum is read off (G, H, S) without a
+built graph.  Each block [[C_j, B_j], [B_j^*, 0]] has one row per K-orbit in
+H and one column per K-orbit that S meets; its nonzero values are
 
-- with one row (K = H, every cyclic H): the two roots of x^2 - C x - |B|^2,
+- with one row (K = H, every abelian H): the two roots of x^2 - C x - |B|^2,
   or C alone when H = G;
 - otherwise: +/- the singular values of B_j if S avoids H, else the
   eigenvalues of [[C_j, R^*], [R, 0]], with B_j^* = QR when B_j^* is taller
   than wide and R = B_j^* otherwise.
 
-Characters j and n - j give conjugate blocks and are solved once.  The route
+Characters j and -j give conjugate blocks and are solved once.  The route
 is deterministic, serves every group family, and is capped at 3000 vertices.
 Clusters form by single linkage on the sorted values with a tolerance
 absolute on the spectrum scaled by the maximum degree, max(1, |S|).
@@ -99,7 +101,7 @@ def _check_tolerance(tolerance: float) -> None:
 
 
 def compute_spectrum(graph: PairGraph, tolerance: float = DEFAULT_TOLERANCE) -> Spectrum:
-    """Full adjacency spectrum of a pair graph, one block per character of a cyclic K <= H."""
+    """Full adjacency spectrum of a pair graph, one block per character of an abelian K <= H."""
     return _spectrum(graph.gen, tolerance)
 
 
@@ -117,36 +119,50 @@ def _spectrum(gen: GeneratingSet, tolerance: float = DEFAULT_TOLERANCE) -> Spect
 
 
 def _character_values(gen: GeneratingSet) -> np.ndarray:
-    """The at most 2|H| eigenvalues that may be nonzero, one block per character of K = <k>.
+    """The at most 2|H| eigenvalues that may be nonzero, one block per character of K.
 
-    With t, t' the least elements of their K-orbits, character j's block is
-    M_j[t, t'] = sum_l a[t, k^l t'] exp(-2 pi i j l / n): the FFT over l of
-    the neighbours t*S of the orbit representatives t in H, laid out as (row,
-    column orbit, l) over the orbits S meets.
+    With K = <k_1> x ... x <k_d> and t, t' the least elements of their
+    K-orbits, character j's block is M_j[t, t'] = sum_l a[t, k^l t']
+    exp(-2 pi i sum_i j_i l_i / n_i): the DFT over l of the neighbours t*S of
+    the orbit representatives t in H, laid out as (l, row, column orbit) with
+    l flat.  The columns are the orbits S meets outside H, after the orbits
+    in H when S meets H or H has one orbit.  One K axis takes numpy's FFT,
+    several take ``_dft``.
     """
-    orbits = gen.subgroup.cyclic_orbits
-    n, r = len(orbits.listing), orbits.inside
+    orbits = gen.subgroup.abelian_orbits
+    shape, r = orbits.listing.shape, orbits.inside
     neighbours = gen.group.product(orbits.reps[:r, None], np.array(gen.elements, dtype=np.int64))
     column = orbits.orbit_of[neighbours]
     outside = column >= r
     covered, rank = np.unique(column[outside], return_inverse=True)
-    column[outside] = r + rank
-    layout = np.zeros((r, r + len(covered), n))
-    layout[np.arange(r)[:, None], column, orbits.exponent[neighbours]] = 1.0
+    in_h = r if gen.inside or r == 1 else 0
+    column[outside] = in_h + rank
+    layout = np.zeros((orbits.listing.size, r, in_h + len(covered)))
+    layout[orbits.exponent[neighbours], np.arange(r)[:, None], column] = 1.0
     if r == 1:  # K = H: each block [[c, b], [b^*, 0]] has the nonzero values (c +/- sqrt(c^2 + 4|b|^2)) / 2
-        f = np.fft.fft(layout[0], axis=1)
+        if len(shape) == 1:  # one C-ordered row per column, so |b|^2 sums in a fixed order
+            f = np.fft.fft(np.ascontiguousarray(layout[:, 0].T), axis=1)
+        else:
+            f = _dft(layout[:, 0], shape).T
         c = f[0].real
         if gen.subgroup.index == 1:
             return c
         root = np.sqrt(c * c + 4.0 * (np.abs(f[1:]) ** 2).sum(axis=0))
         return np.concatenate([(c + root) / 2.0, (c - root) / 2.0])
-    # characters j and n - j give conjugate blocks, with the same values
-    f = np.moveaxis(np.fft.rfft(layout, axis=2), 2, 0)
-    weight = np.full(len(f), 2)
-    weight[0] = 1
-    if n % 2 == 0:
-        weight[-1] = 1
-    inside, cross = f[:, :, :r], f[:, :, r:]
+    # characters j and -j give conjugate blocks, with the same values
+    if len(shape) == 1:
+        f = np.fft.rfft(layout, axis=0)
+        weight = np.full(len(f), 2)
+        weight[0] = 1
+        if shape[0] % 2 == 0:
+            weight[-1] = 1
+    else:
+        j = np.indices(shape).reshape(len(shape), -1)
+        negated = np.ravel_multi_index(tuple(-j % np.array(shape)[:, None]), shape)
+        keep = np.flatnonzero(np.arange(len(negated)) <= negated)
+        f = _dft(layout, shape)[keep]
+        weight = np.where(negated[keep] == keep, 1, 2)
+    inside, cross = f[:, :, :in_h], f[:, :, in_h:]
     try:
         if gen.inside:
             adjoint = cross.conj().swapaxes(1, 2)
@@ -163,6 +179,28 @@ def _character_values(gen: GeneratingSet) -> np.ndarray:
         return np.concatenate([sigma, -sigma])
     except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
         raise EigensolverError(f"symmetric eigensolver did not converge: {exc}") from exc
+
+
+def _dft(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """The DFT of the real x over its first axis, read as the K axes ``shape``, flat again.
+
+    Each K axis is contracted with its n x n DFT matrix by matmuls whose inner
+    dimension is all of x after that axis: the first, on real x, by the real
+    cos and sin matrices, as exp(-i theta) = cos - i sin, the rest complex.
+    ``np.fft.fftn`` over such tiny axes costs more, and no |K| x |K| table is
+    formed.
+    """
+    f = None
+    for i, n in enumerate(shape):
+        theta = 2.0 * np.pi / n * (np.outer(np.arange(n), np.arange(n)) % n)
+        if f is None:
+            parts = np.concatenate([np.cos(theta), np.sin(theta)]) @ x.reshape(n, -1)
+            f = np.empty(x.shape, dtype=complex)
+            f.real = parts[:n].reshape(x.shape)
+            np.negative(parts[n:].reshape(x.shape), out=f.imag)
+        else:
+            f = (np.cos(theta) - 1j * np.sin(theta)) @ f.reshape(math.prod(shape[:i]), n, -1)
+    return f.reshape(x.shape)
 
 
 @dataclass(frozen=True)

@@ -133,6 +133,48 @@ def test_ramanujan_requires_regular(capsys):
     assert "regular" in err
 
 
+def test_spectrum_and_ramanujan_build_no_graph(monkeypatch, capsys):
+    from pairgraph import cli, graphs, spectral
+    from pairgraph.descriptors import builtin_subgroup, group_from_descriptor
+    from pairgraph.actions import random_candidate
+    from test_golden_cli import CASES, GOLDEN
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the command built a graph")
+
+    monkeypatch.setattr(cli, "build_pair_graph", refuse)
+    with pytest.raises(AssertionError, match="built a graph"):
+        main(["analyze", "--group", "cyclic:12", "--subgroup", "0,3,6,9", "--set", "1,7"])
+    capsys.readouterr()
+    for name in ("spectrum-readme-csv", "spectrum-mixed-text", "spectrum-mixed-csv"):
+        code, out, err = run_cli(capsys, *CASES[name])
+        assert (code, err) == (0, "")
+        assert out.encode() == (GOLDEN / (name + ".out")).read_bytes(), name
+    code, out, err = run_cli(capsys, "spectrum", "--group", "cyclic:12", "--subgroup", "0,3,6,9", "--set", "")
+    assert (code, out) == (0, "    0.00000000  x12\n")
+    assert err == "warning: empty generating set, the graph has no edges\n"
+    code, out, err = run_cli(
+        capsys, "ramanujan", "--group", "cyclic:12", "--subgroup", "0,3,6,9", "--set", "2,4,5,7,8"
+    )
+    assert (code, out, err) == (2, "", "error: graph is not regular\n")
+    # the verdict equals the one certified off a built graph
+    code, out, _ = run_cli(capsys, "ramanujan", "--group", "gl2:3", "--subgroup", "sl2_in_gl2",
+                           "--set-random", "17", "--seed", "0", "--format", "json")
+    sub = builtin_subgroup(group_from_descriptor("gl2:3"), "sl2_in_gl2")
+    graph = graphs.build_pair_graph(sub, random_candidate(sub.outside(), 17, 0, 0))
+    report = spectral.is_ramanujan(graph)
+    assert code == 0
+    assert json.loads(out) == {
+        "ramanujan": report.ramanujan,
+        "degree": report.degree,
+        "worst_nontrivial": report.worst_nontrivial,
+        "bound": report.bound,
+        "margin": report.margin,
+        "size_bound": spectral.ramanujan_size_bound(graph.gen).bound,
+        "size_bound_satisfied": spectral.ramanujan_size_bound(graph.gen).satisfied,
+    }
+
+
 def test_search_jsonl_deterministic(tmp_path, capsys):
     args = (
         "search",

@@ -15,7 +15,7 @@ from pairgraph.errors import (
     SymmetryViolation,
     ValidationError,
 )
-from pairgraph.fields import CONWAY_POLYNOMIALS, reducing_polynomial
+from pairgraph.fields import CONWAY_POLYNOMIALS, is_prime, reducing_polynomial
 from pairgraph.groups import (
     closed_subgroup,
     field_norm_preimage,
@@ -421,10 +421,22 @@ def test_element_orders_match_reference():
         group = sub.parent
         x = np.arange(group.order)
         expected = [reference_element_order(group, a) for a in range(group.order)]
-        assert groups._element_orders(group, x, group.order).tolist() == expected
-        assert groups._element_orders(group, x[list(sub.elements)], sub.order).tolist() == [
+        orders, low = groups._element_orders(group, x, group.order)
+        assert orders.tolist() == expected
+        assert groups._element_orders(group, x[list(sub.elements)], sub.order)[0].tolist() == [
             expected[h] for h in sub.elements
         ]
+        # low[p][a] generates the subgroup of order p of <a>, or is e where p does not divide a's order
+        assert sorted(low) == [p for p in range(2, group.order + 1) if group.order % p == 0 and is_prime(p)]
+        mul = reference_mul(group)
+        for a in range(group.order):
+            powers, power = {group.identity}, a
+            while power != group.identity:
+                powers.add(power)
+                power = mul(power, a)
+            for p, y in low.items():
+                assert y[a] in powers
+                assert reference_element_order(group, int(y[a])) == (1 if expected[a] % p else p)
 
 
 def test_dihedral_relations():

@@ -1,13 +1,16 @@
 """Spectra: closed-form eigenvalues, multiplicities, symmetry, Ramanujan checks."""
 
+import functools
 import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from pairgraph import graphs, spectral
-from pairgraph.descriptors import builtin_subgroup
+from pairgraph import graphs, groups, spectral
+from pairgraph.descriptors import builtin_subgroup, group_from_descriptor
 from pairgraph.errors import NotConnected, NotRegular, PairGraphError, SizeCapExceeded, ValidationError
 from pairgraph.graphs import build_pair_graph
 from pairgraph.groups import (
@@ -45,6 +48,7 @@ from helpers import (
     instance_corpus,
     random_generating_set,
     reference_element_order,
+    reference_mul,
     subgroup_pool,
 )
 
@@ -97,7 +101,7 @@ def test_block_spectrum_matches_dense_oracle():
     covered = set()
     one_row = set()
     for gen in _oracle_instances():
-        one_row.add(gen.subgroup.cyclic_orbits.inside == 1)
+        one_row.add(gen.subgroup.abelian_orbits.inside == 1)
         graph = build_pair_graph(gen.subgroup, gen)
         spec = compute_spectrum(graph)
         dense = dense_eigenvalues(graph)
@@ -151,7 +155,7 @@ def _cyclic_subgroups():
 
 
 def _non_cyclic_subgroups():
-    """H that are not cyclic, so K is a proper subgroup of H and the blocks have several rows."""
+    """H that are not cyclic: K = H with one-row blocks for the abelian V4 and F_{7^2}, else blocks of several rows."""
     s5 = make_symmetric(5)
     return [
         builtin_subgroup(make_alternating(4), "klein_in_a4"),
@@ -186,33 +190,185 @@ def test_character_blocks_match_dense_oracle():
     assert kinds == {"empty", "outside", "inside", "mixed"}
 
 
-def test_cyclic_orbits():
-    for cyclic, subs in ((True, _cyclic_subgroups()), (False, _non_cyclic_subgroups())):
-        for sub in subs:
-            group, orbits = sub.parent, sub.cyclic_orbits
-            listing, n = orbits.listing, len(orbits.listing)
-            # K = <k> listed as consecutive powers of k, inside H
-            assert listing[0] == group.identity and len(set(listing.tolist())) == n
-            assert set(listing.tolist()) <= set(sub.elements)
-            k = listing[1 % n]
-            assert np.array_equal(group.product(listing, k), np.roll(listing, -1))
-            # k has the largest order in H, least index on ties; K = H exactly when H is cyclic
-            orders = [reference_element_order(group, h) for h in sub.elements]
-            assert n == max(orders) and k == sub.elements[orders.index(n)], sub
-            assert (n == sub.order) == cyclic, sub
-            # x = k^l * t with t the least element of the orbit K*x, the orbits in H first
-            x = np.arange(group.order)
-            assert np.array_equal(group.product(listing[orbits.exponent], orbits.reps[orbits.orbit_of]), x)
-            assert np.array_equal(np.bincount(orbits.orbit_of), np.full(len(orbits.reps), n))
-            assert np.array_equal(np.minimum.reduceat(x[np.argsort(orbits.orbit_of, kind="stable")],
-                                                      np.arange(0, group.order, n)), orbits.reps)
-            in_h = np.array([sub.contains(t) for t in orbits.reps])
-            assert orbits.inside * n == sub.order
-            assert in_h[: orbits.inside].all() and not in_h[orbits.inside :].any()
-            assert np.all(np.diff(orbits.reps[: orbits.inside]) > 0)
-            assert np.all(np.diff(orbits.reps[orbits.inside :]) > 0)
-            for array in (orbits.listing, orbits.orbit_of, orbits.exponent, orbits.reps):
-                assert not array.flags.writeable
+def _abelian_subgroups():
+    """Abelian H that are not cyclic, each of which K must equal."""
+    return [
+        subgroup_from_elements(make_direct_product(make_cyclic(4), make_cyclic(4)), range(16)),
+        subgroup_from_elements(make_direct_product(make_cyclic(6), make_cyclic(10)), range(60)),
+        subgroup_from_elements(make_field_additive(7, 4), range(49)),
+        subgroup_from_elements(make_field_additive(2, 11), range(1024)),
+        builtin_subgroup(make_alternating(4), "klein_in_a4"),
+        subgroup_from_elements(make_field_additive(7, 2), range(49)),
+    ]
+
+
+def _check_abelian_orbits(sub):
+    """The K contract: a basis of commuting elements of H, |K| = n_1 ... n_d distinct products, and the orbits."""
+    group, orbits = sub.parent, sub.abelian_orbits
+    listing, shape = orbits.listing, orbits.listing.shape
+    n = listing.size
+    basis = [int(listing[tuple(np.eye(len(shape), dtype=int)[i] % shape)]) for i in range(len(shape))]
+    mul = reference_mul(group)
+    assert set(basis) <= set(sub.elements) and set(listing.ravel().tolist()) <= set(sub.elements)
+    assert all(mul(a, b) == mul(b, a) for a in basis for b in basis)
+    assert [reference_element_order(group, k) for k in basis] == list(shape)
+    assert len(set(listing.ravel().tolist())) == n == math.prod(shape)
+    for index in np.ndindex(shape):
+        x = group.identity
+        for k, l in zip(basis, index):
+            for _ in range(l):
+                x = mul(x, k)
+        assert listing[index] == x, (sub, index)
+    # x = k^l * t with t the least element of the orbit K*x, the orbits in H first
+    x = np.arange(group.order)
+    assert np.array_equal(group.product(listing.ravel()[orbits.exponent], orbits.reps[orbits.orbit_of]), x)
+    assert np.array_equal(np.bincount(orbits.orbit_of), np.full(len(orbits.reps), n))
+    assert np.array_equal(np.minimum.reduceat(x[np.argsort(orbits.orbit_of, kind="stable")],
+                                              np.arange(0, group.order, n)), orbits.reps)
+    in_h = np.array([sub.contains(t) for t in orbits.reps])
+    assert orbits.inside * n == sub.order
+    assert in_h[: orbits.inside].all() and not in_h[orbits.inside :].any()
+    assert np.all(np.diff(orbits.reps[: orbits.inside]) > 0)
+    assert np.all(np.diff(orbits.reps[orbits.inside :]) > 0)
+    for array in (orbits.listing, orbits.orbit_of, orbits.exponent, orbits.reps):
+        assert not array.flags.writeable
+    return orbits
+
+
+def _largest_cyclic(sub):
+    """k of largest order in H, least index on ties, and its order."""
+    orders = [reference_element_order(sub.parent, h) for h in sub.elements]
+    return sub.elements[orders.index(max(orders))], max(orders)
+
+
+def test_abelian_orbits():
+    for sub in _cyclic_subgroups() + _abelian_subgroups():
+        orbits = _check_abelian_orbits(sub)
+        assert orbits.listing.size == sub.order and orbits.inside == 1, sub  # K = H
+    for sub in _cyclic_subgroups():
+        # K = H listed as the powers of its least generator
+        listing = sub.abelian_orbits.listing
+        assert listing.ndim == 1 and _largest_cyclic(sub)[0] == listing[1 % sub.order]
+    a6 = _check_abelian_orbits(builtin_subgroup(make_symmetric(6), "alternating_in_symmetric"))
+    assert (a6.listing.shape, a6.inside) == ((3, 3), 40)
+    a4 = _check_abelian_orbits(builtin_subgroup(make_symmetric(4), "alternating_in_symmetric"))
+    assert (a4.listing.size, a4.inside) == (4, 3)
+    # where no abelian K beats <k>, K stays <k>, listed as its consecutive powers
+    s5 = make_symmetric(5)
+    for sub in (
+        builtin_subgroup(s5, "alternating_in_symmetric"),
+        builtin_subgroup(make_gl2(3), "sl2_in_gl2"),
+        builtin_subgroup(make_gl2(5), "sl2_in_gl2"),
+        builtin_subgroup(make_gl2(7), "sl2_in_gl2"),
+        subgroup_generated(s5, [perm_index(s5, "(1,2)"), perm_index(s5, "(1,2,3,4)")]),  # S4
+        subgroup_from_elements(make_symmetric(3), range(6)),
+    ):
+        orbits = _check_abelian_orbits(sub)
+        k, n = _largest_cyclic(sub)
+        assert orbits.listing.shape == (n,) and orbits.listing[1] == k, sub
+        assert orbits.listing.size < sub.order
+
+
+def _largest_cyclic_listing(group, h):
+    """The K that the chooser falls back to, built independently: the powers of k, k of largest order in H."""
+    sub_elements = [int(x) for x in h]
+    orders = [reference_element_order(group, x) for x in sub_elements]
+    k, mul = sub_elements[orders.index(max(orders))], reference_mul(group)
+    listing = [group.identity]
+    while len(listing) < max(orders):
+        listing.append(mul(listing[-1], k))
+    return np.array(listing)
+
+
+def _second_k_cases():
+    """(subgroup factory, sets): A4 < S4, A6 < S6 and abelian H, where the chosen K beats the cyclic one."""
+    rng = random.Random(131)
+    s4, s6 = make_symmetric(4), make_symmetric(6)
+    z4z4 = make_direct_product(make_cyclic(4), make_cyclic(4))
+    z6z10 = make_direct_product(make_cyclic(6), make_cyclic(10))
+    f2401, f2048, a4 = make_field_additive(7, 4), make_field_additive(2, 11), make_alternating(4)
+    factories = [
+        lambda: builtin_subgroup(s4, "alternating_in_symmetric"),
+        lambda: builtin_subgroup(s6, "alternating_in_symmetric"),
+        lambda: subgroup_from_elements(z4z4, range(16)),
+        lambda: subgroup_from_elements(z6z10, range(60)),
+        lambda: subgroup_from_elements(f2401, range(49)),
+        lambda: subgroup_from_elements(f2048, range(1024)),
+        lambda: builtin_subgroup(a4, "klein_in_a4"),
+    ]
+    for make in factories:
+        sub = make()
+        group = sub.parent
+        inside = rng.sample([x for x in sub.elements if x != group.identity], min(3, sub.order - 1))
+        inside = set(inside) | {group.inv(x) for x in inside}
+        outside = set(rng.sample(sub.outside(), min(20, group.order - sub.order)))
+        sets = [inside, outside, inside | outside]
+        if group.order == 720:
+            sets.append(set(rng.sample(sub.outside(), 340)))
+        if group.order == 2048:
+            sets = [outside]  # the cyclic K of order 2 leaves 512-row blocks: one set is enough
+        yield make, [s for s in sets if s or sub.index == 1]
+
+
+def test_second_choice_of_k_agrees(monkeypatch):
+    """The spectrum by the chosen K against the spectrum by the largest cyclic K, the dense solve and the traces."""
+    for make, sets in _second_k_cases():
+        chosen, cyclic = make(), make()
+        with monkeypatch.context() as patch:
+            patch.setattr(groups, "_abelian_subgroup", _largest_cyclic_listing)
+            second = [spectral._spectrum(validate_generating_set(cyclic, s)).eigenvalues for s in sets]
+        assert chosen.abelian_orbits.listing.size > cyclic.abelian_orbits.listing.size == max(
+            reference_element_order(cyclic.parent, h) for h in cyclic.elements
+        ), chosen
+        for s, other in zip(sets, second):
+            gen = validate_generating_set(chosen, s)
+            values = spectral._spectrum(gen).eigenvalues
+            atol = 1e-10 * max(1, gen.size)
+            assert np.abs(values - other).max() <= atol, (chosen, sorted(s))
+            if gen.group.order <= 720:
+                assert np.abs(values - dense_eigenvalues(build_pair_graph(chosen, gen))).max() <= atol, chosen
+            m = gen.group.order
+            assert abs(values.sum()) <= m * atol
+            square_sum = chosen.order * (2 * len(gen.outside) + len(gen.inside))
+            assert abs((values**2).sum() - square_sum) <= m * atol * gen.size
+
+
+_FACTORS = (
+    "cyclic:1", "cyclic:4", "cyclic:6", "cyclic:9", "cyclic:10", "cyclic:16", "dihedral:3", "dihedral:4",
+    "dihedral:6", "symmetric:3", "symmetric:4", "alternating:4", "alternating:5", "sl2:3", "gl2:3",
+    "field_additive:2,3", "field_additive:2,5", "field_additive:3,2", "field_additive:5,2",
+)
+
+
+@functools.lru_cache(maxsize=None)
+def _generated_group(first, second):
+    return group_from_descriptor(first if second is None else {"kind": "product", "params": [first, second]})
+
+
+@st.composite
+def _generated_instances(draw):
+    """A group of any family or a direct product of two, of order <= 120; H generated by one to three elements; S."""
+    first = draw(st.sampled_from(_FACTORS))
+    second = draw(st.none() | st.sampled_from(_FACTORS))
+    group = _generated_group(first, second)
+    assume(group.order <= 120)
+    element = st.integers(0, group.order - 1)
+    sub = subgroup_generated(group, draw(st.lists(element, min_size=1, max_size=3)))
+    picked = draw(st.sets(element.filter(lambda x: x != group.identity), max_size=12))
+    return validate_generating_set(sub, picked | {group.inv(x) for x in picked if sub.contains(x)})
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_generated_instances())
+def test_generated_instances_match_dense_oracle(gen):
+    sub = gen.subgroup
+    orbits = _check_abelian_orbits(sub)
+    mul = reference_mul(gen.group)
+    abelian = all(mul(a, b) == mul(b, a) for a in sub.elements for b in sub.elements)
+    assert (orbits.listing.size == sub.order) == abelian, sub
+    values = spectral._spectrum(gen).eigenvalues
+    dense = dense_eigenvalues(build_pair_graph(sub, gen))
+    assert np.abs(values - dense).max() <= 1e-10 * max(1, gen.size), (sub, gen.elements)
 
 
 def _crafted_spectrum(k, order, worst, with_minus_k):
