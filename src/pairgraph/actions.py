@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .groups import FiniteGroup, Subgroup, _element_orders, generated_elements, validate_generating_set
-from .spectral import _certify, ramanujan_size_bound
+from .spectral import _certify, _check_tolerance, ramanujan_size_bound
 from .structure import is_connected
 
 AUTOMORPHISM_ORDER_CAP = 120
@@ -75,11 +75,11 @@ def apply_automorphism(group: FiniteGroup, psi: Sequence[int], s_elements: Itera
 def _generator_chain(group: FiniteGroup) -> list[int]:
     """Greedy generating sequence: repeatedly adjoin the smallest missing element."""
     gens: list[int] = []
-    span = {group.identity}
-    for x in range(group.order):
-        if x not in span:
-            gens.append(x)
-            span = set(generated_elements(group, gens))
+    span = np.zeros(group.order, dtype=bool)
+    span[group.identity] = True
+    while not span.all():
+        gens.append(int(np.argmin(span)))
+        span[generated_elements(group, gens)] = True
     return gens
 
 
@@ -182,17 +182,14 @@ def generating_set_orbit(
     else:
         for psi in automorphisms:
             verify_automorphism(group, psi)
-    subgroup_set = set(subgroup.elements)
-    usable = [psi for psi in automorphisms if all(psi[h] in subgroup_set for h in subgroup.elements)]
+    # an automorphism preserves H when it sends no element of H outside
+    usable = [psi for psi in automorphisms if not subgroup.coset_of[np.asarray(psi)[subgroup.elements]].any()]
     seen = {start.elements}
     queue = [start.elements]
     while queue:
         current = queue.pop()
-        moved = []
-        for h in subgroup.elements:
-            moved.append(right_translate_set(subgroup, current, h))
-        for psi in usable:
-            moved.append(tuple(sorted(psi[x] for x in current)))
+        moved = [right_translate_set(subgroup, current, h) for h in subgroup.elements]
+        moved += [tuple(sorted(psi[x] for x in current)) for psi in usable]
         for nxt in moved:
             if nxt not in seen:
                 if len(seen) >= ORBIT_SIZE_CAP:
@@ -226,6 +223,7 @@ class SearchConfig:
             raise SizeCapExceeded("exhaustive candidate count exceeds the cap")
         if self.mode == "random" and self.trials < 1:
             raise ValidationError("random mode needs at least one trial")
+        _check_tolerance(self.tolerance)
 
 
 @dataclass(frozen=True)

@@ -26,7 +26,7 @@ from .graphs import (
     isolated_vertices,
     regularity_check,
 )
-from .groups import FiniteGroup, GeneratingSet, Subgroup, validate_generating_set
+from .groups import GeneratingSet, Subgroup, validate_generating_set
 from .reference_cases import run_all
 from .spectral import (
     DEFAULT_TOLERANCE,
@@ -71,7 +71,7 @@ def _resolve_subgroup(args) -> Subgroup:
     raise ValidationError("one of --subgroup / --subgroup-gen is required")
 
 
-def _resolve_instance(args) -> tuple[FiniteGroup, Subgroup, tuple[int, ...]]:
+def _resolve_gen(args) -> GeneratingSet:
     subgroup = _resolve_subgroup(args)
     group = subgroup.parent
     chosen = [
@@ -93,7 +93,10 @@ def _resolve_instance(args) -> tuple[FiniteGroup, Subgroup, tuple[int, ...]]:
         if args.seed is None:
             raise ValidationError("--set-random requires an explicit --seed")
         s = random_candidate(subgroup.outside(), args.set_random, args.seed, 0)
-    return group, subgroup, tuple(s)
+    gen = validate_generating_set(subgroup, s)
+    if not gen.elements:
+        print("warning: empty generating set, the graph has no edges", file=sys.stderr)
+    return gen
 
 
 def _emit(text: str, out: Optional[str]) -> None:
@@ -102,14 +105,6 @@ def _emit(text: str, out: Optional[str]) -> None:
             fh.write(text)
     else:
         sys.stdout.write(text)
-
-
-def _resolve_gen(args) -> GeneratingSet:
-    _, subgroup, s = _resolve_instance(args)
-    gen = validate_generating_set(subgroup, s)
-    if not gen.elements:
-        print("warning: empty generating set, the graph has no edges", file=sys.stderr)
-    return gen
 
 
 def _build_graph(args) -> PairGraph:

@@ -104,7 +104,7 @@ def builtin_subgroup(group: FiniteGroup, name: str) -> Subgroup:
     if name == "evens":
         if kind != "cyclic" or group.order % 2 != 0:
             raise ValidationError("evens needs a cyclic group of even order")
-        return closed_subgroup(group, range(0, group.order, 2))
+        return closed_subgroup(group, np.arange(0, group.order, 2))
     if name == "klein_in_a4":
         if kind != "alternating" or group.descriptor.get("params") != [4]:
             raise ValidationError("klein_in_a4 needs the alternating group on 4 letters")

@@ -83,7 +83,7 @@ def build_pair_graph(subgroup: Subgroup, s: Union[GeneratingSet, Iterable[int]])
     """
     gen = _as_generating_set(subgroup, s)
     m, size = subgroup.parent.order, gen.size
-    h = np.array(subgroup.elements, dtype=np.int32)[:, None]
+    h = subgroup.elements.astype(np.int32)[:, None]
     targets = subgroup.parent.product(h, np.array(gen.inside + gen.outside, dtype=np.int64))
     keys = np.empty((len(h), size + len(gen.outside)), dtype=np.int32)
     np.add(h * m, targets, out=keys[:, :size])
@@ -107,7 +107,7 @@ def adjacency_rows_via_group_matrix(
     is used as an oracle against ``build_pair_graph``.
     """
     gen = _as_generating_set(subgroup, s)
-    return _group_matrix_rows(subgroup.parent, gen.elements, np.array(subgroup.elements))
+    return _group_matrix_rows(subgroup.parent, gen.elements, subgroup.elements)
 
 
 def _group_matrix_rows(group: FiniteGroup, elements: Iterable[int], rows: np.ndarray) -> np.ndarray:
@@ -135,10 +135,8 @@ def degree_profile(graph: PairGraph) -> list[tuple[int, int, int]]:
     Entry 0 is the subgroup, whose vertices all have degree |S|; the vertices
     of a nontrivial coset share the degree |S ∩ coset|.
     """
-    out = []
-    for cid, members in enumerate(graph.subgroup.coset_members):
-        out.append((cid, int(graph.degrees[members[0]]), len(members)))
-    return out
+    sub = graph.subgroup
+    return [(cid, degree, sub.order) for cid, degree in enumerate(graph.degrees[sub.coset_reps].tolist())]
 
 
 def isolated_vertices(graph: PairGraph) -> tuple[int, ...]:
@@ -202,7 +200,7 @@ def graph_to_json(graph: PairGraph) -> dict:
     return {
         "n": graph.order,
         "edges": [[u, v] for u, v in graph.edges()],
-        "coset_of": list(graph.subgroup.coset_of),
+        "coset_of": graph.subgroup.coset_of.tolist(),
         "degrees": [int(d) for d in graph.degrees],
     }
 

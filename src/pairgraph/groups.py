@@ -181,6 +181,8 @@ def perm_from_cycles(n: int, spec) -> tuple[int, ...]:
     for cyc in cycles:
         if any(not 1 <= v <= n for v in cyc):
             raise ValidationError(f"cycle entry out of range 1..{n}: {cyc}")
+        if len(set(cyc)) != len(cyc):
+            raise ValidationError(f"cycle {cyc} repeats an entry")
         images = list(range(n))
         for i, v in enumerate(cyc):
             images[v - 1] = cyc[(i + 1) % len(cyc)] - 1
@@ -470,16 +472,17 @@ class AbelianOrbits:
 class Subgroup:
     """A subgroup together with the right-coset decomposition of its parent.
 
-    Coset 0 is the subgroup itself; the remaining cosets are numbered by
-    ascending minimal element index, and each representative is the minimal
-    element of its coset.
+    ``elements`` (ascending), ``coset_of`` (the coset id of every element of
+    the parent) and ``coset_reps`` are read-only int arrays.  Coset 0 is the
+    subgroup itself; the remaining cosets are numbered by ascending minimal
+    element index, and each representative is the minimal element of its
+    coset.
     """
 
     parent: FiniteGroup
-    elements: tuple[int, ...]
-    coset_of: tuple[int, ...]
-    coset_reps: tuple[int, ...]
-    coset_members: tuple[tuple[int, ...], ...]
+    elements: np.ndarray
+    coset_of: np.ndarray
+    coset_reps: np.ndarray
 
     @property
     def order(self) -> int:
@@ -490,10 +493,10 @@ class Subgroup:
         return len(self.coset_reps)
 
     def contains(self, x: int) -> bool:
-        return self.coset_of[x] == 0
+        return not self.coset_of[x]
 
     def outside(self) -> tuple[int, ...]:
-        return tuple(x for x in range(self.parent.order) if self.coset_of[x] != 0)
+        return tuple(np.flatnonzero(self.coset_of).tolist())
 
     @cached_property
     def abelian_orbits(self) -> AbelianOrbits:
@@ -502,12 +505,12 @@ class Subgroup:
         Chosen on first read, which the first spectrum of a pair graph on H makes.
         """
         group, n = self.parent, self.order
-        listing = _abelian_subgroup(group, np.array(self.elements))
+        listing = _abelian_subgroup(group, self.elements)
         flat = listing.ravel()
         cosets = self if flat.size == n else closed_subgroup(group, flat)
-        coset_of, reps = np.array(cosets.coset_of), np.array(cosets.coset_reps)
+        coset_of, reps = cosets.coset_of, cosets.coset_reps
         # renumber the orbits by (outside H, least element): those in H come first
-        outside = np.array(self.coset_of)[reps] != 0
+        outside = self.coset_of[reps] != 0
         old = np.lexsort((reps, outside))
         renumber = np.empty(len(reps), dtype=np.int64)
         renumber[old] = np.arange(len(reps))
@@ -648,37 +651,33 @@ def subgroup_from_elements(group: FiniteGroup, elems: Iterable[int]) -> Subgroup
         if escaped.size:
             r, c = escaped[0]
             raise NotASubgroup(f"product of {h[i + r]} and {h[c]} escapes the set")
-    return closed_subgroup(group, members)
+    return closed_subgroup(group, h)
 
 
-def closed_subgroup(group: FiniteGroup, elems: Iterable[int]) -> Subgroup:
+def closed_subgroup(group: FiniteGroup, elems: np.ndarray | Sequence[int]) -> Subgroup:
     """The right-coset decomposition by a set closed by construction, without the closure check.
 
     For generated sets and the listings of an abelian K; an explicit element list goes
     through ``subgroup_from_elements``, which checks it first.
     """
-    h = _sorted_unique(np.fromiter(elems, dtype=np.int64))
+    h = _sorted_unique(np.asarray(elems, dtype=np.int64))
     rows = max(1, BLOCK // len(h))
     # right cosets H*x, numbered in the order of their least elements.  Each
     # pass takes the lowest BLOCK // |H| unassigned elements; the least element
     # of each one's coset is unassigned and lower, so in the batch as well
     coset_of = np.full(group.order, -1, dtype=np.int64)
     coset_of[h] = 0
+    reps = h[:1]  # a pass's new least elements, ascending, represent its new cosets
     free = np.flatnonzero(coset_of < 0)
     while free.size:
         batch = group.product(h[:, None], free[:rows])
-        _, first = np.unique(batch.min(axis=0), return_index=True)
-        coset_of[batch[:, first]] = coset_of.max() + 1 + np.arange(first.size)
+        least, first = np.unique(batch.min(axis=0), return_index=True)
+        coset_of[batch[:, first]] = len(reps) + np.arange(first.size)
+        reps = np.concatenate([reps, least])
         free = free[coset_of[free] < 0]
-    # a stable sort groups the elements by coset, each coset in ascending order
-    cosets = np.argsort(coset_of, kind="stable").reshape(-1, len(h))
-    return Subgroup(
-        parent=group,
-        elements=tuple(h.tolist()),
-        coset_of=tuple(coset_of.tolist()),
-        coset_reps=tuple(cosets[:, 0].tolist()),
-        coset_members=tuple(map(tuple, cosets.tolist())),
-    )
+    for array in (h, coset_of, reps):
+        array.flags.writeable = False
+    return Subgroup(parent=group, elements=h, coset_of=coset_of, coset_reps=reps)
 
 
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
@@ -689,8 +688,8 @@ def _sorted_unique(values: np.ndarray) -> np.ndarray:
     return values[keep]
 
 
-def generated_elements(group: FiniteGroup, gens: Iterable[int]) -> tuple[int, ...]:
-    """Elements of the subgroup generated by ``gens``.
+def generated_elements(group: FiniteGroup, gens: Iterable[int]) -> np.ndarray:
+    """Elements of the subgroup generated by ``gens``, as a sorted read-only array.
 
     The seeds are taken in ascending order, and one is adjoined only when
     the closure has not reached it yet; each such seed at least doubles the
@@ -724,7 +723,9 @@ def generated_elements(group: FiniteGroup, gens: Iterable[int]) -> tuple[int, ..
             frontier = _sorted_unique(frontier[~seen[frontier]])
             seen[frontier] = True
             frontier = group.product(frontier[:, None], adjoined)
-    return tuple(np.flatnonzero(seen).tolist())
+    elements = np.flatnonzero(seen)
+    elements.flags.writeable = False
+    return elements
 
 
 def subgroup_generated(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
@@ -773,20 +774,20 @@ class GeneratingSet:
         return self.size == 0 or (not self.inside and index == 2) or index == 1
 
     @cached_property
-    def reachable(self) -> tuple[int, ...]:
-        """The elements of U = <H ∩ (inside ∪ outside·outside^-1)> <= H, sorted and built once.
+    def reachable(self) -> np.ndarray:
+        """The elements of U = <H ∩ (inside ∪ outside·outside^-1)> <= H, sorted, read-only and built once.
 
         s·t^-1 lies in H exactly when H·s = H·t, and it is then
         (s·t_c^-1)·(t·t_c^-1)^-1 for any t_c in that coset; so the inside part
         and the quotients s·t_c^-1, one fixed t_c per covered coset c,
         generate U in |outside| products.
         """
-        group, coset_of = self.group, self.subgroup.coset_of
+        group, outside = self.group, np.array(self.outside, dtype=np.int64)
+        cosets = self.subgroup.coset_of[outside].tolist()
         fixed: dict[int, int] = {}
-        for s in self.outside:
-            fixed.setdefault(coset_of[s], s)
-        t = np.array([fixed[coset_of[s]] for s in self.outside], dtype=np.int64)
-        quotients = group.product(np.array(self.outside, dtype=np.int64), group.inverses[t])
+        for c, s in zip(cosets, self.outside):
+            fixed.setdefault(c, s)
+        quotients = group.product(outside, group.inverses[[fixed[c] for c in cosets]])
         return generated_elements(group, [*self.inside, *quotients.tolist()])
 
     def __repr__(self) -> str:
@@ -806,18 +807,18 @@ def validate_generating_set(subgroup: Subgroup, elements: Iterable[int]) -> Gene
             raise ValidationError(f"generating element {x} out of range")
     if group.identity in elems:
         raise IdentityInGeneratingSet("the identity element is not allowed in a generating set")
-    inside = [x for x in elems if subgroup.contains(x)]
+    cosets = subgroup.coset_of[elems].tolist()
+    inside = [x for x, c in zip(elems, cosets) if not c]
     inside_set = set(inside)
     for x in inside:
         if group.inv(x) not in inside_set:
             raise SymmetryViolation(
                 f"element {x} lies in the subgroup but its inverse {group.inv(x)} is not in the set"
             )
-    outside = [x for x in elems if not subgroup.contains(x)]
+    outside = [x for x, c in zip(elems, cosets) if c]
     counts = [0] * subgroup.index
-    counts[0] = len(inside)
-    for x in outside:
-        counts[subgroup.coset_of[x]] += 1
+    for c in cosets:
+        counts[c] += 1
     return GeneratingSet(
         subgroup=subgroup,
         elements=tuple(elems),

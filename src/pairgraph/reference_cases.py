@@ -105,7 +105,7 @@ def case_z12_group_matrix() -> list[Check]:
         _check("evaluated matrix rows", np.array_equal(rows, expected)),
         _check(
             "matches subgroup rows of the adjacency",
-            np.array_equal(rows, graph.adjacency[list(sub.elements), :]),
+            np.array_equal(rows, graph.adjacency[sub.elements]),
         ),
     ]
 

@@ -125,7 +125,7 @@ def is_connected(gen: GeneratingSet) -> ConnectivityReport:
 
 def identity_component_by_closure(gen: GeneratingSet) -> tuple[int, ...]:
     """Vertices of the identity's component: U together with its outside translates."""
-    u = np.array(gen.reachable)
+    u = gen.reachable
     translates = gen.group.product(u[:, None], np.array(gen.outside, dtype=np.int64))
     return tuple(_sorted_unique(np.concatenate([u, translates], axis=None)).tolist())
 

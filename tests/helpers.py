@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import random
 from collections import deque
 from functools import lru_cache
@@ -238,29 +239,37 @@ def reference_subgroup(group: FiniteGroup, elems, mul) -> Subgroup:
         for b in members:
             if mul(a, b) not in member_set:
                 raise NotASubgroup(f"product of {a} and {b} escapes the set")
-    coset_of = [-1] * group.order
+    coset_of = np.full(group.order, -1)
     reps: list[int] = []
-    all_members: list[tuple[int, ...]] = []
 
     def assign(x: int) -> None:
-        cid = len(reps)
-        coset = sorted(mul(h, x) for h in members)
-        for y in coset:
-            coset_of[y] = cid
-        reps.append(coset[0])
-        all_members.append(tuple(coset))
+        coset = [mul(h, x) for h in members]
+        coset_of[coset] = len(reps)
+        reps.append(min(coset))
 
     assign(group.identity)  # coset 0 = the subgroup itself
     for x in range(group.order):
         if coset_of[x] == -1:
             assign(x)
-    return Subgroup(
-        parent=group,
-        elements=tuple(members),
-        coset_of=tuple(coset_of),
-        coset_reps=tuple(reps),
-        coset_members=tuple(all_members),
-    )
+    return Subgroup(parent=group, elements=np.array(members), coset_of=coset_of, coset_reps=np.array(reps))
+
+
+def coset_members(sub: Subgroup) -> list[list[int]]:
+    """Each right coset's elements in ascending order, by one pass over ``coset_of``."""
+    members: list[list[int]] = [[] for _ in range(sub.index)]
+    for x, cid in enumerate(sub.coset_of.tolist()):
+        members[cid].append(x)
+    return members
+
+
+def differing_fields(a: Subgroup, b: Subgroup) -> list[str]:
+    """The fields in which two subgroups differ: the parent by identity, the arrays by value."""
+    differing = []
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if not (x is y if field.name == "parent" else np.array_equal(x, y)):
+            differing.append(field.name)
+    return differing
 
 
 def difference_set(group: FiniteGroup, a_set, b_set) -> tuple[int, ...]:

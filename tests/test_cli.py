@@ -289,6 +289,22 @@ def test_out_of_range_numbers_exit_2(capsys, command, flags, message):
     assert message in err
 
 
+@pytest.mark.parametrize(
+    "flags, message",
+    [
+        (["--group", "cyclic:12", "--subgroup", "evens", "--k", "1", "--trials", "1", "--seed", "0",
+          "--tolerance", "-1"], "got -1.0"),
+        (["--group", "symmetric:4", "--subgroup", "alternating_in_symmetric", "--k", "3", "--seed", "0",
+          "--no-certify", "--tolerance", "nan"], "got nan"),
+    ],
+    ids=["tolerance-negative-never-certified", "tolerance-nan-no-certify"],
+)
+def test_search_tolerance_checked_before_any_trial(capsys, flags, message):
+    code, out, err = run_cli(capsys, "search", *flags)
+    assert code == 2 and out == ""
+    assert message in err
+
+
 def test_verify_all_cases(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0

@@ -1,7 +1,7 @@
 """Group constructors, subgroup machinery, and generating-set validation."""
 
-import dataclasses
 import random
+import re
 
 import numpy as np
 import pytest
@@ -19,6 +19,7 @@ from pairgraph.fields import CONWAY_POLYNOMIALS, is_prime, reducing_polynomial
 from pairgraph.groups import (
     closed_subgroup,
     field_norm_preimage,
+    generated_elements,
     make_alternating,
     make_cyclic,
     make_dihedral,
@@ -35,7 +36,9 @@ from pairgraph.groups import (
 )
 
 from helpers import (
+    coset_members,
     difference_set,
+    differing_fields,
     instance_corpus,
     reference_element_order,
     reference_mul,
@@ -212,6 +215,11 @@ def test_perm_from_cycles_roundtrip():
     assert perm_from_cycles(3, [(1, 2, 3)]) == (1, 2, 0)
     with pytest.raises(ValidationError):
         perm_from_cycles(3, "(1,5)")
+    # a cycle that repeats an entry describes no permutation
+    for spec, cycle in [("(1,2,3,2)", "(1, 2, 3, 2)"), ("(1,1)", "(1, 1)"), ([(2, 3), (1, 3, 1)], "(1, 3, 1)")]:
+        with pytest.raises(ValidationError, match=re.escape(f"cycle {cycle} repeats an entry")):
+            perm_from_cycles(3, spec)
+    assert perm_from_cycles(3, "(1,2,3)(2)") == (1, 2, 0)  # a 1-cycle repeats nothing
 
 
 def test_field_norm_preimage():
@@ -240,9 +248,10 @@ def test_subgroup_from_elements():
     z12 = make_cyclic(12)
     sub = subgroup_from_elements(z12, [0, 3, 6, 9])
     assert sub.index == 3
-    assert sub.coset_members[0] == (0, 3, 6, 9)
-    assert sub.coset_members[1] == (1, 4, 7, 10)
-    assert sub.coset_members[2] == (2, 5, 8, 11)
+    assert sub.elements.tolist() == [0, 3, 6, 9]
+    assert sub.coset_of.tolist() == [0, 1, 2] * 4
+    assert sub.coset_reps.tolist() == [0, 1, 2]
+    assert coset_members(sub) == [[0, 3, 6, 9], [1, 4, 7, 10], [2, 5, 8, 11]]
     trivial = subgroup_from_elements(z12, [0])
     assert trivial.index == 12
     z20 = make_cyclic(20)
@@ -266,10 +275,7 @@ def test_vectorised_cosets_match_reference_loop():
     for group, elems in cases + list(_large_subgroup_cases()):
         new = subgroup_from_elements(group, elems)
         old = reference_subgroup(group, elems, reference_mul(group))
-        assert new.elements == old.elements
-        assert new.coset_of == old.coset_of
-        assert new.coset_reps == old.coset_reps
-        assert new.coset_members == old.coset_members
+        assert differing_fields(new, old) == [], group
 
 
 def _raised(fn, *args):
@@ -309,8 +315,8 @@ def test_subgroup_rejects_bad_sets():
 
 def test_subgroup_generated():
     z12 = make_cyclic(12)
-    assert subgroup_generated(z12, [0, 6]).elements == (0, 6)
-    assert subgroup_generated(z12, []).elements == (0,)
+    assert subgroup_generated(z12, [0, 6]).elements.tolist() == [0, 6]
+    assert subgroup_generated(z12, []).elements.tolist() == [0]
     # oracle: closure of {3} under repeated addition
     expected = set()
     x = 0
@@ -325,7 +331,7 @@ def test_subgroup_generated():
 def test_subgroup_generated_idempotent():
     for sub in subgroup_pool()[:12]:
         again = subgroup_generated(sub.parent, sub.elements)
-        assert again.elements == sub.elements
+        assert np.array_equal(again.elements, sub.elements)
 
 
 def test_closed_subgroup_matches_checked_build():
@@ -335,9 +341,8 @@ def test_closed_subgroup_matches_checked_build():
     for group, elems in cases:
         checked = subgroup_from_elements(group, elems)
         # any order, repeats allowed, as the checked build accepts them
-        unchecked = closed_subgroup(group, list(reversed(elems)) + [group.identity])
-        for field in dataclasses.fields(checked):
-            assert getattr(unchecked, field.name) == getattr(checked, field.name), (checked, field.name)
+        unchecked = closed_subgroup(group, list(reversed(elems.tolist())) + [group.identity])
+        assert differing_fields(unchecked, checked) == [], checked
 
 
 def test_difference_set():
@@ -363,15 +368,31 @@ def test_cosets_partition_the_group():
     for sub in subgroup_pool():
         group = sub.parent
         assert group.order % sub.order == 0  # Lagrange
-        sizes = [len(members) for members in sub.coset_members]
+        cosets = coset_members(sub)
+        sizes = [len(members) for members in cosets]
         assert sum(sizes) == group.order
         assert set(sizes) == {sub.order}
-        assert sorted(v for members in sub.coset_members for v in members) == list(range(group.order))
-        # representative is the minimal member, subgroup is coset 0
-        for cid, members in enumerate(sub.coset_members):
-            assert sub.coset_reps[cid] == members[0]
-            assert all(sub.coset_of[v] == cid for v in members)
-        assert sub.coset_members[0] == sub.elements
+        # each coset is H*x for its representative, the minimal member; the subgroup is coset 0
+        assert sub.coset_reps.tolist() == [members[0] for members in cosets]
+        assert sub.coset_reps[1:].tolist() == sorted(sub.coset_reps[1:].tolist())
+        for members in cosets:
+            assert sorted(group.product(sub.elements, members[0]).tolist()) == members
+        assert cosets[0] == sub.elements.tolist()
+
+
+def test_subgroup_arrays_are_read_only():
+    z12 = make_cyclic(12)
+    sub = subgroup_from_elements(z12, [0, 3, 6, 9])
+    gen = validate_generating_set(sub, [2, 4, 5, 7, 8])
+    whole = subgroup_from_elements(z12, range(12))  # one coset: its representative array is a slice
+    arrays = [sub.elements, sub.coset_of, sub.coset_reps, whole.coset_reps, generated_elements(z12, [4]), gen.reachable]
+    for array in arrays:
+        assert array.dtype.kind == "i"
+        with pytest.raises(ValueError):
+            array[0] = 1
+    assert sub.contains(3) is True and sub.contains(4) is False
+    assert sub.outside() == (1, 2, 4, 5, 7, 8, 10, 11)
+    assert all(type(x) is int for x in sub.outside())
 
 
 def test_generating_set_validation():
@@ -400,7 +421,7 @@ def test_generating_set_split_properties():
         group = gen.group
         assert all(group.inv(x) in set(gen.inside) for x in gen.inside)
         for cid in gen.covered_cosets():
-            members = set(gen.subgroup.coset_members[cid])
+            members = set(coset_members(gen.subgroup)[cid])
             assert len(members & set(gen.outside)) == gen.coset_counts[cid]
 
 
@@ -412,8 +433,7 @@ def test_kernel_builtins_equal_checked_subgroups():
     for group, name in cases:
         built = builtin_subgroup(group, name)
         checked = subgroup_from_elements(group, built.elements)
-        for field in dataclasses.fields(built):
-            assert getattr(built, field.name) == getattr(checked, field.name), (group, name, field.name)
+        assert differing_fields(built, checked) == [], (group, name)
 
 
 def test_element_orders_match_reference():

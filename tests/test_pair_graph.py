@@ -31,7 +31,7 @@ from pairgraph.groups import (
 )
 from pairgraph.structure import connected_components, is_bipartite
 
-from helpers import index_two_pool, instance_corpus, left_translation_matrix, reference_csr, subgroup_pool
+from helpers import coset_members, index_two_pool, instance_corpus, left_translation_matrix, reference_csr, subgroup_pool
 
 
 @pytest.fixture(scope="module")
@@ -117,7 +117,7 @@ def test_degree_laws_on_corpus():
     for gen in instance_corpus(150, seed=29):
         graph = build_pair_graph(gen.subgroup, gen)
         sub = gen.subgroup
-        for cid, members in enumerate(sub.coset_members):
+        for cid, members in enumerate(coset_members(sub)):
             degs = {int(graph.degrees[v]) for v in members}
             assert len(degs) == 1  # one degree per coset
             expected = gen.size if cid == 0 else gen.coset_counts[cid]

@@ -78,7 +78,7 @@ def test_connectivity_criterion(z12_sub):
     assert not report1.connected
     assert not report1.closure_generates and report1.closure_order == 2
     assert report1.uncovered_cosets == (2,)
-    assert gen1.reachable == (0, 6)
+    assert gen1.reachable.tolist() == [0, 6]
     gen2 = validate_generating_set(z12_sub, [4, 5, 6, 10, 11])
     report2 = is_connected(gen2)
     assert not report2.connected
