@@ -140,7 +140,7 @@ def degree_profile(graph: PairGraph) -> list[tuple[int, int, int]]:
 
 
 def isolated_vertices(graph: PairGraph) -> tuple[int, ...]:
-    return tuple(int(v) for v in np.flatnonzero(graph.degrees == 0))
+    return tuple(np.flatnonzero(graph.degrees == 0).tolist())
 
 
 @dataclass(frozen=True)

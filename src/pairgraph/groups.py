@@ -171,10 +171,11 @@ def perm_from_cycles(n: int, spec) -> tuple[int, ...]:
         else:
             if not (text.startswith("(") and text.endswith(")")):
                 raise ValidationError(f"cannot parse cycles {spec!r}")
-            cycles = [
-                tuple(int(v) for v in part.split(",") if v)
-                for part in text[1:-1].split(")(")
-            ]
+            tokens = [part.split(",") for part in text[1:-1].split(")(")]
+            bad = next((v for part in tokens for v in part if not v.isdecimal()), None)
+            if bad is not None:
+                raise ValidationError(f"bad cycle entry {bad!r} in {spec!r}")
+            cycles = [tuple(map(int, part)) for part in tokens]
     else:
         cycles = [tuple(c) for c in spec]
     result = tuple(range(n))
@@ -630,28 +631,21 @@ def _power(group: FiniteGroup, x: np.ndarray, e: int) -> np.ndarray:
 
 
 def subgroup_from_elements(group: FiniteGroup, elems: Iterable[int]) -> Subgroup:
-    """Validate closure and build the right-coset decomposition."""
+    """Validate closure and build the right-coset decomposition.
+
+    X is a subgroup exactly when the subgroup it generates, which holds X, has |X| elements.
+    """
     members = sorted(set(int(x) for x in elems))
     if not members:
         raise NotASubgroup("a subgroup cannot be empty")
     for x in members:
         if not 0 <= x < group.order:
             raise NotASubgroup(f"element {x} out of range")
-    h = np.array(members)
-    inside = np.zeros(group.order, dtype=bool)
-    inside[h] = True
-    if not inside[group.identity]:
-        raise NotASubgroup("the identity is missing")
-    missing = h[~inside[group.inverses[h]]]
-    if missing.size:
-        raise NotASubgroup(f"inverse of {missing[0]} is missing")
-    rows = max(1, BLOCK // len(h))
-    for i in range(0, len(h), rows):
-        escaped = np.argwhere(~inside[group.product(h[i : i + rows, None], h)])
-        if escaped.size:
-            r, c = escaped[0]
-            raise NotASubgroup(f"product of {h[i + r]} and {h[c]} escapes the set")
-    return closed_subgroup(group, h)
+    closure = generated_elements(group, members)
+    if len(closure) > len(members):
+        missing = np.setdiff1d(closure, members)[0]
+        raise NotASubgroup(f"not closed: the set generates {missing}, which it does not contain")
+    return closed_subgroup(group, closure)
 
 
 def closed_subgroup(group: FiniteGroup, elems: np.ndarray | Sequence[int]) -> Subgroup:

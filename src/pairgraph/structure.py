@@ -165,7 +165,8 @@ def sign_homomorphism_exists(group: FiniteGroup, s_elements) -> bool:
     holds W, generated by the squares and the products s*t of set elements.
     W holds the commutators too, so G/W is an F_2-space, and the set lies in
     one coset of W; hence the map exists exactly when W is proper and misses
-    the set.
+    the set.  For one fixed t0 in the set, s*t = (s*t0)*(t0^-1)^2*(t0*t), so
+    the squares and the 2|S| products s*t0 and t0*s already generate W.
     """
     s = np.array(sorted(set(int(x) for x in s_elements)), dtype=np.int64)
     for x in s:
@@ -173,5 +174,5 @@ def sign_homomorphism_exists(group: FiniteGroup, s_elements) -> bool:
             raise ValidationError(f"element {x} out of range")
     idx = np.arange(group.order)
     squares = group.product(idx, idx)
-    w = generated_elements(group, np.concatenate([squares, group.product(s[:, None], s).ravel()]))
+    w = generated_elements(group, np.concatenate([squares, group.product(s, s[:1]), group.product(s[:1], s)]))
     return len(w) < group.order and not np.isin(s, w).any()

@@ -64,6 +64,20 @@ def subgroup_pool() -> tuple[Subgroup, ...]:
     return tuple(pool)
 
 
+# the families and factors the generated tests draw from, alone or as a direct product of two
+GENERATED_FACTORS = (
+    "cyclic:1", "cyclic:4", "cyclic:6", "cyclic:9", "cyclic:10", "cyclic:16", "dihedral:3", "dihedral:4",
+    "dihedral:6", "symmetric:3", "symmetric:4", "alternating:4", "alternating:5", "sl2:3", "gl2:3",
+    "field_additive:2,3", "field_additive:2,5", "field_additive:3,2", "field_additive:5,2",
+)
+
+
+@lru_cache(maxsize=None)
+def generated_group(first: str, second) -> FiniteGroup:
+    """The group ``first``, or its direct product with ``second`` unless that is None."""
+    return group_from_descriptor(first if second is None else {"kind": "product", "params": [first, second]})
+
+
 @lru_cache(maxsize=None)
 def index_two_pool() -> tuple[Subgroup, ...]:
     """Index-2 pairs: even parts of Z/2m, the alternating group in S4, SL2 in GL2(F3)."""
@@ -252,6 +266,19 @@ def reference_subgroup(group: FiniteGroup, elems, mul) -> Subgroup:
         if coset_of[x] == -1:
             assign(x)
     return Subgroup(parent=group, elements=np.array(members), coset_of=coset_of, coset_reps=np.array(reps))
+
+
+def count_products(monkeypatch) -> list[int]:
+    """Patch ``FiniteGroup.product`` to add each call's number of products to the one-entry list returned."""
+    count = [0]
+    product = FiniteGroup.product
+
+    def counting(self, a, b):
+        count[0] += np.broadcast(np.asarray(a), np.asarray(b)).size
+        return product(self, a, b)
+
+    monkeypatch.setattr(FiniteGroup, "product", counting)
+    return count
 
 
 def coset_members(sub: Subgroup) -> list[list[int]]:

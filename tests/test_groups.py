@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from pairgraph import groups
 from pairgraph.descriptors import builtin_subgroup, group_from_descriptor
@@ -36,9 +38,12 @@ from pairgraph.groups import (
 )
 
 from helpers import (
+    GENERATED_FACTORS,
+    count_products,
     coset_members,
     difference_set,
     differing_fields,
+    generated_group,
     instance_corpus,
     reference_element_order,
     reference_mul,
@@ -220,6 +225,11 @@ def test_perm_from_cycles_roundtrip():
         with pytest.raises(ValidationError, match=re.escape(f"cycle {cycle} repeats an entry")):
             perm_from_cycles(3, spec)
     assert perm_from_cycles(3, "(1,2,3)(2)") == (1, 2, 0)  # a 1-cycle repeats nothing
+    # every entry is a number; a stray or empty token is named
+    for spec, token in [("(a,2)", "a"), ("(1,,2)", ""), ("(1,2,)", "")]:
+        with pytest.raises(ValidationError, match=re.escape(f"bad cycle entry {token!r} in {spec!r}")):
+            perm_from_cycles(3, spec)
+    assert builtin_subgroup(make_alternating(4), "klein_in_a4").order == 4
 
 
 def test_field_norm_preimage():
@@ -303,11 +313,59 @@ def test_bad_sets_raise_like_reference_loop():
         assert _raised(reference_subgroup, group, elems, reference_mul(group)) is NotASubgroup
 
 
+@st.composite
+def _candidate_sets(draw):
+    """A group of order <= 120 and a set: a generated subgroup, one with elements dropped or added, or any subset."""
+    first = draw(st.sampled_from(GENERATED_FACTORS))
+    second = draw(st.none() | st.sampled_from(GENERATED_FACTORS))
+    group = generated_group(first, second)
+    assume(group.order <= 120)
+    element = st.integers(0, group.order - 1)
+    kind = draw(st.sampled_from(["subgroup", "dropped", "added", "subset"]))
+    if kind == "subset":
+        return group, sorted(draw(st.sets(element, max_size=24)))
+    elems = set(generated_elements(group, draw(st.lists(element, min_size=1, max_size=2))).tolist())
+    if kind == "dropped":
+        elems -= draw(st.sets(element, min_size=1, max_size=2))
+    if kind == "added":
+        elems |= draw(st.sets(element, min_size=1, max_size=2))
+    return group, sorted(elems)
+
+
+@settings(derandomize=True, database=None, max_examples=200, deadline=None)
+@given(_candidate_sets())
+def test_generated_sets_decided_like_reference(case):
+    group, elems = case
+    try:
+        new = subgroup_from_elements(group, elems)
+    except NotASubgroup:
+        with pytest.raises(NotASubgroup):
+            reference_subgroup(group, elems, reference_mul(group))
+    else:
+        assert differing_fields(new, reference_subgroup(group, elems, reference_mul(group))) == []
+
+
+def test_explicit_subgroup_takes_linear_products(monkeypatch):
+    """An explicit list is checked by one closure, not by its |H|^2 pairwise products."""
+    cases = [
+        builtin_subgroup(make_symmetric(7), "alternating_in_symmetric"),
+        builtin_subgroup(make_gl2(11), "sl2_in_gl2"),
+        builtin_subgroup(make_cyclic(20000), "evens"),
+    ]
+    count = count_products(monkeypatch)
+    for sub in cases:
+        count[0] = 0
+        rebuilt = subgroup_from_elements(sub.parent, sub.elements.tolist())
+        assert count[0] <= 20 * sub.parent.order, (sub, count[0])
+        assert differing_fields(rebuilt, sub) == []
+
+
 def test_subgroup_rejects_bad_sets():
     z12 = make_cyclic(12)
-    with pytest.raises(NotASubgroup):
-        subgroup_from_elements(z12, [0, 1, 2])  # not closed
-    with pytest.raises(NotASubgroup):
+    # the least element of the generated subgroup that the set lacks is named
+    with pytest.raises(NotASubgroup, match="not closed: the set generates 3, which it does not contain"):
+        subgroup_from_elements(z12, [0, 1, 2])
+    with pytest.raises(NotASubgroup, match="not closed: the set generates 0, which it does not contain"):
         subgroup_from_elements(z12, [3, 6, 9])  # identity missing
     with pytest.raises(NotASubgroup):
         subgroup_from_elements(z12, [])

@@ -1,6 +1,5 @@
 """Spectra: closed-form eigenvalues, multiplicities, symmetry, Ramanujan checks."""
 
-import functools
 import math
 import random
 
@@ -10,7 +9,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pairgraph import graphs, groups, spectral
-from pairgraph.descriptors import builtin_subgroup, group_from_descriptor
+from pairgraph.descriptors import builtin_subgroup
 from pairgraph.errors import NotConnected, NotRegular, PairGraphError, SizeCapExceeded, ValidationError
 from pairgraph.graphs import build_pair_graph
 from pairgraph.groups import (
@@ -43,7 +42,9 @@ from pairgraph.structure import connected_components
 from pairgraph.actions import random_candidate
 
 from helpers import (
+    GENERATED_FACTORS,
     dense_eigenvalues,
+    generated_group,
     index_two_pool,
     instance_corpus,
     random_generating_set,
@@ -333,24 +334,12 @@ def test_second_choice_of_k_agrees(monkeypatch):
             assert abs((values**2).sum() - square_sum) <= m * atol * gen.size
 
 
-_FACTORS = (
-    "cyclic:1", "cyclic:4", "cyclic:6", "cyclic:9", "cyclic:10", "cyclic:16", "dihedral:3", "dihedral:4",
-    "dihedral:6", "symmetric:3", "symmetric:4", "alternating:4", "alternating:5", "sl2:3", "gl2:3",
-    "field_additive:2,3", "field_additive:2,5", "field_additive:3,2", "field_additive:5,2",
-)
-
-
-@functools.lru_cache(maxsize=None)
-def _generated_group(first, second):
-    return group_from_descriptor(first if second is None else {"kind": "product", "params": [first, second]})
-
-
 @st.composite
 def _generated_instances(draw):
     """A group of any family or a direct product of two, of order <= 120; H generated by one to three elements; S."""
-    first = draw(st.sampled_from(_FACTORS))
-    second = draw(st.none() | st.sampled_from(_FACTORS))
-    group = _generated_group(first, second)
+    first = draw(st.sampled_from(GENERATED_FACTORS))
+    second = draw(st.none() | st.sampled_from(GENERATED_FACTORS))
+    group = generated_group(first, second)
     assume(group.order <= 120)
     element = st.integers(0, group.order - 1)
     sub = subgroup_generated(group, draw(st.lists(element, min_size=1, max_size=3)))

@@ -29,6 +29,7 @@ from pairgraph.structure import (
 )
 
 from helpers import (
+    count_products,
     instance_corpus,
     reference_bipartite,
     reference_components,
@@ -215,6 +216,14 @@ def test_sign_homomorphism_cases():
     s4 = make_symmetric(4)
     assert sign_homomorphism_exists(s4, [perm_index(s4, "(1,2)"), perm_index(s4, "(1,2,3,4)")])
     assert not sign_homomorphism_exists(s4, [perm_index(s4, "(1,2,3)")])
+
+
+def test_sign_homomorphism_takes_linear_products(monkeypatch):
+    """W is seeded by the squares and 2|S| products s*t0 and t0*s, not by all |S|^2 products s*t."""
+    group, s = make_cyclic(2000), range(1, 1000, 2)
+    count = count_products(monkeypatch)
+    assert sign_homomorphism_exists(group, s)
+    assert count[0] < len(s) ** 2 / 4, count[0]
 
 
 def test_sign_homomorphism_implies_bipartite():
