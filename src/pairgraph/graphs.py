@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .errors import IndexNotTwo, PairGraphError, ValidationError
-from .groups import FiniteGroup, GeneratingSet, Subgroup, validate_generating_set
+from .groups import BLOCK, FiniteGroup, GeneratingSet, Subgroup, closed_subgroup, validate_generating_set
 
 
 @dataclass(frozen=True, eq=False)
@@ -98,35 +98,64 @@ def build_pair_graph(subgroup: Subgroup, s: Union[GeneratingSet, Iterable[int]])
 def adjacency_rows_via_group_matrix(
     subgroup: Subgroup, s: Union[GeneratingSet, Iterable[int]]
 ) -> np.ndarray:
-    """The |H| x |G| 0/1 matrix with a one at (i, j) exactly when h_i * s = g_j for some s.
+    """The |H| x |G| 0/1 int8 matrix with a one at (i, j) exactly when h_i * s = g_j for some s.
 
     Evaluates the group-subgroup matrix (x_{h_i^-1 g_j}) at the indicator of the
     set: entry (i, j) is 1 iff h_i^-1 g_j lies in the set.  Rows follow the
-    sorted subgroup elements, columns the natural element order.  This is an
-    independent construction of the subgroup rows of the adjacency matrix and
-    is used as an oracle against ``build_pair_graph``.
+    sorted subgroup elements, columns the natural element order.  The set
+    enters only as that indicator and is never multiplied, so this is a
+    construction of the subgroup rows of the adjacency independent of
+    ``build_pair_graph``'s edge rule, and is used as an oracle against it.
     """
     gen = _as_generating_set(subgroup, s)
-    return _group_matrix_rows(subgroup.parent, gen.elements, subgroup.elements)
+    return _group_matrix_rows(subgroup, gen.elements)
 
 
-def _group_matrix_rows(group: FiniteGroup, elements: Iterable[int], rows: np.ndarray) -> np.ndarray:
-    """Entry (i, j) is 1 iff rows[i]^-1 * g_j lies in ``elements``."""
-    indicator = np.zeros(group.order, dtype=np.int8)
+def _group_matrix_rows(subgroup: Subgroup, elements: Iterable[int]) -> np.ndarray:
+    """Entry (i, j) is 1 iff h_i^-1 * g_j lies in ``elements``, through the right cosets of H.
+
+    Every g is x*t for one x in H and one coset representative t, and
+    h^-1*(x*t) = (h^-1*x)*t.  So the |G| products x*t, the cells, and the
+    |H|^2 quotients h^-1*x give every entry: row i is the indicator at the
+    cells, its rows taken by the quotients of h_i, its columns put back in
+    natural order.  Rows are computed BLOCK // |H| at a time, so a block's
+    quotients are one kernel call and its temporaries about BLOCK * [G:H] bytes.
+    """
+    group, h = subgroup.parent, subgroup.elements
+    n, m = len(h), group.order
+    indicator = np.zeros(m, dtype=np.int8)
     indicator[list(elements)] = 1
-    return indicator[group.product(group.inverses[rows][:, None], np.arange(group.order))]
+    cells = group.product(h[:, None], subgroup.coset_reps)
+    position = np.empty(m, dtype=np.int32)
+    position[h] = np.arange(n, dtype=np.int32)
+    natural = np.empty(m, dtype=np.int64)
+    natural[cells.ravel()] = np.arange(m)
+    values, inverses = indicator[cells], group.inverses[h]
+    out = np.empty((n, m), dtype=np.int8)
+    rows = max(1, BLOCK // n)
+    for i in range(0, n, rows):
+        quotients = position[group.product(inverses[i : i + rows, None], h)]
+        by_cell = np.take(values, quotients, axis=0).reshape(len(quotients), m)
+        out[i : i + rows] = np.take(by_cell, natural, axis=1)
+    return out
 
 
 def cayley_adjacency(group: FiniteGroup, s: Iterable[int]) -> np.ndarray:
-    """Adjacency matrix of the Cayley graph on a symmetric set without the identity."""
+    """Adjacency matrix of the Cayley graph on a symmetric set without the identity.
+
+    The group matrix with H = G: index 1, so |G|^2 + |G| products.
+    """
     elems = sorted(set(int(x) for x in s))
+    for x in elems:
+        if not 0 <= x < group.order:
+            raise ValidationError(f"generating element {x} out of range")
     if group.identity in elems:
         raise ValidationError("the identity element is not allowed in a generating set")
     elem_set = set(elems)
     for x in elems:
         if group.inv(x) not in elem_set:
             raise ValidationError(f"Cayley generating set must be symmetric; inverse of {x} missing")
-    return _group_matrix_rows(group, elems, np.arange(group.order))
+    return _group_matrix_rows(closed_subgroup(group, np.arange(group.order)), elems)
 
 
 def degree_profile(graph: PairGraph) -> list[tuple[int, int, int]]:

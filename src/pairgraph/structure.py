@@ -132,6 +132,8 @@ def identity_component_by_closure(gen: GeneratingSet) -> tuple[int, ...]:
 
 def translate_component(graph: PairGraph, h: int, component: tuple[int, ...]) -> tuple[int, ...]:
     """Left translate of a component by a subgroup element; lands on a component."""
+    if not 0 <= h < graph.order:
+        raise ValidationError(f"translating element {h} out of range")
     if not graph.subgroup.contains(h):
         raise ValidationError(f"translating element {h} is not in the subgroup")
     return tuple(np.sort(graph.group.product(h, np.array(component, dtype=np.int64))).tolist())
@@ -165,8 +167,10 @@ def sign_homomorphism_exists(group: FiniteGroup, s_elements) -> bool:
     holds W, generated by the squares and the products s*t of set elements.
     W holds the commutators too, so G/W is an F_2-space, and the set lies in
     one coset of W; hence the map exists exactly when W is proper and misses
-    the set.  For one fixed t0 in the set, s*t = (s*t0)*(t0^-1)^2*(t0*t), so
-    the squares and the 2|S| products s*t0 and t0*s already generate W.
+    the set.  For one fixed t0 in the set, s*t = (s*t0)*(t0^-1)^2*(t0*t), and
+    t0*t = t*t0 modulo the squares (which generate a normal subgroup with a
+    quotient of exponent 2, hence abelian), so the squares and the |S|
+    products s*t0 already generate W.
     """
     s = np.array(sorted(set(int(x) for x in s_elements)), dtype=np.int64)
     for x in s:
@@ -174,5 +178,5 @@ def sign_homomorphism_exists(group: FiniteGroup, s_elements) -> bool:
             raise ValidationError(f"element {x} out of range")
     idx = np.arange(group.order)
     squares = group.product(idx, idx)
-    w = generated_elements(group, np.concatenate([squares, group.product(s, s[:1]), group.product(s[:1], s)]))
+    w = generated_elements(group, np.concatenate([squares, group.product(s, s[:1])]))
     return len(w) < group.order and not np.isin(s, w).any()

@@ -268,6 +268,23 @@ def reference_subgroup(group: FiniteGroup, elems, mul) -> Subgroup:
     return Subgroup(parent=group, elements=np.array(members), coset_of=coset_of, coset_reps=np.array(reps))
 
 
+def reference_group_matrix(subgroup: Subgroup, s) -> np.ndarray:
+    """The group-subgroup matrix (x_{h^-1 g}) at the indicator of ``s``, pair by pair with ``reference_mul``."""
+    indicator = np.zeros(subgroup.parent.order, dtype=np.int8)
+    indicator[list(s)] = 1
+    return indicator[_reference_quotients(subgroup)]
+
+
+@lru_cache(maxsize=None)
+def _reference_quotients(subgroup: Subgroup) -> np.ndarray:
+    """Every h^-1 * g, h in H by rows and g in G by columns, one scalar product at a time."""
+    group = subgroup.parent
+    mul = reference_mul(group)
+    return np.array(
+        [[mul(group.inv(h), g) for g in range(group.order)] for h in subgroup.elements.tolist()], dtype=np.int64
+    ).reshape(subgroup.order, group.order)
+
+
 def count_products(monkeypatch) -> list[int]:
     """Patch ``FiniteGroup.product`` to add each call's number of products to the one-entry list returned."""
     count = [0]

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from pairgraph.errors import IdentityInGeneratingSet, IndexNotTwo, PairGraphError, SymmetryViolation
+from pairgraph.errors import IdentityInGeneratingSet, IndexNotTwo, PairGraphError, SymmetryViolation, ValidationError
 from pairgraph.graphs import (
     PairGraph,
     adjacency_rows_via_group_matrix,
@@ -19,7 +19,7 @@ from pairgraph.graphs import (
     isolated_vertices,
     regularity_check,
 )
-from pairgraph.descriptors import builtin_subgroup
+from pairgraph.descriptors import builtin_subgroup, group_from_descriptor
 from pairgraph.groups import (
     ORDER_CAP,
     make_cyclic,
@@ -31,7 +31,16 @@ from pairgraph.groups import (
 )
 from pairgraph.structure import connected_components, is_bipartite
 
-from helpers import coset_members, index_two_pool, instance_corpus, left_translation_matrix, reference_csr, subgroup_pool
+from helpers import (
+    count_products,
+    coset_members,
+    index_two_pool,
+    instance_corpus,
+    left_translation_matrix,
+    reference_csr,
+    reference_group_matrix,
+    subgroup_pool,
+)
 
 
 @pytest.fixture(scope="module")
@@ -104,6 +113,54 @@ def test_s3_cayley_matrix():
     assert np.array_equal(graph.adjacency, expected)
     assert np.array_equal(adjacency_rows_via_group_matrix(whole, gen), expected)
     assert np.array_equal(cayley_adjacency(s3, gen), expected)
+
+
+def test_group_matrix_matches_pairwise_reference():
+    # H = {e} (index |G|), H = G, S6 > A6 (17 row blocks of 22, the last of 8),
+    # Z/300 > <3> (blocks of 81 and 19 rows), a direct product, F_{7^2} > F_7
+    s4, s6, z300 = make_symmetric(4), make_symmetric(6), make_cyclic(300)
+    product = group_from_descriptor({"kind": "product", "params": ["dihedral:4", "cyclic:6"]})
+    f49 = group_from_descriptor("field_additive:7,2")
+    pairs = [
+        subgroup_generated(s4, []),
+        subgroup_generated(s4, range(s4.order)),
+        builtin_subgroup(s6, "alternating_in_symmetric"),
+        subgroup_generated(z300, [3]),
+        subgroup_generated(product, [1 * 6, 2]),  # <(r, 0), (e, 2)>, index 4
+        subgroup_generated(f49, [1]),
+    ]
+    rng = random.Random(59)
+    for sub in pairs:
+        group = sub.parent
+        inside = set(rng.sample([x for x in sub.elements.tolist() if x != group.identity], min(2, sub.order - 1)))
+        inside |= {group.inv(x) for x in inside}
+        outside = rng.sample(sub.outside(), min(12, sub.parent.order - sub.order))
+        for s in ([], sorted(inside), outside, sorted(inside) + outside):
+            rows = adjacency_rows_via_group_matrix(sub, s)
+            assert rows.dtype == np.int8 and rows.flags.c_contiguous
+            assert np.array_equal(rows, reference_group_matrix(sub, s)), (sub, s)
+
+
+def test_group_matrix_takes_square_of_subgroup_plus_group_products(monkeypatch):
+    # Z/12000 > <120>: |H|^2 + |G| = 10 000 + 12 000 products, not |H|*|G| = 1 200 000
+    sub = subgroup_generated(make_cyclic(12000), [120])
+    gen = validate_generating_set(sub, [1, 11999, 120, 11880])
+    count = count_products(monkeypatch)
+    rows = adjacency_rows_via_group_matrix(sub, gen)
+    assert count[0] == sub.order**2 + sub.parent.order == 22000
+    assert rows.sum() == sub.order * gen.size
+
+
+def test_cayley_adjacency_rejects_out_of_range_elements():
+    # -1 once wrapped to 5, -3 to 3, and 7 raised a bare IndexError
+    z6 = make_cyclic(6)
+    for s, bad in (([-1, 1, 5], -1), ([3, -3], -3), ([1, 5, 7], 7)):
+        with pytest.raises(ValidationError, match=f"generating element {bad} out of range"):
+            cayley_adjacency(z6, s)
+    with pytest.raises(ValidationError, match="identity element is not allowed"):
+        cayley_adjacency(z6, [0, 1, 5])
+    with pytest.raises(ValidationError, match="inverse of 1 missing"):
+        cayley_adjacency(z6, [1, 2, 4])
 
 
 def test_oracle_equivalence_on_corpus():

@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from pairgraph import groups
+from pairgraph import groups, structure
 from pairgraph.actions import _generator_chain
 from pairgraph.errors import ValidationError
 from pairgraph.graphs import build_pair_graph
@@ -146,6 +146,14 @@ def test_translate_component(z12_sub):
         translate_component(graph, 1, (0, 1, 6, 7))
 
 
+def test_translate_component_rejects_out_of_range(z12_sub):
+    # -3 once wrapped to 9 in the subgroup test and 12 indexed past the coset map
+    graph = build_pair_graph(z12_sub, [1, 7])
+    for h in (-3, 12):
+        with pytest.raises(ValidationError, match=f"translating element {h} out of range"):
+            translate_component(graph, h, (0, 1, 6, 7))
+
+
 def test_translation_permutes_components():
     for gen in instance_corpus(60, seed=53):
         graph = build_pair_graph(gen.subgroup, gen)
@@ -219,10 +227,19 @@ def test_sign_homomorphism_cases():
 
 
 def test_sign_homomorphism_takes_linear_products(monkeypatch):
-    """W is seeded by the squares and 2|S| products s*t0 and t0*s, not by all |S|^2 products s*t."""
+    """W is seeded by the |G| squares and the |S| products s*t0, not by all |S|^2 products s*t."""
     group, s = make_cyclic(2000), range(1, 1000, 2)
     count = count_products(monkeypatch)
+    seeding = []
+    closure = structure.generated_elements
+
+    def recording(group, gens):
+        seeding.append(count[0])
+        return closure(group, gens)
+
+    monkeypatch.setattr(structure, "generated_elements", recording)
     assert sign_homomorphism_exists(group, s)
+    assert seeding == [group.order + len(s)]
     assert count[0] < len(s) ** 2 / 4, count[0]
 
 
