@@ -26,6 +26,7 @@ DIHEDRAL = ["--group", "dihedral:6", "--subgroup", "0,2,4,6,8,10", "--set", "1,3
 ROTATIONS = ["--group", "dihedral:5", "--subgroup", "0,1,2,3,4", "--set", "1,4"]
 MIXED = [*README, "--set", "3,9,1"]
 SPECTRUM_MIXED = [*README, "--set", "2,3,4,5,7,8,9"]
+ALTERNATING = ["--subgroup", "alternating_in_symmetric", "--set-random"]
 CASES = {
     "build-readme-text": ["build", *README, "--set", "2,4,5,7,8"],
     "build-readme-json": ["build", *README, "--set", "2,4,5,7,8", "--format", "json"],
@@ -47,6 +48,8 @@ CASES = {
                             "--format", "csv"],
     "spectrum-mixed-text": ["spectrum", *SPECTRUM_MIXED],
     "spectrum-mixed-csv": ["spectrum", *SPECTRUM_MIXED, "--format", "csv"],
+    "spectrum-s5-csv": ["spectrum", "--group", "symmetric:5", *ALTERNATING, "12", "--seed", "3", "--format", "csv"],
+    "spectrum-s6-text": ["spectrum", "--group", "symmetric:6", *ALTERNATING, "20", "--seed", "0"],
 }
 FILES = {"{out}": ".out-file", "{dot}": ".dot"}
 
