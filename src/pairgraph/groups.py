@@ -35,6 +35,7 @@ import numpy as np
 from .errors import (
     IdentityInGeneratingSet,
     NotASubgroup,
+    PairGraphError,
     SizeCapExceeded,
     SymmetryViolation,
     ValidationError,
@@ -119,8 +120,46 @@ class FiniteGroup:
         """Products a*g for every g, as one vector."""
         return self.product(a, np.arange(self.order))
 
+    @cached_property
+    def chain_index(self) -> np.ndarray:
+        """For S_n: each element's place in the ``coset_chain`` listing, with s_i = (i, i+1) found by ``perm_index``.
+
+        The listing holds each element once under either composition
+        convention, as the Coxeter relations fix it; n - 1 batched products.
+        """
+        n = len(self.perms[0])
+        s = [perm_index(self, [(i, i + 1)]) for i in range(1, n)]
+        listing, last = coset_chain(n, self.identity, s, self.product)
+        listing = self.product(listing[:, None], last).ravel()
+        position = np.full(self.order, -1, dtype=np.int64)
+        position[listing] = np.arange(len(listing))
+        if (position < 0).any():  # pragma: no cover - the c_i represent every coset
+            raise PairGraphError("the chain's coset representatives do not list the group")
+        position.flags.writeable = False
+        return position
+
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
+
+
+def coset_chain(n: int, one, s: Sequence, multiply: Callable) -> tuple[np.ndarray, np.ndarray]:
+    """The chain S_1 < ... < S_n of S_n = <s_1, ..., s_(n-1)> under ``multiply``, for n >= 2.
+
+    At level j, c_i = s_(j-1) * ... * s_i for i = 1..j (c_j = ``one``): the
+    minimal representatives of S_(j-1) \\ S_j in the Coxeter group, with S_j
+    generated by s_1..s_(j-1).  So each element of S_n is c_(i_2) * ... *
+    c_(i_n) for one digit string.  Returns those of S_(n-1), i_2 leading in
+    mixed radix, and the n representatives c_1..c_n of the last level.
+    """
+    listing = np.asarray(one)[None]
+    for j in range(2, n + 1):
+        reps = [one]
+        for i in range(j - 1, 0, -1):  # c_i = c_(i+1) * s_i
+            reps.insert(0, multiply(reps[0], s[i - 1]))
+        reps = np.array(reps)
+        if j < n:
+            listing = multiply(listing[:, None], reps).reshape(-1, *np.shape(one))
+    return listing, reps
 
 
 def _check_order(order: int) -> None:

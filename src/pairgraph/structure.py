@@ -136,7 +136,10 @@ def translate_component(graph: PairGraph, h: int, component: tuple[int, ...]) ->
         raise ValidationError(f"translating element {h} out of range")
     if not graph.subgroup.contains(h):
         raise ValidationError(f"translating element {h} is not in the subgroup")
-    return tuple(np.sort(graph.group.product(h, np.array(component, dtype=np.int64))).tolist())
+    vertices = np.array(component, dtype=np.int64)
+    if ((vertices < 0) | (vertices >= graph.order)).any():
+        raise ValidationError(f"component entry out of range 0..{graph.order - 1}")
+    return tuple(np.sort(graph.group.product(h, vertices)).tolist())
 
 
 @dataclass(frozen=True)

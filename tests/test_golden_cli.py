@@ -48,7 +48,8 @@ CASES = {
                             "--format", "csv"],
     "spectrum-mixed-text": ["spectrum", *SPECTRUM_MIXED],
     "spectrum-mixed-csv": ["spectrum", *SPECTRUM_MIXED, "--format", "csv"],
-    "spectrum-s5-csv": ["spectrum", "--group", "symmetric:5", *ALTERNATING, "12", "--seed", "3", "--format", "csv"],
+    "spectrum-s5-csv": ["spectrum", "--group", "symmetric:5", *ALTERNATING, "12", "--seed", "3",
+                        "--format", "csv"],
     "spectrum-s6-text": ["spectrum", "--group", "symmetric:6", *ALTERNATING, "20", "--seed", "0"],
 }
 FILES = {"{out}": ".out-file", "{dot}": ".dot"}

@@ -1,5 +1,7 @@
 """Spectra: closed-form eigenvalues, multiplicities, symmetry, Ramanujan checks."""
 
+import functools
+import itertools
 import math
 import random
 
@@ -39,7 +41,7 @@ from pairgraph.spectral import (
     zero_multiplicity_lower_bound,
 )
 from pairgraph.structure import connected_components
-from pairgraph.actions import random_candidate
+from pairgraph.actions import SearchConfig, random_candidate, search_ramanujan
 
 from helpers import (
     GENERATED_FACTORS,
@@ -311,27 +313,120 @@ def _second_k_cases():
         yield make, [s for s in sets if s or sub.index == 1]
 
 
+def _k_route(gen):
+    """The spectrum by the characters of K, padded and sorted as ``_spectrum`` does, on every pair."""
+    values = spectral._character_values(gen)
+    return np.sort(np.concatenate([values, np.zeros(gen.group.order - len(values))]))[::-1]
+
+
+def _check_traces(values, gen, atol):
+    """sum(lambda) = 0 and sum(lambda^2) = 2|E| = |H| (2|S_out| + |S_in|)."""
+    m = gen.group.order
+    assert abs(values.sum()) <= m * atol
+    square_sum = gen.subgroup.order * (2 * len(gen.outside) + len(gen.inside))
+    assert abs((values**2).sum() - square_sum) <= m * atol * gen.size
+
+
 def test_second_choice_of_k_agrees(monkeypatch):
-    """The spectrum by the chosen K against the spectrum by the largest cyclic K, the dense solve and the traces."""
+    """The spectrum by the chosen K against the spectrum by the largest cyclic K, the dense solve and the traces.
+
+    Both sides call the K route directly: ``_spectrum`` takes the Young route on the S_n > A_n outside sets.
+    """
     for make, sets in _second_k_cases():
         chosen, cyclic = make(), make()
         with monkeypatch.context() as patch:
             patch.setattr(groups, "_abelian_subgroup", _largest_cyclic_listing)
-            second = [spectral._spectrum(validate_generating_set(cyclic, s)).eigenvalues for s in sets]
+            second = [_k_route(validate_generating_set(cyclic, s)) for s in sets]
         assert chosen.abelian_orbits.listing.size > cyclic.abelian_orbits.listing.size == max(
             reference_element_order(cyclic.parent, h) for h in cyclic.elements
         ), chosen
         for s, other in zip(sets, second):
             gen = validate_generating_set(chosen, s)
-            values = spectral._spectrum(gen).eigenvalues
+            values = _k_route(gen)
             atol = 1e-10 * max(1, gen.size)
             assert np.abs(values - other).max() <= atol, (chosen, sorted(s))
             if gen.group.order <= 720:
                 assert np.abs(values - dense_eigenvalues(build_pair_graph(chosen, gen))).max() <= atol, chosen
-            m = gen.group.order
-            assert abs(values.sum()) <= m * atol
-            square_sum = chosen.order * (2 * len(gen.outside) + len(gen.inside))
-            assert abs((values**2).sum() - square_sum) <= m * atol * gen.size
+            _check_traces(values, gen, atol)
+
+
+@functools.cache
+def _alternating_in_symmetric(n):
+    return builtin_subgroup(make_symmetric(n), "alternating_in_symmetric")
+
+
+def _young_cases():
+    """S_n > A_n, n = 2..6, with random sets outside A_n, then the S4 and S6 sets of ``_second_k_cases``.
+
+    The latter are empty, inside, outside (20 elements), mixed and, on S6, 340 outside.
+    """
+    rng = random.Random(167)
+    for n in range(2, 7):
+        sub = _alternating_in_symmetric(n)
+        outside = sub.outside()
+        for k in sorted({1, min(3, len(outside)), min(12, len(outside)), len(outside)}):
+            yield validate_generating_set(sub, rng.sample(outside, k))
+    for make, sets in itertools.islice(_second_k_cases(), 2):
+        sub = make()
+        yield from (validate_generating_set(sub, s) for s in sets)
+
+
+def test_young_route_matches_k_route():
+    """S outside A_n takes the Young route, which agrees with the K route; any other S keeps the K route bit for bit."""
+    sizes = set()
+    for gen in _young_cases():
+        values = spectral._spectrum(gen).eigenvalues
+        k_route = _k_route(gen)
+        if gen.inside or not gen.outside:
+            assert np.array_equal(values, k_route), gen
+            continue
+        sizes.add((gen.group.order, gen.size))
+        assert np.array_equal(values, np.sort(spectral._young_values(gen))[::-1]), gen
+        atol = 1e-10 * max(1, gen.size)
+        assert np.abs(values - k_route).max() <= atol, (gen.group, gen.elements)
+        _check_traces(values, gen, atol)
+    assert {(720, 20), (720, 340), (2, 1), (24, 12)} <= sizes
+
+
+def test_young_route_above_the_vertex_cap():
+    """S7 > A7 has 5040 vertices, over the cap of ``_spectrum``, so the route's own function is called."""
+    sub = _alternating_in_symmetric(7)
+    rng = random.Random(211)
+    for k in (30, 200):
+        gen = validate_generating_set(sub, rng.sample(sub.outside(), k))
+        with pytest.raises(SizeCapExceeded):
+            spectral._spectrum(gen)
+        values = np.sort(spectral._young_values(gen))[::-1]
+        assert len(values) == 5040
+        atol = 1e-10 * k
+        assert np.abs(values - _k_route(gen)).max() <= atol
+        _check_traces(values, gen, atol)
+
+
+@st.composite
+def _odd_sets(draw):
+    """A nonempty set outside A_n in S_n, n <= 5."""
+    sub = _alternating_in_symmetric(draw(st.integers(2, 5)))
+    outside = sub.outside()
+    return validate_generating_set(sub, draw(st.sets(st.sampled_from(outside), min_size=1, max_size=len(outside))))
+
+
+@settings(derandomize=True, database=None, max_examples=40, deadline=None)
+@given(_odd_sets())
+def test_generated_odd_sets_match_dense_oracle(gen):
+    values = spectral._spectrum(gen).eigenvalues
+    dense = dense_eigenvalues(build_pair_graph(gen.subgroup, gen))
+    assert np.abs(values - dense).max() <= 1e-10 * gen.size, gen.elements
+
+
+def test_search_on_s6_takes_no_abelian_subgroup(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the K route chose an abelian subgroup")
+
+    monkeypatch.setattr(groups, "_abelian_subgroup", refuse)
+    sub = builtin_subgroup(make_symmetric(6), "alternating_in_symmetric")
+    results = search_ramanujan(SearchConfig(subgroup=sub, size=20, trials=5, seed=0))
+    assert sum(r.worst_nontrivial is not None for r in results) == 5
 
 
 @st.composite

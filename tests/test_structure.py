@@ -152,6 +152,10 @@ def test_translate_component_rejects_out_of_range(z12_sub):
     for h in (-3, 12):
         with pytest.raises(ValidationError, match=f"translating element {h} out of range"):
             translate_component(graph, h, (0, 1, 6, 7))
+    # an entry outside 0..11 once came back shifted: (0, 40) gave (3, 31) and (-1,) gave (2,)
+    for component in ((0, 40), (-1,), (12,)):
+        with pytest.raises(ValidationError, match=r"component entry out of range 0\.\.11"):
+            translate_component(graph, 3, component)
 
 
 def test_translation_permutes_components():
