@@ -24,7 +24,7 @@ from .errors import (
     SizeCapExceeded,
     ValidationError,
 )
-from .groups import FiniteGroup, Subgroup, _element_orders, generated_elements, validate_generating_set
+from .groups import FiniteGroup, Subgroup, _element_indices, _element_orders, generated_elements, validate_generating_set
 from .spectral import _certify, _check_tolerance, ramanujan_size_bound
 from .structure import is_connected
 
@@ -38,13 +38,13 @@ SEED_STRIDE = 2654435761  # fixed trial-to-trial seed advance
 def right_translate_set(subgroup: Subgroup, s_elements: Iterable[int], h: int) -> tuple[int, ...]:
     """Translate a set outside the subgroup on the right by a subgroup element."""
     group = subgroup.parent
+    (h,) = _element_indices(group, [h], "translating element")
     if not subgroup.contains(h):
         raise ValidationError(f"translating element {h} is not in the subgroup")
-    elems = sorted(set(int(x) for x in s_elements))
-    for x in elems:
-        if subgroup.contains(x):
-            raise ValidationError("right translation needs a set outside the subgroup")
-    return tuple(np.sort(group.product(np.array(elems, dtype=np.int64), h)).tolist())
+    elems = np.array(_element_indices(group, s_elements), dtype=np.int64)
+    if not subgroup.coset_of[elems].all():
+        raise ValidationError("right translation needs a set outside the subgroup")
+    return tuple(np.sort(group.product(elems, h)).tolist())
 
 
 def verify_automorphism(group: FiniteGroup, psi: Sequence[int]) -> None:
@@ -69,7 +69,7 @@ def verify_automorphism(group: FiniteGroup, psi: Sequence[int]) -> None:
 def apply_automorphism(group: FiniteGroup, psi: Sequence[int], s_elements: Iterable[int]) -> tuple[int, ...]:
     """Image of a set under a verified group automorphism."""
     verify_automorphism(group, psi)
-    return tuple(sorted(int(psi[int(x)]) for x in set(s_elements)))
+    return tuple(sorted(int(psi[x]) for x in _element_indices(group, s_elements)))
 
 
 def _generator_chain(group: FiniteGroup) -> list[int]:

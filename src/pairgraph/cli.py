@@ -1,9 +1,10 @@
 """Command-line front end.
 
 Commands: ``build``, ``analyze``, ``spectrum``, ``ramanujan``, ``search`` and
-``verify``.  Exit codes: 0 success, 2 validation error (a malformed
-descriptor or an out-of-range number included), 3 eigensolver
-non-convergence, 4 reference-case mismatch.  Every random operation requires
+``verify``; each takes only the options it reads.  Exit codes: 0 success,
+2 validation error (a malformed descriptor, an out-of-range number or an
+option the command does not take included), 3 eigensolver non-convergence,
+4 reference-case mismatch.  Every random operation requires
 an explicit ``--seed`` so runs are reproducible.
 """
 
@@ -47,19 +48,6 @@ EXIT_OK = 0
 EXIT_VALIDATION = 2
 EXIT_EIGENSOLVER = 3
 EXIT_MISMATCH = 4
-
-
-def _add_instance_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--group", required=True, help="group descriptor, e.g. cyclic:12 or gl2:3 or JSON")
-    parser.add_argument("--subgroup", help="subgroup: element list '0,3,6,9', builtin name, or JSON")
-    parser.add_argument("--subgroup-gen", help="comma list of generators for the subgroup")
-    parser.add_argument("--set", dest="set_elements", help="generating set as a comma list of element indices")
-    parser.add_argument("--set-norm-preimage", help="comma list of prime-field values (field groups only)")
-    parser.add_argument("--set-random", type=int, metavar="K", help="seeded random K-subset of G-H")
-    parser.add_argument("--seed", type=int, help="seed for random choices (required with --set-random)")
-    parser.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE, help="eigenvalue tolerance")
-    parser.add_argument("--format", choices=("text", "json", "csv"), default="text")
-    parser.add_argument("--out", help="write the report here instead of stdout")
 
 
 def _resolve_subgroup(args) -> Subgroup:
@@ -239,41 +227,42 @@ def cmd_verify(args) -> int:
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """One parser per command, taking only the options that command reads; any other exits 2."""
     parser = argparse.ArgumentParser(
         prog="pairgraph",
         description="Group-subgroup pair graphs: build, analyze, certify, search.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    instance = argparse.ArgumentParser(add_help=False)  # the flags of every instance command
+    instance.add_argument("--group", required=True, help="group descriptor, e.g. cyclic:12 or gl2:3 or JSON")
+    instance.add_argument("--subgroup", help="subgroup: element list '0,3,6,9', builtin name, or JSON")
+    instance.add_argument("--subgroup-gen", help="comma list of generators for the subgroup")
+    instance.add_argument("--seed", type=int, help="seed for random choices (required with --set-random or --mode random)")
+    instance.add_argument("--out", help="write the report here instead of stdout")
+    with_set = argparse.ArgumentParser(add_help=False, parents=[instance])
+    with_set.add_argument("--set", dest="set_elements", help="generating set as a comma list of element indices")
+    with_set.add_argument("--set-norm-preimage", help="comma list of prime-field values (field groups only)")
+    with_set.add_argument("--set-random", type=int, metavar="K", help="seeded random K-subset of G-H")
+    tolerance = argparse.ArgumentParser(add_help=False)
+    tolerance.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE, help="eigenvalue tolerance")
 
-    p_build = sub.add_parser("build", help="build a pair graph and export it")
-    _add_instance_flags(p_build)
+    def command(name, fn, help_text, parents, formats=()):
+        p = sub.add_parser(name, help=help_text, parents=parents)
+        if formats:
+            p.add_argument("--format", choices=formats, default="text")
+        p.set_defaults(fn=fn)
+        return p
+
+    p_build = command("build", cmd_build, "build a pair graph and export it", [with_set], ("text", "json"))
     p_build.add_argument("--dot", help="also write a DOT rendering here")
-    p_build.set_defaults(fn=cmd_build)
-
-    p_analyze = sub.add_parser("analyze", help="degrees, components, connectivity, bipartiteness")
-    _add_instance_flags(p_analyze)
-    p_analyze.set_defaults(fn=cmd_analyze)
-
-    p_spec = sub.add_parser("spectrum", help="full adjacency spectrum, clustered")
-    _add_instance_flags(p_spec)
-    p_spec.set_defaults(fn=cmd_spectrum)
-
-    p_ram = sub.add_parser("ramanujan", help="certify the Ramanujan property")
-    _add_instance_flags(p_ram)
-    p_ram.set_defaults(fn=cmd_ramanujan)
-
-    p_search = sub.add_parser("search", help="search size-k generating sets for Ramanujan graphs")
-    p_search.add_argument("--group", required=True)
-    p_search.add_argument("--subgroup")
-    p_search.add_argument("--subgroup-gen")
+    command("analyze", cmd_analyze, "degrees, components, connectivity, bipartiteness", [with_set], ("text", "json"))
+    command("spectrum", cmd_spectrum, "full adjacency spectrum, clustered", [with_set, tolerance], ("text", "json", "csv"))
+    command("ramanujan", cmd_ramanujan, "certify the Ramanujan property", [with_set, tolerance], ("text", "json"))
+    p_search = command("search", cmd_search, "search size-k generating sets for Ramanujan graphs", [instance, tolerance])
     p_search.add_argument("--k", type=int, required=True, help="generating-set size")
     p_search.add_argument("--mode", choices=("random", "exhaustive"), default="random")
     p_search.add_argument("--trials", type=int, default=10)
-    p_search.add_argument("--seed", type=int)
     p_search.add_argument("--no-certify", action="store_true", help="skip the spectral certification")
-    p_search.add_argument("--tolerance", type=float, default=DEFAULT_TOLERANCE)
-    p_search.add_argument("--out")
-    p_search.set_defaults(fn=cmd_search)
 
     p_verify = sub.add_parser("verify", help="re-run the bundled reference cases")
     p_verify.add_argument("--only", help="run a single case by id")

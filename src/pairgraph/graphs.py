@@ -143,19 +143,11 @@ def _group_matrix_rows(subgroup: Subgroup, elements: Iterable[int]) -> np.ndarra
 def cayley_adjacency(group: FiniteGroup, s: Iterable[int]) -> np.ndarray:
     """Adjacency matrix of the Cayley graph on a symmetric set without the identity.
 
-    The group matrix with H = G: index 1, so |G|^2 + |G| products.
+    The pair graph with H = G, where the set rules of ``validate_generating_set``
+    ask exactly this; the group matrix at index 1, so |G|^2 + |G| products.
     """
-    elems = sorted(set(int(x) for x in s))
-    for x in elems:
-        if not 0 <= x < group.order:
-            raise ValidationError(f"generating element {x} out of range")
-    if group.identity in elems:
-        raise ValidationError("the identity element is not allowed in a generating set")
-    elem_set = set(elems)
-    for x in elems:
-        if group.inv(x) not in elem_set:
-            raise ValidationError(f"Cayley generating set must be symmetric; inverse of {x} missing")
-    return _group_matrix_rows(closed_subgroup(group, np.arange(group.order)), elems)
+    whole = closed_subgroup(group, np.arange(group.order))
+    return _group_matrix_rows(whole, validate_generating_set(whole, s).elements)
 
 
 def degree_profile(graph: PairGraph) -> list[tuple[int, int, int]]:
@@ -237,8 +229,8 @@ def graph_to_json(graph: PairGraph) -> dict:
 def graph_to_dot(graph: PairGraph) -> str:
     """DOT export; subgroup vertices are drawn as boxes."""
     lines = ["graph pairgraph {"]
-    for v in range(graph.order):
-        shape = "box" if graph.subgroup.contains(v) else "ellipse"
+    for v, coset in enumerate(graph.subgroup.coset_of.tolist()):
+        shape = "ellipse" if coset else "box"
         label = graph.group.labels[v].replace('"', "'")
         lines.append(f'  v{v} [label="{label}", shape={shape}];')
     for u, v in graph.edges():

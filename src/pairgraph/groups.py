@@ -167,6 +167,17 @@ def _check_order(order: int) -> None:
         raise SizeCapExceeded(f"group order {order} exceeds the cap {ORDER_CAP}")
 
 
+def _element_indices(
+    group: FiniteGroup, elements: Iterable[int], what: str = "element", error: type[ValidationError] = ValidationError
+) -> list[int]:
+    """``elements`` as ascending distinct ints; ``error`` names the least one outside 0..order-1 as ``what``."""
+    elems = sorted(set(map(int, elements)))
+    if elems and (elems[0] < 0 or elems[-1] >= group.order):
+        bad = next(x for x in elems if not 0 <= x < group.order)
+        raise error(f"{what} {bad} out of range")
+    return elems
+
+
 # ---------------------------------------------------------------------------
 # constructors
 
@@ -375,10 +386,11 @@ def make_direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
 
 
 def _check_prime(p: int) -> None:
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
+    # the cap first: trial division of a large p would run for minutes
     if p > PRIME_CAP:
         raise ValidationError(f"prime {p} exceeds the cap {PRIME_CAP}")
+    if not is_prime(p):
+        raise ValidationError(f"{p} is not prime")
 
 
 def _matrix_group(name: str, p: int, order: int, keep_det, descriptor: dict) -> FiniteGroup:
@@ -449,7 +461,8 @@ def make_field_additive(p: int, k: int) -> FiniteGroup:
     _check_prime(p)
     if k < 1:
         raise ValidationError("extension degree must be >= 1")
-    if p**k > FIELD_ORDER_CAP:
+    # p^k >= 2^k, so a k of the cap's bit length or more exceeds it without forming the power
+    if k >= FIELD_ORDER_CAP.bit_length() or p**k > FIELD_ORDER_CAP:
         raise SizeCapExceeded(f"field order {p}^{k} exceeds the cap {FIELD_ORDER_CAP}")
     gf = PrimePowerField.create(p, k)
     weights = [p**d for d in range(k)]
@@ -533,6 +546,7 @@ class Subgroup:
         return len(self.coset_reps)
 
     def contains(self, x: int) -> bool:
+        (x,) = _element_indices(self.parent, [x])
         return not self.coset_of[x]
 
     def outside(self) -> tuple[int, ...]:
@@ -674,12 +688,9 @@ def subgroup_from_elements(group: FiniteGroup, elems: Iterable[int]) -> Subgroup
 
     X is a subgroup exactly when the subgroup it generates, which holds X, has |X| elements.
     """
-    members = sorted(set(int(x) for x in elems))
+    members = _element_indices(group, elems, error=NotASubgroup)
     if not members:
         raise NotASubgroup("a subgroup cannot be empty")
-    for x in members:
-        if not 0 <= x < group.order:
-            raise NotASubgroup(f"element {x} out of range")
     closure = generated_elements(group, members)
     if len(closure) > len(members):
         missing = np.setdiff1d(closure, members)[0]
@@ -735,11 +746,7 @@ def generated_elements(group: FiniteGroup, gens: Iterable[int]) -> np.ndarray:
     from the products x*g^(2^j) and multiplies each new element by every
     adjoined element.
     """
-    gens = sorted(set(int(x) for x in gens))
-    for x in gens:
-        if not 0 <= x < group.order:
-            raise ValidationError(f"generator {x} out of range")
-    pending = np.array(gens, dtype=np.int64)
+    pending = np.array(_element_indices(group, gens, "generator"), dtype=np.int64)
     seen = np.zeros(group.order, dtype=bool)
     seen[group.identity] = True
     adjoined = np.empty(0, dtype=np.int64)
@@ -834,10 +841,7 @@ def validate_generating_set(subgroup: Subgroup, elements: Iterable[int]) -> Gene
     not closed under inversion.
     """
     group = subgroup.parent
-    elems = sorted(set(int(x) for x in elements))
-    for x in elems:
-        if not 0 <= x < group.order:
-            raise ValidationError(f"generating element {x} out of range")
+    elems = _element_indices(group, elements, "generating element")
     if group.identity in elems:
         raise IdentityInGeneratingSet("the identity element is not allowed in a generating set")
     cosets = subgroup.coset_of[elems].tolist()

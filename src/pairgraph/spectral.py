@@ -64,7 +64,9 @@ class Spectrum:
 
     @cached_property
     def clusters(self) -> tuple[tuple[float, int], ...]:
-        return _cluster(self.eigenvalues, self.cluster_gap)
+        """``_cluster``'s pairs, a mean within the gap of 0 read as 0.0: its sign is the solver's rounding."""
+        gap = self.cluster_gap
+        return tuple((0.0 if abs(mean) <= gap else mean, count) for mean, count in _cluster(self.eigenvalues, gap))
 
     @property
     def order(self) -> int:

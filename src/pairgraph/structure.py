@@ -18,7 +18,7 @@ import numpy as np
 
 from .errors import ValidationError
 from .graphs import PairGraph
-from .groups import FiniteGroup, GeneratingSet, _sorted_unique, generated_elements
+from .groups import FiniteGroup, GeneratingSet, _element_indices, _sorted_unique, generated_elements
 
 
 @dataclass(frozen=True)
@@ -132,8 +132,7 @@ def identity_component_by_closure(gen: GeneratingSet) -> tuple[int, ...]:
 
 def translate_component(graph: PairGraph, h: int, component: tuple[int, ...]) -> tuple[int, ...]:
     """Left translate of a component by a subgroup element; lands on a component."""
-    if not 0 <= h < graph.order:
-        raise ValidationError(f"translating element {h} out of range")
+    (h,) = _element_indices(graph.group, [h], "translating element")
     if not graph.subgroup.contains(h):
         raise ValidationError(f"translating element {h} is not in the subgroup")
     vertices = np.array(component, dtype=np.int64)
@@ -175,10 +174,7 @@ def sign_homomorphism_exists(group: FiniteGroup, s_elements) -> bool:
     quotient of exponent 2, hence abelian), so the squares and the |S|
     products s*t0 already generate W.
     """
-    s = np.array(sorted(set(int(x) for x in s_elements)), dtype=np.int64)
-    for x in s:
-        if not 0 <= x < group.order:
-            raise ValidationError(f"element {x} out of range")
+    s = np.array(_element_indices(group, s_elements), dtype=np.int64)
     idx = np.arange(group.order)
     squares = group.product(idx, idx)
     w = generated_elements(group, np.concatenate([squares, group.product(s, s[:1])]))

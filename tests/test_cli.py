@@ -305,6 +305,75 @@ def test_search_tolerance_checked_before_any_trial(capsys, flags, message):
     assert message in err
 
 
+Z12 = ["--group", "cyclic:12", "--subgroup", "0,3,6,9"]
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["analyze", "--group", '{"kind": "product", "params": ["cyclic:2"]}', "--subgroup", "0", "--set", "1"],
+         "product descriptor needs exactly two factor descriptors"),
+        (["analyze", "--group", "cyclic:3,4", "--subgroup", "0", "--set", "1"],
+         "group kind 'cyclic' takes 1 parameter(s), got [3, 4]"),
+        (["analyze", "--group", "gl2:2305843009213693951", "--subgroup", "0", "--set", "1"],
+         "prime 2305843009213693951 exceeds the cap 13"),
+        (["analyze", "--group", "cyclic:12", "--subgroup", "sl2_in_gl2", "--set", "1"], "sl2_in_gl2 needs a gl2 group"),
+        (["analyze", "--group", "alternating:4", "--subgroup", "alternating_in_symmetric", "--set", "1"],
+         "alternating_in_symmetric needs a symmetric group"),
+        (["analyze", "--group", "cyclic:7", "--subgroup", "evens", "--set", "1"], "evens needs a cyclic group of even order"),
+        (["analyze", "--group", "alternating:5", "--subgroup", "klein_in_a4", "--set", "1"],
+         "klein_in_a4 needs the alternating group on 4 letters"),
+        (["analyze", "--group", "cyclic:12", "--subgroup", "odds", "--set", "1"],
+         "unknown builtin subgroup 'odds'; known: ('sl2_in_gl2', 'alternating_in_symmetric', 'evens', 'klein_in_a4')"),
+        (["analyze", "--group", "cyclic:12", "--subgroup", "{}", "--set", "1"],
+         "subgroup descriptor needs 'elements', 'generators' or 'builtin'"),
+        (["analyze", *Z12, "--set", '{"x": 1}'], "set descriptor needs 'elements' or 'norm_preimage'"),
+        (["analyze", "--group", "cyclic:12", "--set", "1"], "one of --subgroup / --subgroup-gen is required"),
+        (["spectrum", *Z12, "--set", "1", "--set-random", "2", "--seed", "0"],
+         "exactly one of --set / --set-norm-preimage / --set-random is required, got ['--set', '--set-random']"),
+    ],
+    ids=["product-one-factor", "cyclic-two-params", "gl2-huge-prime", "sl2-builtin-on-cyclic",
+         "alternating-builtin-on-a4", "evens-on-odd-cyclic", "klein-on-a5", "unknown-builtin", "empty-subgroup-json",
+         "set-json-without-rule", "no-subgroup", "set-and-set-random"],
+)
+def test_validation_branches_exit_2(capsys, argv, message):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_eigensolver_failure_exits_3(monkeypatch, capsys):
+    from pairgraph import cli
+    from pairgraph.errors import EigensolverError
+
+    def failing(*args, **kwargs):
+        raise EigensolverError("eigensolver did not converge")
+
+    monkeypatch.setattr(cli, "_spectrum", failing)
+    code, out, err = run_cli(capsys, "spectrum", *Z12, "--set", "1,2")
+    assert (code, out, err) == (3, "", "error: eigensolver did not converge\n")
+
+
+@pytest.mark.parametrize(
+    "command, flags, message",
+    [
+        ("build", ["--tolerance", "1e-8"], "unrecognized arguments: --tolerance 1e-8"),
+        ("analyze", ["--tolerance", "1e-8"], "unrecognized arguments: --tolerance 1e-8"),
+        ("analyze", ["--tolerance", "nan"], "unrecognized arguments: --tolerance nan"),
+        ("build", ["--format", "csv"], "argument --format: invalid choice: 'csv'"),
+        ("analyze", ["--format", "csv"], "argument --format: invalid choice: 'csv'"),
+        ("ramanujan", ["--format", "csv"], "argument --format: invalid choice: 'csv'"),
+    ],
+    ids=["build-tolerance", "analyze-tolerance", "analyze-tolerance-nan", "build-csv", "analyze-csv", "ramanujan-csv"],
+)
+def test_options_a_command_does_not_read_exit_2(capsys, command, flags, message):
+    # these once exited 0: analyze printed text, build JSON and ramanujan text
+    with pytest.raises(SystemExit) as exc:
+        main([command, *Z12, "--set", "1,2", *flags])
+    captured = capsys.readouterr()
+    assert exc.value.code == 2 and captured.out == ""
+    assert message in captured.err
+
+
 def test_verify_all_cases(capsys):
     code, out, _ = run_cli(capsys, "verify")
     assert code == 0

@@ -27,6 +27,7 @@ ROTATIONS = ["--group", "dihedral:5", "--subgroup", "0,1,2,3,4", "--set", "1,4"]
 MIXED = [*README, "--set", "3,9,1"]
 SPECTRUM_MIXED = [*README, "--set", "2,3,4,5,7,8,9"]
 ALTERNATING = ["--subgroup", "alternating_in_symmetric", "--set-random"]
+ZERO = ["--group", "gl2:3", "--subgroup", "sl2_in_gl2", "--set-random", "9", "--seed", "4"]
 CASES = {
     "build-readme-text": ["build", *README, "--set", "2,4,5,7,8"],
     "build-readme-json": ["build", *README, "--set", "2,4,5,7,8", "--format", "json"],
@@ -51,6 +52,9 @@ CASES = {
     "spectrum-s5-csv": ["spectrum", "--group", "symmetric:5", *ALTERNATING, "12", "--seed", "3",
                         "--format", "csv"],
     "spectrum-s6-text": ["spectrum", "--group", "symmetric:6", *ALTERNATING, "20", "--seed", "0"],
+    # the zero cluster's mean is -4.1e-33 before it is read as 0.0
+    "spectrum-zero-text": ["spectrum", *ZERO],
+    "spectrum-zero-csv": ["spectrum", *ZERO, "--format", "csv"],
 }
 FILES = {"{out}": ".out-file", "{dot}": ".dot"}
 

@@ -2,6 +2,7 @@
 
 import random
 import re
+import time
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from pairgraph import groups
+from pairgraph.actions import apply_automorphism, right_translate_set
 from pairgraph.descriptors import builtin_subgroup, group_from_descriptor
 from pairgraph.errors import (
     IdentityInGeneratingSet,
@@ -18,6 +20,7 @@ from pairgraph.errors import (
     ValidationError,
 )
 from pairgraph.fields import CONWAY_POLYNOMIALS, is_prime, reducing_polynomial
+from pairgraph.graphs import build_pair_graph, cayley_adjacency
 from pairgraph.groups import (
     closed_subgroup,
     field_norm_preimage,
@@ -36,6 +39,7 @@ from pairgraph.groups import (
     subgroup_generated,
     validate_generating_set,
 )
+from pairgraph.structure import sign_homomorphism_exists, translate_component
 
 from helpers import (
     GENERATED_FACTORS,
@@ -204,6 +208,70 @@ def test_caps_checked_before_enumeration(monkeypatch):
             maker(arg)
     with pytest.raises(ValidationError):
         make_symmetric(9)
+
+
+def test_caps_checked_before_the_arithmetic(monkeypatch):
+    # trial division of 2^61 - 1 once ran for minutes before the cap was read
+    def no_primality(p):
+        raise AssertionError(f"is_prime({p}) ran before the prime cap was checked")
+
+    monkeypatch.setattr(groups, "is_prime", no_primality)
+    for maker in (make_gl2, make_sl2, lambda p: make_field_additive(p, 1)):
+        with pytest.raises(ValidationError, match=f"prime {2**61 - 1} exceeds the cap 13"):
+            maker(2**61 - 1)
+    monkeypatch.undo()
+    # 2^(10^9) took seconds to form before the field-order cap compared it
+    start = time.perf_counter()
+    with pytest.raises(SizeCapExceeded, match=r"field order 2\^1000000000 exceeds the cap 4096"):
+        make_field_additive(2, 10**9)
+    assert time.perf_counter() - start < 0.5
+    assert make_field_additive(2, 12).order == 4096  # the largest field under the cap is still built
+    with pytest.raises(SizeCapExceeded):
+        make_field_additive(3, 8)  # 6561, with k below the bit-length bound
+
+
+def _z12_instance():
+    z12 = make_cyclic(12)
+    sub = subgroup_from_elements(z12, [0, 3, 6, 9])
+    return z12, sub, build_pair_graph(sub, [1, 7])
+
+
+# every entry point that reads element indices, with the error and the word it names a bad one by
+INDEX_ENTRY_POINTS = {
+    "subgroup_from_elements": (lambda z, sub, graph, x: subgroup_from_elements(z, [0, x]), NotASubgroup, "element"),
+    "generated_elements": (lambda z, sub, graph, x: generated_elements(z, [3, x]), ValidationError, "generator"),
+    "validate_generating_set": (
+        lambda z, sub, graph, x: validate_generating_set(sub, [1, x]), ValidationError, "generating element"),
+    "sign_homomorphism_exists": (
+        lambda z, sub, graph, x: sign_homomorphism_exists(z, [1, x]), ValidationError, "element"),
+    "translate_component": (
+        lambda z, sub, graph, x: translate_component(graph, x, (0, 1)), ValidationError, "translating element"),
+    "right_translate_set-set": (
+        lambda z, sub, graph, x: right_translate_set(sub, [1, x], 3), ValidationError, "element"),
+    "right_translate_set-h": (
+        lambda z, sub, graph, x: right_translate_set(sub, [1], x), ValidationError, "translating element"),
+    "apply_automorphism": (
+        lambda z, sub, graph, x: apply_automorphism(z, range(12), [2, x]), ValidationError, "element"),
+    "Subgroup.contains": (lambda z, sub, graph, x: sub.contains(x), ValidationError, "element"),
+    "cayley_adjacency": (lambda z, sub, graph, x: cayley_adjacency(z, [1, 11, x]), ValidationError, "generating element"),
+}
+
+
+@pytest.mark.parametrize("bad", [-1, 12])
+@pytest.mark.parametrize("entry", sorted(INDEX_ENTRY_POINTS))
+def test_element_indices_outside_the_group_are_refused(entry, bad):
+    # right_translate_set once gave (2,) for [-1] and the non-element (-2,) for h = -3,
+    # apply_automorphism (2, 11) for [-1, 2], and contains(-1) read the last coset id
+    call, error, what = INDEX_ENTRY_POINTS[entry]
+    with pytest.raises(error, match=f"^{what} {bad} out of range$"):
+        call(*_z12_instance(), bad)
+
+
+def test_least_index_outside_the_group_is_named():
+    z12, sub, _ = _z12_instance()
+    for elements, bad in (([14, 1, -2, 13, -5], -5), ([14, 1, 13, 12], 12), ([13, 2, 40], 13)):
+        with pytest.raises(ValidationError, match=f"generating element {bad} out of range"):
+            validate_generating_set(sub, elements)
 
 
 def test_permutation_composition_is_left_to_right():
