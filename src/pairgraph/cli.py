@@ -73,6 +73,8 @@ def _resolve_gen(args) -> GeneratingSet:
     ]
     if len(chosen) != 1:
         raise ValidationError(f"exactly one of --set / --set-norm-preimage / --set-random is required, got {chosen}")
+    if args.seed is not None and args.set_random is None:
+        raise ValidationError(f"--seed is read only with --set-random, not with {chosen[0]}")
     if args.set_elements is not None:
         s = set_from_descriptor(group, args.set_elements)
     elif args.set_norm_preimage is not None:
@@ -235,8 +237,9 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
     instance = argparse.ArgumentParser(add_help=False)  # the flags of every instance command
     instance.add_argument("--group", required=True, help="group descriptor, e.g. cyclic:12 or gl2:3 or JSON")
-    instance.add_argument("--subgroup", help="subgroup: element list '0,3,6,9', builtin name, or JSON")
-    instance.add_argument("--subgroup-gen", help="comma list of generators for the subgroup")
+    one_subgroup = instance.add_mutually_exclusive_group()
+    one_subgroup.add_argument("--subgroup", help="subgroup: element list '0,3,6,9', builtin name, or JSON")
+    one_subgroup.add_argument("--subgroup-gen", help="comma list of generators for the subgroup")
     instance.add_argument("--seed", type=int, help="seed for random choices (required with --set-random or --mode random)")
     instance.add_argument("--out", help="write the report here instead of stdout")
     with_set = argparse.ArgumentParser(add_help=False, parents=[instance])

@@ -821,13 +821,26 @@ class GeneratingSet:
         (s·t_c^-1)·(t·t_c^-1)^-1 for any t_c in that coset; so the inside part
         and the quotients s·t_c^-1, one fixed t_c per covered coset c,
         generate U in |outside| products.
+
+        Before the closure, a Lagrange certificate: U holds R = {e} ∪ Q ∪ Q·Q'
+        for the distinct seeds Q and their first ceil(|H|/|Q|) members Q', and
+        |U| divides |H|, so |R| > |H|/2 forces U = H.  The products, fewer than
+        |H| + |Q| in one call, are taken only when Q alone is too small and R
+        could be large enough, where random seeds in A_n almost always pass.
         """
-        group, outside = self.group, np.array(self.outside, dtype=np.int64)
+        group, outside, order = self.group, np.array(self.outside, dtype=np.int64), self.subgroup.order
         cosets = self.subgroup.coset_of[outside].tolist()
         fixed: dict[int, int] = {}
         for c, s in zip(cosets, self.outside):
             fixed.setdefault(c, s)
         quotients = group.product(outside, group.inverses[[fixed[c] for c in cosets]])
+        reached = seeds = _sorted_unique(np.concatenate([np.array(self.inside, dtype=np.int64), quotients]))
+        width = min(seeds.size, -(-order // max(seeds.size, 1)))
+        if 2 * seeds.size <= order < 2 * (1 + seeds.size * (1 + width)):
+            products = group.product(seeds[:, None], seeds[:width])
+            reached = _sorted_unique(np.concatenate([[group.identity], seeds, products], axis=None))
+        if 2 * reached.size > order:
+            return self.subgroup.elements
         return generated_elements(group, [*self.inside, *quotients.tolist()])
 
     def __repr__(self) -> str:

@@ -298,9 +298,6 @@ class TrivialEigenvalues:
     inside_size: int
     coset_pattern: tuple[int, ...]
 
-    def quadratic_residual(self, value: float) -> float:
-        return value * value - self.inside_size * value - sum(c * c for c in self.coset_pattern)
-
 
 def trivial_eigenvalues(gen: GeneratingSet) -> TrivialEigenvalues:
     if gen.size == 0:

@@ -8,6 +8,8 @@ from collections import deque
 from functools import lru_cache
 
 import numpy as np
+from hypothesis import assume
+from hypothesis import strategies as st
 
 from pairgraph.descriptors import builtin_subgroup, group_from_descriptor
 from pairgraph.errors import NotASubgroup, ValidationError
@@ -76,6 +78,19 @@ GENERATED_FACTORS = (
 def generated_group(first: str, second) -> FiniteGroup:
     """The group ``first``, or its direct product with ``second`` unless that is None."""
     return group_from_descriptor(first if second is None else {"kind": "product", "params": [first, second]})
+
+
+@st.composite
+def generated_instances(draw):
+    """A group of any family or a direct product of two, of order <= 120; H generated by one to three elements; S."""
+    first = draw(st.sampled_from(GENERATED_FACTORS))
+    second = draw(st.none() | st.sampled_from(GENERATED_FACTORS))
+    group = generated_group(first, second)
+    assume(group.order <= 120)
+    element = st.integers(0, group.order - 1)
+    sub = subgroup_generated(group, draw(st.lists(element, min_size=1, max_size=3)))
+    picked = draw(st.sets(element.filter(lambda x: x != group.identity), max_size=12))
+    return validate_generating_set(sub, picked | {group.inv(x) for x in picked if sub.contains(x)})
 
 
 @lru_cache(maxsize=None)

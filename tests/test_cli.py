@@ -331,10 +331,17 @@ Z12 = ["--group", "cyclic:12", "--subgroup", "0,3,6,9"]
         (["analyze", "--group", "cyclic:12", "--set", "1"], "one of --subgroup / --subgroup-gen is required"),
         (["spectrum", *Z12, "--set", "1", "--set-random", "2", "--seed", "0"],
          "exactly one of --set / --set-norm-preimage / --set-random is required, got ['--set', '--set-random']"),
+        # --seed is read on the --set-random path only; these once exited 0 and ignored it
+        (["build", *Z12, "--set", "1,7", "--seed", "5"], "--seed is read only with --set-random, not with --set"),
+        (["analyze", *Z12, "--set", "1,7", "--seed", "5"], "--seed is read only with --set-random, not with --set"),
+        (["ramanujan", *Z12, "--set", "1,7", "--seed", "0"], "--seed is read only with --set-random, not with --set"),
+        (["spectrum", "--group", "field_additive:7,2", "--subgroup", "0,1,2,3,4,5,6", "--set-norm-preimage", "5,6",
+          "--seed", "3"], "--seed is read only with --set-random, not with --set-norm-preimage"),
     ],
     ids=["product-one-factor", "cyclic-two-params", "gl2-huge-prime", "sl2-builtin-on-cyclic",
          "alternating-builtin-on-a4", "evens-on-odd-cyclic", "klein-on-a5", "unknown-builtin", "empty-subgroup-json",
-         "set-json-without-rule", "no-subgroup", "set-and-set-random"],
+         "set-json-without-rule", "no-subgroup", "set-and-set-random", "build-seed-with-set", "analyze-seed-with-set",
+         "ramanujan-seed-with-set", "spectrum-seed-with-norm-preimage"],
 )
 def test_validation_branches_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
@@ -362,11 +369,15 @@ def test_eigensolver_failure_exits_3(monkeypatch, capsys):
         ("build", ["--format", "csv"], "argument --format: invalid choice: 'csv'"),
         ("analyze", ["--format", "csv"], "argument --format: invalid choice: 'csv'"),
         ("ramanujan", ["--format", "csv"], "argument --format: invalid choice: 'csv'"),
+        ("analyze", ["--subgroup-gen", "3"], "argument --subgroup-gen: not allowed with argument --subgroup"),
+        ("spectrum", ["--subgroup-gen", "3"], "argument --subgroup-gen: not allowed with argument --subgroup"),
     ],
-    ids=["build-tolerance", "analyze-tolerance", "analyze-tolerance-nan", "build-csv", "analyze-csv", "ramanujan-csv"],
+    ids=["build-tolerance", "analyze-tolerance", "analyze-tolerance-nan", "build-csv", "analyze-csv", "ramanujan-csv",
+         "analyze-subgroup-and-gen", "spectrum-subgroup-and-gen"],
 )
 def test_options_a_command_does_not_read_exit_2(capsys, command, flags, message):
-    # these once exited 0: analyze printed text, build JSON and ramanujan text
+    # these once exited 0: analyze printed text, build JSON and ramanujan text, and
+    # --subgroup-gen overrode --subgroup without a word
     with pytest.raises(SystemExit) as exc:
         main([command, *Z12, "--set", "1,2", *flags])
     captured = capsys.readouterr()

@@ -7,7 +7,7 @@ import random
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from pairgraph import graphs, groups, spectral
@@ -44,9 +44,8 @@ from pairgraph.structure import connected_components
 from pairgraph.actions import SearchConfig, random_candidate, search_ramanujan
 
 from helpers import (
-    GENERATED_FACTORS,
     dense_eigenvalues,
-    generated_group,
+    generated_instances,
     index_two_pool,
     instance_corpus,
     random_generating_set,
@@ -429,21 +428,8 @@ def test_search_on_s6_takes_no_abelian_subgroup(monkeypatch):
     assert sum(r.worst_nontrivial is not None for r in results) == 5
 
 
-@st.composite
-def _generated_instances(draw):
-    """A group of any family or a direct product of two, of order <= 120; H generated by one to three elements; S."""
-    first = draw(st.sampled_from(GENERATED_FACTORS))
-    second = draw(st.none() | st.sampled_from(GENERATED_FACTORS))
-    group = generated_group(first, second)
-    assume(group.order <= 120)
-    element = st.integers(0, group.order - 1)
-    sub = subgroup_generated(group, draw(st.lists(element, min_size=1, max_size=3)))
-    picked = draw(st.sets(element.filter(lambda x: x != group.identity), max_size=12))
-    return validate_generating_set(sub, picked | {group.inv(x) for x in picked if sub.contains(x)})
-
-
 @settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(_generated_instances())
+@given(generated_instances())
 def test_generated_instances_match_dense_oracle(gen):
     sub = gen.subgroup
     orbits = _check_abelian_orbits(sub)
@@ -522,17 +508,22 @@ def test_trivial_eigenvalues_inside_only():
     assert spec.contains(2.0, 1e-9)
 
 
+def _quadratic_residual(te, value: float) -> float:
+    """x^2 - q x - sum(c_i^2) at x = value, zero at both trivial eigenvalues."""
+    return value * value - te.inside_size * value - sum(c * c for c in te.coset_pattern)
+
+
 def test_quadratic_identity_and_presence_on_corpus():
     for gen in instance_corpus(120, seed=83):
         if gen.size == 0:
             continue
         te = trivial_eigenvalues(gen)
-        assert abs(te.quadratic_residual(te.upper)) < 1e-8
+        assert abs(_quadratic_residual(te, te.upper)) < 1e-8
         spec = compute_spectrum(build_pair_graph(gen.subgroup, gen))
         assert spec.contains(te.upper, 1e-7)
         assert te.upper == pytest.approx(spec.eigenvalues[0], abs=1e-7)
         if te.lower is not None:
-            assert abs(te.quadratic_residual(te.lower)) < 1e-8
+            assert abs(_quadratic_residual(te, te.lower)) < 1e-8
             assert spec.contains(te.lower, 1e-7)
 
 

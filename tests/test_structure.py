@@ -3,9 +3,10 @@
 import random
 
 import pytest
+from hypothesis import given, settings
 
 from pairgraph import groups, structure
-from pairgraph.actions import _generator_chain
+from pairgraph.actions import SearchConfig, _generator_chain, search_ramanujan
 from pairgraph.errors import ValidationError
 from pairgraph.graphs import build_pair_graph
 from pairgraph.groups import (
@@ -30,10 +31,12 @@ from pairgraph.structure import (
 
 from helpers import (
     count_products,
+    generated_instances,
     instance_corpus,
     reference_bipartite,
     reference_components,
     reference_mul,
+    reference_reachable,
     subgroup_pool,
 )
 
@@ -103,6 +106,74 @@ def test_connectivity_matches_search_on_corpus():
     for gen in instance_corpus(200, seed=43):
         graph = build_pair_graph(gen.subgroup, gen)
         assert is_connected(gen).connected == (connected_components(graph).count == 1)
+
+
+@pytest.fixture(scope="module")
+def z24_evens():
+    return subgroup_generated(make_cyclic(24), [2])
+
+
+def _refuse_closure(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the closure ran")
+
+    monkeypatch.setattr(groups, "generated_elements", refuse)
+
+
+def test_half_of_h_falls_through_to_the_closure(z24_evens, monkeypatch):
+    # Q = R = U = <4> has order 6 = |H|/2: Lagrange cannot decide, so the closure must
+    calls = []
+    closure = groups.generated_elements
+    monkeypatch.setattr(groups, "generated_elements", lambda *args: calls.append(args) or closure(*args))
+    gen = validate_generating_set(z24_evens, [1, 5, 9, 13, 17, 21])
+    report = is_connected(gen)
+    assert len(calls) == 1
+    assert gen.reachable.tolist() == [0, 4, 8, 12, 16, 20]
+    assert not report.connected and report.closure_order == 6
+    assert connected_components(build_pair_graph(z24_evens, gen)).count == 2
+
+
+def test_more_than_half_of_h_certifies_without_the_closure(z24_evens, monkeypatch):
+    _refuse_closure(monkeypatch)
+    # Q = {0, 2, 4, 8}, Q' = {0, 2, 4}: R adds 6, 10 and 12, seven elements of the twelve
+    gen = validate_generating_set(z24_evens, [1, 3, 5, 9])
+    assert gen.reachable is z24_evens.elements
+    assert is_connected(gen).connected
+
+
+@pytest.mark.parametrize(
+    "case, s",
+    [("trivial H", []), ("trivial H", [1, 5]), ("evens", []), ("evens", [2, 22]), ("evens", [2, 4, 20, 22])],
+)
+def test_reachable_edge_cases_match_reference(z24_evens, case, s):
+    sub = z24_evens if case == "evens" else subgroup_generated(make_cyclic(24), [])
+    gen = validate_generating_set(sub, s)
+    assert gen.reachable.tolist() == list(reference_reachable(gen))
+    assert not gen.reachable.flags.writeable
+
+
+def test_seeds_over_half_of_h_take_no_products(monkeypatch):
+    sub = builtin_subgroup(make_symmetric(6), "alternating_in_symmetric")
+    gen = validate_generating_set(sub, sub.outside())
+    _refuse_closure(monkeypatch)
+    count = count_products(monkeypatch)
+    assert gen.reachable is sub.elements
+    assert count[0] == 360  # the quotients s*t_c^-1 alone
+
+
+def test_s6_search_trials_certify_without_the_closure(monkeypatch):
+    _refuse_closure(monkeypatch)
+    sub = builtin_subgroup(make_symmetric(6), "alternating_in_symmetric")
+    results = search_ramanujan(SearchConfig(subgroup=sub, size=20, trials=5, seed=0))
+    assert sum(r.connected and r.worst_nontrivial is not None for r in results) == 5
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(generated_instances())
+def test_generated_connectivity_matches_the_graph(gen):
+    assert gen.reachable.tolist() == list(reference_reachable(gen))
+    graph = build_pair_graph(gen.subgroup, gen)
+    assert is_connected(gen).connected == (connected_components(graph).count == 1)
 
 
 def test_identity_component(z12_sub):
