@@ -201,11 +201,14 @@ def cmd_search(args) -> int:
     subgroup = _resolve_subgroup(args)
     if args.mode == "random" and args.seed is None:
         raise ValidationError("random search requires an explicit --seed")
+    for name, value in (("--seed", args.seed), ("--trials", args.trials)):
+        if args.mode == "exhaustive" and value is not None:
+            raise ValidationError(f"{name} is read only with --mode random, not with --mode exhaustive")
     config = SearchConfig(
         subgroup=subgroup,
         size=args.k,
         mode=args.mode,
-        trials=args.trials,
+        trials=SearchConfig.trials if args.trials is None else args.trials,
         seed=args.seed if args.seed is not None else 0,
         certify=not args.no_certify,
         tolerance=args.tolerance,
@@ -264,7 +267,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_search = command("search", cmd_search, "search size-k generating sets for Ramanujan graphs", [instance, tolerance])
     p_search.add_argument("--k", type=int, required=True, help="generating-set size")
     p_search.add_argument("--mode", choices=("random", "exhaustive"), default="random")
-    p_search.add_argument("--trials", type=int, default=10)
+    p_search.add_argument("--trials", type=int, help="random candidates to try (random mode only, default 10)")
     p_search.add_argument("--no-certify", action="store_true", help="skip the spectral certification")
 
     p_verify = sub.add_parser("verify", help="re-run the bundled reference cases")

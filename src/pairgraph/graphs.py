@@ -75,24 +75,24 @@ def _as_generating_set(subgroup: Subgroup, s: Union[GeneratingSet, Iterable[int]
 def build_pair_graph(subgroup: Subgroup, s: Union[GeneratingSet, Iterable[int]]) -> PairGraph:
     """Build the pair graph for the parent group of ``subgroup`` and the set ``s``.
 
-    Each edge is listed once per direction, as the int32 key u*m + v (m^2 <=
-    ``ORDER_CAP``^2 < 2^31): the row h*S of each h in H lists an inside edge
-    from both of its ends already, so only the outside columns add reverse
-    keys.  One sort orders the keys by (u, v), and row u starts at the first
-    key >= u*m.
+    Each edge is listed once per direction, as the int32 key u << 15 | v
+    (m <= ``ORDER_CAP`` < 2^15, so keys stay below 2^30): the row h*S of each
+    h in H lists an inside edge from both of its ends already, so only the
+    outside columns add reverse keys.  One sort orders the keys by (u, v), row
+    u starts at the first key >= u << 15, and v is the key's low 15 bits.
     """
     gen = _as_generating_set(subgroup, s)
     m, size = subgroup.parent.order, gen.size
     h = subgroup.elements.astype(np.int32)[:, None]
     targets = subgroup.parent.product(h, np.array(gen.inside + gen.outside, dtype=np.int64))
     keys = np.empty((len(h), size + len(gen.outside)), dtype=np.int32)
-    np.add(h * m, targets, out=keys[:, :size])
-    np.multiply(targets[:, len(gen.inside) :], m, out=keys[:, size:])
-    keys[:, size:] += h
+    np.bitwise_or(h << 15, targets, out=keys[:, :size])
+    np.left_shift(targets[:, len(gen.inside) :], 15, out=keys[:, size:])
+    keys[:, size:] |= h
     keys = keys.ravel()
     keys.sort()
-    indptr = np.searchsorted(keys, np.arange(m + 1, dtype=np.int32) * m)
-    return PairGraph(gen=gen, indptr=indptr, indices=keys - keys // m * m, degrees=np.diff(indptr))
+    indptr = np.searchsorted(keys, np.arange(m + 1, dtype=np.int32) << 15)
+    return PairGraph(gen=gen, indptr=indptr, indices=keys & 0x7FFF, degrees=np.diff(indptr))
 
 
 def adjacency_rows_via_group_matrix(

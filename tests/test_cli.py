@@ -371,17 +371,26 @@ def test_eigensolver_failure_exits_3(monkeypatch, capsys):
         ("ramanujan", ["--format", "csv"], "argument --format: invalid choice: 'csv'"),
         ("analyze", ["--subgroup-gen", "3"], "argument --subgroup-gen: not allowed with argument --subgroup"),
         ("spectrum", ["--subgroup-gen", "3"], "argument --subgroup-gen: not allowed with argument --subgroup"),
+        ("search", ["--seed", "5"], "--seed is read only with --mode random, not with --mode exhaustive"),
+        ("search", ["--trials", "3"], "--trials is read only with --mode random, not with --mode exhaustive"),
+        ("search", ["--seed", "5", "--trials", "3"], "--seed is read only with --mode random, not with --mode exhaustive"),
     ],
     ids=["build-tolerance", "analyze-tolerance", "analyze-tolerance-nan", "build-csv", "analyze-csv", "ramanujan-csv",
-         "analyze-subgroup-and-gen", "spectrum-subgroup-and-gen"],
+         "analyze-subgroup-and-gen", "spectrum-subgroup-and-gen", "exhaustive-seed", "exhaustive-trials",
+         "exhaustive-seed-and-trials"],
 )
 def test_options_a_command_does_not_read_exit_2(capsys, command, flags, message):
-    # these once exited 0: analyze printed text, build JSON and ramanujan text, and
-    # --subgroup-gen overrode --subgroup without a word
-    with pytest.raises(SystemExit) as exc:
-        main([command, *Z12, "--set", "1,2", *flags])
+    # these once exited 0: analyze printed text, build JSON and ramanujan text,
+    # --subgroup-gen overrode --subgroup without a word, and an exhaustive
+    # search ignored --seed and --trials
+    exhaustive = ["--group", "cyclic:8", "--subgroup", "evens", "--k", "2", "--mode", "exhaustive"]
+    instance = exhaustive if command == "search" else [*Z12, "--set", "1,2"]
+    try:
+        code = main([command, *instance, *flags])
+    except SystemExit as exc:  # argparse refuses an option it does not define
+        code = exc.code
     captured = capsys.readouterr()
-    assert exc.value.code == 2 and captured.out == ""
+    assert code == 2 and captured.out == ""
     assert message in captured.err
 
 

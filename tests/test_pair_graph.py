@@ -341,13 +341,14 @@ def test_edges_match_upper_triangle_listing():
 
 
 def test_build_matches_sort_and_dedupe_reference():
-    # keys u*m + v of the largest group stay below 2^31, so int32 keys never overflow
-    assert ORDER_CAP**2 < 2**31
     rng = random.Random(29)
     s6 = make_symmetric(6)
     large = [
         builtin_subgroup(s6, "alternating_in_symmetric"),
         subgroup_generated(make_cyclic(12000), [2]),  # no table: the kernel multiplies
+        # the packed keys at the order cap, with the largest vertex ORDER_CAP - 1 in the set
+        builtin_subgroup(make_cyclic(ORDER_CAP), "evens"),
+        builtin_subgroup(make_symmetric(7), "alternating_in_symmetric"),  # the matrix-product route, blocked
     ]
     gens = instance_corpus(200, seed=29)
     for sub in subgroup_pool() + tuple(large):
@@ -355,6 +356,8 @@ def test_build_matches_sort_and_dedupe_reference():
         inside = set(rng.sample([x for x in sub.elements if x != group.identity], min(3, sub.order - 1)))
         inside |= {group.inv(x) for x in inside}
         outside = rng.sample(outside, min(len(outside), 340 if sub in large else 4))
+        if sub in large:
+            outside = sorted({*outside, group.order - 1})
         for s in ([], inside, outside, [*inside, *outside]):
             gens.append(validate_generating_set(sub, s))
     kinds = set()
