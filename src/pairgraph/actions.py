@@ -25,7 +25,7 @@ from .errors import (
     ValidationError,
 )
 from .groups import FiniteGroup, Subgroup, _element_indices, _element_orders, generated_elements, validate_generating_set
-from .spectral import _certify, _check_tolerance, ramanujan_size_bound
+from .spectral import DEFAULT_TOLERANCE, _certify, _check_tolerance, ramanujan_size_bound
 from .structure import is_connected
 
 AUTOMORPHISM_ORDER_CAP = 120
@@ -112,8 +112,8 @@ def automorphism_group(group: FiniteGroup) -> list[tuple[int, ...]]:
     generators so far, one word level at a time, and keeps those that are
     homomorphisms on U sending only the identity to the identity.  A depth
     that would hold more than ``AUTOMORPHISM_BATCH_CAP`` map entries raises.
-    The search multiplies by gathers from one m x m array of all products,
-    at most 14 400 entries under the order cap.
+    The map arrays and the conjugates multiply by gathers from one m x m
+    array of all products, at most 14 400 entries under the order cap.
 
     A map with phi(e) = e is a homomorphism on U exactly when
     phi(x*h) = phi(x)*phi(h) for every x in U and each generator h: the y in
@@ -132,10 +132,6 @@ def automorphism_group(group: FiniteGroup) -> list[tuple[int, ...]]:
     def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         return products[a * m + b]
 
-    # the same group with ``product`` as its kernel; the map arrays call ``product``
-    # itself, which ``FiniteGroup.product`` would split into blocks
-    group = FiniteGroup(name=group.name, order=m, make_labels=group._make_labels, identity=group.identity,
-                        inverse=group.inverses, kernel=product)
     orders, _ = _element_orders(group, idx, m)
     # column x holds g*x*g^-1 for every g: its distinct values are x's class
     conjugates = np.sort(product(product(idx[:, None], idx), group.inverses[:, None]), axis=0)
@@ -209,7 +205,7 @@ class SearchConfig:
     trials: int = 10
     seed: int = 0
     certify: bool = True
-    tolerance: float = 1e-8
+    tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
         if self.subgroup.index != 2:

@@ -27,7 +27,7 @@ from .groups import (
     make_gl2,
     make_sl2,
     make_symmetric,
-    perm_from_cycles,
+    perm_index,
     perm_parities,
     subgroup_from_elements,
     subgroup_generated,
@@ -109,7 +109,7 @@ def builtin_subgroup(group: FiniteGroup, name: str) -> Subgroup:
         if kind != "alternating" or group.descriptor.get("params") != [4]:
             raise ValidationError("klein_in_a4 needs the alternating group on 4 letters")
         wanted = ["e", "(1,2)(3,4)", "(1,3)(2,4)", "(1,4)(2,3)"]
-        elems = [group.perms.index(perm_from_cycles(4, w)) for w in wanted]
+        elems = [perm_index(group, w) for w in wanted]
         return subgroup_from_elements(group, elems)
     raise ValidationError(f"unknown builtin subgroup {name!r}; known: {SUBGROUP_BUILTINS}")
 

@@ -7,13 +7,12 @@ constructors and in element labels; every other module works with indices
 Each family supplies one vectorised kernel, a numpy function that multiplies
 two index arrays elementwise under broadcasting.  The slow families multiply
 by gathers from small per-family arrays: a permutation's composite is keyed
-by its first n-1 images, through one float32 matrix product for a column of
-factors against a row and one flat gather an image otherwise, and a dense
-rank array maps the key to the index; a matrix acts on the p^2 column
-vectors through one m x p^2 array, and the product is looked up by its two
-column codes; F_{2^k} adds by XOR; a cyclic sum is reduced by one
-conditional subtraction, and a direct product reads each element's two
-components from precomputed arrays.
+by its first n-1 images, as one float32 dot product of two gathered rows for
+every pair of factors, and a dense rank array maps the key to the index; a
+matrix acts on the p^2 column vectors through one m x p^2 array, and the
+product is looked up by its two column codes; F_{2^k} adds by XOR; a cyclic
+sum is reduced by one conditional subtraction, and a direct product reads
+each element's two components from precomputed arrays.
 ``FiniteGroup.product`` is the one multiplication path: it runs the kernel
 in blocks of at most ``BLOCK`` products, so a batch allocates at most a few
 megabytes of temporaries, and ``mul`` and ``left_row`` derive from it.  No
@@ -288,12 +287,13 @@ def _permutation_group(name: str, n: int, even_only: bool, descriptor: dict) -> 
 
     A permutation is fixed by its first n-1 images (its first image when
     n = 1), so ``rank`` maps their base-n key to the element index: n^(n-1)
-    entries, 470 KB at n = 7.  The key of a*b is ``placed[a] @ images[b]``,
-    ``placed[a]`` holding the weight of image i at position a[i].  So a column
-    of a against a row of b, the shape of every bulk call, is keyed by one
-    float32 matrix product, exact as each partial sum is an integer below
-    n^(n-1) <= 8^7 < 2^24.  Other shapes gather the images one at a time,
-    ``flat[b*n + images[a, i]]``, and key them by Horner's rule.
+    entries, 470 KB at n = 7.  The key of a*b is the dot product
+    ``placed[a] . columns[b]``, ``placed[a]`` holding the weight of image i at
+    position a[i] and ``columns[b]`` the images of b, both in float32.  A
+    column of a against a row of b, the shape of every bulk call, takes its
+    keys from one matrix product, and every other shape from one ``einsum``
+    over the last axis.  Each is exact, as every partial sum is an integer
+    below n^(n-1) <= 8^7 < 2^24.
     """
     perms = list(itertools.permutations(range(n)))
     images = np.array(perms, dtype=np.int32)
@@ -304,21 +304,16 @@ def _permutation_group(name: str, n: int, even_only: bool, descriptor: dict) -> 
     weights = n ** np.arange(width - 1, -1, -1, dtype=np.int32)
     rank = np.zeros(n**width, dtype=np.int32)
     rank[images[:, :width] @ weights] = np.arange(len(perms), dtype=np.int32)
-    flat = images.ravel()
-    heads = [np.ascontiguousarray(images[:, i]) for i in range(width)]
     placed = np.zeros(images.shape, dtype=np.float32)
     placed[np.arange(len(perms))[:, None], images[:, :width]] = weights
     columns = images.astype(np.float32)
 
     def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
         if a.shape == (a.size, 1) and b.shape in ((b.size,), (1, b.size)):
-            return rank[(placed[a.ravel()] @ columns[b.ravel()].T).astype(np.intp)]
-        offset = b * n
-        key = flat[offset + heads[0][a]]
-        for head in heads[1:]:
-            key *= n
-            key += flat[offset + head[a]]
-        return rank[key]
+            key = placed[a.ravel()] @ columns[b.ravel()].T
+        else:
+            key = np.einsum("...i,...i->...", placed[a], columns[b])
+        return rank[key.astype(np.intp)]
 
     g = FiniteGroup(
         name=name,

@@ -114,17 +114,19 @@ def _spectrum(gen: GeneratingSet, tolerance: float = DEFAULT_TOLERANCE) -> Spect
     """The spectrum of the pair graph on ``gen``, read off (G, H, S) without building the graph.
 
     ``_young_values`` when G is symmetric, [G:H] = 2 and S is nonempty and
-    avoids H; ``_character_values`` otherwise.
+    avoids H; ``_character_values`` otherwise.  A LAPACK failure on either
+    route raises ``EigensolverError``.
     """
     _check_tolerance(tolerance)
     m = gen.group.order
     if m > SPECTRUM_ORDER_CAP:
         raise SizeCapExceeded(f"graph order {m} exceeds the dense solver cap {SPECTRUM_ORDER_CAP}")
     symmetric = gen.group.descriptor.get("kind") == "symmetric"
-    if symmetric and gen.subgroup.index == 2 and gen.outside and not gen.inside:  # so H = A_n
-        values = _young_values(gen)
-    else:
-        values = _character_values(gen)
+    young = symmetric and gen.subgroup.index == 2 and gen.outside and not gen.inside  # so H = A_n
+    try:
+        values = _young_values(gen) if young else _character_values(gen)
+    except np.linalg.LinAlgError as exc:
+        raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
     values = np.sort(np.concatenate([values, np.zeros(m - len(values))]))[::-1].copy()
     # the maximum degree: each vertex of H has |S| neighbours, a vertex x outside only |S ∩ Hx|
     scale = float(max(1, gen.size))
@@ -176,22 +178,19 @@ def _character_values(gen: GeneratingSet) -> np.ndarray:
         f = _dft(layout, shape)[keep]
         weight = np.where(negated[keep] == keep, 1, 2)
     inside, cross = f[:, :, :in_h], f[:, :, in_h:]
-    try:
-        if gen.inside:
-            adjoint = cross.conj().swapaxes(1, 2)
-            # QR only shrinks B^* when it has more rows than columns
-            tail = adjoint if len(covered) <= r else np.linalg.qr(adjoint, mode="r")
-            # eigvalsh reads the lower triangle only, so the R^* copy is never written
-            block = np.zeros((len(f), r + tail.shape[1], r + tail.shape[1]), dtype=complex)
-            block[:, :r, :r] = inside
-            block[:, r:, :r] = tail
-            return np.repeat(np.linalg.eigvalsh(block), weight, axis=0).ravel()
-        # the same singular values, faster from the tall orientation
-        sigma = np.linalg.svd(cross.swapaxes(1, 2) if len(covered) > r else cross, compute_uv=False)
-        sigma = np.repeat(sigma, weight, axis=0).ravel()
-        return np.concatenate([sigma, -sigma])
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigensolverError(f"symmetric eigensolver did not converge: {exc}") from exc
+    if gen.inside:
+        adjoint = cross.conj().swapaxes(1, 2)
+        # QR only shrinks B^* when it has more rows than columns
+        tail = adjoint if len(covered) <= r else np.linalg.qr(adjoint, mode="r")
+        # eigvalsh reads the lower triangle only, so the R^* copy is never written
+        block = np.zeros((len(f), r + tail.shape[1], r + tail.shape[1]), dtype=complex)
+        block[:, :r, :r] = inside
+        block[:, r:, :r] = tail
+        return np.repeat(np.linalg.eigvalsh(block), weight, axis=0).ravel()
+    # the same singular values, faster from the tall orientation
+    sigma = np.linalg.svd(cross.swapaxes(1, 2) if len(covered) > r else cross, compute_uv=False)
+    sigma = np.repeat(sigma, weight, axis=0).ravel()
+    return np.concatenate([sigma, -sigma])
 
 
 def _young_values(gen: GeneratingSet) -> np.ndarray:
@@ -207,15 +206,12 @@ def _young_values(gen: GeneratingSet) -> np.ndarray:
     counts = np.bincount(gen.group.chain_index[list(gen.elements)], minlength=gen.group.order)
     sums = counts.reshape(-1, n).T.astype(float) @ table
     values, start = [], 0
-    try:
-        for weight, last in blocks:
-            d = last.shape[1]
-            block = sums[:, start : start + d * d].reshape(n, d, d)
-            start += d * d
-            total = block.transpose(1, 0, 2).reshape(d, n * d) @ last.reshape(n * d, d)
-            values.append(np.repeat(np.linalg.svd(total, compute_uv=False), weight))
-    except np.linalg.LinAlgError as exc:  # pragma: no cover - LAPACK failure
-        raise EigensolverError(f"singular value solver did not converge: {exc}") from exc
+    for weight, last in blocks:
+        d = last.shape[1]
+        block = sums[:, start : start + d * d].reshape(n, d, d)
+        start += d * d
+        total = block.transpose(1, 0, 2).reshape(d, n * d) @ last.reshape(n * d, d)
+        values.append(np.repeat(np.linalg.svd(total, compute_uv=False), weight))
     sigma = np.concatenate(values)
     return np.concatenate([sigma, -sigma])
 

@@ -349,15 +349,19 @@ def test_validation_branches_exit_2(capsys, argv, message):
 
 
 def test_eigensolver_failure_exits_3(monkeypatch, capsys):
-    from pairgraph import cli
-    from pairgraph.errors import EigensolverError
+    import numpy as np
 
     def failing(*args, **kwargs):
-        raise EigensolverError("eigensolver did not converge")
+        raise np.linalg.LinAlgError("no convergence")
 
-    monkeypatch.setattr(cli, "_spectrum", failing)
-    code, out, err = run_cli(capsys, "spectrum", *Z12, "--set", "1,2")
-    assert (code, out, err) == (3, "", "error: eigensolver did not converge\n")
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    young = ["--group", "symmetric:4", "--subgroup", "alternating_in_symmetric", "--set-random", "4", "--seed", "0"]
+    k_route = ["--group", "gl2:3", "--subgroup", "sl2_in_gl2", "--set-random", "9", "--seed", "0"]
+    for command in ("spectrum", "ramanujan"):
+        for instance in (young, k_route):
+            code, out, err = run_cli(capsys, command, *instance)
+            assert (code, out, err) == (3, "", "error: eigensolver did not converge: no convergence\n")
 
 
 @pytest.mark.parametrize(

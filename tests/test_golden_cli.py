@@ -1,11 +1,12 @@
-"""Byte-for-byte replay of recorded ``build``, ``analyze`` and ``spectrum`` output.
+"""Byte-for-byte replay of recorded CLI output.
 
 Each case's stdout is stored as ``tests/data/golden/<case>.out``; a case that
 writes ``--out``/``--dot`` files also stores them as ``<case>.out-file`` and
 ``<case>.dot``.  ``spectrum`` appears only in text and CSV, which round to 8
-decimals and 12 significant digits; its JSON, ``ramanujan``, ``search`` and
-``verify`` are left out: their full-precision floats can differ between BLAS
-builds.
+decimals and 12 significant digits.  The README's ``ramanujan``, ``search``
+and ``verify --verbose`` commands are pinned too, though their full-precision
+floats can differ in the last bits between BLAS builds; on such a build,
+re-record them and check that only those digits moved.
 Re-record after an intended output change with
 ``PYTHONPATH=src python tests/test_golden_cli.py``.
 """
@@ -27,7 +28,8 @@ ROTATIONS = ["--group", "dihedral:5", "--subgroup", "0,1,2,3,4", "--set", "1,4"]
 MIXED = [*README, "--set", "3,9,1"]
 SPECTRUM_MIXED = [*README, "--set", "2,3,4,5,7,8,9"]
 ALTERNATING = ["--subgroup", "alternating_in_symmetric", "--set-random"]
-ZERO = ["--group", "gl2:3", "--subgroup", "sl2_in_gl2", "--set-random", "9", "--seed", "4"]
+GL2 = ["--group", "gl2:3", "--subgroup", "sl2_in_gl2"]
+ZERO = [*GL2, "--set-random", "9", "--seed", "4"]
 CASES = {
     "build-readme-text": ["build", *README, "--set", "2,4,5,7,8"],
     "build-readme-json": ["build", *README, "--set", "2,4,5,7,8", "--format", "json"],
@@ -55,6 +57,11 @@ CASES = {
     # the zero cluster's mean is -4.1e-33 before it is read as 0.0
     "spectrum-zero-text": ["spectrum", *ZERO],
     "spectrum-zero-csv": ["spectrum", *ZERO, "--format", "csv"],
+    # the README's ramanujan, search and verify commands
+    "ramanujan-readme-text": ["ramanujan", *GL2, "--set-random", "17", "--seed", "0"],
+    "ramanujan-readme-json": ["ramanujan", *GL2, "--set-random", "17", "--seed", "0", "--format", "json"],
+    "search-readme": ["search", *GL2, "--k", "17", "--trials", "20", "--seed", "0"],
+    "verify-verbose": ["verify", "--verbose"],
 }
 FILES = {"{out}": ".out-file", "{dot}": ".dot"}
 

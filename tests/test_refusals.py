@@ -1,0 +1,109 @@
+"""Refusals and argument forms of the public functions: each raises its documented error and message."""
+
+import pytest
+
+from pairgraph import actions
+from pairgraph.actions import SearchConfig, generating_set_orbit
+from pairgraph.descriptors import set_from_descriptor, subgroup_from_descriptor
+from pairgraph.errors import IndexNotTwo, NotAnAutomorphism, SizeCapExceeded, ValidationError
+from pairgraph.graphs import build_pair_graph, is_cayley_reduction
+from pairgraph.groups import (
+    make_alternating,
+    make_cyclic,
+    make_dihedral,
+    make_field_additive,
+    make_symmetric,
+    perm_from_cycles,
+    perm_index,
+    subgroup_from_elements,
+    validate_generating_set,
+)
+from pairgraph.spectral import compare_complementary_spectra, ramanujan_size_bound
+
+
+@pytest.fixture
+def z12_evens():
+    return subgroup_from_elements(make_cyclic(12), range(0, 12, 2))
+
+
+def test_orbit_refusals(z12_evens, monkeypatch):
+    with pytest.raises(ValidationError, match="^orbit needs a set outside the subgroup$"):
+        generating_set_orbit(z12_evens, [2, 10, 1])
+    swap = list(range(12))
+    swap[1], swap[2] = 2, 1
+    with pytest.raises(NotAnAutomorphism):
+        generating_set_orbit(z12_evens, [1, 3], [list(range(12)), swap])
+    monkeypatch.setattr(actions, "ORBIT_SIZE_CAP", 2)
+    with pytest.raises(SizeCapExceeded, match="^orbit exceeded the size cap$"):
+        generating_set_orbit(z12_evens, [1, 3])
+
+
+def test_orbit_under_the_identity_alone_is_the_translation_orbit(z12_evens):
+    s = [1, 3]
+    translates = {tuple(sorted((x + h) % 12 for x in s)) for h in z12_evens.elements.tolist()}
+    assert generating_set_orbit(z12_evens, s, [list(range(12))]) == sorted(translates)
+
+
+def test_search_needs_a_trial(z12_evens):
+    with pytest.raises(ValidationError, match="^random mode needs at least one trial$"):
+        SearchConfig(subgroup=z12_evens, size=2, trials=0)
+
+
+def test_permutation_refusals():
+    with pytest.raises(ValidationError, match="^cannot parse cycles '1,2'$"):
+        perm_from_cycles(4, "1,2")
+    with pytest.raises(ValidationError, match="^Z/4 is not a permutation group$"):
+        perm_index(make_cyclic(4), "(1,2)")
+    s4 = make_symmetric(4)
+    assert s4.perms[perm_index(s4, (1, 0, 3, 2))] == (1, 0, 3, 2)
+    assert perm_index(s4, (1, 0, 3, 2)) == perm_index(s4, "(1,2)(3,4)")
+    with pytest.raises(ValidationError, match=r"^permutation '\(1,2\)' not in A4$"):
+        perm_index(make_alternating(4), "(1,2)")
+
+
+def test_constructor_refusals():
+    with pytest.raises(ValidationError, match=r"^dihedral parameter must be 1\.\.8$"):
+        make_dihedral(0)
+    with pytest.raises(ValidationError, match="^extension degree must be >= 1$"):
+        make_field_additive(7, 0)
+
+
+def test_generating_set_of_another_subgroup(z12_evens):
+    thirds = subgroup_from_elements(z12_evens.parent, [0, 3, 6, 9])
+    gen = validate_generating_set(thirds, [1, 2])
+    with pytest.raises(ValidationError, match="^generating set was validated against a different subgroup$"):
+        build_pair_graph(z12_evens, gen)
+
+
+def test_cayley_reduction_needs_a_set_outside(z12_evens):
+    graph = build_pair_graph(z12_evens, [2, 10, 1])
+    with pytest.raises(ValidationError, match="^Cayley reduction needs the generating set outside the subgroup$"):
+        is_cayley_reduction(graph)
+
+
+def test_complementary_spectra_refusals(z12_evens):
+    with pytest.raises(ValidationError, match="^both sets must avoid the subgroup$"):
+        compare_complementary_spectra(z12_evens, [2, 10, 1], [3, 5, 7, 9, 11])
+    with pytest.raises(ValidationError, match="^the sets must be disjoint$"):
+        compare_complementary_spectra(z12_evens, [1, 3], [3, 5, 7, 9, 11])
+
+
+def test_size_bound_refusals(z12_evens):
+    thirds = subgroup_from_elements(z12_evens.parent, [0, 3, 6, 9])
+    with pytest.raises(IndexNotTwo, match="^the size bound applies to index-2 subgroups$"):
+        ramanujan_size_bound(validate_generating_set(thirds, [1]))
+    with pytest.raises(ValidationError, match="^the size bound applies to sets outside the subgroup$"):
+        ramanujan_size_bound(validate_generating_set(z12_evens, [2, 10, 1]))
+
+
+def test_iterable_descriptors():
+    z12 = make_cyclic(12)
+    for elements in ([0, 3, 6, 9], range(0, 12, 3)):
+        assert subgroup_from_descriptor(z12, elements).elements.tolist() == [0, 3, 6, 9]
+    for elements in ([1, 5], iter([1, 5])):
+        assert set_from_descriptor(z12, elements) == (1, 5)
+
+
+def test_field_labels_with_higher_powers():
+    f27 = make_field_additive(3, 3)
+    assert [f27.labels[i] for i in (9, 18, 13, 26)] == ["a^2", "2a^2", "a^2+a+1", "2a^2+2a+2"]

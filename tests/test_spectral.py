@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from pairgraph import graphs, groups, spectral
 from pairgraph.descriptors import builtin_subgroup
-from pairgraph.errors import NotConnected, NotRegular, PairGraphError, SizeCapExceeded, ValidationError
+from pairgraph.errors import EigensolverError, NotConnected, NotRegular, PairGraphError, SizeCapExceeded, ValidationError
 from pairgraph.graphs import build_pair_graph
 from pairgraph.groups import (
     field_norm_preimage,
@@ -465,6 +465,30 @@ def test_ramanujan_boundary_pinned(z20_evens):
             report = is_ramanujan(graph, beyond)
             assert not report.ramanujan, (with_minus_k, sign)
             assert report.margin == pytest.approx(-2.0 * eps, abs=1e-12)
+
+
+def test_solver_failure_raises_eigensolver_error(monkeypatch):
+    def failing(*args, **kwargs):
+        raise np.linalg.LinAlgError("no convergence")
+
+    s4, gl2 = make_symmetric(4), make_gl2(3)
+    a4, sl2 = builtin_subgroup(s4, "alternating_in_symmetric"), builtin_subgroup(gl2, "sl2_in_gl2")
+    x = int(sl2.elements[1])
+    cases = [  # the Young route, then the K route by svd and by eigvalsh
+        ("_young_values", validate_generating_set(a4, a4.outside()[:3])),
+        ("_character_values", validate_generating_set(sl2, sl2.outside()[:9])),
+        ("_character_values", validate_generating_set(sl2, [x, gl2.inv(x), *sl2.outside()[:4]])),
+    ]
+    monkeypatch.setattr(np.linalg, "svd", failing)
+    monkeypatch.setattr(np.linalg, "eigvalsh", failing)
+    for route, gen in cases:
+        calls = []
+        real = getattr(spectral, route)
+        monkeypatch.setattr(spectral, route, lambda g, real=real: calls.append(g) or real(g))
+        with pytest.raises(EigensolverError, match="^eigensolver did not converge: no convergence$"):
+            spectral._spectrum(gen)
+        assert calls == [gen]
+        monkeypatch.setattr(spectral, route, real)
 
 
 def test_eigensolver_residuals():
