@@ -282,12 +282,9 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except EigensolverError as exc:
+    except PairGraphError as exc:  # ValidationError and EigensolverError among them
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_EIGENSOLVER
-    except (ValidationError, PairGraphError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        return EXIT_EIGENSOLVER if isinstance(exc, EigensolverError) else EXIT_VALIDATION
 
 
 if __name__ == "__main__":

@@ -56,26 +56,28 @@ def group_from_descriptor(descriptor: Union[str, dict]) -> FiniteGroup:
             descriptor = {"kind": kind, "params": _integers(rest.split(","), "group parameter")}
     if not isinstance(descriptor, dict):
         raise ValidationError(f"group descriptor must be a JSON object, got {descriptor!r}")
-    kind = descriptor.get("kind")
-    params = descriptor.get("params", [])
+    kind, params = descriptor.get("kind"), descriptor.get("params", [])
     if kind == "product":
-        if len(params) != 2:
+        if not isinstance(params, (list, tuple)) or len(params) != 2:
             raise ValidationError("product descriptor needs exactly two factor descriptors")
         return make_direct_product(group_from_descriptor(params[0]), group_from_descriptor(params[1]))
-    if kind not in GROUP_KINDS:
+    if not isinstance(kind, str) or kind not in GROUP_KINDS:
         raise ValidationError(f"unknown group kind {kind!r}")
     maker, arity = GROUP_KINDS[kind]
+    values = _integers(params, "group parameter")
     if len(params) != arity:
         raise ValidationError(f"group kind {kind!r} takes {arity} parameter(s), got {params}")
-    return maker(*_integers(params, "group parameter"))
+    return maker(*values)
 
 
 def _integers(tokens: Iterable, what: str) -> list[int]:
-    """Each token as an int, empty strings skipped; a token that is no integer raises, named."""
+    """Each int or integer string as an int, empty strings skipped; a non-list, float or bool raises, named."""
+    if isinstance(tokens, (str, dict)) or not isinstance(tokens, Iterable):
+        raise ValidationError(f"{what}s must be a list, got {tokens!r}")
     values = []
     for token in (t for t in tokens if t != ""):
-        try:
-            values.append(int(token))
+        try:  # any other type, a float or a bool included, goes to int(None), which raises
+            values.append(int(token if type(token) is int or isinstance(token, (np.integer, str)) else None))
         except (TypeError, ValueError):
             raise ValidationError(f"{what} {token!r} is not an integer") from None
     return values

@@ -118,8 +118,10 @@ def _group_matrix_rows(subgroup: Subgroup, elements: Iterable[int]) -> np.ndarra
     h^-1*(x*t) = (h^-1*x)*t.  So the |G| products x*t, the cells, and the
     |H|^2 quotients h^-1*x give every entry: row i is the indicator at the
     cells, its rows taken by the quotients of h_i, its columns put back in
-    natural order.  Rows are computed BLOCK // |H| at a time, so a block's
-    quotients are one kernel call and its temporaries about BLOCK * [G:H] bytes.
+    natural order.  Where the cells are 0..|G|-1 already, as on every cyclic
+    Z/n > <d>, that reorder is the identity and is skipped: the row gather
+    writes into the result.  Rows are computed BLOCK // |H| at a time, so a
+    block's quotients are one kernel call and its temporaries about BLOCK * [G:H] bytes.
     """
     group, h = subgroup.parent, subgroup.elements
     n, m = len(h), group.order
@@ -130,13 +132,15 @@ def _group_matrix_rows(subgroup: Subgroup, elements: Iterable[int]) -> np.ndarra
     position[h] = np.arange(n, dtype=np.int32)
     natural = np.empty(m, dtype=np.int64)
     natural[cells.ravel()] = np.arange(m)
+    in_order = np.array_equal(natural, np.arange(m))
     values, inverses = indicator[cells], group.inverses[h]
     out = np.empty((n, m), dtype=np.int8)
     rows = max(1, BLOCK // n)
     for i in range(0, n, rows):
-        quotients = position[group.product(inverses[i : i + rows, None], h)]
-        by_cell = np.take(values, quotients, axis=0).reshape(len(quotients), m)
-        out[i : i + rows] = np.take(by_cell, natural, axis=1)
+        quotients, block = position[group.product(inverses[i : i + rows, None], h)], out[i : i + rows]
+        np.take(values, quotients, axis=0, out=block.reshape(quotients.shape + values.shape[1:]), mode="clip")
+        if not in_order:
+            block[...] = np.take(block, natural, axis=1)
     return out
 
 

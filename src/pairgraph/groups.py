@@ -828,11 +828,11 @@ class GeneratingSet:
         and the quotients s·t_c^-1, one fixed t_c per covered coset c,
         generate U in |outside| products.
 
-        Before the closure, a Lagrange certificate: U holds R = {e} ∪ Q ∪ Q·Q'
-        for the distinct seeds Q and their first ceil(|H|/|Q|) members Q', and
-        |U| divides |H|, so |R| > |H|/2 forces U = H.  The products, fewer than
-        |H| + |Q| in one call, are taken only when Q alone is too small and R
-        could be large enough, where random seeds in A_n almost always pass.
+        Before the closure, a Lagrange certificate: U holds R = {e} ∪ Q for the
+        distinct seeds Q, and with R its products R·R' by R's first
+        ceil(|H|/|R|) members R'; |U| divides |H|, so |R| > |H|/2 forces U = H.
+        Up to two rounds R := R ∪ R·R', each under |H| + |R| products, run while
+        1 < |R| <= |H|/2: random seeds in A_n almost always pass after one.
         """
         group, outside, order = self.group, np.array(self.outside, dtype=np.int64), self.subgroup.order
         cosets = self.subgroup.coset_of[outside].tolist()
@@ -840,11 +840,11 @@ class GeneratingSet:
         for c, s in zip(cosets, self.outside):
             fixed.setdefault(c, s)
         quotients = group.product(outside, group.inverses[[fixed[c] for c in cosets]])
-        reached = seeds = _sorted_unique(np.concatenate([np.array(self.inside, dtype=np.int64), quotients]))
-        width = min(seeds.size, -(-order // max(seeds.size, 1)))
-        if 2 * seeds.size <= order < 2 * (1 + seeds.size * (1 + width)):
-            products = group.product(seeds[:, None], seeds[:width])
-            reached = _sorted_unique(np.concatenate([[group.identity], seeds, products], axis=None))
+        reached = _sorted_unique(np.concatenate([[group.identity], np.array(self.inside, dtype=np.int64), quotients]))
+        for _ in range(2):
+            if 1 < reached.size <= order // 2:
+                products = group.product(reached[:, None], reached[: -(-order // reached.size)])
+                reached = _sorted_unique(np.concatenate([reached, products], axis=None))
         if 2 * reached.size > order:
             return self.subgroup.elements
         return generated_elements(group, [*self.inside, *quotients.tolist()])

@@ -38,18 +38,23 @@ def _least_labels(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
     nothing ends it.  Hooking roots, not vertices, keeps the rounds few: 11
     against 790 on the cycle Z/4000 with S = {679, 3321}.  The least label
     across each vertex's edges is one segment reduction, so the scatter runs
-    over vertices rather than edges.
+    over vertices rather than edges.  The rounds see only the vertices with an
+    edge, renumbered in ascending order so least labels map back as they are:
+    they cost in proportion to the edges, and each isolated vertex is its own label.
     """
-    starts = indptr[:-1]
-    linked = starts < indptr[1:]  # reduceat misreads empty segments: skip isolated vertices
-    starts = starts[linked]
-    label = np.arange(len(indptr) - 1)
+    linked = np.flatnonzero(indptr[:-1] < indptr[1:])
+    compact = np.empty(len(indptr) - 1, dtype=np.intp)
+    compact[linked] = np.arange(len(linked))
+    indices, starts = compact[indices], indptr[linked]
+    label = np.arange(len(linked))
     while True:
         hooked = label.copy()
-        np.minimum.at(hooked, label[linked], np.minimum.reduceat(label[indices], starts))
+        np.minimum.at(hooked, label, np.minimum.reduceat(label[indices], starts))
         hooked = hooked[hooked]
         if np.array_equal(hooked, label):
-            return label
+            least = np.arange(len(indptr) - 1)
+            least[linked] = linked[label]
+            return least
         label = hooked
 
 
@@ -106,8 +111,7 @@ def is_connected(gen: GeneratingSet) -> ConnectivityReport:
     """
     u_order = len(gen.reachable)
     closure_ok = u_order == gen.subgroup.order
-    covered = set(gen.covered_cosets())
-    uncovered = tuple(i for i in range(1, gen.subgroup.index) if i not in covered)
+    uncovered = tuple(i for i, count in enumerate(gen.coset_counts) if i and not count)
     connected = closure_ok and not uncovered
     witness = None
     if not closure_ok:

@@ -26,6 +26,7 @@ from pairgraph.groups import (
     make_gl2,
     make_sl2,
     make_symmetric,
+    perm_index,
     subgroup_generated,
     validate_generating_set,
 )
@@ -100,6 +101,28 @@ def index_two_pool() -> tuple[Subgroup, ...]:
     pool.append(builtin_subgroup(make_symmetric(4), "alternating_in_symmetric"))
     pool.append(builtin_subgroup(make_gl2(3), "sl2_in_gl2"))
     return tuple(pool)
+
+
+@lru_cache(maxsize=None)
+def analyze_large_pairs() -> dict[str, Subgroup]:
+    """The analyze-large benchmark's pairs: S7 > S4 (index 210), Z/12000 > <120>, GL2(3) x Z/100 > SL2(3) x 1."""
+    s7 = make_symmetric(7)
+    product = group_from_descriptor({"kind": "product", "params": ["gl2:3", "cyclic:100"]})
+    sl2 = builtin_subgroup(make_gl2(3), "sl2_in_gl2")  # (g, c) is element 100 * g + c of the product
+    return {
+        "s7": subgroup_generated(s7, [perm_index(s7, "(1,2)"), perm_index(s7, "(1,2,3,4)")]),
+        "cyclic": subgroup_generated(make_cyclic(12000), [120]),
+        "product": subgroup_generated(product, [100 * x for x in sl2.elements.tolist()]),
+    }
+
+
+def analyze_large_set(kind: str, rng: random.Random) -> list[int]:
+    """A set drawn as the analyze-large benchmark draws it: 14 outside S4, 2 inside <120> with 30 outside, 20 outside."""
+    sub = analyze_large_pairs()[kind]
+    if kind == "cyclic":
+        x = rng.randrange(120, 6000, 120)
+        return sorted(rng.sample([y for y in range(12000) if y % 120], 30) + [x, 12000 - x])
+    return sorted(rng.sample(sub.outside(), 14 if kind == "s7" else 20))
 
 
 def random_generating_set(

@@ -337,11 +337,31 @@ Z12 = ["--group", "cyclic:12", "--subgroup", "0,3,6,9"]
         (["ramanujan", *Z12, "--set", "1,7", "--seed", "0"], "--seed is read only with --set-random, not with --set"),
         (["spectrum", "--group", "field_additive:7,2", "--subgroup", "0,1,2,3,4,5,6", "--set-norm-preimage", "5,6",
           "--seed", "3"], "--seed is read only with --set-random, not with --set-norm-preimage"),
+        # malformed JSON fields: each once raised a TypeError (exit 1) or was read as another integer
+        (["analyze", "--group", '{"kind": "cyclic", "params": 5}', "--subgroup", "0", "--set", "1"],
+         "group parameters must be a list, got 5"),
+        (["analyze", "--group", '{"kind": ["x"]}', "--subgroup", "0", "--set", "1"], "unknown group kind ['x']"),
+        (["analyze", "--group", '{"kind": "product", "params": 5}', "--subgroup", "0", "--set", "1"],
+         "product descriptor needs exactly two factor descriptors"),
+        (["analyze", "--group", "cyclic:12", "--subgroup", '{"elements": 5}', "--set", "1"],
+         "subgroup elements must be a list, got 5"),
+        (["analyze", "--group", "cyclic:12", "--subgroup", '{"generators": 3}', "--set", "1"],
+         "subgroup generators must be a list, got 3"),
+        (["analyze", *Z12, "--set", '{"elements": 5}'], "set elements must be a list, got 5"),
+        (["analyze", "--group", "field_additive:7,2", "--subgroup", "0,1,2,3,4,5,6", "--set", '{"norm_preimage": 3}'],
+         "norm values must be a list, got 3"),
+        (["analyze", "--group", '{"kind": "cyclic", "params": [12.7]}', "--subgroup", "0", "--set", "1"],
+         "group parameter 12.7 is not an integer"),
+        (["analyze", *Z12, "--set", '{"elements": [1.5]}'], "set element 1.5 is not an integer"),
+        (["analyze", "--group", '{"kind": "cyclic", "params": [true]}', "--subgroup", "0", "--set", "1"],
+         "group parameter True is not an integer"),
     ],
     ids=["product-one-factor", "cyclic-two-params", "gl2-huge-prime", "sl2-builtin-on-cyclic",
          "alternating-builtin-on-a4", "evens-on-odd-cyclic", "klein-on-a5", "unknown-builtin", "empty-subgroup-json",
          "set-json-without-rule", "no-subgroup", "set-and-set-random", "build-seed-with-set", "analyze-seed-with-set",
-         "ramanujan-seed-with-set", "spectrum-seed-with-norm-preimage"],
+         "ramanujan-seed-with-set", "spectrum-seed-with-norm-preimage", "params-not-list", "kind-unhashable",
+         "product-params-not-list", "subgroup-elements-not-list", "subgroup-generators-not-list",
+         "set-elements-not-list", "norm-preimage-not-list", "float-param", "float-set-element", "bool-param"],
 )
 def test_validation_branches_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

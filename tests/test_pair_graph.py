@@ -32,6 +32,8 @@ from pairgraph.groups import (
 from pairgraph.structure import connected_components, is_bipartite
 
 from helpers import (
+    analyze_large_pairs,
+    analyze_large_set,
     count_products,
     coset_members,
     index_two_pool,
@@ -149,6 +151,33 @@ def test_group_matrix_takes_square_of_subgroup_plus_group_products(monkeypatch):
     rows = adjacency_rows_via_group_matrix(sub, gen)
     assert count[0] == sub.order**2 + sub.parent.order == 22000
     assert rows.sum() == sub.order * gen.size
+
+
+def test_group_matrix_on_large_pairs_matches_reference_csr():
+    # Z/12000 > <120> and Z/20000 > evens list their cells h*t as 0..|G|-1 and skip the column
+    # reorder; S7 > S4 and GL2(3) x Z/100 > SL2(3) x 1 keep it.  reference_group_matrix is too slow here
+    rng, large = random.Random(97), analyze_large_pairs()
+    evens = subgroup_generated(make_cyclic(20000), [2])
+    cases = [
+        (large["cyclic"], analyze_large_set("cyclic", rng), True),
+        (evens, sorted(rng.sample(evens.outside(), 30) + [2, 19998]), True),
+        (large["s7"], analyze_large_set("s7", rng), False),
+        (large["product"], analyze_large_set("product", rng), False),
+    ]
+    for sub, s, in_order in cases:
+        group, h = sub.parent, sub.elements
+        cells = group.product(h[:, None], sub.coset_reps)
+        assert np.array_equal(cells.ravel(), np.arange(group.order)) == in_order
+        gen = validate_generating_set(sub, s)
+        _, indices, degrees = reference_csr(gen)
+        position = np.full(group.order, -1)
+        position[h] = np.arange(sub.order)
+        rows_of_edges = position[np.repeat(np.arange(group.order), degrees)]
+        expected = np.zeros((sub.order, group.order), dtype=np.int8)
+        expected[rows_of_edges[rows_of_edges >= 0], indices[rows_of_edges >= 0]] = 1
+        rows = adjacency_rows_via_group_matrix(sub, gen)
+        assert rows.dtype == np.int8 and rows.flags.c_contiguous
+        assert np.array_equal(rows, expected), sub
 
 
 def test_cayley_adjacency_rejects_out_of_range_elements():

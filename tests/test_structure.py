@@ -2,6 +2,7 @@
 
 import random
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 
@@ -30,6 +31,8 @@ from pairgraph.structure import (
 )
 
 from helpers import (
+    analyze_large_pairs,
+    analyze_large_set,
     count_products,
     generated_instances,
     instance_corpus,
@@ -161,6 +164,54 @@ def test_seeds_over_half_of_h_take_no_products(monkeypatch):
     assert count[0] == 360  # the quotients s*t_c^-1 alone
 
 
+def _count_closures(monkeypatch) -> list:
+    calls = []
+    closure = groups.generated_elements
+    monkeypatch.setattr(groups, "generated_elements", lambda *args: calls.append(args) or closure(*args))
+    return calls
+
+
+def test_second_round_certifies_analyze_large_cyclic_sets(monkeypatch):
+    # Z/12000 > <120> as analyze-large draws it: one round left the closure to all 30 of
+    # these sets, and two leave it 16, 4 of them with U < H; the other 14 certify
+    rng, sub = random.Random(0), analyze_large_pairs()["cyclic"]
+    sets = [analyze_large_set("cyclic", rng) for _ in range(30)]
+    calls, closed = _count_closures(monkeypatch), []
+    for s in sets:
+        gen, before = validate_generating_set(sub, s), len(calls)
+        assert gen.reachable.tolist() == list(reference_reachable(gen))
+        closed.append(len(calls) > before)
+    assert sum(closed) == 16
+    _refuse_closure(monkeypatch)
+    for s in (s for s, ran in zip(sets, closed) if not ran):
+        assert validate_generating_set(sub, s).reachable is sub.elements
+
+
+def test_second_round_certifies_s6_sets_of_ten(monkeypatch):
+    # k = 10 on S6 > A6: one round left the closure to every set
+    sub = builtin_subgroup(make_symmetric(6), "alternating_in_symmetric")
+    rng = random.Random(7)
+    _refuse_closure(monkeypatch)
+    for _ in range(50):
+        assert validate_generating_set(sub, rng.sample(sub.outside(), 10)).reachable is sub.elements
+
+
+def test_s6_search_sets_take_one_round_of_products(monkeypatch):
+    # k = 20 on S6 > A6, the search workload's sets: the quotients and one R*R' call certify
+    sub = builtin_subgroup(make_symmetric(6), "alternating_in_symmetric")
+    rng, shapes = random.Random(11), []
+    product = groups.FiniteGroup.product
+    monkeypatch.setattr(
+        groups.FiniteGroup, "product", lambda self, a, b: shapes.append(np.broadcast(a, b).shape) or product(self, a, b)
+    )
+    _refuse_closure(monkeypatch)
+    for _ in range(20):
+        gen = validate_generating_set(sub, rng.sample(sub.outside(), 20))
+        shapes.clear()
+        assert gen.reachable is sub.elements
+        assert len(shapes) == 2 and shapes[0] == (20,), shapes
+
+
 def test_s6_search_trials_certify_without_the_closure(monkeypatch):
     _refuse_closure(monkeypatch)
     sub = builtin_subgroup(make_symmetric(6), "alternating_in_symmetric")
@@ -199,6 +250,11 @@ def test_least_labels_match_breadth_first_reference():
     cases = [(gen.subgroup, gen) for gen in instance_corpus(400, seed=83)]
     cases += [(trivial, [])] + [(sub, []) for sub in subgroup_pool()]
     cases += [(z4000, [1, 3999]), (z4000, [679, 3321])]
+    # mostly isolated vertices, as in the analyze-large benchmark: 9400 of Z/12000's
+    # 12000 lie outside every edge, 4680 of S7's 5040, and all 20000 of the edgeless Z/20000
+    rng, large = random.Random(89), analyze_large_pairs()
+    cases += [(large[kind], analyze_large_set(kind, rng)) for kind in ("cyclic", "cyclic", "s7", "s7", "product")]
+    cases += [(subgroup_generated(make_cyclic(20000), [2]), [])]
     verdicts = set()
     for sub, s in cases:
         graph = build_pair_graph(sub, s)
