@@ -2,10 +2,10 @@
 
 Commands: ``build``, ``analyze``, ``spectrum``, ``ramanujan``, ``search`` and
 ``verify``; each takes only the options it reads.  Exit codes: 0 success,
-2 validation error (a malformed descriptor, an out-of-range number or an
-option the command does not take included), 3 eigensolver non-convergence,
-4 reference-case mismatch.  Every random operation requires
-an explicit ``--seed`` so runs are reproducible.
+2 validation error (a malformed descriptor, an out-of-range number, an
+option the command does not take or an unwritable output path included),
+3 eigensolver non-convergence, 4 reference-case mismatch.  Every random
+operation requires an explicit ``--seed`` so runs are reproducible.
 """
 
 from __future__ import annotations
@@ -282,7 +282,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.fn(args)
-    except PairGraphError as exc:  # ValidationError and EigensolverError among them
+    except (PairGraphError, OSError) as exc:  # ValidationError, EigensolverError, an unwritable --out or --dot
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EIGENSOLVER if isinstance(exc, EigensolverError) else EXIT_VALIDATION
 

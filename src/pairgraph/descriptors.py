@@ -9,6 +9,7 @@ generator lists; the builtins cover the stock pairings used throughout.
 from __future__ import annotations
 
 import json
+import re
 from typing import Iterable, Union
 
 import numpy as np
@@ -56,6 +57,8 @@ def group_from_descriptor(descriptor: Union[str, dict]) -> FiniteGroup:
             descriptor = {"kind": kind, "params": _integers(rest.split(","), "group parameter")}
     if not isinstance(descriptor, dict):
         raise ValidationError(f"group descriptor must be a JSON object, got {descriptor!r}")
+    if set(descriptor) - {"kind", "params"}:
+        raise ValidationError(f"group descriptor takes 'kind' and 'params' and no other key, got {list(descriptor)}")
     kind, params = descriptor.get("kind"), descriptor.get("params", [])
     if kind == "product":
         if not isinstance(params, (list, tuple)) or len(params) != 2:
@@ -81,6 +84,16 @@ def _integers(tokens: Iterable, what: str) -> list[int]:
         except (TypeError, ValueError):
             raise ValidationError(f"{what} {token!r} is not an integer") from None
     return values
+
+
+def _one_key(descriptor: dict, what: str, choices: tuple[str, ...]) -> str:
+    """The one key of ``choices`` the descriptor holds; none, two, or a key it does not read raises."""
+    found = [key for key in choices if key in descriptor]
+    if not found:
+        raise ValidationError(f"{what} descriptor needs {', '.join(map(repr, choices[:-1]))} or {choices[-1]!r}")
+    if len(found) > 1 or len(descriptor) > 1:
+        raise ValidationError(f"{what} descriptor takes one of {choices} and no other key, got {list(descriptor)}")
+    return found[0]
 
 
 def _json(text: str, what: str):
@@ -121,19 +134,18 @@ def subgroup_from_descriptor(group: FiniteGroup, descriptor: Union[str, dict, It
         text = descriptor.strip()
         if text.startswith("{"):
             descriptor = _json(text, "subgroup descriptor")
-        elif text.replace(",", "").replace(" ", "").isdigit():
+        elif re.fullmatch(r"[\d ,+-]*\d[\d ,+-]*", text):  # integer literals, signed ones too
             descriptor = {"elements": text.split(",")}
         else:
             descriptor = {"builtin": text}
     elif not isinstance(descriptor, dict):
         descriptor = {"elements": descriptor}
-    if "builtin" in descriptor:
+    key = _one_key(descriptor, "subgroup", ("elements", "generators", "builtin"))
+    if key == "builtin":
         return builtin_subgroup(group, descriptor["builtin"])
-    if "elements" in descriptor:
+    if key == "elements":
         return subgroup_from_elements(group, _integers(descriptor["elements"], "subgroup element"))
-    if "generators" in descriptor:
-        return subgroup_generated(group, _integers(descriptor["generators"], "subgroup generator"))
-    raise ValidationError("subgroup descriptor needs 'elements', 'generators' or 'builtin'")
+    return subgroup_generated(group, _integers(descriptor["generators"], "subgroup generator"))
 
 
 def set_from_descriptor(group: FiniteGroup, descriptor: Union[str, dict, Iterable[int]]) -> tuple[int, ...]:
@@ -145,9 +157,7 @@ def set_from_descriptor(group: FiniteGroup, descriptor: Union[str, dict, Iterabl
         else:
             descriptor = {"elements": text.split(",")}
     if isinstance(descriptor, dict):
-        if "norm_preimage" in descriptor:
+        if _one_key(descriptor, "set", ("elements", "norm_preimage")) == "norm_preimage":
             return field_norm_preimage(group, _integers(descriptor["norm_preimage"], "norm value"))
-        if "elements" in descriptor:
-            return tuple(_integers(descriptor["elements"], "set element"))
-        raise ValidationError("set descriptor needs 'elements' or 'norm_preimage'")
+        return tuple(_integers(descriptor["elements"], "set element"))
     return tuple(_integers(descriptor, "set element"))

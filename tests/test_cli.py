@@ -355,17 +355,50 @@ Z12 = ["--group", "cyclic:12", "--subgroup", "0,3,6,9"]
         (["analyze", *Z12, "--set", '{"elements": [1.5]}'], "set element 1.5 is not an integer"),
         (["analyze", "--group", '{"kind": "cyclic", "params": [true]}', "--subgroup", "0", "--set", "1"],
          "group parameter True is not an integer"),
+        # a second alternative or an unread key was once dropped without a word (exit 0), and a
+        # signed element list was looked up as a builtin name
+        (["analyze", "--group", "cyclic:12", "--subgroup", '{"elements": [0, 6], "generators": [3]}', "--set", "1"],
+         "subgroup descriptor takes one of ('elements', 'generators', 'builtin') and no other key, "
+         "got ['elements', 'generators']"),
+        (["analyze", "--group", "cyclic:12", "--subgroup", '{"elements": [0, 6], "x": 1}', "--set", "1"],
+         "subgroup descriptor takes one of ('elements', 'generators', 'builtin') and no other key, got ['elements', 'x']"),
+        (["analyze", "--group", "field_additive:7,2", "--subgroup", "0,1,2,3,4,5,6",
+          "--set", '{"elements": [7], "norm_preimage": [5, 6]}'],
+         "set descriptor takes one of ('elements', 'norm_preimage') and no other key, got ['elements', 'norm_preimage']"),
+        (["analyze", "--group", '{"kind": "cyclic", "params": [12], "extra": 1}', "--subgroup", "0", "--set", "1"],
+         "group descriptor takes 'kind' and 'params' and no other key, got ['kind', 'params', 'extra']"),
+        (["analyze", "--group", "cyclic:12", "--subgroup=-3,0", "--set", "1"], "element -3 out of range"),
     ],
     ids=["product-one-factor", "cyclic-two-params", "gl2-huge-prime", "sl2-builtin-on-cyclic",
          "alternating-builtin-on-a4", "evens-on-odd-cyclic", "klein-on-a5", "unknown-builtin", "empty-subgroup-json",
          "set-json-without-rule", "no-subgroup", "set-and-set-random", "build-seed-with-set", "analyze-seed-with-set",
          "ramanujan-seed-with-set", "spectrum-seed-with-norm-preimage", "params-not-list", "kind-unhashable",
          "product-params-not-list", "subgroup-elements-not-list", "subgroup-generators-not-list",
-         "set-elements-not-list", "norm-preimage-not-list", "float-param", "float-set-element", "bool-param"],
+         "set-elements-not-list", "norm-preimage-not-list", "float-param", "float-set-element", "bool-param",
+         "subgroup-elements-and-generators", "subgroup-unread-key", "set-elements-and-norm-preimage",
+         "group-unread-key", "signed-subgroup-element"],
 )
 def test_validation_branches_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["build", *Z12, "--set", "1,7", "--out", "{missing}/x.json"],
+        ["build", *Z12, "--set", "1,7", "--dot", "{missing}/x.dot"],
+        ["search", "--group", "cyclic:8", "--subgroup", "evens", "--k", "2", "--mode", "exhaustive",
+         "--out", "{missing}/x.jsonl"],
+    ],
+    ids=["build-out", "build-dot", "search-out"],
+)
+def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
+    # these once ended in a FileNotFoundError traceback with exit 1
+    missing = tmp_path / "missing"
+    code, out, err = run_cli(capsys, *(a.format(missing=missing) for a in argv))
+    assert (code, out) == (2, "")
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(missing) in err
 
 
 def test_eigensolver_failure_exits_3(monkeypatch, capsys):
@@ -437,8 +470,7 @@ def test_verify_single_and_unknown(capsys):
 def test_verify_mismatch_exit_code(monkeypatch, capsys):
     import pairgraph.reference_cases as rc
 
-    forced = rc.ReferenceCase("forced-failure", "always fails", lambda: [("forced", False, "detail")])
-    monkeypatch.setattr(rc, "CASES", list(rc.CASES) + [forced])
+    monkeypatch.setattr(rc, "CASES", {**rc.CASES, "forced-failure": lambda: [("forced", False, "detail")]})
     code, out, _ = run_cli(capsys, "verify")
     assert code == 4
     assert "[FAIL] forced-failure" in out

@@ -2,14 +2,14 @@
 
 import pytest
 
-from pairgraph.reference_cases import CASES, get_case, run_all
+from pairgraph.reference_cases import CASES, run_all
 from pairgraph.errors import ValidationError
 
 
-@pytest.mark.parametrize("case", CASES, ids=[c.case_id for c in CASES])
-def test_reference_case(case):
-    for name, ok, detail in case.run():
-        assert ok, f"{case.case_id}: {name} {detail}"
+@pytest.mark.parametrize("case_id", CASES)
+def test_reference_case(case_id):
+    for name, ok, detail in CASES[case_id]():
+        assert ok, f"{case_id}: {name} {detail}"
 
 
 def test_run_all_aggregates():
@@ -19,5 +19,5 @@ def test_run_all_aggregates():
 
 
 def test_unknown_case_rejected():
-    with pytest.raises(ValidationError):
-        get_case("not-a-case")
+    with pytest.raises(ValidationError, match=r"unknown reference case 'not-a-case'; known: \['z12-degrees', "):
+        run_all("not-a-case")

@@ -4,6 +4,7 @@ import functools
 import itertools
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -465,6 +466,46 @@ def test_ramanujan_boundary_pinned(z20_evens):
             report = is_ramanujan(graph, beyond)
             assert not report.ramanujan, (with_minus_k, sign)
             assert report.margin == pytest.approx(-2.0 * eps, abs=1e-12)
+
+
+def _rational_rank(matrix) -> int:
+    """Rank over Q, by Gaussian elimination on Fractions."""
+    rows = [[Fraction(int(x)) for x in row] for row in matrix]
+    rank = 0
+    for col in range(len(rows[0])):
+        pivot = next((r for r in range(rank, len(rows)) if rows[r][col]), None)
+        if pivot is None:
+            continue
+        rows[rank], rows[pivot] = rows[pivot], rows[rank]
+        for r in range(rank + 1, len(rows)):
+            factor = rows[r][col] / rows[rank][col]
+            rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
+        rank += 1
+    return rank
+
+
+@pytest.mark.parametrize(
+    "k, seed, trial, at_bound",
+    [(5, 1, 24, 3), (5, 1, 149, 3), (5, 0, 40, 3), (6, 1, 48, 3), (8, 0, 46, 2)],
+)
+def test_ramanujan_boundary_on_real_graphs(k, seed, trial, at_bound):
+    # seeded GL2(3) > SL2(3) sets whose worst eigenvalue is exactly 2*sqrt(k - 1);
+    # the sign of the float margin depends on the BLAS build, so only its size is pinned
+    group = make_gl2(3)
+    sub = builtin_subgroup(group, "sl2_in_gl2")
+    s = random_candidate(sub.outside(), k, seed, trial)
+    report = is_ramanujan(build_pair_graph(sub, s))
+    assert report.ramanujan and abs(report.margin) <= 1e-12
+    # second route: the squared eigenvalues are those of M = B B^T, B the H x (G - H) block,
+    # and exactly 2*sqrt(k - 1) means the integer matrix M - 4(k - 1) I is singular over Q
+    targets = group.product(np.array(sub.elements)[:, None], np.array(s))
+    b = (targets[:, :, None] == np.array(sub.outside())).any(axis=1).astype(np.int64)
+    m, c = b @ b.T, 4 * (k - 1)
+    values = np.linalg.eigvalsh(m.astype(np.float64))
+    near = np.abs(values - c) <= 1e-9
+    assert sub.order - _rational_rank(m - c * np.eye(sub.order, dtype=np.int64)) == near.sum() == at_bound
+    rest = values[~near]
+    assert rest[-1] == pytest.approx(k * k) and rest[:-1].max() < c - 1e-6
 
 
 def test_solver_failure_raises_eigensolver_error(monkeypatch):
