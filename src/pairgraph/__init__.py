@@ -27,7 +27,6 @@ from .graphs import (
     PairGraph,
     adjacency_rows_via_group_matrix,
     build_pair_graph,
-    cayley_adjacency,
     degree_profile,
     graph_to_dot,
     graph_to_json,
@@ -74,7 +73,6 @@ from .structure import (
     is_bipartite,
     is_connected,
     sign_homomorphism_exists,
-    translate_component,
 )
 
 __version__ = "0.1.0"

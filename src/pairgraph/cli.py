@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 from typing import Optional, Sequence
 
@@ -89,11 +90,24 @@ def _resolve_gen(args) -> GeneratingSet:
     return gen
 
 
-def _emit(text: str, out: Optional[str]) -> None:
-    if out:
-        with open(out, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
+def _emit(text: str, out: Optional[str], also: Sequence[tuple[str, str]] = ()) -> None:
+    """Write each (path, text) of ``also``, then the report to ``out`` or stdout.
+
+    A path that cannot be written raises, after the files this call created are removed.
+    """
+    created = []
+    try:
+        for path, content in [*also, *([(out, text)] if out else [])]:
+            existed = os.path.exists(path)
+            with open(path, "w", encoding="utf-8") as fh:
+                if not existed:
+                    created.append(path)
+                fh.write(content)
+    except OSError:
+        for path in created:
+            os.remove(path)
+        raise
+    if not out:
         sys.stdout.write(text)
 
 
@@ -104,18 +118,14 @@ def _build_graph(args) -> PairGraph:
 
 def cmd_build(args) -> int:
     graph = _build_graph(args)
-    payload = graph_to_json(graph)
-    if args.dot:
-        with open(args.dot, "w", encoding="utf-8") as fh:
-            fh.write(graph_to_dot(graph))
     if args.format == "text":
         text = (
             f"pair graph on {graph.order} vertices, {graph.edge_count()} edges\n"
             f"degree profile: {degree_profile(graph)}\n"
         )
     else:
-        text = json.dumps(payload, sort_keys=True) + "\n"
-    _emit(text, args.out)
+        text = json.dumps(graph_to_json(graph), sort_keys=True) + "\n"
+    _emit(text, args.out, [(args.dot, graph_to_dot(graph))] if args.dot else [])
     return EXIT_OK
 
 
@@ -131,7 +141,7 @@ def _analysis_payload(graph: PairGraph) -> dict:
         "connected": conn.connected,
         "connectivity_witness": conn.witness,
         "bipartite": bip.bipartite,
-        "isolated": list(isolated_vertices(graph)),
+        "isolated": isolated_vertices(graph).tolist(),
         "degree_profile": [list(entry) for entry in degree_profile(graph)],
         "regular": reg.regular,
         "degree": reg.degree,

@@ -16,7 +16,7 @@ from typing import Iterable, Optional, Union
 import numpy as np
 
 from .errors import IndexNotTwo, PairGraphError, ValidationError
-from .groups import BLOCK, FiniteGroup, GeneratingSet, Subgroup, closed_subgroup, validate_generating_set
+from .groups import BLOCK, FiniteGroup, GeneratingSet, Subgroup, _read_only, validate_generating_set
 
 
 @dataclass(frozen=True, eq=False)
@@ -106,27 +106,22 @@ def adjacency_rows_via_group_matrix(
     enters only as that indicator and is never multiplied, so this is a
     construction of the subgroup rows of the adjacency independent of
     ``build_pair_graph``'s edge rule, and is used as an oracle against it.
+
+    It goes through the right cosets of H.  Every g is x*t for one x in H and
+    one coset representative t, and h^-1*(x*t) = (h^-1*x)*t.  So the |G|
+    products x*t, the cells, and the |H|^2 quotients h^-1*x give every entry:
+    row i is the indicator at the cells, its rows taken by the quotients of
+    h_i, its columns put back in natural order.  Where the cells are
+    0..|G|-1 already, as on every cyclic Z/n > <d>, that reorder is the
+    identity and is skipped: the row gather writes into the result.  Rows are
+    computed BLOCK // |H| at a time, so a block's quotients are one kernel
+    call and its temporaries about BLOCK * [G:H] bytes.
     """
     gen = _as_generating_set(subgroup, s)
-    return _group_matrix_rows(subgroup, gen.elements)
-
-
-def _group_matrix_rows(subgroup: Subgroup, elements: Iterable[int]) -> np.ndarray:
-    """Entry (i, j) is 1 iff h_i^-1 * g_j lies in ``elements``, through the right cosets of H.
-
-    Every g is x*t for one x in H and one coset representative t, and
-    h^-1*(x*t) = (h^-1*x)*t.  So the |G| products x*t, the cells, and the
-    |H|^2 quotients h^-1*x give every entry: row i is the indicator at the
-    cells, its rows taken by the quotients of h_i, its columns put back in
-    natural order.  Where the cells are 0..|G|-1 already, as on every cyclic
-    Z/n > <d>, that reorder is the identity and is skipped: the row gather
-    writes into the result.  Rows are computed BLOCK // |H| at a time, so a
-    block's quotients are one kernel call and its temporaries about BLOCK * [G:H] bytes.
-    """
     group, h = subgroup.parent, subgroup.elements
     n, m = len(h), group.order
     indicator = np.zeros(m, dtype=np.int8)
-    indicator[list(elements)] = 1
+    indicator[list(gen.elements)] = 1
     cells = group.product(h[:, None], subgroup.coset_reps)
     position = np.empty(m, dtype=np.int32)
     position[h] = np.arange(n, dtype=np.int32)
@@ -144,16 +139,6 @@ def _group_matrix_rows(subgroup: Subgroup, elements: Iterable[int]) -> np.ndarra
     return out
 
 
-def cayley_adjacency(group: FiniteGroup, s: Iterable[int]) -> np.ndarray:
-    """Adjacency matrix of the Cayley graph on a symmetric set without the identity.
-
-    The pair graph with H = G, where the set rules of ``validate_generating_set``
-    ask exactly this; the group matrix at index 1, so |G|^2 + |G| products.
-    """
-    whole = closed_subgroup(group, np.arange(group.order))
-    return _group_matrix_rows(whole, validate_generating_set(whole, s).elements)
-
-
 def degree_profile(graph: PairGraph) -> list[tuple[int, int, int]]:
     """Per coset: (coset id, common degree, coset size).
 
@@ -164,8 +149,9 @@ def degree_profile(graph: PairGraph) -> list[tuple[int, int, int]]:
     return [(cid, degree, sub.order) for cid, degree in enumerate(graph.degrees[sub.coset_reps].tolist())]
 
 
-def isolated_vertices(graph: PairGraph) -> tuple[int, ...]:
-    return tuple(np.flatnonzero(graph.degrees == 0).tolist())
+def isolated_vertices(graph: PairGraph) -> np.ndarray:
+    """The vertices without an edge, ascending, as a read-only array."""
+    return _read_only(np.flatnonzero(graph.degrees == 0))
 
 
 @dataclass(frozen=True)

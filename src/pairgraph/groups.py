@@ -136,8 +136,7 @@ class FiniteGroup:
         position[listing] = np.arange(len(listing))
         if (position < 0).any():  # pragma: no cover - the c_i represent every coset
             raise PairGraphError("the chain's coset representatives do not list the group")
-        position.flags.writeable = False
-        return position
+        return _read_only(position)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -730,6 +729,12 @@ def closed_subgroup(group: FiniteGroup, elems: np.ndarray | Sequence[int]) -> Su
     return Subgroup(parent=group, elements=h, coset_of=coset_of, coset_reps=reps)
 
 
+def _read_only(array: np.ndarray) -> np.ndarray:
+    """``array`` itself, made read-only: the form of every per-element result."""
+    array.flags.writeable = False
+    return array
+
+
 def _sorted_unique(values: np.ndarray) -> np.ndarray:
     """Distinct values in ascending order, by a sort: a plain ``np.unique`` hashes, far slower."""
     values = np.sort(values, axis=None)
@@ -769,9 +774,7 @@ def generated_elements(group: FiniteGroup, gens: Iterable[int]) -> np.ndarray:
             frontier = _sorted_unique(frontier[~seen[frontier]])
             seen[frontier] = True
             frontier = group.product(frontier[:, None], adjoined)
-    elements = np.flatnonzero(seen)
-    elements.flags.writeable = False
-    return elements
+    return _read_only(np.flatnonzero(seen))
 
 
 def subgroup_generated(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:

@@ -1,5 +1,8 @@
 """Connectivity, components, bipartiteness, and the closed-form component count.
 
+Every per-vertex result (component labels, a two-coloring, the identity's
+component) is a read-only int array, as the arrays of a ``Subgroup`` are.
+
 Two independent routes to the component structure are kept side by side:
 least-label component search on the built graph, and the closed formula
 
@@ -16,17 +19,20 @@ from typing import Optional
 
 import numpy as np
 
-from .errors import ValidationError
 from .graphs import PairGraph
-from .groups import FiniteGroup, GeneratingSet, _element_indices, _sorted_unique, generated_elements
+from .groups import FiniteGroup, GeneratingSet, _element_indices, _read_only, _sorted_unique, generated_elements
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ComponentDecomposition:
-    component_of: tuple[int, ...]
+    """``component_of[v]`` is v's component id, the ids numbered by least member.
+
+    The sizes are ``np.bincount(component_of)`` and the identity's component
+    ``np.flatnonzero(component_of == component_of[e])``.
+    """
+
     count: int
-    sizes: tuple[int, ...]
-    identity_component: tuple[int, ...]
+    component_of: np.ndarray
 
 
 def _least_labels(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
@@ -63,14 +69,7 @@ def connected_components(graph: PairGraph) -> ComponentDecomposition:
     m = graph.order
     label = _least_labels(graph.indptr, graph.indices)
     ids = np.cumsum(label == np.arange(m)) - 1
-    component_of = ids[label]
-    sizes = np.bincount(component_of)
-    return ComponentDecomposition(
-        component_of=tuple(component_of.tolist()),
-        count=len(sizes),
-        sizes=tuple(sizes.tolist()),
-        identity_component=tuple(np.flatnonzero(label == label[graph.group.identity]).tolist()),
-    )
+    return ComponentDecomposition(count=int(ids[-1]) + 1, component_of=_read_only(ids[label]))
 
 
 @dataclass(frozen=True)
@@ -127,28 +126,17 @@ def is_connected(gen: GeneratingSet) -> ConnectivityReport:
     )
 
 
-def identity_component_by_closure(gen: GeneratingSet) -> tuple[int, ...]:
-    """Vertices of the identity's component: U together with its outside translates."""
+def identity_component_by_closure(gen: GeneratingSet) -> np.ndarray:
+    """Vertices of the identity's component, ascending: U together with its outside translates."""
     u = gen.reachable
     translates = gen.group.product(u[:, None], np.array(gen.outside, dtype=np.int64))
-    return tuple(_sorted_unique(np.concatenate([u, translates], axis=None)).tolist())
+    return _read_only(_sorted_unique(np.concatenate([u, translates], axis=None)))
 
 
-def translate_component(graph: PairGraph, h: int, component: tuple[int, ...]) -> tuple[int, ...]:
-    """Left translate of a component by a subgroup element; lands on a component."""
-    (h,) = _element_indices(graph.group, [h], "translating element")
-    if not graph.subgroup.contains(h):
-        raise ValidationError(f"translating element {h} is not in the subgroup")
-    vertices = np.array(component, dtype=np.int64)
-    if ((vertices < 0) | (vertices >= graph.order)).any():
-        raise ValidationError(f"component entry out of range 0..{graph.order - 1}")
-    return tuple(np.sort(graph.group.product(h, vertices)).tolist())
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BipartiteReport:
     bipartite: bool
-    coloring: Optional[tuple[int, ...]]
+    coloring: Optional[np.ndarray]
 
 
 def is_bipartite(graph: PairGraph) -> BipartiteReport:
@@ -163,7 +151,7 @@ def is_bipartite(graph: PairGraph) -> BipartiteReport:
     label = _least_labels(cover_indptr, np.concatenate([indices + m, indices]))
     if np.any(label[:m] == label[m:]):
         return BipartiteReport(False, None)
-    return BipartiteReport(True, tuple((label[:m] > label[m:]).astype(int).tolist()))
+    return BipartiteReport(True, _read_only((label[:m] > label[m:]).astype(np.intp)))
 
 
 def sign_homomorphism_exists(group: FiniteGroup, s_elements) -> bool:

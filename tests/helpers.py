@@ -19,6 +19,7 @@ from pairgraph.groups import (
     FiniteGroup,
     GeneratingSet,
     Subgroup,
+    _read_only,
     make_alternating,
     make_cyclic,
     make_dihedral,
@@ -344,8 +345,8 @@ def coset_members(sub: Subgroup) -> list[list[int]]:
     return members
 
 
-def differing_fields(a: Subgroup, b: Subgroup) -> list[str]:
-    """The fields in which two subgroups differ: the parent by identity, the arrays by value."""
+def differing_fields(a, b) -> list[str]:
+    """The fields in which two dataclass values differ: a subgroup's parent by identity, the rest by value."""
     differing = []
     for field in dataclasses.fields(a):
         x, y = getattr(a, field.name), getattr(b, field.name)
@@ -408,8 +409,11 @@ def left_translation_matrix(group: FiniteGroup, h: int) -> np.ndarray:
     return p
 
 
-def reference_components(graph: PairGraph) -> ComponentDecomposition:
-    """Breadth-first component labeling; ids ordered by minimal contained vertex."""
+def reference_components(graph: PairGraph) -> tuple[ComponentDecomposition, list[int], list[int]]:
+    """Breadth-first component labeling, ids ordered by minimal contained vertex.
+
+    Returned with the sizes the search counts and the identity's component, ascending.
+    """
     m = graph.order
     indptr, indices = graph.indptr.tolist(), graph.indices.tolist()
     component_of = [-1] * m
@@ -430,13 +434,8 @@ def reference_components(graph: PairGraph) -> ComponentDecomposition:
                     queue.append(v)
         sizes.append(size)
     e = graph.group.identity
-    identity_component = tuple(v for v in range(m) if component_of[v] == component_of[e])
-    return ComponentDecomposition(
-        component_of=tuple(component_of),
-        count=len(sizes),
-        sizes=tuple(sizes),
-        identity_component=identity_component,
-    )
+    identity_component = [v for v in range(m) if component_of[v] == component_of[e]]
+    return ComponentDecomposition(count=len(sizes), component_of=_read_only(np.array(component_of))), sizes, identity_component
 
 
 def reference_bipartite(graph: PairGraph) -> BipartiteReport:
@@ -457,4 +456,4 @@ def reference_bipartite(graph: PairGraph) -> BipartiteReport:
                     queue.append(v)
                 elif color[v] == color[u]:
                     return BipartiteReport(False, None)
-    return BipartiteReport(True, tuple(color))
+    return BipartiteReport(True, _read_only(np.array(color)))

@@ -388,17 +388,44 @@ def test_validation_branches_exit_2(capsys, argv, message):
     [
         ["build", *Z12, "--set", "1,7", "--out", "{missing}/x.json"],
         ["build", *Z12, "--set", "1,7", "--dot", "{missing}/x.dot"],
+        ["build", *Z12, "--set", "1,7", "--dot", "{writable}", "--out", "{missing}/x.json"],
+        ["build", *Z12, "--set", "1,7", "--out", "{writable}", "--dot", "{missing}/x.dot"],
         ["search", "--group", "cyclic:8", "--subgroup", "evens", "--k", "2", "--mode", "exhaustive",
          "--out", "{missing}/x.jsonl"],
     ],
-    ids=["build-out", "build-dot", "search-out"],
+    ids=["build-out", "build-dot", "build-writable-dot-unwritable-out", "build-writable-out-unwritable-dot",
+         "search-out"],
 )
 def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
-    # these once ended in a FileNotFoundError traceback with exit 1
-    missing = tmp_path / "missing"
-    code, out, err = run_cli(capsys, *(a.format(missing=missing) for a in argv))
+    # these once ended in a FileNotFoundError traceback with exit 1, and a writable
+    # --dot beside an unwritable --out was once written and left behind
+    missing, writable = tmp_path / "missing", tmp_path / "writable"
+    code, out, err = run_cli(capsys, *(a.format(missing=missing, writable=writable) for a in argv))
     assert (code, out) == (2, "")
     assert err.startswith("error: ") and err.count("\n") == 1 and str(missing) in err
+    assert not writable.exists()
+
+
+@pytest.mark.parametrize(
+    "spaced, joined, option_error, descriptor_error",
+    [
+        (["--subgroup", "-3,0", "--set", "1"], ["--subgroup=-3,0", "--set", "1"],
+         "argument --subgroup: expected one argument", "element -3 out of range"),
+        (["--subgroup", "0,3,6,9", "--set", "-1,2"], ["--subgroup", "0,3,6,9", "--set=-1,2"],
+         "argument --set: expected one argument", "generating element -1 out of range"),
+    ],
+    ids=["subgroup", "set"],
+)
+def test_signed_lists_reach_the_descriptor_parser_only_after_equals(capsys, spaced, joined, option_error,
+                                                                    descriptor_error):
+    # argparse takes a value that starts with "-" and is no plain number for an option
+    with pytest.raises(SystemExit) as exc:
+        main(["analyze", "--group", "cyclic:12", *spaced])
+    captured = capsys.readouterr()
+    assert (exc.value.code, captured.out) == (2, "")
+    assert captured.err.endswith(f"error: {option_error}\n")
+    code, out, err = run_cli(capsys, "analyze", "--group", "cyclic:12", *joined)
+    assert (code, out, err) == (2, "", f"error: {descriptor_error}\n")
 
 
 def test_eigensolver_failure_exits_3(monkeypatch, capsys):

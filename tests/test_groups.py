@@ -20,7 +20,6 @@ from pairgraph.errors import (
     ValidationError,
 )
 from pairgraph.fields import CONWAY_POLYNOMIALS, is_prime, reducing_polynomial
-from pairgraph.graphs import build_pair_graph, cayley_adjacency
 from pairgraph.groups import (
     closed_subgroup,
     field_norm_preimage,
@@ -39,7 +38,7 @@ from pairgraph.groups import (
     subgroup_generated,
     validate_generating_set,
 )
-from pairgraph.structure import sign_homomorphism_exists, translate_component
+from pairgraph.structure import sign_homomorphism_exists
 
 from helpers import (
     GENERATED_FACTORS,
@@ -233,27 +232,24 @@ def test_caps_checked_before_the_arithmetic(monkeypatch):
 def _z12_instance():
     z12 = make_cyclic(12)
     sub = subgroup_from_elements(z12, [0, 3, 6, 9])
-    return z12, sub, build_pair_graph(sub, [1, 7])
+    return z12, sub
 
 
 # every entry point that reads element indices, with the error and the word it names a bad one by
 INDEX_ENTRY_POINTS = {
-    "subgroup_from_elements": (lambda z, sub, graph, x: subgroup_from_elements(z, [0, x]), NotASubgroup, "element"),
-    "generated_elements": (lambda z, sub, graph, x: generated_elements(z, [3, x]), ValidationError, "generator"),
+    "subgroup_from_elements": (lambda z, sub, x: subgroup_from_elements(z, [0, x]), NotASubgroup, "element"),
+    "generated_elements": (lambda z, sub, x: generated_elements(z, [3, x]), ValidationError, "generator"),
     "validate_generating_set": (
-        lambda z, sub, graph, x: validate_generating_set(sub, [1, x]), ValidationError, "generating element"),
+        lambda z, sub, x: validate_generating_set(sub, [1, x]), ValidationError, "generating element"),
     "sign_homomorphism_exists": (
-        lambda z, sub, graph, x: sign_homomorphism_exists(z, [1, x]), ValidationError, "element"),
-    "translate_component": (
-        lambda z, sub, graph, x: translate_component(graph, x, (0, 1)), ValidationError, "translating element"),
+        lambda z, sub, x: sign_homomorphism_exists(z, [1, x]), ValidationError, "element"),
     "right_translate_set-set": (
-        lambda z, sub, graph, x: right_translate_set(sub, [1, x], 3), ValidationError, "element"),
+        lambda z, sub, x: right_translate_set(sub, [1, x], 3), ValidationError, "element"),
     "right_translate_set-h": (
-        lambda z, sub, graph, x: right_translate_set(sub, [1], x), ValidationError, "translating element"),
+        lambda z, sub, x: right_translate_set(sub, [1], x), ValidationError, "translating element"),
     "apply_automorphism": (
-        lambda z, sub, graph, x: apply_automorphism(z, range(12), [2, x]), ValidationError, "element"),
-    "Subgroup.contains": (lambda z, sub, graph, x: sub.contains(x), ValidationError, "element"),
-    "cayley_adjacency": (lambda z, sub, graph, x: cayley_adjacency(z, [1, 11, x]), ValidationError, "generating element"),
+        lambda z, sub, x: apply_automorphism(z, range(12), [2, x]), ValidationError, "element"),
+    "Subgroup.contains": (lambda z, sub, x: sub.contains(x), ValidationError, "element"),
 }
 
 
@@ -268,7 +264,7 @@ def test_element_indices_outside_the_group_are_refused(entry, bad):
 
 
 def test_least_index_outside_the_group_is_named():
-    z12, sub, _ = _z12_instance()
+    z12, sub = _z12_instance()
     for elements, bad in (([14, 1, -2, 13, -5], -5), ([14, 1, 13, 12], 12), ([13, 2, 40], 13)):
         with pytest.raises(ValidationError, match=f"generating element {bad} out of range"):
             validate_generating_set(sub, elements)

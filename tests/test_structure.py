@@ -8,8 +8,7 @@ from hypothesis import given, settings
 
 from pairgraph import groups, structure
 from pairgraph.actions import SearchConfig, _generator_chain, search_ramanujan
-from pairgraph.errors import ValidationError
-from pairgraph.graphs import build_pair_graph
+from pairgraph.graphs import build_pair_graph, isolated_vertices
 from pairgraph.groups import (
     make_alternating,
     make_cyclic,
@@ -27,13 +26,13 @@ from pairgraph.structure import (
     is_bipartite,
     is_connected,
     sign_homomorphism_exists,
-    translate_component,
 )
 
 from helpers import (
     analyze_large_pairs,
     analyze_large_set,
     count_products,
+    differing_fields,
     generated_instances,
     instance_corpus,
     reference_bipartite,
@@ -227,13 +226,18 @@ def test_generated_connectivity_matches_the_graph(gen):
     assert is_connected(gen).connected == (connected_components(graph).count == 1)
 
 
+def _identity_component(graph) -> np.ndarray:
+    component_of = connected_components(graph).component_of
+    return np.flatnonzero(component_of == component_of[graph.group.identity])
+
+
 def test_identity_component(z12_sub):
     gen = validate_generating_set(z12_sub, [1, 7])
-    assert identity_component_by_closure(gen) == (0, 1, 6, 7)
+    assert identity_component_by_closure(gen).tolist() == [0, 1, 6, 7]
     empty = validate_generating_set(z12_sub, [])
-    assert identity_component_by_closure(empty) == (0,)
+    assert identity_component_by_closure(empty).tolist() == [0]
     connected = validate_generating_set(z12_sub, [2, 4, 5, 7, 8])
-    assert identity_component_by_closure(connected) == tuple(range(12))
+    assert identity_component_by_closure(connected).tolist() == list(range(12))
 
 
 def test_identity_component_matches_search_on_corpus():
@@ -241,7 +245,22 @@ def test_identity_component_matches_search_on_corpus():
         if gen.size == 0:
             continue
         graph = build_pair_graph(gen.subgroup, gen)
-        assert identity_component_by_closure(gen) == connected_components(graph).identity_component
+        assert np.array_equal(identity_component_by_closure(gen), _identity_component(graph))
+
+
+def test_vertex_sets_are_read_only_int_arrays(z12_sub):
+    gen = validate_generating_set(z12_sub, [1, 7])
+    graph = build_pair_graph(z12_sub, gen)
+    for vertices in (
+        connected_components(graph).component_of,
+        is_bipartite(graph).coloring,
+        isolated_vertices(graph),
+        identity_component_by_closure(gen),
+    ):
+        assert isinstance(vertices, np.ndarray) and vertices.dtype.kind == "i"
+        assert not vertices.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            vertices[0] = 1
 
 
 def test_least_labels_match_breadth_first_reference():
@@ -258,43 +277,38 @@ def test_least_labels_match_breadth_first_reference():
     verdicts = set()
     for sub, s in cases:
         graph = build_pair_graph(sub, s)
-        assert connected_components(graph) == reference_components(graph)
-        assert is_bipartite(graph) == reference_bipartite(graph)
-        verdicts.add(is_bipartite(graph).bipartite)
+        comp, (expected, sizes, identity_component) = connected_components(graph), reference_components(graph)
+        assert differing_fields(comp, expected) == []
+        assert np.bincount(comp.component_of).tolist() == sizes
+        assert _identity_component(graph).tolist() == identity_component
+        report = is_bipartite(graph)
+        assert differing_fields(report, reference_bipartite(graph)) == []
+        verdicts.add(report.bipartite)
     assert verdicts == {True, False}
 
 
+def _components(decomp) -> set[tuple[int, ...]]:
+    components = {}
+    for v, cid in enumerate(decomp.component_of.tolist()):
+        components.setdefault(cid, []).append(v)
+    return {tuple(vs) for vs in components.values()}
+
+
 def test_translate_component(z12_sub):
-    gen = validate_generating_set(z12_sub, [1, 7])
-    graph = build_pair_graph(z12_sub, gen)
-    assert translate_component(graph, 3, (0, 1, 6, 7)) == (3, 4, 9, 10)
-    assert translate_component(graph, 0, (0, 1, 6, 7)) == (0, 1, 6, 7)
-    with pytest.raises(ValidationError):
-        translate_component(graph, 1, (0, 1, 6, 7))
-
-
-def test_translate_component_rejects_out_of_range(z12_sub):
-    # -3 once wrapped to 9 in the subgroup test and 12 indexed past the coset map
     graph = build_pair_graph(z12_sub, [1, 7])
-    for h in (-3, 12):
-        with pytest.raises(ValidationError, match=f"translating element {h} out of range"):
-            translate_component(graph, h, (0, 1, 6, 7))
-    # an entry outside 0..11 once came back shifted: (0, 40) gave (3, 31) and (-1,) gave (2,)
-    for component in ((0, 40), (-1,), (12,)):
-        with pytest.raises(ValidationError, match=r"component entry out of range 0\.\.11"):
-            translate_component(graph, 3, component)
+    component_of = connected_components(graph).component_of
+    identity = _identity_component(graph)
+    for h, image in ((3, [3, 4, 9, 10]), (0, [0, 1, 6, 7])):
+        assert np.sort(z12_sub.parent.product(h, identity)).tolist() == image
+        assert np.flatnonzero(component_of == component_of[h]).tolist() == image
 
 
 def test_translation_permutes_components():
     for gen in instance_corpus(60, seed=53):
         graph = build_pair_graph(gen.subgroup, gen)
-        decomp = connected_components(graph)
-        components = {}
-        for v, cid in enumerate(decomp.component_of):
-            components.setdefault(cid, []).append(v)
-        component_sets = {tuple(sorted(vs)) for vs in components.values()}
+        component_sets = _components(connected_components(graph))
         for h in gen.subgroup.elements:
-            images = {translate_component(graph, h, comp) for comp in component_sets}
+            images = {tuple(np.sort(gen.group.product(h, comp)).tolist()) for comp in component_sets}
             assert images == component_sets
 
 
@@ -302,18 +316,13 @@ def test_component_cardinalities():
     # every component is a singleton or has the identity component's profile
     for gen in instance_corpus(80, seed=59):
         graph = build_pair_graph(gen.subgroup, gen)
-        decomp = connected_components(graph)
-        components = {}
-        for v, cid in enumerate(decomp.component_of):
-            components.setdefault(cid, []).append(v)
-        e_size = len(decomp.identity_component)
-        idc = set(decomp.identity_component)
-        h_part = len(idc & set(gen.subgroup.elements))
-        for vs in components.values():
+        idc = set(_identity_component(graph).tolist())
+        h_part = len(idc & set(gen.subgroup.elements.tolist()))
+        for vs in _components(connected_components(graph)):
             if len(vs) == 1 and not gen.subgroup.contains(vs[0]):
                 continue
-            assert len(vs) == e_size
-            assert len(set(vs) & set(gen.subgroup.elements)) == h_part
+            assert len(vs) == len(idc)
+            assert len(set(vs) & set(gen.subgroup.elements.tolist())) == h_part
 
 
 def test_bipartite_examples(z12_sub):
