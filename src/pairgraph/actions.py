@@ -25,7 +25,8 @@ from .errors import (
     ValidationError,
 )
 from .groups import FiniteGroup, Subgroup, _element_indices, _element_orders, generated_elements, validate_generating_set
-from .spectral import DEFAULT_TOLERANCE, _certify, _check_tolerance, ramanujan_size_bound
+from .graphs import PairGraph
+from .spectral import DEFAULT_TOLERANCE, _check_tolerance, is_ramanujan, ramanujan_size_bound
 from .structure import is_connected
 
 AUTOMORPHISM_ORDER_CAP = 120
@@ -276,7 +277,7 @@ def search_ramanujan(config: SearchConfig) -> list[SearchResult]:
         verdict: Optional[bool] = None
         worst: Optional[float] = None
         if connected and config.certify:
-            report = _certify(gen, None, config.tolerance)
+            report = is_ramanujan(PairGraph(gen), None, config.tolerance)
             verdict = report.ramanujan
             worst = report.worst_nontrivial
             if bound.satisfied and not verdict:  # pragma: no cover - the bound is sufficient

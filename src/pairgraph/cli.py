@@ -32,8 +32,8 @@ from .groups import GeneratingSet, Subgroup, validate_generating_set
 from .reference_cases import run_all
 from .spectral import (
     DEFAULT_TOLERANCE,
-    _certify,
-    _spectrum,
+    compute_spectrum,
+    is_ramanujan,
     ramanujan_size_bound,
     trivial_eigenvalues,
     zero_multiplicity_lower_bound,
@@ -91,21 +91,33 @@ def _resolve_gen(args) -> GeneratingSet:
 
 
 def _emit(text: str, out: Optional[str], also: Sequence[tuple[str, str]] = ()) -> None:
-    """Write each (path, text) of ``also``, then the report to ``out`` or stdout.
+    """Write each (path, text) of ``also`` and the report to ``out``, else the report to stdout.
 
-    A path that cannot be written raises, after the files this call created are removed.
+    A regular file is written to a temporary sibling, and the temporaries
+    replace their targets only once all are written: a path that cannot be
+    written raises, naming that path, with every temporary removed and no file
+    changed.  A device or a pipe is written in place.
     """
-    created = []
+    moves = []
     try:
         for path, content in [*also, *([(out, text)] if out else [])]:
-            existed = os.path.exists(path)
-            with open(path, "w", encoding="utf-8") as fh:
-                if not existed:
-                    created.append(path)
+            if os.path.exists(path) and not os.path.isfile(path):  # a device or a pipe; a directory raises here
+                with open(path, "w", encoding="utf-8") as fh:
+                    fh.write(content)
+                continue
+            target = os.path.realpath(path)  # write through a symlink, not over it
+            if os.path.exists(target):  # a read-only file fails here, not at the rename
+                os.close(os.open(target, os.O_WRONLY))
+            with open(f"{target}.{os.getpid()}-{len(moves)}.tmp", "x", encoding="utf-8") as fh:
+                moves.append((fh.name, target, path))
                 fh.write(content)
-    except OSError:
-        for path in created:
-            os.remove(path)
+        for temporary, target, path in moves:
+            os.replace(temporary, target)
+    except OSError as exc:
+        for temporary, *_ in moves:
+            if os.path.exists(temporary):
+                os.remove(temporary)
+        exc.filename = path
         raise
     if not out:
         sys.stdout.write(text)
@@ -162,7 +174,7 @@ def cmd_analyze(args) -> int:
 
 def cmd_spectrum(args) -> int:
     gen = _resolve_gen(args)
-    spectrum = _spectrum(gen, args.tolerance)
+    spectrum = compute_spectrum(PairGraph(gen), args.tolerance)
     if args.format == "csv":
         rows = ["value,multiplicity"]
         rows += [f"{value:.12g},{count}" for value, count in spectrum.clusters]
@@ -187,7 +199,7 @@ def cmd_spectrum(args) -> int:
 
 def cmd_ramanujan(args) -> int:
     gen = _resolve_gen(args)
-    report = _certify(gen, None, args.tolerance)
+    report = is_ramanujan(PairGraph(gen), None, args.tolerance)
     payload = {
         "ramanujan": report.ramanujan,
         "degree": report.degree,

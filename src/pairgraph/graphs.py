@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import mmap
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Union
 
 import numpy as np
@@ -21,12 +22,16 @@ from .groups import BLOCK, FiniteGroup, GeneratingSet, Subgroup, _read_only, val
 
 @dataclass(frozen=True, eq=False)
 class PairGraph:
-    """Immutable pair graph as a CSR edge list: u's sorted neighbours are indices[indptr[u]:indptr[u+1]]."""
+    """Immutable pair graph: u's sorted neighbours are indices[indptr[u]:indptr[u+1]].
+
+    The first read of ``indptr``, ``indices`` or ``degrees`` builds all three by
+    ``_build_edges``; spectra, certificates and connectivity read only ``gen``.
+    """
 
     gen: GeneratingSet
-    indptr: np.ndarray
-    indices: np.ndarray
-    degrees: np.ndarray
+    indptr = cached_property(lambda self: _build_edges(self)["indptr"])
+    indices = cached_property(lambda self: _build_edges(self)["indices"])
+    degrees = cached_property(lambda self: _build_edges(self)["degrees"])
 
     @property
     def group(self) -> FiniteGroup:
@@ -73,7 +78,12 @@ def _as_generating_set(subgroup: Subgroup, s: Union[GeneratingSet, Iterable[int]
 
 
 def build_pair_graph(subgroup: Subgroup, s: Union[GeneratingSet, Iterable[int]]) -> PairGraph:
-    """Build the pair graph for the parent group of ``subgroup`` and the set ``s``.
+    """The pair graph for the parent group of ``subgroup`` and ``s``, validated now; edges on first read."""
+    return PairGraph(_as_generating_set(subgroup, s))
+
+
+def _build_edges(graph: PairGraph) -> dict:
+    """Store the CSR arrays of ``graph`` in its instance dict and return that dict.
 
     Each edge is listed once per direction, as the int32 key u << 15 | v
     (m <= ``ORDER_CAP`` < 2^15, so keys stay below 2^30): the row h*S of each
@@ -81,7 +91,7 @@ def build_pair_graph(subgroup: Subgroup, s: Union[GeneratingSet, Iterable[int]])
     outside columns add reverse keys.  One sort orders the keys by (u, v), row
     u starts at the first key >= u << 15, and v is the key's low 15 bits.
     """
-    gen = _as_generating_set(subgroup, s)
+    gen, subgroup = graph.gen, graph.subgroup
     m, size = subgroup.parent.order, gen.size
     h = subgroup.elements.astype(np.int32)[:, None]
     targets = subgroup.parent.product(h, np.array(gen.inside + gen.outside, dtype=np.int64))
@@ -92,7 +102,8 @@ def build_pair_graph(subgroup: Subgroup, s: Union[GeneratingSet, Iterable[int]])
     keys = keys.ravel()
     keys.sort()
     indptr = np.searchsorted(keys, np.arange(m + 1, dtype=np.int32) << 15)
-    return PairGraph(gen=gen, indptr=indptr, indices=keys & 0x7FFF, degrees=np.diff(indptr))
+    vars(graph).update(indptr=indptr, indices=keys & 0x7FFF, degrees=np.diff(indptr))
+    return vars(graph)
 
 
 def adjacency_rows_via_group_matrix(

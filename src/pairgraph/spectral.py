@@ -106,19 +106,15 @@ def _check_tolerance(tolerance: float) -> None:
 
 
 def compute_spectrum(graph: PairGraph, tolerance: float = DEFAULT_TOLERANCE) -> Spectrum:
-    """Full adjacency spectrum of a pair graph, one block per irreducible representation (S_n > A_n) or character."""
-    return _spectrum(graph.gen, tolerance)
+    """Full adjacency spectrum of a pair graph, read off (G, H, S) without its edge list.
 
-
-def _spectrum(gen: GeneratingSet, tolerance: float = DEFAULT_TOLERANCE) -> Spectrum:
-    """The spectrum of the pair graph on ``gen``, read off (G, H, S) without building the graph.
-
-    ``_young_values`` when G is symmetric, [G:H] = 2 and S is nonempty and
-    avoids H; ``_character_values`` otherwise.  A LAPACK failure on either
-    route raises ``EigensolverError``.
+    One block per irreducible representation by ``_young_values`` when G is
+    symmetric, [G:H] = 2 and S is nonempty and avoids H; one per character by
+    ``_character_values`` otherwise.  A LAPACK failure on either route raises
+    ``EigensolverError``.
     """
     _check_tolerance(tolerance)
-    m = gen.group.order
+    gen, m = graph.gen, graph.order
     if m > SPECTRUM_ORDER_CAP:
         raise SizeCapExceeded(f"graph order {m} exceeds the dense solver cap {SPECTRUM_ORDER_CAP}")
     symmetric = gen.group.descriptor.get("kind") == "symmetric"
@@ -344,21 +340,17 @@ def is_ramanujan(
     |mu| <= 2*sqrt(degree - 1), tested with an absolute slack of
     tolerance * max(1, degree) so boundary cases do not flap.  Regularity,
     the degree |S| and connectivity are read off (G, H, S), by
-    ``GeneratingSet.regular`` and ``is_connected``, not off the graph.
+    ``GeneratingSet.regular`` and ``is_connected``, not off the edge list.
     """
-    return _certify(graph.gen, spectrum, tolerance)
-
-
-def _certify(gen: GeneratingSet, spectrum: Optional[Spectrum], tolerance: float) -> RamanujanReport:
-    """``is_ramanujan`` on the pair graph of ``gen``, without building it."""
     _check_tolerance(tolerance)
+    gen = graph.gen
     if not gen.regular:
         raise NotRegular("graph is not regular")
     k = gen.size
     if not is_connected(gen).connected:
         raise NotConnected("graph is not connected")
     if spectrum is None:
-        spectrum = _spectrum(gen, tolerance)
+        spectrum = compute_spectrum(graph, tolerance)
     eps = tolerance * max(1.0, float(k))
     values = spectrum.eigenvalues
     if abs(values[0] - k) > 1e-6:  # pragma: no cover - Perron value must be the degree
@@ -411,7 +403,7 @@ def compare_complementary_spectra(
         raise ValidationError("the sets must be disjoint")
     if len(gen1.elements) + len(gen2.elements) != subgroup.parent.order - subgroup.order:
         raise ValidationError("the sets must cover the complement of the subgroup")
-    spec1, spec2 = _spectrum(gen1), _spectrum(gen2)
+    spec1, spec2 = compute_spectrum(PairGraph(gen1)), compute_spectrum(PairGraph(gen2))
     interior1 = spec1.eigenvalues[1:-1]
     interior2 = spec2.eigenvalues[1:-1]
     gap = float(np.max(np.abs(interior1 - interior2))) if len(interior1) else 0.0

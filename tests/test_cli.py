@@ -6,6 +6,8 @@ import math
 import pytest
 
 from pairgraph.cli import main
+from pairgraph.graphs import build_pair_graph, graph_to_dot, graph_to_json
+from pairgraph.groups import make_cyclic, subgroup_from_elements
 
 
 def run_cli(capsys, *argv):
@@ -390,20 +392,46 @@ def test_validation_branches_exit_2(capsys, argv, message):
         ["build", *Z12, "--set", "1,7", "--dot", "{missing}/x.dot"],
         ["build", *Z12, "--set", "1,7", "--dot", "{writable}", "--out", "{missing}/x.json"],
         ["build", *Z12, "--set", "1,7", "--out", "{writable}", "--dot", "{missing}/x.dot"],
+        ["build", *Z12, "--set", "1,7", "--dot", "{existing}", "--out", "{missing}/x.json"],
         ["search", "--group", "cyclic:8", "--subgroup", "evens", "--k", "2", "--mode", "exhaustive",
          "--out", "{missing}/x.jsonl"],
     ],
     ids=["build-out", "build-dot", "build-writable-dot-unwritable-out", "build-writable-out-unwritable-dot",
-         "search-out"],
+         "build-existing-dot-unwritable-out", "search-out"],
 )
 def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
-    # these once ended in a FileNotFoundError traceback with exit 1, and a writable
-    # --dot beside an unwritable --out was once written and left behind
-    missing, writable = tmp_path / "missing", tmp_path / "writable"
-    code, out, err = run_cli(capsys, *(a.format(missing=missing, writable=writable) for a in argv))
+    # these once ended in a FileNotFoundError traceback with exit 1, a writable --dot
+    # beside an unwritable --out was once written and left behind, and an existing
+    # file before an unwritable path was once overwritten
+    missing, writable, existing = tmp_path / "missing", tmp_path / "writable", tmp_path / "existing"
+    existing.write_text("old\n")
+    paths = {"missing": missing, "writable": writable, "existing": existing}
+    code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1 and str(missing) in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(missing) in err and ".tmp" not in err
     assert not writable.exists()
+    assert existing.read_text() == "old\n"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing"]
+
+
+def test_outputs_replace_existing_files_and_write_through_symlinks(tmp_path, capsys):
+    (tmp_path / "old.dot").write_text("old\n")
+    (tmp_path / "target.json").write_text("old\n")
+    (tmp_path / "link.json").symlink_to("target.json")
+    code, out, err = run_cli(capsys, "build", *Z12, "--set", "1,7", "--format", "json",
+                             "--dot", str(tmp_path / "old.dot"), "--out", str(tmp_path / "link.json"))
+    assert (code, out, err) == (0, "", "")
+    graph = build_pair_graph(subgroup_from_elements(make_cyclic(12), [0, 3, 6, 9]), [1, 7])
+    assert (tmp_path / "old.dot").read_text() == graph_to_dot(graph)
+    assert (tmp_path / "target.json").read_text() == json.dumps(graph_to_json(graph), sort_keys=True) + "\n"
+    assert (tmp_path / "link.json").is_symlink()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "old.dot", "target.json"]
+    # a directory is opened in place, not replaced, and refused as before
+    code, out, err = run_cli(capsys, "build", *Z12, "--set", "2,4,5,7,8", "--dot", str(tmp_path / "old.dot"),
+                             "--out", str(tmp_path))
+    assert (code, out, err) == (2, "", f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
+    assert (tmp_path / "old.dot").read_text() == graph_to_dot(graph)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "old.dot", "target.json"]
 
 
 @pytest.mark.parametrize(

@@ -16,6 +16,7 @@ from pairgraph.graphs import (
     graph_to_json,
     is_cayley_reduction,
     isolated_vertices,
+    RegularityReport,
     regularity_check,
 )
 from pairgraph.descriptors import builtin_subgroup, group_from_descriptor
@@ -28,7 +29,8 @@ from pairgraph.groups import (
     subgroup_generated,
     validate_generating_set,
 )
-from pairgraph.structure import connected_components, is_bipartite
+from pairgraph.spectral import compare_complementary_spectra, compute_spectrum, is_ramanujan, trivial_eigenvalues
+from pairgraph.structure import connected_components, is_bipartite, is_connected
 
 from helpers import (
     analyze_large_pairs,
@@ -305,9 +307,8 @@ def test_cayley_reduction_rejects_a_moved_edge():
     pairs = sorted(edges + [(v, u) for u, v in edges])
     us, vs = np.array(pairs).T
     degrees = np.bincount(us, minlength=20)
-    moved = PairGraph(
-        gen=cycle.gen, indptr=np.concatenate([[0], np.cumsum(degrees)]), indices=vs, degrees=degrees
-    )
+    moved = PairGraph(cycle.gen)
+    vars(moved).update(indptr=np.concatenate([[0], np.cumsum(degrees)]), indices=vs, degrees=degrees)
     with pytest.raises(PairGraphError, match="does not match its Cayley graph"):
         is_cayley_reduction(moved)
 
@@ -410,9 +411,60 @@ def test_storage_is_linear_in_edges():
     s = range(1, 60, 2)
     graph = build_pair_graph(evens, s)
     bound = graph.order + 1 + 2 * evens.order * len(s)
+    graph.indices
     arrays = [v for v in vars(graph).values() if isinstance(v, np.ndarray)]
     assert all(a.size <= bound for a in arrays)
     assert len(arrays) == 3
     assert connected_components(graph).count == 1
     assert is_bipartite(graph).bipartite
     assert len(graph.edges()) == evens.order * len(s)
+
+
+def _stored_arrays(graph):
+    return [name for name, value in vars(graph).items() if isinstance(value, np.ndarray)]
+
+
+def test_edge_list_is_built_on_first_read_only():
+    # the spectrum, the certificate, the trivial eigenvalues and connectivity
+    # read (G, H, S) alone, so none of them builds the CSR edge list
+    s6 = make_symmetric(6)
+    a6 = builtin_subgroup(s6, "alternating_in_symmetric")
+    outside = list(a6.outside())
+    first = sorted(random.Random(0).sample(outside, 20))
+    second = sorted(set(outside) - set(first))
+    graphs = [build_pair_graph(a6, first), build_pair_graph(a6, second)]
+    assert all(_stored_arrays(graph) == [] for graph in graphs)
+    report = compare_complementary_spectra(a6, first, second)
+    assert report.ok
+    for graph, spectrum in zip(graphs, (report.first_spectrum, report.second_spectrum)):
+        is_ramanujan(graph, spectrum)
+        compute_spectrum(graph)
+        is_ramanujan(graph)
+        trivial_eigenvalues(graph.gen)
+        is_connected(graph.gen)
+        assert _stored_arrays(graph) == []
+    graph = graphs[0]
+    indices = graph.indices
+    assert _stored_arrays(graph) == ["indptr", "indices", "degrees"]
+    stored = dict(vars(graph))
+    assert graph.indices is indices
+    assert all(getattr(graph, name) is stored[name] for name in ("indptr", "indices", "degrees"))
+    reference = reference_csr(graph.gen)
+    assert all(np.array_equal(a, b) for a, b in zip((graph.indptr, graph.indices, graph.degrees), reference))
+
+
+@pytest.mark.parametrize("first", ["indptr", "indices", "degrees", "adjacency"])
+def test_lazy_edge_list_gives_the_same_structure(z12_sub, first):
+    # whichever read builds the edge list, the structure layer sees the same graph
+    graph = build_pair_graph(z12_sub, [2, 4, 5, 7, 8])
+    getattr(graph, first)
+    assert _stored_arrays(graph) == ["indptr", "indices", "degrees"]
+    components = connected_components(graph)
+    assert (components.count, components.component_of.tolist()) == (1, [0] * 12)
+    bipartite = is_bipartite(graph)
+    assert bipartite.bipartite and bipartite.coloring.tolist() == [0, 1, 1] * 4
+    assert regularity_check(graph) == RegularityReport(False, None, False, "criterion agrees: inside=0, index=3")
+    eager = reference_csr(graph.gen)
+    expected = np.zeros((12, 12), dtype=np.int8)
+    expected[np.repeat(np.arange(12), eager[2]), eager[1]] = 1
+    assert np.array_equal(graph.adjacency, expected)

@@ -375,7 +375,7 @@ def test_young_route_matches_k_route():
     """S outside A_n takes the Young route, which agrees with the K route; any other S keeps the K route bit for bit."""
     sizes = set()
     for gen in _young_cases():
-        values = spectral._spectrum(gen).eigenvalues
+        values = spectral.compute_spectrum(spectral.PairGraph(gen)).eigenvalues
         k_route = _k_route(gen)
         if gen.inside or not gen.outside:
             assert np.array_equal(values, k_route), gen
@@ -395,7 +395,7 @@ def test_young_route_above_the_vertex_cap():
     for k in (30, 200):
         gen = validate_generating_set(sub, rng.sample(sub.outside(), k))
         with pytest.raises(SizeCapExceeded):
-            spectral._spectrum(gen)
+            spectral.compute_spectrum(spectral.PairGraph(gen))
         values = np.sort(spectral._young_values(gen))[::-1]
         assert len(values) == 5040
         atol = 1e-10 * k
@@ -414,7 +414,7 @@ def _odd_sets(draw):
 @settings(derandomize=True, database=None, max_examples=40, deadline=None)
 @given(_odd_sets())
 def test_generated_odd_sets_match_dense_oracle(gen):
-    values = spectral._spectrum(gen).eigenvalues
+    values = spectral.compute_spectrum(spectral.PairGraph(gen)).eigenvalues
     dense = dense_eigenvalues(build_pair_graph(gen.subgroup, gen))
     assert np.abs(values - dense).max() <= 1e-10 * gen.size, gen.elements
 
@@ -437,7 +437,7 @@ def test_generated_instances_match_dense_oracle(gen):
     mul = reference_mul(gen.group)
     abelian = all(mul(a, b) == mul(b, a) for a in sub.elements for b in sub.elements)
     assert (orbits.listing.size == sub.order) == abelian, sub
-    values = spectral._spectrum(gen).eigenvalues
+    values = spectral.compute_spectrum(spectral.PairGraph(gen)).eigenvalues
     dense = dense_eigenvalues(build_pair_graph(sub, gen))
     assert np.abs(values - dense).max() <= 1e-10 * max(1, gen.size), (sub, gen.elements)
 
@@ -527,7 +527,7 @@ def test_solver_failure_raises_eigensolver_error(monkeypatch):
         real = getattr(spectral, route)
         monkeypatch.setattr(spectral, route, lambda g, real=real: calls.append(g) or real(g))
         with pytest.raises(EigensolverError, match="^eigensolver did not converge: no convergence$"):
-            spectral._spectrum(gen)
+            spectral.compute_spectrum(spectral.PairGraph(gen))
         assert calls == [gen]
         monkeypatch.setattr(spectral, route, real)
 
