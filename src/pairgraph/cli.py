@@ -5,7 +5,8 @@ Commands: ``build``, ``analyze``, ``spectrum``, ``ramanujan``, ``search`` and
 2 validation error (a malformed descriptor, an out-of-range number, an
 option the command does not take or an unwritable output path included),
 3 eigensolver non-convergence, 4 reference-case mismatch.  Every random
-operation requires an explicit ``--seed`` so runs are reproducible.
+operation requires an explicit ``--seed`` so runs are reproducible.  The
+parser is built once, when this module is imported, and ``main`` reuses it.
 """
 
 from __future__ import annotations
@@ -63,15 +64,8 @@ def _resolve_subgroup(args) -> Subgroup:
 def _resolve_gen(args) -> GeneratingSet:
     subgroup = _resolve_subgroup(args)
     group = subgroup.parent
-    chosen = [
-        name
-        for name, value in (
-            ("--set", args.set_elements),
-            ("--set-norm-preimage", args.set_norm_preimage),
-            ("--set-random", args.set_random),
-        )
-        if value is not None
-    ]
+    options = {"--set": args.set_elements, "--set-norm-preimage": args.set_norm_preimage, "--set-random": args.set_random}
+    chosen = [name for name, value in options.items() if value is not None]
     if len(chosen) != 1:
         raise ValidationError(f"exactly one of --set / --set-norm-preimage / --set-random is required, got {chosen}")
     if args.seed is not None and args.set_random is None:
@@ -96,16 +90,20 @@ def _emit(text: str, out: Optional[str], also: Sequence[tuple[str, str]] = ()) -
     A regular file is written to a temporary sibling, and the temporaries
     replace their targets only once all are written: a path that cannot be
     written raises, naming that path, with every temporary removed and no file
-    changed.  A device or a pipe is written in place.
+    changed, and two paths naming one regular file are refused before any
+    write.  A device or a pipe is written in place.
     """
+    writes = [(path, content, os.path.realpath(path)) for path, content in [*also, *([(out, text)] if out else [])]]
+    files = [target for path, _, target in writes if os.path.isfile(path) or not os.path.exists(path)]
+    if len(set(files)) < len(files):  # the later replace would drop the other output
+        raise ValidationError(f"two outputs name one file: {max(files, key=files.count)}")
     moves = []
     try:
-        for path, content in [*also, *([(out, text)] if out else [])]:
+        for path, content, target in writes:  # the target is a symlink's target, written through
             if os.path.exists(path) and not os.path.isfile(path):  # a device or a pipe; a directory raises here
                 with open(path, "w", encoding="utf-8") as fh:
                     fh.write(content)
                 continue
-            target = os.path.realpath(path)  # write through a symlink, not over it
             if os.path.exists(target):  # a read-only file fails here, not at the rename
                 os.close(os.open(target, os.O_WRONLY))
             with open(f"{target}.{os.getpid()}-{len(moves)}.tmp", "x", encoding="utf-8") as fh:
@@ -123,13 +121,9 @@ def _emit(text: str, out: Optional[str], also: Sequence[tuple[str, str]] = ()) -
         sys.stdout.write(text)
 
 
-def _build_graph(args) -> PairGraph:
-    gen = _resolve_gen(args)
-    return build_pair_graph(gen.subgroup, gen)
-
-
 def cmd_build(args) -> int:
-    graph = _build_graph(args)
+    gen = _resolve_gen(args)
+    graph = build_pair_graph(gen.subgroup, gen)
     if args.format == "text":
         text = (
             f"pair graph on {graph.order} vertices, {graph.edge_count()} edges\n"
@@ -161,7 +155,8 @@ def _analysis_payload(graph: PairGraph) -> dict:
 
 
 def cmd_analyze(args) -> int:
-    graph = _build_graph(args)
+    gen = _resolve_gen(args)
+    graph = build_pair_graph(gen.subgroup, gen)
     payload = _analysis_payload(graph)
     if args.format == "json":
         text = json.dumps(payload, sort_keys=True) + "\n"
@@ -299,9 +294,11 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_PARSER = build_parser()
+
+
 def main(argv: Optional[Sequence[str]] = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _PARSER.parse_args(argv)
     try:
         return args.fn(args)
     except (PairGraphError, OSError) as exc:  # ValidationError, EigensolverError, an unwritable --out or --dot

@@ -66,7 +66,7 @@ class PairGraph:
         return list(zip(us[upper].tolist(), self.indices[upper].tolist()))
 
     def __repr__(self) -> str:
-        return f"PairGraph(order={self.order}, edges={self.edge_count()})"
+        return f"PairGraph(order={self.order}, set_size={self.gen.size})"  # building no edge list
 
 
 def _as_generating_set(subgroup: Subgroup, s: Union[GeneratingSet, Iterable[int]]) -> GeneratingSet:

@@ -2,6 +2,10 @@
 
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -386,32 +390,37 @@ def test_validation_branches_exit_2(capsys, argv, message):
 
 
 @pytest.mark.parametrize(
-    "argv",
+    "argv, named",
     [
-        ["build", *Z12, "--set", "1,7", "--out", "{missing}/x.json"],
-        ["build", *Z12, "--set", "1,7", "--dot", "{missing}/x.dot"],
-        ["build", *Z12, "--set", "1,7", "--dot", "{writable}", "--out", "{missing}/x.json"],
-        ["build", *Z12, "--set", "1,7", "--out", "{writable}", "--dot", "{missing}/x.dot"],
-        ["build", *Z12, "--set", "1,7", "--dot", "{existing}", "--out", "{missing}/x.json"],
-        ["search", "--group", "cyclic:8", "--subgroup", "evens", "--k", "2", "--mode", "exhaustive",
-         "--out", "{missing}/x.jsonl"],
+        (["build", *Z12, "--set", "1,7", "--out", "{missing}/x.json"], "missing"),
+        (["build", *Z12, "--set", "1,7", "--dot", "{missing}/x.dot"], "missing"),
+        (["build", *Z12, "--set", "1,7", "--dot", "{writable}", "--out", "{missing}/x.json"], "missing"),
+        (["build", *Z12, "--set", "1,7", "--out", "{writable}", "--dot", "{missing}/x.dot"], "missing"),
+        (["build", *Z12, "--set", "1,7", "--dot", "{existing}", "--out", "{missing}/x.json"], "missing"),
+        (["search", "--group", "cyclic:8", "--subgroup", "evens", "--k", "2", "--mode", "exhaustive",
+          "--out", "{missing}/x.jsonl"], "missing"),
+        (["build", *Z12, "--set", "1,7", "--out", "{existing}", "--dot", "{existing}"], "existing"),
+        (["build", *Z12, "--set", "1,7", "--out", "{existing}", "--dot", "{link}"], "existing"),
     ],
     ids=["build-out", "build-dot", "build-writable-dot-unwritable-out", "build-writable-out-unwritable-dot",
-         "build-existing-dot-unwritable-out", "search-out"],
+         "build-existing-dot-unwritable-out", "search-out", "build-out-and-dot-one-file",
+         "build-dot-symlink-to-out"],
 )
-def test_unwritable_output_path_exits_2(tmp_path, capsys, argv):
+def test_unwritable_output_path_exits_2(tmp_path, capsys, argv, named):
     # these once ended in a FileNotFoundError traceback with exit 1, a writable --dot
-    # beside an unwritable --out was once written and left behind, and an existing
-    # file before an unwritable path was once overwritten
-    missing, writable, existing = tmp_path / "missing", tmp_path / "writable", tmp_path / "existing"
+    # beside an unwritable --out was once written and left behind, an existing
+    # file before an unwritable path was once overwritten, and an --out and a --dot
+    # naming one file once exited 0 with the DOT rendering lost
+    missing, writable, existing, link = (tmp_path / name for name in ("missing", "writable", "existing", "link"))
     existing.write_text("old\n")
-    paths = {"missing": missing, "writable": writable, "existing": existing}
+    link.symlink_to("existing")
+    paths = {"missing": missing, "writable": writable, "existing": existing, "link": link}
     code, out, err = run_cli(capsys, *(a.format(**paths) for a in argv))
     assert (code, out) == (2, "")
-    assert err.startswith("error: ") and err.count("\n") == 1 and str(missing) in err and ".tmp" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1 and str(paths[named]) in err and ".tmp" not in err
     assert not writable.exists()
     assert existing.read_text() == "old\n"
-    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing"]
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["existing", "link"]
 
 
 def test_outputs_replace_existing_files_and_write_through_symlinks(tmp_path, capsys):
@@ -530,3 +539,11 @@ def test_verify_mismatch_exit_code(monkeypatch, capsys):
     assert code == 4
     assert "[FAIL] forced-failure" in out
     assert "MISMATCH" in out
+
+
+def test_importing_the_library_leaves_the_cli_out():
+    # the parser is built when pairgraph.cli is imported, so the library must not import it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    code = "import sys, pairgraph; assert pairgraph.__file__.startswith(sys.argv[1]); assert 'pairgraph.cli' not in sys.modules"
+    subprocess.run([sys.executable, "-c", code, src], env=env, check=True)

@@ -85,6 +85,32 @@ def test_cli_output_matches_golden(name, tmp_path):
         assert data == (GOLDEN / (name + suffix)).read_bytes(), f"{name}{suffix} differs"
 
 
+def test_shared_parser_keeps_no_state_between_calls(tmp_path, monkeypatch):
+    # every main() call in a process parses with the one parser built at import:
+    # no call may build another, and parses that argparse refuses, interleaved
+    # with the golden cases in both orders, must leave each case's bytes as recorded
+    from pairgraph import cli
+
+    def refuse():
+        raise AssertionError("main built a parser")
+
+    monkeypatch.setattr(cli, "build_parser", refuse)
+    refused = [
+        (["analyze", "--group", "cyclic:12", "--subgroup", "0,3,6,9", "--set", "1,7", "--bogus"], 2),
+        (["analyze", "--group", "cyclic:12", "--subgroup", "0,3,6,9", "--subgroup-gen", "3", "--set", "1,7"], 2),
+        (["verify", "--only"], 2),
+        (["--help"], 0),
+    ]
+    order = [*sorted(CASES), *sorted(CASES, reverse=True)]
+    for i, name in enumerate(order):
+        argv, code = refused[i % len(refused)]
+        with pytest.raises(SystemExit) as exc:
+            main(argv)
+        assert exc.value.code == code
+        for suffix, data in run_case(name, tmp_path).items():
+            assert data == (GOLDEN / (name + suffix)).read_bytes(), f"{name}{suffix} differs after {argv}"
+
+
 if __name__ == "__main__":
     GOLDEN.mkdir(parents=True, exist_ok=True)
     for case in CASES:

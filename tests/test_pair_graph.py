@@ -442,6 +442,7 @@ def test_edge_list_is_built_on_first_read_only():
         is_ramanujan(graph)
         trivial_eigenvalues(graph.gen)
         is_connected(graph.gen)
+        repr(graph)
         assert _stored_arrays(graph) == []
     graph = graphs[0]
     indices = graph.indices
