@@ -10,6 +10,7 @@ connectivity criterion, and certifies the Ramanujan property spectrally.
 
 from __future__ import annotations
 
+import itertools
 import random
 from dataclasses import dataclass
 from math import comb
@@ -26,7 +27,7 @@ from .errors import (
 )
 from .groups import FiniteGroup, Subgroup, _element_indices, _element_orders, generated_elements, validate_generating_set
 from .graphs import PairGraph
-from .spectral import DEFAULT_TOLERANCE, _check_tolerance, is_ramanujan, ramanujan_size_bound
+from .spectral import DEFAULT_TOLERANCE, _check_tolerance, compute_spectra, is_ramanujan, ramanujan_size_bound
 from .structure import is_connected
 
 AUTOMORPHISM_ORDER_CAP = 120
@@ -34,6 +35,7 @@ AUTOMORPHISM_BATCH_CAP = 1 << 22  # map entries one depth of automorphism_group 
 EXHAUSTIVE_CANDIDATE_CAP = 10**6
 ORBIT_SIZE_CAP = 10**6
 SEED_STRIDE = 2654435761  # fixed trial-to-trial seed advance
+SEARCH_BLOCK = 64  # trials per stacked eigen-solve
 
 
 def right_translate_set(subgroup: Subgroup, s_elements: Iterable[int], h: int) -> tuple[int, ...]:
@@ -256,45 +258,37 @@ def random_candidate(outside: Sequence[int], size: int, seed: int, trial: int) -
 def search_ramanujan(config: SearchConfig) -> list[SearchResult]:
     """Deterministic search; see SearchConfig.
 
-    Every candidate that is connected and meets the sufficient size bound must
+    Candidates are taken in blocks of ``SEARCH_BLOCK`` trials, exhaustive
+    ones too.  Each is drawn, validated, held to the size bound and tested
+    for connectivity on its own; then the connected ones of the block share
+    one ``compute_spectra`` call, whose stacked solves give each set the bits
+    of a solve on its own, and each is certified by ``is_ramanujan``.  Every
+    candidate that is connected and meets the sufficient size bound must
     certify Ramanujan; a counterexample would refute the bound and raises.
     """
     subgroup = config.subgroup
     outside = subgroup.outside()
     if config.mode == "exhaustive":
-        import itertools
-
         candidates = itertools.combinations(outside, config.size)
     else:
         candidates = (
             random_candidate(outside, config.size, config.seed, t) for t in range(config.trials)
         )
-    results = []
-    for trial, cand in enumerate(candidates):
-        gen = validate_generating_set(subgroup, cand)
-        bound = ramanujan_size_bound(gen)
-        connected = is_connected(gen).connected
-        verdict: Optional[bool] = None
-        worst: Optional[float] = None
-        if connected and config.certify:
-            report = is_ramanujan(PairGraph(gen), None, config.tolerance)
-            verdict = report.ramanujan
-            worst = report.worst_nontrivial
-            if bound.satisfied and not verdict:  # pragma: no cover - the bound is sufficient
-                raise PairGraphError(
-                    f"connected candidate {cand} meets the size bound but failed certification"
-                )
-        elif not connected:
-            verdict = False
-        results.append(
-            SearchResult(
-                trial=trial,
-                candidate=tuple(cand),
-                connected=connected,
-                ramanujan=verdict,
-                worst_nontrivial=worst,
-                bound=bound.bound,
-                bound_satisfied=bound.satisfied,
-            )
-        )
+    results: list[SearchResult] = []
+    while block := list(itertools.islice(candidates, SEARCH_BLOCK)):
+        trials = []
+        for cand in block:
+            gen = validate_generating_set(subgroup, cand)
+            trials.append((cand, gen, ramanujan_size_bound(gen), is_connected(gen).connected))
+        spectra = iter(compute_spectra([t[1] for t in trials if t[3]] if config.certify else [], config.tolerance))
+        for cand, gen, bound, connected in trials:
+            report = is_ramanujan(PairGraph(gen), next(spectra), config.tolerance) if connected and config.certify else None
+            if report and bound.satisfied and not report.ramanujan:  # pragma: no cover - the bound is sufficient
+                raise PairGraphError(f"connected candidate {cand} meets the size bound but failed certification")
+            results.append(SearchResult(
+                trial=len(results), candidate=tuple(cand), connected=connected,
+                ramanujan=report.ramanujan if report else (None if connected else False),
+                worst_nontrivial=report.worst_nontrivial if report else None,
+                bound=bound.bound, bound_satisfied=bound.satisfied,
+            ))
     return results

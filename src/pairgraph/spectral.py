@@ -25,6 +25,13 @@ of S_n in Young's orthogonal form, blocks of at most 16 rows on S6 against
 40 (``_young_values``).  Both routes are deterministic and capped at 3000
 vertices.  Clusters form by single linkage on the sorted values with a
 tolerance absolute on the spectrum scaled by the maximum degree, max(1, |S|).
+
+``compute_spectra`` solves a block of sets of one size on one subgroup, as a
+search does: both routes take the sets as a leading axis, and every FFT,
+matmul, ``svd`` and ``eigvalsh`` call is stacked over 2-D problems of exactly
+the shapes one set solves, never flattened into a larger product.  numpy
+solves a stack one problem at a time, so each set's values are bit-identical
+to its own block of one, which is ``compute_spectrum``.
 """
 
 from __future__ import annotations
@@ -32,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Optional
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -51,6 +58,7 @@ from .groups import GeneratingSet, Subgroup, coset_chain, validate_generating_se
 from .structure import is_connected
 
 SPECTRUM_ORDER_CAP = 3000
+STACK_BYTES = 1 << 20  # the most a stacked K-route layout holds: sets above it are solved one by one
 DEFAULT_TOLERANCE = 1e-8
 
 
@@ -106,114 +114,141 @@ def _check_tolerance(tolerance: float) -> None:
 
 
 def compute_spectrum(graph: PairGraph, tolerance: float = DEFAULT_TOLERANCE) -> Spectrum:
-    """Full adjacency spectrum of a pair graph, read off (G, H, S) without its edge list.
+    """Full adjacency spectrum of a pair graph, read off (G, H, S) without its edge list: a block of one."""
+    return compute_spectra([graph.gen], tolerance)[0]
+
+
+def compute_spectra(gens: Sequence[GeneratingSet], tolerance: float = DEFAULT_TOLERANCE) -> list[Spectrum]:
+    """The spectra of a block of sets of one size on one subgroup, all meeting it or all avoiding it.
 
     One block per irreducible representation by ``_young_values`` when G is
-    symmetric, [G:H] = 2 and S is nonempty and avoids H; one per character by
-    ``_character_values`` otherwise.  A LAPACK failure on either route raises
-    ``EigensolverError``.
+    symmetric, [G:H] = 2 and the sets are nonempty and avoid H; one per
+    character by ``_character_values`` otherwise, each route stacked over the
+    sets.  A LAPACK failure on either route raises ``EigensolverError``.
     """
     _check_tolerance(tolerance)
-    gen, m = graph.gen, graph.order
+    if not gens:
+        return []
+    gen, m = gens[0], gens[0].group.order
+    if any(g.subgroup is not gen.subgroup or g.size != gen.size or bool(g.inside) != bool(gen.inside) for g in gens[1:]):
+        raise ValidationError("a block holds sets of one size on one subgroup, all meeting it or all avoiding it")
     if m > SPECTRUM_ORDER_CAP:
         raise SizeCapExceeded(f"graph order {m} exceeds the dense solver cap {SPECTRUM_ORDER_CAP}")
     symmetric = gen.group.descriptor.get("kind") == "symmetric"
     young = symmetric and gen.subgroup.index == 2 and gen.outside and not gen.inside  # so H = A_n
     try:
-        values = _young_values(gen) if young else _character_values(gen)
+        values = _young_values(gens) if young else _character_values(gens)
     except np.linalg.LinAlgError as exc:
         raise EigensolverError(f"eigensolver did not converge: {exc}") from exc
-    values = np.sort(np.concatenate([values, np.zeros(m - len(values))]))[::-1].copy()
     # the maximum degree: each vertex of H has |S| neighbours, a vertex x outside only |S ∩ Hx|
     scale = float(max(1, gen.size))
-    return Spectrum(eigenvalues=values, tolerance=tolerance, scale=scale)
+    padded = (v if len(v) == m else np.concatenate([v, np.zeros(m - len(v))]) for v in values)
+    return [Spectrum(np.sort(v)[::-1].copy(), tolerance, scale) for v in padded]
 
 
-def _character_values(gen: GeneratingSet) -> np.ndarray:
-    """The at most 2|H| eigenvalues that may be nonzero, one block per character of K.
+def _character_values(gens: Sequence[GeneratingSet]) -> list[np.ndarray]:
+    """Per set of the block, the at most 2|H| eigenvalues that may be nonzero, one block per character of K.
 
     With K = <k_1> x ... x <k_d> and t, t' the least elements of their
     K-orbits, character j's block is M_j[t, t'] = sum_l a[t, k^l t']
     exp(-2 pi i sum_i j_i l_i / n_i): the DFT over l of the neighbours t*S of
-    the orbit representatives t in H, laid out as (l, row, column orbit) with
-    l flat.  The columns are the orbits S meets outside H, after the orbits
-    in H when S meets H or H has one orbit.  One K axis takes numpy's FFT,
-    several take ``_dft``.
+    the orbit representatives t in H, laid out as (set, l, row, column orbit)
+    with l flat.  The columns are the orbits a set meets outside H, after the
+    orbits in H when S meets H or H has one orbit.  Sets that meet the same
+    number of orbits share a stack; one K axis takes numpy's FFT, several
+    take ``_dft``.  Each FFT line, matmul and LAPACK call in a stack is the
+    2-D problem a block of one solves, so stacking keeps every bit.
     """
-    orbits = gen.subgroup.abelian_orbits
-    shape, r = orbits.listing.shape, orbits.inside
-    neighbours = gen.group.product(orbits.reps[:r, None], np.array(gen.elements, dtype=np.int64))
+    gen, orbits = gens[0], gens[0].subgroup.abelian_orbits
+    r, sets = orbits.inside, np.arange(len(gens))[:, None, None]
+    neighbours = gen.group.product(orbits.reps[:r, None], np.array([g.elements for g in gens], dtype=np.int64)[:, None])
+    # the columns: every orbit in H when S meets H or r = 1, then the orbits met outside H, in increasing order
     column = orbits.orbit_of[neighbours]
-    outside = column >= r
-    covered, rank = np.unique(column[outside], return_inverse=True)
+    covered = np.zeros((len(gens), len(orbits.reps)), dtype=np.intp)
+    covered[sets, column] = 1
+    covered[:, :r] = bool(gen.inside) or r == 1
+    rank = covered.cumsum(axis=1) - 1
+    column, widths = rank[sets, column], (rank[:, -1] + 1).tolist()
+    exponent, values = orbits.exponent[neighbours], [None] * len(gens)
+    for width in set(widths):
+        same = [i for i, w in enumerate(widths) if w == width]
+        step = max(1, STACK_BYTES // (8 * orbits.listing.size * r * max(1, width)))
+        for part in (same[i : i + step] for i in range(0, len(same), step)):
+            rows = slice(None) if len(part) == len(gens) else part
+            layout = np.zeros((len(part), orbits.listing.size, r, width))
+            layout[sets[: len(part)], exponent[rows], np.arange(r)[:, None], column[rows]] = 1.0
+            for i, v in zip(part, _stack_values(gen, layout)):
+                values[i] = v
+    return values
+
+
+def _stack_values(gen: GeneratingSet, layout: np.ndarray) -> np.ndarray:
+    """``_character_values`` of the sets with one layout shape: one row of values per set."""
+    shape, (count, _, r, columns) = gen.subgroup.abelian_orbits.listing.shape, layout.shape
     in_h = r if gen.inside or r == 1 else 0
-    column[outside] = in_h + rank
-    layout = np.zeros((orbits.listing.size, r, in_h + len(covered)))
-    layout[orbits.exponent[neighbours], np.arange(r)[:, None], column] = 1.0
     if r == 1:  # K = H: each block [[c, b], [b^*, 0]] has the nonzero values (c +/- sqrt(c^2 + 4|b|^2)) / 2
         if len(shape) == 1:  # one C-ordered row per column, so |b|^2 sums in a fixed order
-            f = np.fft.fft(np.ascontiguousarray(layout[:, 0].T), axis=1)
+            f = np.fft.fft(np.ascontiguousarray(layout[:, :, 0].swapaxes(1, 2)), axis=2)
         else:
-            f = _dft(layout[:, 0], shape).T
-        c = f[0].real
+            f = _dft(layout[:, :, 0], shape).swapaxes(1, 2)
+        c = f[:, 0].real
         if gen.subgroup.index == 1:
             return c
-        root = np.sqrt(c * c + 4.0 * (np.abs(f[1:]) ** 2).sum(axis=0))
-        return np.concatenate([(c + root) / 2.0, (c - root) / 2.0])
-    # characters j and -j give conjugate blocks, with the same values
-    if len(shape) == 1:
-        f = np.fft.rfft(layout, axis=0)
-        weight = np.full(len(f), 2)
-        weight[0] = 1
-        if shape[0] % 2 == 0:
-            weight[-1] = 1
-    else:
-        j = np.indices(shape).reshape(len(shape), -1)
-        negated = np.ravel_multi_index(tuple(-j % np.array(shape)[:, None]), shape)
-        keep = np.flatnonzero(np.arange(len(negated)) <= negated)
-        f = _dft(layout, shape)[keep]
-        weight = np.where(negated[keep] == keep, 1, 2)
-    inside, cross = f[:, :, :in_h], f[:, :, in_h:]
+        root = np.sqrt(c * c + 4.0 * (np.abs(f[:, 1:]) ** 2).sum(axis=1))
+        return np.concatenate([(c + root) / 2.0, (c - root) / 2.0], axis=1)
+    # characters j and -j give conjugate blocks, with the same values: rfft keeps j = 0..n/2
+    keep, weight = _conjugate_pairs(shape)
+    f = np.fft.rfft(layout, axis=1) if len(shape) == 1 else _dft(layout, shape)[:, keep]
+    inside, cross = f[..., :in_h], f[..., in_h:]
     if gen.inside:
-        adjoint = cross.conj().swapaxes(1, 2)
+        adjoint = cross.conj().swapaxes(2, 3)
         # QR only shrinks B^* when it has more rows than columns
-        tail = adjoint if len(covered) <= r else np.linalg.qr(adjoint, mode="r")
+        tail = adjoint if columns - in_h <= r else np.linalg.qr(adjoint, mode="r")
         # eigvalsh reads the lower triangle only, so the R^* copy is never written
-        block = np.zeros((len(f), r + tail.shape[1], r + tail.shape[1]), dtype=complex)
-        block[:, :r, :r] = inside
-        block[:, r:, :r] = tail
-        return np.repeat(np.linalg.eigvalsh(block), weight, axis=0).ravel()
+        block = np.zeros(f.shape[:2] + (r + tail.shape[2],) * 2, dtype=complex)
+        block[:, :, :r, :r] = inside
+        block[:, :, r:, :r] = tail
+        return np.repeat(np.linalg.eigvalsh(block), weight, axis=1).reshape(count, -1)
     # the same singular values, faster from the tall orientation
-    sigma = np.linalg.svd(cross.swapaxes(1, 2) if len(covered) > r else cross, compute_uv=False)
-    sigma = np.repeat(sigma, weight, axis=0).ravel()
-    return np.concatenate([sigma, -sigma])
-
-
-def _young_values(gen: GeneratingSet) -> np.ndarray:
-    """The |G| eigenvalues of S_n > A_n with S outside A_n: +/- the singular values of rho(sum S).
-
-    With s = c_(i_2) * ... * c_(i_n) of ``coset_chain``, found by
-    ``FiniteGroup.chain_index``, rho(s) is row (i_2, ..., i_(n-1)) of the
-    S_(n-1) table of ``_young_tables`` times rho(c_(i_n)).  One matmul by S's indicator, as a (|G|/n) x n array in
-    that order, sums the rows by i_n, and one more per lambda applies rho(c_i).
-    """
-    n = len(gen.group.perms[0])
-    table, blocks = _young_tables(n)
-    counts = np.bincount(gen.group.chain_index[list(gen.elements)], minlength=gen.group.order)
-    sums = counts.reshape(-1, n).T.astype(float) @ table
-    values, start = [], 0
-    for weight, last in blocks:
-        d = last.shape[1]
-        block = sums[:, start : start + d * d].reshape(n, d, d)
-        start += d * d
-        total = block.transpose(1, 0, 2).reshape(d, n * d) @ last.reshape(n * d, d)
-        values.append(np.repeat(np.linalg.svd(total, compute_uv=False), weight))
-    sigma = np.concatenate(values)
-    return np.concatenate([sigma, -sigma])
+    sigma = np.linalg.svd(cross.swapaxes(2, 3) if columns - in_h > r else cross, compute_uv=False)
+    sigma = np.repeat(sigma, weight, axis=1).reshape(count, -1)
+    return np.concatenate([sigma, -sigma], axis=1)
 
 
 @cache
-def _young_tables(n: int) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
+def _conjugate_pairs(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
+    """The characters j of K with j <= -j in flat order, one per conjugate pair, and 1 where j = -j, else 2."""
+    j = np.indices(shape).reshape(len(shape), -1)
+    negated = np.ravel_multi_index(tuple(-j % np.array(shape)[:, None]), shape)
+    keep = np.flatnonzero(np.arange(len(negated)) <= negated)
+    return keep, np.where(negated[keep] == keep, 1, 2)
+
+
+def _young_values(gens: Sequence[GeneratingSet]) -> list[np.ndarray]:
+    """Per set of the block, the |G| eigenvalues of S_n > A_n with S outside A_n: +/- the singular values of rho(sum S).
+
+    With s = c_(i_2) * ... * c_(i_n) of ``coset_chain``, found by
+    ``FiniteGroup.chain_index``, rho(s) is row (i_2, ..., i_(n-1)) of the
+    S_(n-1) table of ``_young_tables`` times rho(c_(i_n)).  One matmul by the
+    sets' indicators, each a (|G|/n) x n array in that order, sums the rows by
+    i_n, and one more per lambda applies rho(c_i).  Both are stacked over the
+    sets, so every matmul and ``svd`` solves the 2-D problem of a block of
+    one, never a flattened larger product, and each set keeps its bits.
+    """
+    gen, count = gens[0], len(gens)
+    n = len(gen.group.perms[0])
+    table, blocks, weights = _young_tables(n)
+    indicator = np.zeros((count, gen.group.order // n, n))
+    chain = gen.group.chain_index[np.array([g.elements for g in gens], dtype=np.int64)]
+    indicator.reshape(count, -1)[np.arange(count)[:, None], chain] = 1.0
+    sums = (indicator.swapaxes(1, 2) @ table).reshape(count, -1)
+    sigma = [np.linalg.svd(sums.take(gather, axis=1) @ last, compute_uv=False) for gather, last in blocks]
+    sigma = np.repeat(np.concatenate(sigma, axis=1), weights, axis=1)
+    return list(np.concatenate([sigma, -sigma], axis=1))
+
+
+@cache
+def _young_tables(n: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """Young's orthogonal form of S_n (James and Kerber 1981) along ``coset_chain``.
 
     A standard tableau T is its row word w, entry k + 1 in row w[k], and
@@ -223,8 +258,10 @@ def _young_tables(n: int) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
     weight d_lambda (rho_lambda' = sgn rho_lambda has the same singular values
     on an odd set), a self-conjugate one of weight d_lambda / 2.  Returns
     rho(c_(i_2) * ... * c_(i_(n-1))) for all of S_(n-1), flat per lambda and
-    side by side (0.47 MB for S6, 15.7 MB for S7), and per lambda its weight
-    and the n matrices rho(c_i) of the last level.
+    side by side (0.47 MB for S6, 15.7 MB for S7); per lambda the indices of
+    its d x nd factor in a set's n rows of products with that table, and the
+    n matrices rho(c_i) of the last level stacked as nd x d; and the weight of
+    each singular value.
     """
     shapes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     words = [()]
@@ -232,7 +269,7 @@ def _young_tables(n: int) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
         words = [w + (r,) for w in words for r in range(len(set(w)) + 1) if not r or w.count(r - 1) > w.count(r)]
     for w in words:
         shapes.setdefault(tuple(w.count(r) for r in range(max(w) + 1)), []).append(w)
-    tables, blocks = [], []
+    tables, lasts, weights = [], [], []
     for shape, tableaux in shapes.items():
         conjugate = tuple(sum(r > c for r in shape) for c in range(shape[0]))
         if shape < conjugate:
@@ -249,29 +286,36 @@ def _young_tables(n: int) -> tuple[np.ndarray, list[tuple[int, np.ndarray]]]:
             gens.append(rho)
         table, last = coset_chain(n, np.eye(d), gens, np.matmul)
         tables.append(table.reshape(len(table), d * d))
-        blocks.append((d if shape > conjugate else d // 2, last))
-    return np.concatenate(tables, axis=1), blocks
+        lasts.append(last.reshape(n * d, d))
+        weights += [d if shape > conjugate else d // 2] * d
+    starts, width = np.cumsum([0] + [t.shape[1] for t in tables]), sum(t.shape[1] for t in tables)
+    # entry (a, (i, b)) of a factor is row i, column start + a d + b of a set's n x width products
+    gathers = [
+        (np.arange(d)[:, None, None] * d + np.arange(n)[:, None] * width + np.arange(d) + start).reshape(d, n * d)
+        for start, d in zip(starts.tolist(), (last.shape[1] for last in lasts))
+    ]
+    return np.concatenate(tables, axis=1), list(zip(gathers, lasts)), np.array(weights)
 
 
 def _dft(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The DFT of the real x over its first axis, read as the K axes ``shape``, flat again.
+    """The DFT of the real x over its second axis, read as the K axes ``shape``, flat again; the first is the block.
 
-    Each K axis is contracted with its n x n DFT matrix by matmuls whose inner
-    dimension is all of x after that axis: the first, on real x, by the real
-    cos and sin matrices, as exp(-i theta) = cos - i sin, the rest complex.
-    ``np.fft.fftn`` over such tiny axes costs more, and no |K| x |K| table is
-    formed.
+    Each K axis is contracted with its n x n DFT matrix by matmuls stacked
+    over the block, whose inner dimension is all of x after that axis: the
+    first, on real x, by the real cos and sin matrices, as
+    exp(-i theta) = cos - i sin, the rest complex.  ``np.fft.fftn`` over such
+    tiny axes costs more, and no |K| x |K| table is formed.
     """
     f = None
     for i, n in enumerate(shape):
         theta = 2.0 * np.pi / n * (np.outer(np.arange(n), np.arange(n)) % n)
         if f is None:
-            parts = np.concatenate([np.cos(theta), np.sin(theta)]) @ x.reshape(n, -1)
+            parts = np.concatenate([np.cos(theta), np.sin(theta)]) @ x.reshape(len(x), n, -1)
             f = np.empty(x.shape, dtype=complex)
-            f.real = parts[:n].reshape(x.shape)
-            np.negative(parts[n:].reshape(x.shape), out=f.imag)
+            f.real = parts[:, :n].reshape(x.shape)
+            np.negative(parts[:, n:].reshape(x.shape), out=f.imag)
         else:
-            f = (np.cos(theta) - 1j * np.sin(theta)) @ f.reshape(math.prod(shape[:i]), n, -1)
+            f = (np.cos(theta) - 1j * np.sin(theta)) @ f.reshape(len(x) * math.prod(shape[:i]), n, -1)
     return f.reshape(x.shape)
 
 

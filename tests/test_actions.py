@@ -1,5 +1,7 @@
 """Set transformations, automorphism orbits, and the Ramanujan search driver."""
 
+import functools
+import itertools
 import json
 import math
 import random
@@ -9,7 +11,9 @@ import pytest
 
 from pairgraph import graphs
 from pairgraph.actions import (
+    SEARCH_BLOCK,
     SearchConfig,
+    SearchResult,
     _generator_chain,
     apply_automorphism,
     automorphism_group,
@@ -26,18 +30,20 @@ from pairgraph.errors import (
     SizeCapExceeded,
     ValidationError,
 )
-from pairgraph.graphs import build_pair_graph, degree_profile
+from pairgraph.graphs import PairGraph, build_pair_graph, degree_profile
 from pairgraph.groups import (
     make_alternating,
     make_cyclic,
+    make_direct_product,
     make_field_additive,
     make_gl2,
     make_symmetric,
     subgroup_from_elements,
     subgroup_generated,
+    validate_generating_set,
 )
-from pairgraph.spectral import compute_spectrum
-from pairgraph.structure import connected_components
+from pairgraph.spectral import compute_spectrum, is_ramanujan, ramanujan_size_bound
+from pairgraph.structure import connected_components, is_connected
 
 from isomorphism import are_isomorphic, find_isomorphism
 from helpers import index_two_pool, instance_corpus, random_generating_set, reference_mul
@@ -265,10 +271,11 @@ def test_isomorphism_helper_rejects_different_graphs():
 
 def test_search_determinism(monkeypatch):
     def refuse(*args, **kwargs):
-        raise AssertionError("a pair graph was built")
+        raise AssertionError("a pair graph's edge list was built")
 
-    # candidates are certified from (G, H, S): no pair graph is built, by any name
-    monkeypatch.setattr(graphs, "PairGraph", refuse)
+    # candidates are certified from (G, H, S): every read of indptr, indices or degrees,
+    # through any module's reference to PairGraph, looks _build_edges up when it runs
+    monkeypatch.setattr(graphs, "_build_edges", refuse)
     gl3 = make_gl2(3)
     sl3 = builtin_subgroup(gl3, "sl2_in_gl2")
     config = SearchConfig(subgroup=sl3, size=17, mode="random", trials=5, seed=42)
@@ -280,6 +287,73 @@ def test_search_determinism(monkeypatch):
     ]
     shifted = search_ramanujan(SearchConfig(subgroup=sl3, size=17, mode="random", trials=5, seed=43))
     assert [r.candidate for r in shifted] != [r.candidate for r in first]
+
+
+@functools.cache
+def _block_pair(name):
+    if name == "gl2-3":
+        return builtin_subgroup(make_gl2(3), "sl2_in_gl2")
+    if name == "z20":
+        return subgroup_from_elements(make_cyclic(20), range(0, 20, 2))
+    if name == "a4xz2":  # K = V4 in A4 x 0, two axes through _dft
+        return subgroup_generated(make_direct_product(make_alternating(4), make_cyclic(2)), [2, 4, 6])
+    return builtin_subgroup(make_symmetric(int(name[1:])), "alternating_in_symmetric")
+
+
+def _search_one_at_a_time(config):
+    """``search_ramanujan``'s results from one ``compute_spectrum`` and ``is_ramanujan`` per trial."""
+    sub, outside = config.subgroup, config.subgroup.outside()
+    if config.mode == "exhaustive":
+        candidates = itertools.combinations(outside, config.size)
+    else:
+        candidates = (random_candidate(outside, config.size, config.seed, t) for t in range(config.trials))
+    results = []
+    for trial, cand in enumerate(candidates):
+        gen = validate_generating_set(sub, cand)
+        bound, connected = ramanujan_size_bound(gen), is_connected(gen).connected
+        verdict, worst = (None if connected else False), None
+        if connected and config.certify:
+            graph = PairGraph(gen)
+            report = is_ramanujan(graph, compute_spectrum(graph, config.tolerance), config.tolerance)
+            verdict, worst = report.ramanujan, report.worst_nontrivial
+        results.append(SearchResult(trial, cand, connected, verdict, worst, bound.bound, bound.satisfied))
+    return results
+
+
+def _assert_same_results(blocked, alone):
+    assert blocked == alone
+    def bits(results):
+        return [None if r.worst_nontrivial is None else float.hex(r.worst_nontrivial) for r in results]
+
+    assert bits(blocked) == bits(alone)
+
+
+@pytest.mark.parametrize(
+    "pair, size",
+    [("gl2-3", 5), ("gl2-3", 17), ("z20", 5), ("a4xz2", 5), ("s4", 5), ("s5", 12), ("s6", 20)],
+)
+def test_search_blocks_match_one_trial_at_a_time(pair, size):
+    """A search in blocks of ``SEARCH_BLOCK`` stacked solves gives the results, bits included, of one solve per trial."""
+    sub = _block_pair(pair)
+    for trials in (1, SEARCH_BLOCK - 1, SEARCH_BLOCK, SEARCH_BLOCK + 1, 2 * SEARCH_BLOCK + 3):
+        config = SearchConfig(subgroup=sub, size=size, trials=trials, seed=trials)
+        results = search_ramanujan(config)
+        assert len(results) == trials and sum(r.worst_nontrivial is not None for r in results) > trials // 2
+        _assert_same_results(results, _search_one_at_a_time(config))
+
+
+def test_search_blocks_in_exhaustive_and_uncertified_modes(z20_evens):
+    """Exhaustive blocks cross a block boundary; a block may mix connected and disconnected candidates."""
+    for config in (
+        SearchConfig(subgroup=z20_evens, size=3, mode="exhaustive"),
+        SearchConfig(subgroup=_block_pair("gl2-3"), size=3, trials=SEARCH_BLOCK + 1, seed=1),
+        SearchConfig(subgroup=_block_pair("gl2-3"), size=3, trials=SEARCH_BLOCK + 1, seed=1, certify=False),
+    ):
+        results = search_ramanujan(config)
+        first = results[:SEARCH_BLOCK]
+        assert len(results) > SEARCH_BLOCK and any(r.connected for r in first) and not all(r.connected for r in first)
+        assert all((r.worst_nontrivial is not None) == (r.connected and config.certify) for r in results)
+        _assert_same_results(results, _search_one_at_a_time(config))
 
 
 def test_search_k1_never_connects(z20_evens):

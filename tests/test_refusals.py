@@ -2,8 +2,9 @@
 
 import pytest
 
-from pairgraph import actions
+from pairgraph import actions, spectral
 from pairgraph.actions import SearchConfig, generating_set_orbit
+from pairgraph.cli import main
 from pairgraph.descriptors import set_from_descriptor, subgroup_from_descriptor
 from pairgraph.errors import IndexNotTwo, NotAnAutomorphism, SizeCapExceeded, ValidationError
 from pairgraph.graphs import build_pair_graph, is_cayley_reduction
@@ -47,6 +48,24 @@ def test_orbit_under_the_identity_alone_is_the_translation_orbit(z12_evens):
 def test_search_needs_a_trial(z12_evens):
     with pytest.raises(ValidationError, match="^random mode needs at least one trial$"):
         SearchConfig(subgroup=z12_evens, size=2, trials=0)
+
+
+def test_certified_search_above_the_vertex_cap_refuses_before_any_solve(monkeypatch, capsys):
+    """S7 > A7 has 5040 vertices: the block's solve refuses before either route allocates a stacked array."""
+
+    def refuse(gens):
+        raise AssertionError("a spectral route ran above the vertex cap")
+
+    monkeypatch.setattr(spectral, "_young_values", refuse)
+    monkeypatch.setattr(spectral, "_character_values", refuse)
+    sub = subgroup_from_descriptor(make_symmetric(7), "alternating_in_symmetric")
+    for trials in (1, actions.SEARCH_BLOCK + 1):
+        with pytest.raises(SizeCapExceeded, match="^graph order 5040 exceeds the dense solver cap 3000$"):
+            actions.search_ramanujan(SearchConfig(subgroup=sub, size=30, trials=trials, seed=1))
+    argv = ["search", "--group", "symmetric:7", "--subgroup", "alternating_in_symmetric", "--k", "30", "--trials", "3"]
+    assert main([*argv, "--seed", "1"]) == 2
+    assert capsys.readouterr().err == "error: graph order 5040 exceeds the dense solver cap 3000\n"
+    assert len(actions.search_ramanujan(SearchConfig(subgroup=sub, size=30, trials=3, seed=1, certify=False))) == 3
 
 
 def test_permutation_refusals():

@@ -315,7 +315,7 @@ def _second_k_cases():
 
 def _k_route(gen):
     """The spectrum by the characters of K, padded and sorted as ``_spectrum`` does, on every pair."""
-    values = spectral._character_values(gen)
+    (values,) = spectral._character_values([gen])
     return np.sort(np.concatenate([values, np.zeros(gen.group.order - len(values))]))[::-1]
 
 
@@ -381,7 +381,7 @@ def test_young_route_matches_k_route():
             assert np.array_equal(values, k_route), gen
             continue
         sizes.add((gen.group.order, gen.size))
-        assert np.array_equal(values, np.sort(spectral._young_values(gen))[::-1]), gen
+        assert np.array_equal(values, np.sort(spectral._young_values([gen])[0])[::-1]), gen
         atol = 1e-10 * max(1, gen.size)
         assert np.abs(values - k_route).max() <= atol, (gen.group, gen.elements)
         _check_traces(values, gen, atol)
@@ -396,7 +396,7 @@ def test_young_route_above_the_vertex_cap():
         gen = validate_generating_set(sub, rng.sample(sub.outside(), k))
         with pytest.raises(SizeCapExceeded):
             spectral.compute_spectrum(spectral.PairGraph(gen))
-        values = np.sort(spectral._young_values(gen))[::-1]
+        values = np.sort(spectral._young_values([gen])[0])[::-1]
         assert len(values) == 5040
         atol = 1e-10 * k
         assert np.abs(values - _k_route(gen)).max() <= atol
@@ -528,8 +528,60 @@ def test_solver_failure_raises_eigensolver_error(monkeypatch):
         monkeypatch.setattr(spectral, route, lambda g, real=real: calls.append(g) or real(g))
         with pytest.raises(EigensolverError, match="^eigensolver did not converge: no convergence$"):
             spectral.compute_spectrum(spectral.PairGraph(gen))
-        assert calls == [gen]
+        assert calls == [[gen]]
         monkeypatch.setattr(spectral, route, real)
+
+
+def _covered_orbits(gen):
+    """How many K-orbits outside H the products t*S of the orbit representatives t in H meet."""
+    orbits = gen.subgroup.abelian_orbits
+    met = orbits.orbit_of[gen.group.product(orbits.reps[: orbits.inside, None], np.array(gen.elements))]
+    return len(np.unique(met[met >= orbits.inside]))
+
+
+def _spectra_blocks():
+    """Blocks of 12 sets of one size: outside H on seven pairs, then meeting H in {x, x^-1} as well.
+
+    Index above 2 lets the sets of a block meet different numbers of K-orbits,
+    so ``_character_values`` splits the block into stacks.
+    """
+    rng = random.Random(29)
+    f16 = make_field_additive(2, 4)
+    pairs = [
+        (subgroup_from_elements(make_cyclic(12), [0, 3, 6, 9]), 2),  # K = H, one axis, index 3
+        (subgroup_generated(f16, [1, 2]), 2),  # K = H, two axes through _dft, index 4
+        (builtin_subgroup(make_gl2(5), "sl2_in_gl2"), 3),  # K < H, index 4
+        (builtin_subgroup(make_gl2(3), "sl2_in_gl2"), 5),
+        (subgroup_generated(make_direct_product(make_alternating(4), make_cyclic(2)), [2, 4, 6]), 4),  # K = V4
+        (_alternating_in_symmetric(5), 12),  # the Young route
+        (_alternating_in_symmetric(6), 20),
+    ]
+    for sub, k in pairs:
+        outside = sub.outside()
+        yield sub, [rng.sample(outside, k) for _ in range(12)]
+        x = int(sub.elements[-1])
+        yield sub, [[x, sub.parent.inv(x), *rng.sample(outside, k)] for _ in range(12)]
+
+
+def test_compute_spectra_matches_blocks_of_one():
+    """Each set of a stacked block gets the bits of its own ``compute_spectrum``, whatever the block mixes."""
+    mixed = 0
+    for sub, sets in _spectra_blocks():
+        gens = [validate_generating_set(sub, s) for s in sets]
+        mixed += len({_covered_orbits(gen) for gen in gens}) > 1
+        for gen, spectrum in zip(gens, spectral.compute_spectra(gens, 1e-7)):
+            alone = compute_spectrum(build_pair_graph(sub, gen), 1e-7)
+            assert spectrum.eigenvalues.tobytes() == alone.eigenvalues.tobytes(), (sub, gen.elements)
+            assert (spectrum.tolerance, spectrum.scale) == (alone.tolerance, alone.scale) == (1e-7, gen.size)
+    assert mixed == 6  # Z/12, F16 and GL2(5), each with sets avoiding and meeting H
+    assert spectral.compute_spectra([]) == []
+    sub = subgroup_from_elements(make_cyclic(12), [0, 3, 6, 9])
+    for sets in ([[1, 2], [1, 2, 4]], [[1, 2], [3, 9]]):
+        with pytest.raises(ValidationError, match="^a block holds sets of one size on one subgroup, all meeting it"):
+            spectral.compute_spectra([validate_generating_set(sub, s) for s in sets])
+    other = subgroup_from_elements(make_cyclic(12), [0, 3, 6, 9])
+    with pytest.raises(ValidationError, match="^a block holds sets of one size on one subgroup"):
+        spectral.compute_spectra([validate_generating_set(sub, [1]), validate_generating_set(other, [1])])
 
 
 def test_eigensolver_residuals():
