@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional, Sequence, Union
 
 import numpy as np
 
@@ -231,24 +231,25 @@ def _young_values(gens: Sequence[GeneratingSet]) -> list[np.ndarray]:
     ``FiniteGroup.chain_index``, rho(s) is row (i_2, ..., i_(n-1)) of the
     S_(n-1) table of ``_young_tables`` times rho(c_(i_n)).  One matmul by the
     sets' indicators, each a (|G|/n) x n array in that order, sums the rows by
-    i_n, and one more per lambda applies rho(c_i).  Both are stacked over the
-    sets, so every matmul and ``svd`` solves the 2-D problem of a block of
-    one, never a flattened larger product, and each set keeps its bits.
+    i_n, and one more per dimension of lambda applies rho(c_i).  Both are
+    stacked over the sets, so every matmul and ``svd`` solves the 2-D problem
+    of a block of one, never a flattened larger product, and each set keeps
+    its bits.
     """
     gen, count = gens[0], len(gens)
     n = len(gen.group.perms[0])
-    table, blocks, weights = _young_tables(n)
+    table, blocks, order, weights = _young_tables(n)
     indicator = np.zeros((count, gen.group.order // n, n))
     chain = gen.group.chain_index[np.array([g.elements for g in gens], dtype=np.int64)]
     indicator.reshape(count, -1)[np.arange(count)[:, None], chain] = 1.0
     sums = (indicator.swapaxes(1, 2) @ table).reshape(count, -1)
-    sigma = [np.linalg.svd(sums.take(gather, axis=1) @ last, compute_uv=False) for gather, last in blocks]
-    sigma = np.repeat(np.concatenate(sigma, axis=1), weights, axis=1)
+    sigma = [np.linalg.svd(sums.take(gather, axis=1) @ last, compute_uv=False).reshape(count, -1) for gather, last in blocks]
+    sigma = np.repeat(np.concatenate(sigma, axis=1)[:, order], weights, axis=1)
     return list(np.concatenate([sigma, -sigma], axis=1))
 
 
 @cache
-def _young_tables(n: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], np.ndarray]:
+def _young_tables(n: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], Union[np.ndarray, slice], np.ndarray]:
     """Young's orthogonal form of S_n (James and Kerber 1981) along ``coset_chain``.
 
     A standard tableau T is its row word w, entry k + 1 in row w[k], and
@@ -258,10 +259,11 @@ def _young_tables(n: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray
     weight d_lambda (rho_lambda' = sgn rho_lambda has the same singular values
     on an odd set), a self-conjugate one of weight d_lambda / 2.  Returns
     rho(c_(i_2) * ... * c_(i_(n-1))) for all of S_(n-1), flat per lambda and
-    side by side (0.47 MB for S6, 15.7 MB for S7); per lambda the indices of
-    its d x nd factor in a set's n rows of products with that table, and the
-    n matrices rho(c_i) of the last level stacked as nd x d; and the weight of
-    each singular value.
+    side by side (0.47 MB for S6, 15.7 MB for S7); per dimension d, for its
+    lambdas, the indices of each d x nd factor in a set's n rows of products
+    with that table and the n matrices rho(c_i) of the last level stacked as
+    nd x d; the order that puts the singular values back in lambda order; and
+    the weight of each singular value.
     """
     shapes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     words = [()]
@@ -288,13 +290,18 @@ def _young_tables(n: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray
         tables.append(table.reshape(len(table), d * d))
         lasts.append(last.reshape(n * d, d))
         weights += [d if shape > conjugate else d // 2] * d
-    starts, width = np.cumsum([0] + [t.shape[1] for t in tables]), sum(t.shape[1] for t in tables)
+    width, dims = sum(t.shape[1] for t in tables), [last.shape[1] for last in lasts]
     # entry (a, (i, b)) of a factor is row i, column start + a d + b of a set's n x width products
     gathers = [
         (np.arange(d)[:, None, None] * d + np.arange(n)[:, None] * width + np.arange(d) + start).reshape(d, n * d)
-        for start, d in zip(starts.tolist(), (last.shape[1] for last in lasts))
+        for start, d in zip(np.cumsum([0] + [d * d for d in dims]).tolist(), dims)
     ]
-    return np.concatenate(tables, axis=1), list(zip(gathers, lasts)), np.array(weights)
+    # lambdas of one dimension share a stacked matmul and svd; ``order`` puts their values back in lambda order
+    groups = [[i for i, e in enumerate(dims) if e == d] for d in dict.fromkeys(dims)]
+    order = np.argsort(np.concatenate([np.arange(dims[i]) + sum(dims[:i]) for group in groups for i in group]))
+    order = slice(None) if all(len(group) == 1 for group in groups) else order
+    blocks = [(np.stack([gathers[i] for i in group]), np.stack([lasts[i] for i in group])) for group in groups]
+    return np.concatenate(tables, axis=1), blocks, order, np.array(weights)
 
 
 def _dft(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
