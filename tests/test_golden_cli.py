@@ -61,6 +61,11 @@ CASES = {
     "ramanujan-readme-text": ["ramanujan", *GL2, "--set-random", "17", "--seed", "0"],
     "ramanujan-readme-json": ["ramanujan", *GL2, "--set-random", "17", "--seed", "0", "--format", "json"],
     "search-readme": ["search", *GL2, "--k", "17", "--trials", "20", "--seed", "0"],
+    # searches that cross a block of trials: Young route, and exhaustive with disconnected sets
+    "search-s5-blocks": ["search", "--group", "symmetric:5", "--subgroup", "alternating_in_symmetric",
+                         "--k", "12", "--trials", "70", "--seed", "1"],
+    "search-exhaustive-evens": ["search", "--group", "cyclic:20", "--subgroup", "evens", "--k", "3",
+                                "--mode", "exhaustive"],
     "verify-verbose": ["verify", "--verbose"],
 }
 FILES = {"{out}": ".out-file", "{dot}": ".dot"}
