@@ -25,7 +25,8 @@ from .errors import (
     SizeCapExceeded,
     ValidationError,
 )
-from .groups import FiniteGroup, Subgroup, _element_indices, _element_orders, generated_elements, validate_generating_set
+from .groups import FiniteGroup, Subgroup, _element_indices, _element_orders, generated_elements
+from .groups import reachable_subgroups, validate_generating_set
 from .graphs import PairGraph
 from .spectral import DEFAULT_TOLERANCE, _check_tolerance, compute_spectra, is_ramanujan, ramanujan_size_bound
 from .structure import is_connected
@@ -247,11 +248,26 @@ class SearchResult:
 
 
 def random_candidate(outside: Sequence[int], size: int, seed: int, trial: int) -> tuple[int, ...]:
-    """Trial candidate: seeded shuffle of the outside elements, first ``size`` taken."""
+    """Trial candidate: the first ``size`` outside elements after a seeded shuffle, sorted.
+
+    The shuffle is ``random.Random(seed + trial * SEED_STRIDE).shuffle``,
+    replayed here with its ``getrandbits`` calls and their rejections, so the
+    library owns the draw: a seed names the same set on every interpreter
+    whose Mersenne Twister does, whatever its ``shuffle`` becomes.  The swap
+    at position i picks from positions 0..i and fixes position i; once
+    positions size..n-1 are fixed, the later swaps only permute the first
+    ``size``, which the sort forgets, so the replay stops there.
+    """
     if not 0 <= size <= len(outside):
         raise ValidationError(f"random set size {size} is outside 0..{len(outside)}")
     pool = list(outside)
-    random.Random(seed + trial * SEED_STRIDE).shuffle(pool)
+    getrandbits = random.Random(seed + trial * SEED_STRIDE).getrandbits
+    for i in range(len(pool) - 1, max(size, 1) - 1, -1):
+        bits = (i + 1).bit_length()
+        j = getrandbits(bits)
+        while j > i:
+            j = getrandbits(bits)
+        pool[i], pool[j] = pool[j], pool[i]
     return tuple(sorted(pool[:size]))
 
 
@@ -259,12 +275,14 @@ def search_ramanujan(config: SearchConfig) -> list[SearchResult]:
     """Deterministic search; see SearchConfig.
 
     Candidates are taken in blocks of ``SEARCH_BLOCK`` trials, exhaustive
-    ones too.  Each is drawn, validated, held to the size bound and tested
-    for connectivity on its own; then the connected ones of the block share
-    one ``compute_spectra`` call, whose stacked solves give each set the bits
-    of a solve on its own, and each is certified by ``is_ramanujan``.  Every
-    candidate that is connected and meets the sufficient size bound must
-    certify Ramanujan; a counterexample would refute the bound and raises.
+    ones too.  Each is drawn and validated on its own; the block's Lagrange
+    certificates of connectivity come from one ``reachable_subgroups`` call,
+    and the size bound, the same for every set, once per search.  Then the
+    connected ones of the block share one ``compute_spectra`` call, whose
+    stacked solves give each set the bits of a solve on its own, and each is
+    certified by ``is_ramanujan``.  Every candidate that is connected and
+    meets the sufficient size bound must certify Ramanujan; a counterexample
+    would refute the bound and raises.
     """
     subgroup = config.subgroup
     outside = subgroup.outside()
@@ -275,13 +293,16 @@ def search_ramanujan(config: SearchConfig) -> list[SearchResult]:
             random_candidate(outside, config.size, config.seed, t) for t in range(config.trials)
         )
     results: list[SearchResult] = []
+    bound = None
     while block := list(itertools.islice(candidates, SEARCH_BLOCK)):
-        trials = []
-        for cand in block:
-            gen = validate_generating_set(subgroup, cand)
-            trials.append((cand, gen, ramanujan_size_bound(gen), is_connected(gen).connected))
-        spectra = iter(compute_spectra([t[1] for t in trials if t[3]] if config.certify else [], config.tolerance))
-        for cand, gen, bound, connected in trials:
+        gens = [validate_generating_set(subgroup, cand) for cand in block]
+        if bound is None:
+            bound = ramanujan_size_bound(gens[0])
+        reachable_subgroups(gens)
+        connectivity = [is_connected(gen).connected for gen in gens]
+        solved = [gen for gen, connected in zip(gens, connectivity) if connected] if config.certify else []
+        spectra = iter(compute_spectra(solved, config.tolerance))
+        for cand, gen, connected in zip(block, gens, connectivity):
             report = is_ramanujan(PairGraph(gen), next(spectra), config.tolerance) if connected and config.certify else None
             if report and bound.satisfied and not report.ramanujan:  # pragma: no cover - the bound is sufficient
                 raise PairGraphError(f"connected candidate {cand} meets the size bound but failed certification")

@@ -113,9 +113,9 @@ def builtin_subgroup(group: FiniteGroup, name: str) -> Subgroup:
         elems = [i for i, (a, b, c, d) in enumerate(group.matrices) if (a * d - b * c) % p == 1]
         return closed_subgroup(group, elems)
     if name == "alternating_in_symmetric":
-        if kind != "symmetric" or group.perms is None:
+        if kind != "symmetric" or group.images is None:
             raise ValidationError("alternating_in_symmetric needs a symmetric group")
-        return closed_subgroup(group, np.flatnonzero(perm_parities(np.array(group.perms)) == 0))
+        return closed_subgroup(group, np.flatnonzero(perm_parities(group.images) == 0))
     if name == "evens":
         if kind != "cyclic" or group.order % 2 != 0:
             raise ValidationError("evens needs a cyclic group of even order")

@@ -86,6 +86,7 @@ class FiniteGroup:
         self._kernel = kernel
         # concrete views, set by the constructors that have them
         self.perms: Optional[list[tuple[int, ...]]] = None
+        self.images: Optional[np.ndarray] = None  # ``perms`` as a read-only order x n array
         self.matrices: Optional[list[tuple[int, int, int, int]]] = None
         self.field: Optional[PrimePowerField] = None
 
@@ -289,9 +290,9 @@ def _permutation_group(name: str, n: int, even_only: bool, descriptor: dict) -> 
     entries, 470 KB at n = 7.  The key of a*b is the dot product
     ``placed[a] . columns[b]``, ``placed[a]`` holding the weight of image i at
     position a[i] and ``columns[b]`` the images of b, both in float32.  A
-    column of a against a row of b, the shape of every bulk call, takes its
-    keys from one matrix product, and every other shape from one ``einsum``
-    over the last axis.  Each is exact, as every partial sum is an integer
+    column of a against a row of b, the shape of every bulk call, or a stack
+    of such pairs, takes its keys from one matrix product, and every other
+    shape from one ``einsum`` over the last axis.  Each is exact, as every partial sum is an integer
     below n^(n-1) <= 8^7 < 2^24.
     """
     perms = list(itertools.permutations(range(n)))
@@ -308,8 +309,8 @@ def _permutation_group(name: str, n: int, even_only: bool, descriptor: dict) -> 
     columns = images.astype(np.float32)
 
     def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if a.shape == (a.size, 1) and b.shape in ((b.size,), (1, b.size)):
-            key = placed[a.ravel()] @ columns[b.ravel()].T
+        if a.ndim > 1 and a.shape[-1] == 1 and (b.ndim == 1 or b.shape[-2] == 1):
+            key = placed[a[..., 0]] @ np.swapaxes(columns[b if b.ndim == 1 else b[..., 0, :]], -1, -2)
         else:
             key = np.einsum("...i,...i->...", placed[a], columns[b])
         return rank[key.astype(np.intp)]
@@ -323,7 +324,7 @@ def _permutation_group(name: str, n: int, even_only: bool, descriptor: dict) -> 
         kernel=kernel,
         descriptor=descriptor,
     )
-    g.perms = perms
+    g.perms, g.images = perms, _read_only(images)
     return g
 
 
@@ -826,34 +827,78 @@ class GeneratingSet:
     def reachable(self) -> np.ndarray:
         """The elements of U = <H ∩ (inside ∪ outside·outside^-1)> <= H, sorted, read-only and built once.
 
-        s·t^-1 lies in H exactly when H·s = H·t, and it is then
-        (s·t_c^-1)·(t·t_c^-1)^-1 for any t_c in that coset; so the inside part
-        and the quotients s·t_c^-1, one fixed t_c per covered coset c,
-        generate U in |outside| products.
-
-        Before the closure, a Lagrange certificate: U holds R = {e} ∪ Q for the
-        distinct seeds Q, and with R its products R·R' by R's first
-        ceil(|H|/|R|) members R'; |U| divides |H|, so |R| > |H|/2 forces U = H.
-        Up to two rounds R := R ∪ R·R', each under |H| + |R| products, run while
-        1 < |R| <= |H|/2: random seeds in A_n almost always pass after one.
+        ``reachable_subgroups`` on a block of one.
         """
-        group, outside, order = self.group, np.array(self.outside, dtype=np.int64), self.subgroup.order
-        cosets = self.subgroup.coset_of[outside].tolist()
-        fixed: dict[int, int] = {}
-        for c, s in zip(cosets, self.outside):
-            fixed.setdefault(c, s)
-        quotients = group.product(outside, group.inverses[[fixed[c] for c in cosets]])
-        reached = _sorted_unique(np.concatenate([[group.identity], np.array(self.inside, dtype=np.int64), quotients]))
-        for _ in range(2):
-            if 1 < reached.size <= order // 2:
-                products = group.product(reached[:, None], reached[: -(-order // reached.size)])
-                reached = _sorted_unique(np.concatenate([reached, products], axis=None))
-        if 2 * reached.size > order:
-            return self.subgroup.elements
-        return generated_elements(group, [*self.inside, *quotients.tolist()])
+        return reachable_subgroups([self])[0]
 
     def __repr__(self) -> str:
         return f"GeneratingSet(size={self.size}, inside={len(self.inside)}, outside={len(self.outside)})"
+
+
+def reachable_subgroups(gens: Sequence[GeneratingSet]) -> list[np.ndarray]:
+    """U of each set of a block on one subgroup, stored as the set's ``reachable``.
+
+    s·t^-1 lies in H exactly when H·s = H·t, and it is then
+    (s·t_c^-1)·(t·t_c^-1)^-1 for any t_c in that coset; so the inside part
+    and the quotients s·t_c^-1, t_c the set's least element in coset c,
+    generate U.  One product call gives every set's quotients.
+
+    Then a Lagrange certificate: U holds R = {e} ∪ Q for the distinct seeds Q,
+    and with R its products R·R' by R's first ceil(|H|/|R|) members R'; |U|
+    divides |H|, so |R| > |H|/2 forces U = H.  Up to two rounds R := R ∪ R·R',
+    each under |H| + |R| products, run on the sets with 1 < |R| <= |H|/2:
+    random seeds in A_n almost always pass after one.  The sets' R are the
+    sorted rows of one array, padded by e, so a round is one product call,
+    one sort and a distinct count per row.  A certified set gets H's own
+    element array; the closure runs on each other set alone.
+    """
+    if not gens:
+        return []
+    sub = gens[0].subgroup
+    if any(g.subgroup is not sub for g in gens[1:]):
+        raise ValidationError("a block holds sets on one subgroup")
+    group, order, e = sub.parent, sub.order, sub.parent.identity
+    longest = max(len(g.outside) for g in gens)
+    s = np.array([[*g.outside, *[e] * (longest - len(g.outside))] for g in gens], dtype=np.int64)
+    t = []
+    for row, cosets in zip(s.tolist(), sub.coset_of[s].tolist()):
+        fixed: dict[int, int] = {}  # the padding e sits in H, coset 0
+        t.append([fixed.setdefault(c, x) for c, x in zip(cosets, row)])
+    quotients = group.product(s.ravel(), group.inverses[np.array(t, dtype=np.int64).ravel()]).reshape(s.shape)
+    longest = max(len(g.inside) for g in gens)
+    seeds = np.array([[e, *g.inside, *[e] * (longest - len(g.inside))] for g in gens], dtype=np.int64)
+    reached = np.concatenate([seeds, quotients], axis=1)
+    reached.sort(axis=1)
+    sizes = [1 + n for n in (reached[:, 1:] != reached[:, :-1]).sum(axis=1).tolist()]
+    rows = list(range(len(gens)))
+    for _ in range(2):
+        grow = [i for i, row in enumerate(rows) if 1 < sizes[row] <= order // 2]
+        if not grow:
+            break
+        if len(grow) < len(rows):
+            rows, reached = [rows[i] for i in grow], reached[grow]
+        # each row's distinct members, ascending, then a sentinel past every element
+        reached[:, 1:][reached[:, 1:] == reached[:, :-1]] = group.order
+        reached.sort(axis=1)
+        size = [sizes[row] for row in rows]
+        reached = reached[:, : max(size)]
+        widths = [min(n, -(-order // n)) for n in size]
+        first = reached[:, : max(widths)]
+        if min(size) < max(size):
+            reached[reached == group.order] = e
+            first = np.where(np.arange(max(widths)) < np.array(widths)[:, None], first, e)
+        products = group.product(reached[:, :, None], first[:, None, :]).reshape(len(rows), -1)
+        reached = np.concatenate([reached, products], axis=1)
+        reached.sort(axis=1)
+        for row, n in zip(rows, (reached[:, 1:] != reached[:, :-1]).sum(axis=1).tolist()):
+            sizes[row] = 1 + n
+    for i, g in enumerate(gens):
+        if 2 * sizes[i] > order:
+            u = sub.elements
+        else:
+            u = generated_elements(group, [*g.inside, *quotients[i, : len(g.outside)].tolist()])
+        g.__dict__["reachable"] = u  # where cached_property keeps it
+    return [g.__dict__["reachable"] for g in gens]
 
 
 def validate_generating_set(subgroup: Subgroup, elements: Iterable[int]) -> GeneratingSet:

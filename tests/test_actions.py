@@ -397,11 +397,15 @@ def test_search_config_validation(z20_evens):
         SearchConfig(subgroup=big, size=25, mode="exhaustive")
 
 
-def test_random_candidate_is_seeded_shuffle_prefix(z20_evens):
-    outside = z20_evens.outside()
-    pool = list(outside)
-    random.Random(5 + 0 * 2654435761).shuffle(pool)
-    assert random_candidate(outside, 3, 5, 0) == tuple(sorted(pool[:3]))
+@pytest.mark.parametrize("n", [1, 2, 24, 60, 360])
+def test_random_candidate_is_seeded_shuffle_prefix(n):
+    """The replay takes, at every size, the set that the library's shuffle takes: a skipped or reordered draw fails."""
+    outside = tuple(range(7, 7 + 3 * n, 3))
+    for seed, trial in [(0, 0), (5, 0), (5, 3), (1, 19), (2**31 - 1, 63)]:
+        pool = list(outside)
+        random.Random(seed + trial * 2654435761).shuffle(pool)
+        for size in range(n + 1):
+            assert random_candidate(outside, size, seed, trial) == tuple(sorted(pool[:size])), (seed, trial, size)
 
 
 def test_random_candidate_rejects_sizes_out_of_range(z20_evens):

@@ -5,11 +5,13 @@ import random
 import numpy as np
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairgraph import groups, structure
 from pairgraph.actions import SearchConfig, _generator_chain, search_ramanujan
 from pairgraph.graphs import build_pair_graph, isolated_vertices
 from pairgraph.groups import (
+    generated_elements,
     make_alternating,
     make_cyclic,
     make_symmetric,
@@ -216,6 +218,72 @@ def test_s6_search_trials_certify_without_the_closure(monkeypatch):
     sub = builtin_subgroup(make_symmetric(6), "alternating_in_symmetric")
     results = search_ramanujan(SearchConfig(subgroup=sub, size=20, trials=5, seed=0))
     assert sum(r.connected and r.worst_nontrivial is not None for r in results) == 5
+
+
+def _certified_after(gen):
+    """The rounds after which the Lagrange rule certifies U = H for this set alone, or None if it leaves the closure to run."""
+    group, order, coset_of = gen.group, gen.subgroup.order, gen.subgroup.coset_of.tolist()
+    mul = lambda a, b: int(group.product(a, b))  # noqa: E731
+    least: dict[int, int] = {}
+    for s in gen.outside:
+        least.setdefault(coset_of[s], s)
+    reached = {group.identity, *gen.inside, *(mul(s, group.inv(least[coset_of[s]])) for s in gen.outside)}
+    for rounds in range(3):
+        if 2 * len(reached) > order:
+            return rounds
+        if rounds == 2 or len(reached) == 1:
+            return None
+        members = sorted(reached)
+        reached |= {mul(a, b) for a in members for b in members[: -(-order // len(members))]}
+
+
+def _seed_closure(gen) -> list[int]:
+    """The closure of the inside part and of every quotient s*t^-1 of outside elements in one coset."""
+    coset_of = gen.subgroup.coset_of
+    quotients = [int(gen.group.product(s, gen.group.inv(t))) for s in gen.outside for t in gen.outside if coset_of[s] == coset_of[t]]
+    return generated_elements(gen.group, [*gen.inside, *quotients]).tolist()
+
+
+def _check_block(block, calls):
+    reached = groups.reachable_subgroups(block)
+    # the closure runs once for each set that the rule alone leaves uncertified, on its inside part and quotients
+    uncertified = [gen for gen in block if _certified_after(gen) is None]
+    assert [(group, len(seeds)) for group, seeds in calls] == [(gen.group, gen.size) for gen in uncertified]
+    for gen, u in zip(block, reached):
+        assert gen.reachable is u and not u.flags.writeable
+        if _certified_after(gen) is not None:
+            assert u is gen.subgroup.elements
+        assert u.tolist() == _seed_closure(gen)
+
+
+def test_block_certificate_mixes_rounds_and_proper_subgroups(z24_evens, monkeypatch):
+    # |H| = 12: seven distinct quotients certify at once, {0, 2, 4, 8} after one round and
+    # {0, 2, 6} after two; <4> and <12> are proper, and {0, 2} generates H but reaches
+    # only 5 elements in two rounds, so the closure runs for the last three sets alone
+    sets = {(1, 3, 5, 7, 9, 11, 13): 0, (1, 3, 5, 9): 1, (1, 3, 7): 2, (1, 5, 9, 13, 17, 21): None, (1, 13): None, (1, 3): None}
+    block = [validate_generating_set(z24_evens, s) for s in sets]
+    assert [_certified_after(gen) for gen in block] == list(sets.values())
+    calls = _count_closures(monkeypatch)
+    _check_block(block, calls)
+    assert [gen.reachable.size for gen in block] == [12, 12, 12, 6, 2, 12]
+
+
+@st.composite
+def _generated_blocks(draw):
+    """A generated instance and up to five more sets on its subgroup."""
+    first = draw(generated_instances())
+    sub, group = first.subgroup, first.group
+    element = st.integers(0, group.order - 1).filter(lambda x: x != group.identity)
+    more = draw(st.lists(st.sets(element, max_size=12), max_size=5))
+    return [first, *(validate_generating_set(sub, s | {group.inv(x) for x in s if sub.contains(x)}) for s in more)]
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(_generated_blocks())
+def test_block_certificate_matches_the_closure_on_generated_blocks(block):
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = _count_closures(monkeypatch)
+        _check_block(block, calls)
 
 
 @settings(derandomize=True, database=None, max_examples=80, deadline=None)
