@@ -841,7 +841,8 @@ def reachable_subgroups(gens: Sequence[GeneratingSet]) -> list[np.ndarray]:
     s·t^-1 lies in H exactly when H·s = H·t, and it is then
     (s·t_c^-1)·(t·t_c^-1)^-1 for any t_c in that coset; so the inside part
     and the quotients s·t_c^-1, t_c the set's least element in coset c,
-    generate U.  One product call gives every set's quotients.
+    generate U.  One product call gives every set's seeds, the inside part
+    as x·e^-1.
 
     Then a Lagrange certificate: U holds R = {e} ∪ Q for the distinct seeds Q,
     and with R its products R·R' by R's first ceil(|H|/|R|) members R'; |U|
@@ -858,17 +859,16 @@ def reachable_subgroups(gens: Sequence[GeneratingSet]) -> list[np.ndarray]:
     if any(g.subgroup is not sub for g in gens[1:]):
         raise ValidationError("a block holds sets on one subgroup")
     group, order, e = sub.parent, sub.order, sub.parent.identity
-    longest = max(len(g.outside) for g in gens)
-    s = np.array([[*g.outside, *[e] * (longest - len(g.outside))] for g in gens], dtype=np.int64)
+    # each row: the inside part, the outside part, then e padding; a row without
+    # padding has an outside part, whose t_c·t_c^-1 = e
+    width = max(g.size + (not g.outside) for g in gens)
+    s = np.array([[*g.inside, *g.outside, *[e] * (width - g.size)] for g in gens], dtype=np.int64)
     t = []
     for row, cosets in zip(s.tolist(), sub.coset_of[s].tolist()):
-        fixed: dict[int, int] = {}  # the padding e sits in H, coset 0
+        fixed = {0: e}  # the inside part and the padding, in coset 0, over e
         t.append([fixed.setdefault(c, x) for c, x in zip(cosets, row)])
-    quotients = group.product(s.ravel(), group.inverses[np.array(t, dtype=np.int64).ravel()]).reshape(s.shape)
-    longest = max(len(g.inside) for g in gens)
-    seeds = np.array([[e, *g.inside, *[e] * (longest - len(g.inside))] for g in gens], dtype=np.int64)
-    reached = np.concatenate([seeds, quotients], axis=1)
-    reached.sort(axis=1)
+    seeds = group.product(s.ravel(), group.inverses[np.array(t, dtype=np.int64).ravel()]).reshape(s.shape)
+    reached = np.sort(seeds, axis=1)
     sizes = [1 + n for n in (reached[:, 1:] != reached[:, :-1]).sum(axis=1).tolist()]
     rows = list(range(len(gens)))
     for _ in range(2):
@@ -896,7 +896,7 @@ def reachable_subgroups(gens: Sequence[GeneratingSet]) -> list[np.ndarray]:
         if 2 * sizes[i] > order:
             u = sub.elements
         else:
-            u = generated_elements(group, [*g.inside, *quotients[i, : len(g.outside)].tolist()])
+            u = generated_elements(group, seeds[i, : g.size].tolist())
         g.__dict__["reachable"] = u  # where cached_property keeps it
     return [g.__dict__["reachable"] for g in gens]
 
