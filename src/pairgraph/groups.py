@@ -290,9 +290,9 @@ def _permutation_group(name: str, n: int, even_only: bool, descriptor: dict) -> 
     entries, 470 KB at n = 7.  The key of a*b is the dot product
     ``placed[a] . columns[b]``, ``placed[a]`` holding the weight of image i at
     position a[i] and ``columns[b]`` the images of b, both in float32.  A
-    column of a against a row of b, the shape of every bulk call, or a stack
-    of such pairs, takes its keys from one matrix product, and every other
-    shape from one ``einsum`` over the last axis.  Each is exact, as every partial sum is an integer
+    column of a against a row of b, the shape of every bulk call, takes its
+    keys from one matrix product, and every other shape from one ``einsum``
+    over the last axis.  Each is exact, as every partial sum is an integer
     below n^(n-1) <= 8^7 < 2^24.
     """
     perms = list(itertools.permutations(range(n)))
@@ -309,8 +309,8 @@ def _permutation_group(name: str, n: int, even_only: bool, descriptor: dict) -> 
     columns = images.astype(np.float32)
 
     def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        if a.ndim > 1 and a.shape[-1] == 1 and (b.ndim == 1 or b.shape[-2] == 1):
-            key = placed[a[..., 0]] @ np.swapaxes(columns[b if b.ndim == 1 else b[..., 0, :]], -1, -2)
+        if a.shape == (a.size, 1) and b.shape in ((b.size,), (1, b.size)):
+            key = placed[a.ravel()] @ columns[b.ravel()].T
         else:
             key = np.einsum("...i,...i->...", placed[a], columns[b])
         return rank[key.astype(np.intp)]
