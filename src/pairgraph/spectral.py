@@ -409,7 +409,7 @@ def is_ramanujan(
     rest = values[1:]
     if len(rest) and rest[-1] <= -k + eps:
         rest = rest[:-1]
-    worst = float(max(abs(rest[0]), abs(rest[-1]))) if len(rest) else 0.0  # the values descend
+    worst = float(np.maximum(abs(rest[0]), abs(rest[-1]))) if len(rest) else 0.0  # the values descend
     bound = 2.0 * math.sqrt(k - 1) if k >= 1 else 0.0
     return RamanujanReport(
         ramanujan=bool(worst <= bound + eps),
