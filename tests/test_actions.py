@@ -399,7 +399,7 @@ def test_search_config_validation(z20_evens):
 
 @pytest.mark.parametrize("n", [1, 2, 24, 60, 360])
 def test_random_candidate_is_seeded_shuffle_prefix(n):
-    """The replay takes, at every size, the set that the library's shuffle takes: a skipped or reordered draw fails."""
+    """At every size the replay takes the set that ``random.Random(...).shuffle`` takes: a skipped or reordered draw fails."""
     outside = tuple(range(7, 7 + 3 * n, 3))
     for seed, trial in [(0, 0), (5, 0), (5, 3), (1, 19), (2**31 - 1, 63)]:
         pool = list(outside)

@@ -223,7 +223,10 @@ def test_s6_search_trials_certify_without_the_closure(monkeypatch):
 def _certified_after(gen):
     """The rounds after which the Lagrange rule certifies U = H for this set alone, or None if it leaves the closure to run."""
     group, order, coset_of = gen.group, gen.subgroup.order, gen.subgroup.coset_of.tolist()
-    mul = lambda a, b: int(group.product(a, b))  # noqa: E731
+
+    def mul(a, b):
+        return int(group.product(a, b))
+
     least: dict[int, int] = {}
     for s in gen.outside:
         least.setdefault(coset_of[s], s)
