@@ -862,23 +862,27 @@ def reachable_subgroups(gens: Sequence[GeneratingSet]) -> list[np.ndarray]:
     # each row: the inside part, the outside part, then e padding; a row without
     # padding has an outside part, whose t_c·t_c^-1 = e
     width = max(g.size + (not g.outside) for g in gens)
-    s = np.array([[*g.inside, *g.outside, *[e] * (width - g.size)] for g in gens], dtype=np.int64)
+    padded = [[*g.inside, *g.outside, *[e] * (width - g.size)] for g in gens]
+    s = np.array(padded, dtype=np.int64)
     t = []
-    for row, cosets in zip(s.tolist(), sub.coset_of[s].tolist()):
+    for row, cosets in zip(padded, sub.coset_of[s].tolist()):
         fixed = {0: e}  # the inside part and the padding, in coset 0, over e
         t.append([fixed.setdefault(c, x) for c, x in zip(cosets, row)])
     seeds = group.product(s.ravel(), group.inverses[np.array(t, dtype=np.int64).ravel()]).reshape(s.shape)
-    reached = np.sort(seeds, axis=1)
-    sizes = [1 + n for n in (reached[:, 1:] != reached[:, :-1]).sum(axis=1).tolist()]
+    # in-place sorts and ufunc reductions: numpy's Python-level wrappers cost more than the work on a few rows
+    reached = seeds.copy()
+    reached.sort(axis=1)
+    repeated = reached[:, 1:] == reached[:, :-1]
+    sizes = (width - np.add.reduce(repeated, axis=1)).tolist()
     rows = list(range(len(gens)))
     for _ in range(2):
         grow = [i for i, row in enumerate(rows) if 1 < sizes[row] <= order // 2]
         if not grow:
             break
         if len(grow) < len(rows):
-            rows, reached = [rows[i] for i in grow], reached[grow]
+            rows, reached, repeated = [rows[i] for i in grow], reached[grow], repeated[grow]
         # each row's distinct members, ascending, then a sentinel past every element
-        reached[:, 1:][reached[:, 1:] == reached[:, :-1]] = group.order
+        reached[:, 1:][repeated] = group.order
         reached.sort(axis=1)
         size = [sizes[row] for row in rows]
         reached = reached[:, : max(size)]
@@ -890,8 +894,9 @@ def reachable_subgroups(gens: Sequence[GeneratingSet]) -> list[np.ndarray]:
         products = group.product(reached[:, :, None], first[:, None, :]).reshape(len(rows), -1)
         reached = np.concatenate([reached, products], axis=1)
         reached.sort(axis=1)
-        for row, n in zip(rows, (reached[:, 1:] != reached[:, :-1]).sum(axis=1).tolist()):
-            sizes[row] = 1 + n
+        repeated = reached[:, 1:] == reached[:, :-1]
+        for row, n in zip(rows, (reached.shape[1] - np.add.reduce(repeated, axis=1)).tolist()):
+            sizes[row] = n
     for i, g in enumerate(gens):
         if 2 * sizes[i] > order:
             u = sub.elements
