@@ -109,9 +109,8 @@ def builtin_subgroup(group: FiniteGroup, name: str) -> Subgroup:
     if name == "sl2_in_gl2":
         if kind != "gl2" or group.matrices is None:
             raise ValidationError("sl2_in_gl2 needs a gl2 group")
-        p = group.descriptor["params"][0]
-        elems = [i for i, (a, b, c, d) in enumerate(group.matrices) if (a * d - b * c) % p == 1]
-        return closed_subgroup(group, elems)
+        a, b, c, d = group.matrices.T
+        return closed_subgroup(group, np.flatnonzero((a * d - b * c) % group.descriptor["params"][0] == 1))
     if name == "alternating_in_symmetric":
         if kind != "symmetric" or group.images is None:
             raise ValidationError("alternating_in_symmetric needs a symmetric group")

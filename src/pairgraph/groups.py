@@ -1,8 +1,10 @@
 """Exact finite group arithmetic on dense integer element indices.
 
-Concrete structure (permutations, matrices, field elements) lives only in the
-constructors and in element labels; every other module works with indices
-0..order-1, the product and the inverse map.
+Concrete structure lives in one read-only array per family, set by its
+constructor: a permutation group's images, a matrix group's entries, and the
+field beside F_{p^k}.  Element labels, ``perm_index`` and
+``FiniteGroup.chain_index`` are read off those arrays; every other module
+works with indices 0..order-1, the product and the inverse map.
 
 Each family supplies one vectorised kernel, a numpy function that multiplies
 two index arrays elementwise under broadcasting.  The slow families multiply
@@ -36,7 +38,6 @@ import numpy as np
 from .errors import (
     IdentityInGeneratingSet,
     NotASubgroup,
-    PairGraphError,
     SizeCapExceeded,
     SymmetryViolation,
     ValidationError,
@@ -84,10 +85,9 @@ class FiniteGroup:
         self.descriptor = descriptor or {}
         self.inverses = np.asarray(inverse, dtype=np.int32)
         self._kernel = kernel
-        # concrete views, set by the constructors that have them
-        self.perms: Optional[list[tuple[int, ...]]] = None
-        self.images: Optional[np.ndarray] = None  # ``perms`` as a read-only order x n array
-        self.matrices: Optional[list[tuple[int, int, int, int]]] = None
+        # the concrete elements, set by the constructors that have them
+        self.images: Optional[np.ndarray] = None  # S_n, A_n: read-only order x n, row x the images of 0..n-1
+        self.matrices: Optional[np.ndarray] = None  # GL2, SL2: read-only order x 4, row x (a, b, c, d)
         self.field: Optional[PrimePowerField] = None
 
     @cached_property
@@ -124,20 +124,16 @@ class FiniteGroup:
 
     @cached_property
     def chain_index(self) -> np.ndarray:
-        """For S_n: each element's place in the ``coset_chain`` listing, with s_i = (i, i+1) found by ``perm_index``.
+        """For S_n: each element's place in the ``coset_chain`` listing, a Lehmer code of its images x.
 
-        The listing holds each element once under either composition
-        convention, as the Coxeter relations fix it; n - 1 batched products.
+        Composed left to right, c_i at level j sends j to i and moves i..j-1 up
+        by one, so digit j (0-indexed) is #{k < j : x(k) < x(j)}, of radix j + 1,
+        digit 1 leading: the place sums n! / (j + 1)! over the pairs k < j with x(k) < x(j).
         """
-        n = len(self.perms[0])
-        s = [perm_index(self, [(i, i + 1)]) for i in range(1, n)]
-        listing, last = coset_chain(n, self.identity, s, self.product)
-        listing = self.product(listing[:, None], last).ravel()
-        position = np.full(self.order, -1, dtype=np.int64)
-        position[listing] = np.arange(len(listing))
-        if (position < 0).any():  # pragma: no cover - the c_i represent every coset
-            raise PairGraphError("the chain's coset representatives do not list the group")
-        return _read_only(position)
+        n = self.images.shape[1]
+        k, j = np.triu_indices(n, 1)
+        weights = np.array([math.factorial(n) // math.factorial(x + 1) for x in j.tolist()], dtype=np.int64)
+        return _read_only((self.images[:, k] < self.images[:, j]) @ weights)
 
     def __repr__(self) -> str:
         return f"FiniteGroup({self.name}, order={self.order})"
@@ -206,9 +202,13 @@ def make_cyclic(n: int) -> FiniteGroup:
     )
 
 
-def _compose(p: tuple[int, ...], q: tuple[int, ...]) -> tuple[int, ...]:
-    # left-to-right: apply p first, then q
-    return tuple(q[x] for x in p)
+def _int_entries(values, spec) -> tuple[int, ...]:
+    """``values`` as ints; an entry that is not an int or numpy integer (a bool, float or str) raises, named."""
+    for v in values:
+        if type(v) is not int and not isinstance(v, np.integer):
+            raise ValidationError(f"permutation entry {v!r} in {spec!r} is not an integer")
+    return tuple(map(int, values))
+
 
 def perm_from_cycles(n: int, spec) -> tuple[int, ...]:
     """Permutation of degree n from 1-indexed cycles, e.g. "(1,2)(3,4)" or [(1,2),(3,4)].
@@ -228,8 +228,11 @@ def perm_from_cycles(n: int, spec) -> tuple[int, ...]:
                 raise ValidationError(f"bad cycle entry {bad!r} in {spec!r}")
             cycles = [tuple(map(int, part)) for part in tokens]
     else:
-        cycles = [tuple(c) for c in spec]
-    result = tuple(range(n))
+        bad = next((c for c in spec if not isinstance(c, (list, tuple))), None)
+        if bad is not None:
+            raise ValidationError(f"cycle {bad!r} in {spec!r} is not a list or tuple")
+        cycles = [_int_entries(c, spec) for c in spec]
+    result = list(range(n))
     for cyc in cycles:
         if any(not 1 <= v <= n for v in cyc):
             raise ValidationError(f"cycle entry out of range 1..{n}: {cyc}")
@@ -238,27 +241,22 @@ def perm_from_cycles(n: int, spec) -> tuple[int, ...]:
         images = list(range(n))
         for i, v in enumerate(cyc):
             images[v - 1] = cyc[(i + 1) % len(cyc)] - 1
-        result = _compose(result, tuple(images))
-    return result
+        result = [images[x] for x in result]  # left to right: the cycles written earlier apply first
+    return tuple(result)
 
 
-def perm_cycle_label(perm: tuple[int, ...]) -> str:
+def perm_cycle_label(perm: Sequence[int]) -> str:
     """Canonical 1-indexed cycle notation, "e" for the identity."""
-    seen = [False] * len(perm)
-    parts = []
-    for start in range(len(perm)):
-        if seen[start] or perm[start] == start:
-            seen[start] = True
-            continue
-        cyc = [start]
-        seen[start] = True
-        nxt = perm[start]
-        while nxt != start:
-            cyc.append(nxt)
-            seen[nxt] = True
-            nxt = perm[nxt]
-        parts.append("(" + ",".join(str(v + 1) for v in cyc) + ")")
-    return "".join(parts) if parts else "e"
+    seen, parts = set(), []
+    for x in range(len(perm)):
+        cycle = []
+        while x not in seen:
+            seen.add(x)
+            cycle.append(str(x + 1))
+            x = perm[x]
+        if len(cycle) > 1:
+            parts.append("(" + ",".join(cycle) + ")")
+    return "".join(parts) or "e"
 
 
 def perm_parities(images: np.ndarray) -> np.ndarray:
@@ -268,18 +266,27 @@ def perm_parities(images: np.ndarray) -> np.ndarray:
 
 
 def perm_index(group: FiniteGroup, spec) -> int:
-    """Index of a permutation given by cycles (or image tuple) in a permutation group."""
-    if group.perms is None:
+    """Index of a permutation given by cycles (or image tuple x) in a permutation group.
+
+    That is the lexicographic rank of x, of length m: the sum over j of #{k > j : x(k) < x(j)} * (m - 1 - j)!,
+    halved in A_n, where ranks 2i and 2i + 1 swap the last two images and one is even.  x is in the
+    group exactly when it is that row of ``images``.
+    """
+    images = group.images
+    if images is None:
         raise ValidationError(f"{group.name} is not a permutation group")
-    n = len(group.perms[0])
+    n = images.shape[1]
     if isinstance(spec, str) or any(isinstance(c, (list, tuple)) for c in spec):
         perm = perm_from_cycles(n, spec)
     else:
-        perm = tuple(int(v) for v in spec)
-    try:
-        return group.perms.index(perm)
-    except ValueError:
-        raise ValidationError(f"permutation {spec!r} not in {group.name}") from None
+        perm = _int_entries(spec, spec)
+    m = len(perm)
+    rank = sum(sum(y < x for y in perm[j + 1 :]) * math.factorial(m - 1 - j) for j, x in enumerate(perm))
+    if len(images) < math.factorial(n):
+        rank //= 2
+    if rank >= len(images) or images[rank].tolist() != list(perm):
+        raise ValidationError(f"permutation {spec!r} not in {group.name}")
+    return rank
 
 
 def _permutation_group(name: str, n: int, even_only: bool, descriptor: dict) -> FiniteGroup:
@@ -295,17 +302,16 @@ def _permutation_group(name: str, n: int, even_only: bool, descriptor: dict) -> 
     over the last axis.  Each is exact, as every partial sum is an integer
     below n^(n-1) <= 8^7 < 2^24.
     """
-    perms = list(itertools.permutations(range(n)))
-    images = np.array(perms, dtype=np.int32)
+    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
+    images = np.fromiter(flat, np.int32, n * math.factorial(n)).reshape(-1, n)
     if even_only:
-        even = np.flatnonzero(perm_parities(images) == 0)
-        perms, images = [perms[i] for i in even], images[even]
-    width = max(n - 1, 1)
+        images = images[perm_parities(images) == 0]
+    order, width = len(images), max(n - 1, 1)
     weights = n ** np.arange(width - 1, -1, -1, dtype=np.int32)
     rank = np.zeros(n**width, dtype=np.int32)
-    rank[images[:, :width] @ weights] = np.arange(len(perms), dtype=np.int32)
+    rank[images[:, :width] @ weights] = np.arange(order, dtype=np.int32)
     placed = np.zeros(images.shape, dtype=np.float32)
-    placed[np.arange(len(perms))[:, None], images[:, :width]] = weights
+    placed[np.arange(order)[:, None], images[:, :width]] = weights
     columns = images.astype(np.float32)
 
     def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -317,14 +323,14 @@ def _permutation_group(name: str, n: int, even_only: bool, descriptor: dict) -> 
 
     g = FiniteGroup(
         name=name,
-        order=len(perms),
-        make_labels=lambda: map(perm_cycle_label, perms),
+        order=order,
+        make_labels=lambda: map(perm_cycle_label, images.tolist()),
         identity=0,
         inverse=rank[np.argsort(images, axis=1)[:, :width] @ weights],
         kernel=kernel,
         descriptor=descriptor,
     )
-    g.perms, g.images = perms, _read_only(images)
+    g.images = _read_only(images)
     return g
 
 
@@ -436,17 +442,16 @@ def _matrix_group(name: str, p: int, order: int, keep_det, descriptor: dict) -> 
     det_inverse = np.array([0] + [pow(v, p - 2, p) for v in range(1, p)])[(a * d - b * c) % p]
     # the inverse is det^-1 * [[d, -b], [-c, a]]
     a, b, c, d = (v * det_inverse % p for v in (d, -b, -c, a))
-    matrices = list(map(tuple, mats.tolist()))
     g = FiniteGroup(
         name=name,
         order=len(mats),
-        make_labels=lambda: ("[[{},{}],[{},{}]]".format(*m) for m in matrices),
+        make_labels=lambda: ("[[{},{}],[{},{}]]".format(*m) for m in mats.tolist()),
         identity=int(by_columns[p * p2 + 1]),
         inverse=by_columns[(a * p + c) * p2 + b * p + d],
         kernel=kernel,
         descriptor=descriptor,
     )
-    g.matrices = matrices
+    g.matrices = _read_only(mats)
     return g
 
 
@@ -576,16 +581,13 @@ class Subgroup:
         renumber[old] = np.arange(len(reps))
         power = np.empty(group.order, dtype=np.int64)
         power[flat] = np.arange(flat.size)
-        orbits = AbelianOrbits(
-            listing=listing,
-            orbit_of=renumber[coset_of],
-            exponent=power[group.product(np.arange(group.order), group.inverses[reps[coset_of]])],
-            reps=reps[old],
+        return AbelianOrbits(
+            listing=_read_only(listing),
+            orbit_of=_read_only(renumber[coset_of]),
+            exponent=_read_only(power[group.product(np.arange(group.order), group.inverses[reps[coset_of]])]),
+            reps=_read_only(reps[old]),
             inside=int(np.count_nonzero(~outside)),
         )
-        for array in (orbits.listing, orbits.orbit_of, orbits.exponent, orbits.reps):
-            array.flags.writeable = False
-        return orbits
 
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, index={self.index} in {self.parent.name})"
@@ -725,9 +727,7 @@ def closed_subgroup(group: FiniteGroup, elems: np.ndarray | Sequence[int]) -> Su
         coset_of[batch[:, first]] = len(reps) + np.arange(first.size)
         reps = np.concatenate([reps, least])
         free = free[coset_of[free] < 0]
-    for array in (h, coset_of, reps):
-        array.flags.writeable = False
-    return Subgroup(parent=group, elements=h, coset_of=coset_of, coset_reps=reps)
+    return Subgroup(parent=group, elements=_read_only(h), coset_of=_read_only(coset_of), coset_reps=_read_only(reps))
 
 
 def _read_only(array: np.ndarray) -> np.ndarray:

@@ -237,7 +237,7 @@ def _young_values(gens: Sequence[GeneratingSet]) -> list[np.ndarray]:
     its bits.
     """
     gen, count = gens[0], len(gens)
-    n = len(gen.group.perms[0])
+    n = gen.group.images.shape[1]
     table, blocks, order, weights = _young_tables(n)
     indicator = np.zeros((count, gen.group.order // n, n))
     chain = gen.group.chain_index[np.array([g.elements for g in gens], dtype=np.int64)]

@@ -20,6 +20,7 @@ from pairgraph.groups import (
     GeneratingSet,
     Subgroup,
     _read_only,
+    coset_chain,
     make_alternating,
     make_cyclic,
     make_dihedral,
@@ -54,7 +55,7 @@ def subgroup_pool() -> tuple[Subgroup, ...]:
     pool.append(builtin_subgroup(s3, "alternating_in_symmetric"))
     s4 = make_symmetric(4)
     pool.append(builtin_subgroup(s4, "alternating_in_symmetric"))
-    pool.append(subgroup_generated(s4, [s4.perms.index((1, 0, 2, 3)), s4.perms.index((1, 2, 0, 3))]))
+    pool.append(subgroup_generated(s4, [s4.images.tolist().index(p) for p in ([1, 0, 2, 3], [1, 2, 0, 3])]))
     a4 = make_alternating(4)
     pool.append(builtin_subgroup(a4, "klein_in_a4"))
     p26 = make_direct_product(make_cyclic(2), make_cyclic(6))
@@ -175,13 +176,13 @@ def reference_mul(group: FiniteGroup):
 
         return dihedral
     if kind in ("symmetric", "alternating"):
-        perms = group.perms
+        perms = list(map(tuple, group.images.tolist()))
         perm_index = {perm: i for i, perm in enumerate(perms)}
         # left to right: apply perms[a] first, then perms[b]
         return lambda a, b: perm_index[tuple(perms[b][x] for x in perms[a])]
     if kind in ("gl2", "sl2"):
         p = params[0]
-        mats = group.matrices
+        mats = list(map(tuple, group.matrices.tolist()))
         mat_index = {mat: i for i, mat in enumerate(mats)}
 
         def matrix(x, y):
@@ -322,6 +323,18 @@ def _reference_quotients(subgroup: Subgroup) -> np.ndarray:
     return np.array(
         [[mul(group.inv(h), g) for g in range(group.order)] for h in subgroup.elements.tolist()], dtype=np.int64
     ).reshape(subgroup.order, group.order)
+
+
+def reference_chain(group: FiniteGroup) -> np.ndarray:
+    """S_n in the order of ``coset_chain``, built by products of the s_i = (i, i+1) found in ``images``.
+
+    Entry t is the element whose ``chain_index`` is t.
+    """
+    n = group.images.shape[1]
+    rows = group.images.tolist()
+    s = [rows.index([*range(i - 1), i, i - 1, *range(i + 1, n)]) for i in range(1, n)]
+    listing, last = coset_chain(n, group.identity, s, group.product)
+    return group.product(listing[:, None], last).ravel()
 
 
 def count_products(monkeypatch) -> list[int]:

@@ -105,12 +105,13 @@ def test_automorphism_group_brute_force_oracle():
 
 def _conjugations(group, by):
     """The maps x -> c^-1 * x * c for every c in ``by``, on the permutations of ``group``."""
-    index = {perm: i for i, perm in enumerate(group.perms)}
+    perms = list(map(tuple, group.images.tolist()))
+    index = {perm: i for i, perm in enumerate(perms)}
     maps = set()
-    for c in by.perms:
+    for c in by.images.tolist():
         c_inv = tuple(sorted(range(len(c)), key=c.__getitem__))
         # left to right: apply c^-1, then x, then c
-        maps.add(tuple(index[tuple(c[x[c_inv[v]]] for v in range(len(c)))] for x in group.perms))
+        maps.add(tuple(index[tuple(c[x[c_inv[v]]] for v in range(len(c)))] for x in perms))
     return sorted(maps)
 
 

@@ -441,6 +441,10 @@ def test_outputs_replace_existing_files_and_write_through_symlinks(tmp_path, cap
     assert (code, out, err) == (2, "", f"error: [Errno 21] Is a directory: '{tmp_path}'\n")
     assert (tmp_path / "old.dot").read_text() == graph_to_dot(graph)
     assert sorted(p.name for p in tmp_path.iterdir()) == ["link.json", "old.dot", "target.json"]
+    # a device is written in place, so it may be named twice
+    code, out, err = run_cli(capsys, "build", *Z12, "--set", "1,7", "--format", "json",
+                             "--out", os.devnull, "--dot", os.devnull)
+    assert (code, out, err) == (0, "", "")
 
 
 @pytest.mark.parametrize(

@@ -49,6 +49,7 @@ from helpers import (
     generated_group,
     instance_corpus,
     reference_element_order,
+    reference_chain,
     reference_mul,
     reference_subgroup,
     subgroup_pool,
@@ -294,6 +295,29 @@ def test_perm_from_cycles_roundtrip():
         with pytest.raises(ValidationError, match=re.escape(f"bad cycle entry {token!r} in {spec!r}")):
             perm_from_cycles(3, spec)
     assert builtin_subgroup(make_alternating(4), "klein_in_a4").order == 4
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_chain_index_is_the_place_in_the_product_built_chain(n):
+    group = make_symmetric(n)
+    chain = group.chain_index
+    assert sorted(chain.tolist()) == list(range(group.order))
+    assert chain[reference_chain(group)].tolist() == list(range(group.order))
+
+
+@pytest.mark.parametrize("make", [make_symmetric, make_alternating])
+@pytest.mark.parametrize("n", range(1, 8))
+def test_perm_index_is_the_row_of_images(make, n):
+    group = make(n)
+    assert [perm_index(group, row) for row in group.images] == list(range(group.order))
+
+
+def test_closed_forms_multiply_nothing(monkeypatch):
+    s6, a6 = make_symmetric(6), make_alternating(6)
+    count = count_products(monkeypatch)
+    assert s6.chain_index[146] == 473
+    assert [perm_index(s6, "(1,2,3)(4,5)"), perm_index(a6, "(1,2,3)"), perm_index(a6, (5, 4, 3, 2, 0, 1))] == [146, 72, 359]
+    assert count == [0]
 
 
 def test_field_norm_preimage():

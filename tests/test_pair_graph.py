@@ -316,7 +316,7 @@ def test_cayley_reduction_rejects_a_moved_edge():
 def test_involution_sets_always_reduce():
     # sets of self-inverse outside elements are symmetric
     s4 = make_symmetric(4)
-    a4 = subgroup_from_elements(s4, [i for i, p in enumerate(s4.perms) if sum(
+    a4 = subgroup_from_elements(s4, [i for i, p in enumerate(s4.images.tolist()) if sum(
         1 for x in range(4) for y in range(x + 1, 4) if p[x] > p[y]) % 2 == 0])
     transpositions = [perm_index(s4, w) for w in ("(1,2)", "(3,4)")]
     assert is_cayley_reduction(build_pair_graph(a4, transpositions))

@@ -1,5 +1,7 @@
 """Refusals and argument forms of the public functions: each raises its documented error and message."""
 
+import re
+
 import pytest
 
 from pairgraph import actions, spectral
@@ -16,6 +18,7 @@ from pairgraph.groups import (
     make_symmetric,
     perm_from_cycles,
     perm_index,
+    reachable_subgroups,
     subgroup_from_elements,
     validate_generating_set,
 )
@@ -74,10 +77,33 @@ def test_permutation_refusals():
     with pytest.raises(ValidationError, match="^Z/4 is not a permutation group$"):
         perm_index(make_cyclic(4), "(1,2)")
     s4 = make_symmetric(4)
-    assert s4.perms[perm_index(s4, (1, 0, 3, 2))] == (1, 0, 3, 2)
+    assert s4.images[perm_index(s4, (1, 0, 3, 2))].tolist() == [1, 0, 3, 2]
     assert perm_index(s4, (1, 0, 3, 2)) == perm_index(s4, "(1,2)(3,4)")
     with pytest.raises(ValidationError, match=r"^permutation '\(1,2\)' not in A4$"):
         perm_index(make_alternating(4), "(1,2)")
+
+
+@pytest.mark.parametrize(
+    "spec, message",
+    [
+        ([1, (2, 3)], "cycle 1 in [1, (2, 3)] is not a list or tuple"),
+        ([[1, 2], 3], "cycle 3 in [[1, 2], 3] is not a list or tuple"),
+        ([(1, "a")], "permutation entry 'a' in [(1, 'a')] is not an integer"),
+        ([(1.5, 2)], "permutation entry 1.5 in [(1.5, 2)] is not an integer"),
+        ([(True, 2)], "permutation entry True in [(True, 2)] is not an integer"),
+        (("1", 0, 3, 2), "permutation entry '1' in ('1', 0, 3, 2) is not an integer"),
+        ((1.0, 0, 3, 2), "permutation entry 1.0 in (1.0, 0, 3, 2) is not an integer"),
+        ((1, 0, 3), "permutation (1, 0, 3) not in S4"),
+        ((1, 0, 3, 2, 4), "permutation (1, 0, 3, 2, 4) not in S4"),
+        ((1, 1, 3, 2), "permutation (1, 1, 3, 2) not in S4"),
+    ],
+    ids=["int-cycle-first", "int-cycle-last", "str-in-cycle", "float-in-cycle", "bool-in-cycle", "str-image",
+         "float-image", "short-images", "long-images", "repeated-image"],
+)
+def test_malformed_permutation_specs(spec, message):
+    """Each once escaped as a TypeError or was coerced by ``int``; only int entries are read."""
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        perm_index(make_symmetric(4), spec)
 
 
 def test_constructor_refusals():
@@ -92,6 +118,14 @@ def test_generating_set_of_another_subgroup(z12_evens):
     gen = validate_generating_set(thirds, [1, 2])
     with pytest.raises(ValidationError, match="^generating set was validated against a different subgroup$"):
         build_pair_graph(z12_evens, gen)
+
+
+def test_reachable_blocks_of_no_set_and_of_two_subgroups(z12_evens):
+    assert reachable_subgroups([]) == []
+    thirds = subgroup_from_elements(z12_evens.parent, [0, 3, 6, 9])
+    block = [validate_generating_set(z12_evens, [1]), validate_generating_set(thirds, [1])]
+    with pytest.raises(ValidationError, match="^a block holds sets on one subgroup$"):
+        reachable_subgroups(block)
 
 
 def test_cayley_reduction_needs_a_set_outside(z12_evens):
