@@ -1,10 +1,8 @@
 """Exact finite group arithmetic on dense integer element indices.
 
-Concrete structure lives in one read-only array per family, set by its
-constructor: a permutation group's images, a matrix group's entries, and the
-field beside F_{p^k}.  Element labels, ``perm_index`` and
-``FiniteGroup.chain_index`` are read off those arrays; every other module
-works with indices 0..order-1, the product and the inverse map.
+Concrete structure (permutation images, matrix entries, the field) lives in one read-only
+array or object per family, which labels, ``perm_index`` and ``FiniteGroup.chain_index`` read;
+every other module works with indices 0..order-1, the product and the inverse map.
 
 Each family supplies one vectorised kernel, a numpy function that multiplies
 two index arrays elementwise under broadcasting.  The slow families multiply
@@ -126,10 +124,11 @@ class FiniteGroup:
     def chain_index(self) -> np.ndarray:
         """For S_n: each element's place in the ``coset_chain`` listing, a Lehmer code of its images x.
 
-        Composed left to right, c_i at level j sends j to i and moves i..j-1 up
-        by one, so digit j (0-indexed) is #{k < j : x(k) < x(j)}, of radix j + 1,
-        digit 1 leading: the place sums n! / (j + 1)! over the pairs k < j with x(k) < x(j).
+        c_i at level j sends j to i and moves i..j-1 up by one, so digit j (0-indexed) is #{k < j : x(k) < x(j)},
+        of radix j + 1, digit 1 leading: the place sums n! / (j + 1)! over the pairs k < j with x(k) < x(j).
         """
+        if self.descriptor.get("kind") != "symmetric":  # the c_i of S_n lie outside A_n
+            raise ValidationError(f"chain_index needs a symmetric group, not {self.name}")
         n = self.images.shape[1]
         k, j = np.triu_indices(n, 1)
         weights = np.array([math.factorial(n) // math.factorial(x + 1) for x in j.tolist()], dtype=np.int64)

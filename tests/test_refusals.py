@@ -81,6 +81,9 @@ def test_permutation_refusals():
     assert perm_index(s4, (1, 0, 3, 2)) == perm_index(s4, "(1,2)(3,4)")
     with pytest.raises(ValidationError, match=r"^permutation '\(1,2\)' not in A4$"):
         perm_index(make_alternating(4), "(1,2)")
+    for group in (make_alternating(4), make_cyclic(4)):
+        with pytest.raises(ValidationError, match=f"^chain_index needs a symmetric group, not {group.name}$"):
+            group.chain_index
 
 
 @pytest.mark.parametrize(
