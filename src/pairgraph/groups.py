@@ -127,7 +127,7 @@ class FiniteGroup:
         c_i at level j sends j to i and moves i..j-1 up by one, so digit j (0-indexed) is #{k < j : x(k) < x(j)},
         of radix j + 1, digit 1 leading: the place sums n! / (j + 1)! over the pairs k < j with x(k) < x(j).
         """
-        if self.descriptor.get("kind") != "symmetric":  # the c_i of S_n lie outside A_n
+        if self.descriptor.get("kind") != "symmetric":  # elsewhere the code is no position in the group
             raise ValidationError(f"chain_index needs a symmetric group, not {self.name}")
         n = self.images.shape[1]
         k, j = np.triu_indices(n, 1)
