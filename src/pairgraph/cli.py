@@ -6,7 +6,9 @@ Commands: ``build``, ``analyze``, ``spectrum``, ``ramanujan``, ``search`` and
 option the command does not take or an unwritable output path included),
 3 eigensolver non-convergence, 4 reference-case mismatch.  Every random
 operation requires an explicit ``--seed`` so runs are reproducible.  The
-parser is built once, when this module is imported, and ``main`` reuses it.
+instance commands print through ``_report``: sorted JSON under ``--format
+json``, else their text form.  The parser is built once, when this module is
+imported, and ``main`` reuses it.
 """
 
 from __future__ import annotations
@@ -22,7 +24,6 @@ from .descriptors import group_from_descriptor, set_from_descriptor, subgroup_fr
 from .errors import EigensolverError, PairGraphError, ValidationError
 from .graphs import (
     PairGraph,
-    build_pair_graph,
     degree_profile,
     graph_to_dot,
     graph_to_json,
@@ -121,97 +122,64 @@ def _emit(text: str, out: Optional[str], also: Sequence[tuple[str, str]] = ()) -
         sys.stdout.write(text)
 
 
-def cmd_build(args) -> int:
-    gen = _resolve_gen(args)
-    graph = build_pair_graph(gen.subgroup, gen)
-    if args.format == "text":
-        text = (
-            f"pair graph on {graph.order} vertices, {graph.edge_count()} edges\n"
-            f"degree profile: {degree_profile(graph)}\n"
-        )
-    else:
-        text = json.dumps(graph_to_json(graph), sort_keys=True) + "\n"
-    _emit(text, args.out, [(args.dot, graph_to_dot(graph))] if args.dot else [])
+def _report(args, payload: dict, text: Optional[str] = None, also: Sequence[tuple[str, str]] = ()) -> int:
+    """Emit an instance command's report: ``payload`` as sorted JSON under ``--format json``, else
+    ``text``, by default the sorted ``key: value`` lines of ``payload``."""
+    if args.format == "json":
+        text = json.dumps(payload, sort_keys=True) + "\n"
+    elif text is None:
+        text = "".join(f"{key}: {payload[key]}\n" for key in sorted(payload))
+    _emit(text, args.out, also)
     return EXIT_OK
 
 
-def _analysis_payload(graph: PairGraph) -> dict:
-    comp = connected_components(graph)
-    formula = component_count_by_formula(graph.gen)
-    conn = is_connected(graph.gen)
-    bip = is_bipartite(graph)
-    reg = regularity_check(graph)
-    return {
-        "components": comp.count,
-        "formula_components": formula.total,
+def cmd_build(args) -> int:
+    graph = PairGraph(_resolve_gen(args))
+    also = [(args.dot, graph_to_dot(graph))] if args.dot else []
+    if args.format == "json":  # only the JSON export lists the edges
+        return _report(args, graph_to_json(graph), also=also)
+    text = f"pair graph on {graph.order} vertices, {graph.edge_count()} edges\n"
+    return _report(args, {}, f"{text}degree profile: {degree_profile(graph)}\n", also)
+
+
+def cmd_analyze(args) -> int:
+    graph = PairGraph(_resolve_gen(args))
+    conn, reg = is_connected(graph.gen), regularity_check(graph)
+    return _report(args, {
+        "components": connected_components(graph).count,
+        "formula_components": component_count_by_formula(graph.gen).total,
         "connected": conn.connected,
         "connectivity_witness": conn.witness,
-        "bipartite": bip.bipartite,
+        "bipartite": is_bipartite(graph).bipartite,
         "isolated": isolated_vertices(graph).tolist(),
         "degree_profile": [list(entry) for entry in degree_profile(graph)],
         "regular": reg.regular,
         "degree": reg.degree,
-    }
-
-
-def cmd_analyze(args) -> int:
-    gen = _resolve_gen(args)
-    graph = build_pair_graph(gen.subgroup, gen)
-    payload = _analysis_payload(graph)
-    if args.format == "json":
-        text = json.dumps(payload, sort_keys=True) + "\n"
-    else:
-        lines = [f"{key}: {payload[key]}" for key in sorted(payload)]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return EXIT_OK
+    })
 
 
 def cmd_spectrum(args) -> int:
     gen = _resolve_gen(args)
     spectrum = compute_spectrum(PairGraph(gen), args.tolerance)
+    payload = {"clusters": [[value, count] for value, count in spectrum.clusters], "tolerance": spectrum.tolerance}
+    if gen.elements:
+        te = trivial_eigenvalues(gen)
+        payload.update(trivial_upper=te.upper, trivial_lower=te.lower,
+                       zero_multiplicity_lower_bound=zero_multiplicity_lower_bound(gen))
     if args.format == "csv":
-        rows = ["value,multiplicity"]
-        rows += [f"{value:.12g},{count}" for value, count in spectrum.clusters]
-        text = "\n".join(rows) + "\n"
-    elif args.format == "json":
-        payload = {
-            "clusters": [[value, count] for value, count in spectrum.clusters],
-            "tolerance": spectrum.tolerance,
-        }
-        if gen.elements:
-            te = trivial_eigenvalues(gen)
-            payload["trivial_upper"] = te.upper
-            payload["trivial_lower"] = te.lower
-            payload["zero_multiplicity_lower_bound"] = zero_multiplicity_lower_bound(gen)
-        text = json.dumps(payload, sort_keys=True) + "\n"
+        text = "".join(["value,multiplicity\n", *(f"{value:.12g},{count}\n" for value, count in spectrum.clusters)])
     else:
-        lines = [f"{value:>14.8f}  x{count}" for value, count in spectrum.clusters]
-        text = "\n".join(lines) + "\n"
-    _emit(text, args.out)
-    return EXIT_OK
+        text = "".join(f"{value:>14.8f}  x{count}\n" for value, count in spectrum.clusters)
+    return _report(args, payload, text)
 
 
 def cmd_ramanujan(args) -> int:
     gen = _resolve_gen(args)
-    report = is_ramanujan(PairGraph(gen), None, args.tolerance)
-    payload = {
-        "ramanujan": report.ramanujan,
-        "degree": report.degree,
-        "worst_nontrivial": report.worst_nontrivial,
-        "bound": report.bound,
-        "margin": report.margin,
-    }
+    payload = dict(vars(is_ramanujan(PairGraph(gen), None, args.tolerance)))
     if gen.subgroup.index == 2 and not gen.inside:
         size_bound = ramanujan_size_bound(gen)
-        payload["size_bound"] = size_bound.bound
-        payload["size_bound_satisfied"] = size_bound.satisfied
-    if args.format == "json":
-        text = json.dumps(payload, sort_keys=True) + "\n"
-    else:
-        text = "\n".join(f"{key}: {payload[key]}" for key in sorted(payload)) + "\n"
-    _emit(text, args.out)
-    return EXIT_OK
+        payload.update(size_bound=size_bound.bound, size_bound_satisfied=size_bound.satisfied)
+    return _report(args, payload)
 
 
 def cmd_search(args) -> int:

@@ -163,11 +163,30 @@ def _check_order(order: int) -> None:
         raise SizeCapExceeded(f"group order {order} exceeds the cap {ORDER_CAP}")
 
 
+def _int_entries(values: Iterable, what: str, error=ValidationError, within=None) -> list[int]:
+    """``values`` as ints; an entry that is not an int or numpy integer (a bool, float or str) raises
+    ``error`` naming it as ``what``, and ``within`` if given.  All ints, the usual case, take one pass."""
+    ints = list(values)
+    if all(type(v) is int for v in ints):
+        return ints
+    for v in ints:
+        if type(v) is not int and not isinstance(v, np.integer):
+            where = "" if within is None else f" in {within!r}"
+            raise error(f"{what} {v!r}{where} is not an integer")
+    return list(map(int, ints))
+
+
 def _element_indices(
     group: FiniteGroup, elements: Iterable[int], what: str = "element", error: type[ValidationError] = ValidationError
 ) -> list[int]:
-    """``elements`` as ascending distinct ints; ``error`` names the least one outside 0..order-1 as ``what``."""
-    elems = sorted(set(map(int, elements)))
+    """``elements`` as ascending distinct ints; ``error`` names, as ``what``, an entry that is not an int
+    or numpy integer, else the least one outside 0..order-1."""
+    if isinstance(elements, np.ndarray) and elements.dtype.kind in "iu":
+        elems = sorted(set(elements.tolist()))
+    elif isinstance(elements, Iterable):
+        elems = sorted(set(_int_entries(elements, what, error)))
+    else:
+        raise error(f"{what}s must be a list, got {elements!r}")
     if elems and (elems[0] < 0 or elems[-1] >= group.order):
         bad = next(x for x in elems if not 0 <= x < group.order)
         raise error(f"{what} {bad} out of range")
@@ -201,14 +220,6 @@ def make_cyclic(n: int) -> FiniteGroup:
     )
 
 
-def _int_entries(values, spec) -> tuple[int, ...]:
-    """``values`` as ints; an entry that is not an int or numpy integer (a bool, float or str) raises, named."""
-    for v in values:
-        if type(v) is not int and not isinstance(v, np.integer):
-            raise ValidationError(f"permutation entry {v!r} in {spec!r} is not an integer")
-    return tuple(map(int, values))
-
-
 def perm_from_cycles(n: int, spec) -> tuple[int, ...]:
     """Permutation of degree n from 1-indexed cycles, e.g. "(1,2)(3,4)" or [(1,2),(3,4)].
 
@@ -226,11 +237,13 @@ def perm_from_cycles(n: int, spec) -> tuple[int, ...]:
             if bad is not None:
                 raise ValidationError(f"bad cycle entry {bad!r} in {spec!r}")
             cycles = [tuple(map(int, part)) for part in tokens]
+    elif not isinstance(spec, Iterable):
+        raise ValidationError(f"cycles {spec!r} are not a string, list or tuple")
     else:
         bad = next((c for c in spec if not isinstance(c, (list, tuple))), None)
         if bad is not None:
             raise ValidationError(f"cycle {bad!r} in {spec!r} is not a list or tuple")
-        cycles = [_int_entries(c, spec) for c in spec]
+        cycles = [tuple(_int_entries(c, "permutation entry", within=spec)) for c in spec]
     result = list(range(n))
     for cyc in cycles:
         if any(not 1 <= v <= n for v in cyc):
@@ -275,10 +288,12 @@ def perm_index(group: FiniteGroup, spec) -> int:
     if images is None:
         raise ValidationError(f"{group.name} is not a permutation group")
     n = images.shape[1]
+    if not isinstance(spec, Iterable):
+        raise ValidationError(f"permutation {spec!r} is not cycles or an image tuple")
     if isinstance(spec, str) or any(isinstance(c, (list, tuple)) for c in spec):
         perm = perm_from_cycles(n, spec)
     else:
-        perm = _int_entries(spec, spec)
+        perm = _int_entries(spec, "permutation entry", within=spec)
     m = len(perm)
     rank = sum(sum(y < x for y in perm[j + 1 :]) * math.factorial(m - 1 - j) for j, x in enumerate(perm))
     if len(images) < math.factorial(n):

@@ -112,6 +112,20 @@ def test_spectrum_json_includes_trivial_values(capsys):
     payload = json.loads(out)
     assert abs(payload["trivial_upper"] - 4 * math.sqrt(3)) < 1e-9
     assert payload["zero_multiplicity_lower_bound"] == 35
+    # the whole payload, each value the library's own
+    from pairgraph import descriptors, graphs, groups, spectral
+
+    group = descriptors.group_from_descriptor("field_additive:7,2")
+    sub = descriptors.subgroup_from_descriptor(group, "0,1,2,3,4,5,6")
+    gen = groups.validate_generating_set(sub, descriptors.set_from_descriptor(group, {"norm_preimage": ["5", "6"]}))
+    spectrum, trivial = spectral.compute_spectrum(graphs.PairGraph(gen)), spectral.trivial_eigenvalues(gen)
+    assert payload == {
+        "clusters": [[value, count] for value, count in spectrum.clusters],
+        "tolerance": spectrum.tolerance,
+        "trivial_upper": trivial.upper,
+        "trivial_lower": trivial.lower,
+        "zero_multiplicity_lower_bound": spectral.zero_multiplicity_lower_bound(gen),
+    }
 
 
 def test_ramanujan_verdict(capsys):
@@ -140,16 +154,16 @@ def test_ramanujan_requires_regular(capsys):
 
 
 def test_spectrum_and_ramanujan_build_no_graph(monkeypatch, capsys):
-    from pairgraph import cli, graphs, spectral
+    from pairgraph import graphs, spectral
     from pairgraph.descriptors import builtin_subgroup, group_from_descriptor
     from pairgraph.actions import random_candidate
     from test_golden_cli import CASES, GOLDEN
 
     def refuse(*args, **kwargs):
-        raise AssertionError("the command built a graph")
+        raise AssertionError("the command built the edge list")
 
-    monkeypatch.setattr(cli, "build_pair_graph", refuse)
-    with pytest.raises(AssertionError, match="built a graph"):
+    monkeypatch.setattr(graphs, "_build_edges", refuse)
+    with pytest.raises(AssertionError, match="built the edge list"):
         main(["analyze", "--group", "cyclic:12", "--subgroup", "0,3,6,9", "--set", "1,7"])
     capsys.readouterr()
     for name in ("spectrum-readme-csv", "spectrum-mixed-text", "spectrum-mixed-csv"):
@@ -551,3 +565,13 @@ def test_importing_the_library_leaves_the_cli_out():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
     code = "import sys, pairgraph; assert pairgraph.__file__.startswith(sys.argv[1]); assert 'pairgraph.cli' not in sys.modules"
     subprocess.run([sys.executable, "-c", code, src], env=env, check=True)
+    # the library and its CLI need only numpy: neither the test tools nor the undeclared scipy get imported
+    code = (
+        "import sys, pairgraph.cli as cli\n"
+        "assert cli.main(['spectrum', '--group', 'cyclic:20', '--subgroup', 'evens', '--set', '3,5,7']) == 0\n"
+        "assert cli.main(['search', '--group', 'gl2:3', '--subgroup', 'sl2_in_gl2', '--k', '17', '--trials', '2',"
+        " '--seed', '0']) == 0\n"
+        "loaded = {'scipy', 'hypothesis', 'pytest', 'pytest_benchmark'} & set(sys.modules)\n"
+        "assert not loaded, loaded\n"
+    )
+    subprocess.run([sys.executable, "-c", code], env=env, check=True, stdout=subprocess.DEVNULL)

@@ -2,15 +2,17 @@
 
 import re
 
+import numpy as np
 import pytest
 
 from pairgraph import actions, spectral
-from pairgraph.actions import SearchConfig, generating_set_orbit
+from pairgraph.actions import SearchConfig, generating_set_orbit, right_translate_set
 from pairgraph.cli import main
 from pairgraph.descriptors import set_from_descriptor, subgroup_from_descriptor
-from pairgraph.errors import IndexNotTwo, NotAnAutomorphism, SizeCapExceeded, ValidationError
+from pairgraph.errors import IndexNotTwo, NotAnAutomorphism, NotASubgroup, SizeCapExceeded, ValidationError
 from pairgraph.graphs import build_pair_graph, is_cayley_reduction
 from pairgraph.groups import (
+    generated_elements,
     make_alternating,
     make_cyclic,
     make_dihedral,
@@ -99,14 +101,52 @@ def test_permutation_refusals():
         ((1, 0, 3), "permutation (1, 0, 3) not in S4"),
         ((1, 0, 3, 2, 4), "permutation (1, 0, 3, 2, 4) not in S4"),
         ((1, 1, 3, 2), "permutation (1, 1, 3, 2) not in S4"),
+        (5, "permutation 5 is not cycles or an image tuple"),
+        (None, "permutation None is not cycles or an image tuple"),
+        (None, "cycles None are not a string, list or tuple"),
     ],
     ids=["int-cycle-first", "int-cycle-last", "str-in-cycle", "float-in-cycle", "bool-in-cycle", "str-image",
-         "float-image", "short-images", "long-images", "repeated-image"],
+         "float-image", "short-images", "long-images", "repeated-image", "int-spec", "none-spec", "none-cycles"],
 )
-def test_malformed_permutation_specs(spec, message):
+def test_malformed_permutation_specs(spec, message, request):
     """Each once escaped as a TypeError or was coerced by ``int``; only int entries are read."""
     with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
-        perm_index(make_symmetric(4), spec)
+        if request.node.callspec.id == "none-cycles":
+            perm_from_cycles(4, spec)
+        else:
+            perm_index(make_symmetric(4), spec)
+
+
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda g, h: subgroup_from_elements(g, [0.0, 6.5]), NotASubgroup, "element 0.0 is not an integer"),
+        (lambda g, h: subgroup_from_elements(g, 5), NotASubgroup, "elements must be a list, got 5"),
+        (lambda g, h: validate_generating_set(h, [2.9, True]), ValidationError,
+         "generating element 2.9 is not an integer"),
+        (lambda g, h: validate_generating_set(h, [1, True]), ValidationError,
+         "generating element True is not an integer"),
+        (lambda g, h: h.contains("3"), ValidationError, "element '3' is not an integer"),
+        (lambda g, h: right_translate_set(subgroup_from_elements(g, range(0, 12, 2)), [1, 3], 2.5),
+         ValidationError, "translating element 2.5 is not an integer"),
+        (lambda g, h: generated_elements(g, np.array([3.0])), ValidationError,
+         f"generator {np.float64(3.0)!r} is not an integer"),
+    ],
+    ids=["float-subgroup", "bare-int-subgroup", "float-set", "bool-set", "str-contains", "float-translate",
+         "float-array"],
+)
+def test_elements_are_ints_only(call, error, message):
+    """Each once passed through ``int``, or escaped as a TypeError; only ints and numpy integers are read."""
+    group = make_cyclic(12)
+    with pytest.raises(error, match=f"^{re.escape(message)}$"):
+        call(group, subgroup_from_elements(group, [0, 3, 6, 9]))
+
+
+def test_numpy_integers_are_read_as_ints():
+    group = make_cyclic(12)
+    assert generated_elements(group, np.array([4], dtype=np.uint8)).tolist() == [0, 4, 8]
+    gen = validate_generating_set(subgroup_from_elements(group, [0, 3, 6, 9]), (np.int64(1), 11))
+    assert gen.elements == (1, 11) and all(type(x) is int for x in gen.elements)
 
 
 def test_constructor_refusals():
