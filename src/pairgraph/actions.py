@@ -182,15 +182,16 @@ def generating_set_orbit(
     else:
         for psi in automorphisms:
             verify_automorphism(group, psi)
+    maps = np.array(automorphisms, dtype=np.int64).reshape(-1, group.order)
     # an automorphism preserves H when it sends no element of H outside
-    usable = [psi for psi in automorphisms if not subgroup.coset_of[np.asarray(psi)[subgroup.elements]].any()]
+    usable = maps[~subgroup.coset_of[maps[:, subgroup.elements]].any(axis=1)]
     seen = {start.elements}
     queue = [start.elements]
     while queue:
-        current = queue.pop()
-        moved = [right_translate_set(subgroup, current, h) for h in subgroup.elements]
-        moved += [tuple(sorted(psi[x] for x in current)) for psi in usable]
-        for nxt in moved:
+        current = np.array(queue.pop(), dtype=np.int64)
+        # each row is one move: the right translates current*h, then the images psi(current)
+        moved = np.concatenate([group.product(current, subgroup.elements[:, None]), usable[:, current]])
+        for nxt in map(tuple, np.sort(moved, axis=1).tolist()):
             if nxt not in seen:
                 if len(seen) >= ORBIT_SIZE_CAP:
                     raise SizeCapExceeded("orbit exceeded the size cap")

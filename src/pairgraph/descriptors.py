@@ -101,6 +101,8 @@ def _json(text: str, what: str):
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise ValidationError(f"{what} {text!r} is not valid JSON: {exc}") from None
+    except RecursionError:
+        raise ValidationError(f"{what} nests too deeply") from None
 
 
 def builtin_subgroup(group: FiniteGroup, name: str) -> Subgroup:

@@ -634,16 +634,9 @@ def _abelian_subgroup(group: FiniteGroup, h: np.ndarray) -> np.ndarray:
     h, order, low = h[by_order], order[by_order], np.array(list(low.values()))[:, by_order]
     # k, then the least element of each prime order p | n, which exists for every such p
     primes = [p for p in np.unique(order).tolist() if is_prime(p)]
-    starts = np.array(list(dict.fromkeys([0, *(int(np.argmax(order == p)) for p in primes)])))
-    # a start's centralizer bounds every K through it, so the starts go by
-    # descending centralizer and one that can at best lose or tie later is skipped
-    commuting = group.product(h[:, None], h[starts]) == group.product(h[starts], h[:, None])
-    ranked = [(-np.count_nonzero(commuting[:, rank]), rank, start) for rank, start in enumerate(starts)]
-    best, best_rank = None, None
-    for bound, rank, start in sorted(ranked):
-        if best is not None and (1 - bound, -rank) <= (best.size, -best_rank):
-            continue
-        free = np.flatnonzero(commuting[:, rank])
+    best = None
+    for start in dict.fromkeys([0, *(int(np.argmax(order == p)) for p in primes)]):
+        free = np.flatnonzero(group.product(h, h[start]) == group.product(h[start], h))
         listing = _powers(group, h[start], order[start])
         while True:
             in_k = np.zeros(group.order, dtype=bool)
@@ -656,8 +649,8 @@ def _abelian_subgroup(group: FiniteGroup, h: np.ndarray) -> np.ndarray:
             g = h[free[0]]
             listing = group.product(listing[..., None], _powers(group, g, order[free[0]]))
             free = free[group.product(h[free], g) == group.product(g, h[free])]
-        if best is None or (listing.size, -rank) > (best.size, -best_rank):
-            best, best_rank = listing, rank
+        if best is None or listing.size > best.size:
+            best = listing
     return best
 
 

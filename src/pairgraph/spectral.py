@@ -155,9 +155,9 @@ def _character_values(gens: Sequence[GeneratingSet]) -> list[np.ndarray]:
     the orbit representatives t in H, laid out as (set, l, row, column orbit)
     with l flat.  The columns are the orbits a set meets outside H, after the
     orbits in H when S meets H or H has one orbit.  Sets that meet the same
-    number of orbits share a stack; one K axis takes numpy's FFT, several
-    take ``_dft``.  Each FFT line, matmul and LAPACK call in a stack is the
-    2-D problem a block of one solves, so stacking keeps every bit.
+    number of orbits share a stack, transformed by numpy's FFT along each K
+    axis.  Each FFT line, matmul and LAPACK call in a stack is the 2-D
+    problem a block of one solves, so stacking keeps every bit.
     """
     gen, orbits = gens[0], gens[0].subgroup.abelian_orbits
     r, sets = orbits.inside, np.arange(len(gens))[:, None, None]
@@ -187,18 +187,18 @@ def _stack_values(gen: GeneratingSet, layout: np.ndarray) -> np.ndarray:
     shape, (count, _, r, columns) = gen.subgroup.abelian_orbits.listing.shape, layout.shape
     in_h = r if gen.inside or r == 1 else 0
     if r == 1:  # K = H: each block [[c, b], [b^*, 0]] has the nonzero values (c +/- sqrt(c^2 + 4|b|^2)) / 2
-        if len(shape) == 1:  # one C-ordered row per column, so |b|^2 sums in a fixed order
-            f = np.fft.fft(np.ascontiguousarray(layout[:, :, 0].swapaxes(1, 2)), axis=2)
-        else:
-            f = _dft(layout[:, :, 0], shape).swapaxes(1, 2)
+        # one C-ordered row per column, so |b|^2 sums in a fixed order
+        rows = np.ascontiguousarray(layout[:, :, 0].swapaxes(1, 2)).reshape(count, columns, *shape)
+        f = np.fft.fftn(rows, axes=tuple(range(2, 2 + len(shape)))).reshape(count, columns, -1)
         c = f[:, 0].real
         if gen.subgroup.index == 1:
             return c
         root = np.sqrt(c * c + 4.0 * (np.abs(f[:, 1:]) ** 2).sum(axis=1))
         return np.concatenate([(c + root) / 2.0, (c - root) / 2.0], axis=1)
-    # characters j and -j give conjugate blocks, with the same values: rfft keeps j = 0..n/2
+    # characters j and -j give conjugate blocks, with the same values: rfft's grid holds one of each pair
     keep, weight = _conjugate_pairs(shape)
-    f = np.fft.rfft(layout, axis=1) if len(shape) == 1 else _dft(layout, shape)[:, keep]
+    f = np.fft.rfftn(layout.reshape(count, *shape, r, columns), axes=tuple(range(1, 1 + len(shape))))
+    f = f.reshape(count, math.prod(f.shape[1:-2]), r, columns)[:, keep]  # no -1: a stack may have no columns
     inside, cross = f[..., :in_h], f[..., in_h:]
     if gen.inside:
         adjoint = cross.conj().swapaxes(2, 3)
@@ -216,12 +216,18 @@ def _stack_values(gen: GeneratingSet, layout: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _conjugate_pairs(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
-    """The characters j of K with j <= -j in flat order, one per conjugate pair, and 1 where j = -j, else 2."""
-    j = np.indices(shape).reshape(len(shape), -1)
-    negated = np.ravel_multi_index(tuple(-j % np.array(shape)[:, None]), shape)
-    keep = np.flatnonzero(np.arange(len(negated)) <= negated)
-    return keep, np.where(negated[keep] == keep, 1, 2)
+def _conjugate_pairs(shape: tuple[int, ...]) -> tuple[Union[np.ndarray, slice], np.ndarray]:
+    """One character j per conjugate pair {j, -j}, flat on rfft's grid, and 1 where j = -j, else 2.
+
+    The grid holds j_d = 0..n_d/2 on the last K axis; j stands for its pair
+    when -j falls off the grid or does not come before j in flat order.
+    """
+    grid = shape[:-1] + (shape[-1] // 2 + 1,)
+    j = np.indices(grid).reshape(len(shape), -1)
+    own, negated = (np.ravel_multi_index(tuple(x % np.array(shape)[:, None]), shape) for x in (j, -j))
+    keep = np.flatnonzero((-j[-1] % shape[-1] >= grid[-1]) | (own <= negated))
+    # a whole grid, as one axis keeps, is read as a view rather than copied
+    return slice(None) if keep.size == j.shape[1] else keep, np.where(negated[keep] == own[keep], 1, 2)
 
 
 def _young_values(gens: Sequence[GeneratingSet]) -> list[np.ndarray]:
@@ -302,28 +308,6 @@ def _young_tables(n: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray
     order = slice(None) if all(len(group) == 1 for group in groups) else order
     blocks = [(np.stack([gathers[i] for i in group]), np.stack([lasts[i] for i in group])) for group in groups]
     return np.concatenate(tables, axis=1), blocks, order, np.array(weights)
-
-
-def _dft(x: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """The DFT of the real x over its second axis, read as the K axes ``shape``, flat again; the first is the block.
-
-    Each K axis is contracted with its n x n DFT matrix by matmuls stacked
-    over the block, whose inner dimension is all of x after that axis: the
-    first, on real x, by the real cos and sin matrices, as
-    exp(-i theta) = cos - i sin, the rest complex.  ``np.fft.fftn`` over such
-    tiny axes costs more, and no |K| x |K| table is formed.
-    """
-    f = None
-    for i, n in enumerate(shape):
-        theta = 2.0 * np.pi / n * (np.outer(np.arange(n), np.arange(n)) % n)
-        if f is None:
-            parts = np.concatenate([np.cos(theta), np.sin(theta)]) @ x.reshape(len(x), n, -1)
-            f = np.empty(x.shape, dtype=complex)
-            f.real = parts[:, :n].reshape(x.shape)
-            np.negative(parts[:, n:].reshape(x.shape), out=f.imag)
-        else:
-            f = (np.cos(theta) - 1j * np.sin(theta)) @ f.reshape(len(x) * math.prod(shape[:i]), n, -1)
-    return f.reshape(x.shape)
 
 
 @dataclass(frozen=True)

@@ -34,6 +34,7 @@ from pairgraph.graphs import PairGraph, build_pair_graph, degree_profile
 from pairgraph.groups import (
     make_alternating,
     make_cyclic,
+    make_dihedral,
     make_direct_product,
     make_field_additive,
     make_gl2,
@@ -234,6 +235,27 @@ def test_orbit_examples(z20_evens):
         generating_set_orbit(sub3, [1])
 
 
+@pytest.mark.parametrize("s", [(), (1,), (1, 3), (1, 5), (1, 3, 5), (1, 3, 5, 7)])
+def test_orbit_is_the_closure_of_single_moves(s):
+    """The orbit against the closure under ``right_translate_set`` and ``apply_automorphism``, one set and map at a time.
+
+    D4 > {e, r^2, s, s r^2}: half the automorphisms of D4 move this Klein subgroup, so the orbit must skip them.
+    """
+    sub = subgroup_generated(make_dihedral(4), [2, 4])
+    group, automorphisms = sub.parent, automorphism_group(sub.parent)
+    usable = [psi for psi in automorphisms if all(sub.contains(psi[h]) for h in sub.elements.tolist())]
+    assert 0 < len(usable) < len(automorphisms)
+    seen, queue = {s}, [s]
+    while queue:
+        current = queue.pop()
+        moved = [right_translate_set(sub, current, h) for h in sub.elements.tolist()]
+        for nxt in moved + [apply_automorphism(group, psi, current) for psi in usable]:
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    assert generating_set_orbit(sub, s) == generating_set_orbit(sub, s, automorphisms) == sorted(seen)
+
+
 def test_orbit_members_share_invariants(z20_evens):
     orbit = generating_set_orbit(z20_evens, [1, 3, 7])
     reference = None
@@ -296,7 +318,7 @@ def _block_pair(name):
         return builtin_subgroup(make_gl2(3), "sl2_in_gl2")
     if name == "z20":
         return subgroup_from_elements(make_cyclic(20), range(0, 20, 2))
-    if name == "a4xz2":  # K = V4 in A4 x 0, two axes through _dft
+    if name == "a4xz2":  # K = V4 in A4 x 0, two FFT axes
         return subgroup_generated(make_direct_product(make_alternating(4), make_cyclic(2)), [2, 4, 6])
     return builtin_subgroup(make_symmetric(int(name[1:])), "alternating_in_symmetric")
 

@@ -328,6 +328,14 @@ def test_search_tolerance_checked_before_any_trial(capsys, flags, message):
 Z12 = ["--group", "cyclic:12", "--subgroup", "0,3,6,9"]
 
 
+def _nested_product(depth):
+    """A product descriptor whose first factor nests ``depth`` products deep."""
+    text = '"cyclic:1"'
+    for _ in range(depth):
+        text = f'{{"kind": "product", "params": [{text}, "cyclic:1"]}}'
+    return text
+
+
 @pytest.mark.parametrize(
     "argv, message",
     [
@@ -388,6 +396,8 @@ Z12 = ["--group", "cyclic:12", "--subgroup", "0,3,6,9"]
         (["analyze", "--group", '{"kind": "cyclic", "params": [12], "extra": 1}', "--subgroup", "0", "--set", "1"],
          "group descriptor takes 'kind' and 'params' and no other key, got ['kind', 'params', 'extra']"),
         (["analyze", "--group", "cyclic:12", "--subgroup=-3,0", "--set", "1"], "element -3 out of range"),
+        # json.loads once raised RecursionError here, a traceback with exit 1
+        (["analyze", "--group", _nested_product(600), "--subgroup", "0", "--set", ""], "group descriptor nests too deeply"),
     ],
     ids=["product-one-factor", "cyclic-two-params", "gl2-huge-prime", "sl2-builtin-on-cyclic",
          "alternating-builtin-on-a4", "evens-on-odd-cyclic", "klein-on-a5", "unknown-builtin", "empty-subgroup-json",
@@ -396,7 +406,7 @@ Z12 = ["--group", "cyclic:12", "--subgroup", "0,3,6,9"]
          "product-params-not-list", "subgroup-elements-not-list", "subgroup-generators-not-list",
          "set-elements-not-list", "norm-preimage-not-list", "float-param", "float-set-element", "bool-param",
          "subgroup-elements-and-generators", "subgroup-unread-key", "set-elements-and-norm-preimage",
-         "group-unread-key", "signed-subgroup-element"],
+         "group-unread-key", "signed-subgroup-element", "group-nested-too-deeply"],
 )
 def test_validation_branches_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)

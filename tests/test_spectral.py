@@ -327,6 +327,19 @@ def _check_traces(values, gen, atol):
     assert abs((values**2).sum() - square_sum) <= m * atol * gen.size
 
 
+@pytest.mark.parametrize("shape", [(1,), (2,), (5,), (6,), (2, 2), (3, 3), (4, 6), (6, 4), (2, 3, 4), (36, 6), (2,) * 10])
+def test_conjugate_pairs_keep_each_character_once(shape):
+    """On rfft's grid, last axis 0..n_d/2, one character j per pair {j, -j} of K, of weight the size of its pair."""
+    keep, weight = spectral._conjugate_pairs(shape)
+    grid = shape[:-1] + (shape[-1] // 2 + 1,)
+    kept = [tuple(j) for j in np.transpose(np.unravel_index(np.arange(math.prod(grid))[keep], grid)).tolist()]
+    pairs = [frozenset({j, tuple(-x % n for x, n in zip(j, shape))}) for j in kept]
+    assert len(set(pairs)) == len(pairs)
+    assert set(pairs) == {frozenset({j, tuple(-x % n for x, n in zip(j, shape))}) for j in np.ndindex(shape)}
+    assert weight.tolist() == [len(pair) for pair in pairs]
+    assert weight.sum() == math.prod(shape)
+
+
 def test_second_choice_of_k_agrees(monkeypatch):
     """The spectrum by the chosen K against the spectrum by the largest cyclic K, the dense solve and the traces.
 
@@ -549,7 +562,7 @@ def _spectra_blocks():
     f16 = make_field_additive(2, 4)
     pairs = [
         (subgroup_from_elements(make_cyclic(12), [0, 3, 6, 9]), 2),  # K = H, one axis, index 3
-        (subgroup_generated(f16, [1, 2]), 2),  # K = H, two axes through _dft, index 4
+        (subgroup_generated(f16, [1, 2]), 2),  # K = H, two FFT axes, index 4
         (builtin_subgroup(make_gl2(5), "sl2_in_gl2"), 3),  # K < H, index 4
         (builtin_subgroup(make_gl2(3), "sl2_in_gl2"), 5),
         (subgroup_generated(make_direct_product(make_alternating(4), make_cyclic(2)), [2, 4, 6]), 4),  # K = V4
