@@ -63,7 +63,10 @@ def group_from_descriptor(descriptor: Union[str, dict]) -> FiniteGroup:
     if kind == "product":
         if not isinstance(params, (list, tuple)) or len(params) != 2:
             raise ValidationError("product descriptor needs exactly two factor descriptors")
-        return make_direct_product(group_from_descriptor(params[0]), group_from_descriptor(params[1]))
+        try:  # json.loads refuses deep text on Python < 3.12; a library dict, or text on 3.12, ends here
+            return make_direct_product(group_from_descriptor(params[0]), group_from_descriptor(params[1]))
+        except RecursionError:
+            raise ValidationError("group descriptor nests too deeply") from None
     if not isinstance(kind, str) or kind not in GROUP_KINDS:
         raise ValidationError(f"unknown group kind {kind!r}")
     maker, arity = GROUP_KINDS[kind]

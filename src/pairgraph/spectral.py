@@ -216,7 +216,7 @@ def _stack_values(gen: GeneratingSet, layout: np.ndarray) -> np.ndarray:
 
 
 @cache
-def _conjugate_pairs(shape: tuple[int, ...]) -> tuple[Union[np.ndarray, slice], np.ndarray]:
+def _conjugate_pairs(shape: tuple[int, ...]) -> tuple[np.ndarray, np.ndarray]:
     """One character j per conjugate pair {j, -j}, flat on rfft's grid, and 1 where j = -j, else 2.
 
     The grid holds j_d = 0..n_d/2 on the last K axis; j stands for its pair
@@ -226,8 +226,7 @@ def _conjugate_pairs(shape: tuple[int, ...]) -> tuple[Union[np.ndarray, slice], 
     j = np.indices(grid).reshape(len(shape), -1)
     own, negated = (np.ravel_multi_index(tuple(x % np.array(shape)[:, None]), shape) for x in (j, -j))
     keep = np.flatnonzero((-j[-1] % shape[-1] >= grid[-1]) | (own <= negated))
-    # a whole grid, as one axis keeps, is read as a view rather than copied
-    return slice(None) if keep.size == j.shape[1] else keep, np.where(negated[keep] == own[keep], 1, 2)
+    return keep, np.where(negated[keep] == own[keep], 1, 2)
 
 
 def _young_values(gens: Sequence[GeneratingSet]) -> list[np.ndarray]:

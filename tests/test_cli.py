@@ -329,11 +329,8 @@ Z12 = ["--group", "cyclic:12", "--subgroup", "0,3,6,9"]
 
 
 def _nested_product(depth):
-    """A product descriptor whose first factor nests ``depth`` products deep."""
-    text = '"cyclic:1"'
-    for _ in range(depth):
-        text = f'{{"kind": "product", "params": [{text}, "cyclic:1"]}}'
-    return text
+    """A product descriptor whose first factor nests ``depth`` products deep, two JSON levels each."""
+    return '{"kind": "product", "params": [' * depth + '"cyclic:1"' + ', "cyclic:1"]}' * depth
 
 
 @pytest.mark.parametrize(
@@ -396,8 +393,11 @@ def _nested_product(depth):
         (["analyze", "--group", '{"kind": "cyclic", "params": [12], "extra": 1}', "--subgroup", "0", "--set", "1"],
          "group descriptor takes 'kind' and 'params' and no other key, got ['kind', 'params', 'extra']"),
         (["analyze", "--group", "cyclic:12", "--subgroup=-3,0", "--set", "1"], "element -3 out of range"),
-        # json.loads once raised RecursionError here, a traceback with exit 1
-        (["analyze", "--group", _nested_product(600), "--subgroup", "0", "--set", ""], "group descriptor nests too deeply"),
+        # json.loads once raised RecursionError here, a traceback with exit 1. 2000 products parse
+        # where json has its own C recursion limit (Python 3.12) and then nest too deeply to build;
+        # 20 000 pass that limit too
+        (["analyze", "--group", _nested_product(2000), "--subgroup", "0", "--set", ""], "group descriptor nests too deeply"),
+        (["analyze", "--group", _nested_product(20000), "--subgroup", "0", "--set", ""], "group descriptor nests too deeply"),
     ],
     ids=["product-one-factor", "cyclic-two-params", "gl2-huge-prime", "sl2-builtin-on-cyclic",
          "alternating-builtin-on-a4", "evens-on-odd-cyclic", "klein-on-a5", "unknown-builtin", "empty-subgroup-json",
@@ -406,11 +406,24 @@ def _nested_product(depth):
          "product-params-not-list", "subgroup-elements-not-list", "subgroup-generators-not-list",
          "set-elements-not-list", "norm-preimage-not-list", "float-param", "float-set-element", "bool-param",
          "subgroup-elements-and-generators", "subgroup-unread-key", "set-elements-and-norm-preimage",
-         "group-unread-key", "signed-subgroup-element", "group-nested-too-deeply"],
+         "group-unread-key", "signed-subgroup-element", "group-nested-too-deeply",
+         "group-nested-past-json-limit"],
 )
 def test_validation_branches_exit_2(capsys, argv, message):
     code, out, err = run_cli(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_nested_dict_descriptor_is_refused():
+    """A library dict deeper than the recursion limit never meets json.loads; the recursive build refuses it."""
+    from pairgraph.descriptors import group_from_descriptor
+    from pairgraph.errors import ValidationError
+
+    descriptor = "cyclic:1"
+    for _ in range(2000):
+        descriptor = {"kind": "product", "params": [descriptor, "cyclic:1"]}
+    with pytest.raises(ValidationError, match="^group descriptor nests too deeply$"):
+        group_from_descriptor(descriptor)
 
 
 @pytest.mark.parametrize(
