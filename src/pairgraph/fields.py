@@ -8,12 +8,13 @@ The reducing polynomial per (p, k) is the Conway polynomial where we carry it
 in the table below, and otherwise the lexicographically first monic irreducible
 polynomial of degree k (ordered by packed index of the non-leading
 coefficients).  The chosen polynomial is exposed via ``PrimePowerField.modulus``
-so that constructions are reproducible.
+so that constructions are reproducible.  The norm of every element is one
+gather along the listing of the powers of a primitive element.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -104,7 +105,6 @@ class PrimePowerField:
     p: int
     k: int
     modulus: tuple[int, ...]
-    _xpow: tuple[tuple[int, ...], ...] = field(repr=False, default=())
 
     @classmethod
     def create(cls, p: int, k: int) -> "PrimePowerField":
@@ -112,15 +112,7 @@ class PrimePowerField:
             raise ValidationError(f"{p} is not prime")
         if k < 1:
             raise ValidationError("extension degree must be >= 1")
-        modulus = reducing_polynomial(p, k)
-        # representatives of x^j for j = 0 .. 2k-2, reduced mod the modulus
-        xpow = []
-        for j in range(2 * k - 1):
-            mono = [0] * j + [1]
-            rem = _poly_mod(mono, modulus, p)
-            rem += [0] * (k - len(rem))
-            xpow.append(tuple(rem[:k]))
-        return cls(p=p, k=k, modulus=modulus, _xpow=tuple(xpow))
+        return cls(p=p, k=k, modulus=reducing_polynomial(p, k))
 
     @property
     def order(self) -> int:
@@ -130,34 +122,41 @@ class PrimePowerField:
         return _unpack(a, self.k, self.p)
 
     def norms(self) -> np.ndarray:
-        """The norm down to the prime field, x^((p^k-1)/(p-1)), of every element; 0 has norm 0.
+        """The norm down to the prime field, a^((q-1)/(p-1)) with q = p^k, of every element a; 0 has norm 0.
 
-        One square-and-multiply over the order x k digit array.  A product's
-        digits are the convolution of its factors' digits, reduced by the
-        matrix ``_xpow`` whose row j is x^j mod the modulus.
+        Multiplying by c is F_p-linear on digit rows, by M_c = sum_d c_d M_x^d with
+        M_x the companion matrix of the modulus.  The powers g^i, i < q, of the least
+        g of order q - 1 are listed by doubling, L[m:2m] = L[:m] M_g^m, and as the
+        norm is multiplicative, N(g^i) = g^(i(q-1)/(p-1)) is a gather along the
+        listing.  A modulus with no element of order q - 1 is reducible, and raises.
         """
-        p, k = self.p, self.k
-        xpow = np.array(self._xpow)
-
-        def mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-            conv = np.zeros((len(x), 2 * k - 1), dtype=np.int64)
-            for i in range(k):
-                conv[:, i : i + k] += x[:, i, None] * y
-            return conv % p @ xpow % p
-
-        base = np.arange(self.order)[:, None] // p ** np.arange(k) % p
-        result = None
-        e = (self.order - 1) // (p - 1)
-        while True:
-            if e & 1:
-                result = base if result is None else mul(result, base)
-            e >>= 1
-            if not e:
+        p, k, q = self.p, self.k, self.order
+        mx = np.eye(k, k, 1, dtype=np.int64)
+        mx[-1] = np.negative(self.modulus[:-1]) % p
+        xpow = [np.eye(k, dtype=np.int64)]
+        for _ in range(k - 1):
+            xpow.append(xpow[-1] @ mx % p)
+        xpow = np.reshape(xpow, (k, k * k))
+        weights = p ** np.arange(k)
+        # the prime field's units have orders dividing p - 1, so for k > 1 none has order q - 1
+        for g in range(p if k > 1 else 1, q):
+            listing, step = np.eye(1, k, dtype=np.int64), (self.digits(g) @ xpow % p).reshape(k, k)
+            while True:
+                listing = np.concatenate([listing, listing[: q - len(listing)] @ step % p])
+                if len(listing) == q:
+                    break
+                step = step @ step % p
+            packed = listing @ weights
+            # a field has g^(q-1) = 1 for every g != 0, and g^i = 1 for no 0 < i < q - 1 when g has order q - 1
+            if packed[-1] != 1 or np.count_nonzero(packed == 1) == 2:
                 break
-            base = mul(base, base)
-        if result[:, 1:].any():
+        if packed[-1] != 1 or np.count_nonzero(packed == 1) != 2:
+            raise ValidationError(f"modulus {self.modulus} is reducible over F_{p}: no element has order {q - 1}")
+        norms = np.zeros(q, dtype=np.int64)
+        norms[packed[:-1]] = packed[np.arange(q - 1) * ((q - 1) // (p - 1)) % (q - 1)]
+        if norms.max() >= p:
             raise ValidationError("norm did not land in the prime field")
-        return result[:, 0]
+        return norms
 
     def label(self, a: int) -> str:
         digits = self.digits(a)

@@ -306,6 +306,12 @@ def perm_index(group: FiniteGroup, spec) -> int:
 def _permutation_group(name: str, n: int, even_only: bool, descriptor: dict) -> FiniteGroup:
     """Permutations of degree n in lexicographic order, all of them or the even ones.
 
+    S_m's listing is, for each first image f, f followed by S_(m-1)'s listing
+    mapped in order onto the values other than f: one gather per level above
+    S_4, which ``itertools`` lists.  The f smaller values all follow f, so row
+    r has as many inversions as the digit sum of r in the factorial base, and
+    A_n keeps the rows where that sum is even.
+
     A permutation is fixed by its first n-1 images (its first image when
     n = 1), so ``rank`` maps their base-n key to the element index: n^(n-1)
     entries, 470 KB at n = 7.  The key of a*b is the dot product
@@ -316,10 +322,17 @@ def _permutation_group(name: str, n: int, even_only: bool, descriptor: dict) -> 
     over the last axis.  Each is exact, as every partial sum is an integer
     below n^(n-1) <= 8^7 < 2^24.
     """
-    flat = itertools.chain.from_iterable(itertools.permutations(range(n)))
-    images = np.fromiter(flat, np.int32, n * math.factorial(n)).reshape(-1, n)
+    base = min(n, 4)
+    flat = itertools.chain.from_iterable(itertools.permutations(range(base)))
+    images = np.fromiter(flat, np.int32, base * math.factorial(base)).reshape(-1, base)
+    for m in range(base + 1, n + 1):
+        first = np.arange(m, dtype=np.int32)[:, None, None]
+        block = np.empty((m, len(images), m), dtype=np.int32)
+        block[..., :1] = first
+        block[..., 1:] = images + (images >= first)
+        images = block.reshape(-1, m)
     if even_only:
-        images = images[perm_parities(images) == 0]
+        images = images[np.indices(range(n, 0, -1)).sum(0).ravel() % 2 == 0]
     order, width = len(images), max(n - 1, 1)
     weights = n ** np.arange(width - 1, -1, -1, dtype=np.int32)
     rank = np.zeros(n**width, dtype=np.int32)
@@ -516,7 +529,7 @@ def field_norm_preimage(group: FiniteGroup, values: Iterable[int]) -> tuple[int,
     if group.field is None:
         raise ValidationError("norm preimages need a group built by make_field_additive")
     gf = group.field
-    values = set(int(v) for v in values)
+    values = set(_int_entries(values, "norm value"))
     for v in values:
         if not 0 <= v < gf.p:
             raise ValidationError(f"value {v} is outside the prime field F_{gf.p}")

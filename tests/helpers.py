@@ -219,10 +219,11 @@ def reference_mul(group: FiniteGroup):
 
 
 class ScalarField:
-    """F_{p^k} one element at a time on digit lists: the oracle for ``PrimePowerField.norms``."""
+    """F_{p^k} one element at a time on digit lists, reduced by long division by the modulus: the oracle for
+    ``PrimePowerField.norms``.  It reads only the field's p, k and modulus, which default to the library's."""
 
-    def __init__(self, p: int, k: int) -> None:
-        self.field = PrimePowerField.create(p, k)
+    def __init__(self, p: int, k: int, modulus: tuple[int, ...] | None = None) -> None:
+        self.field = PrimePowerField(p, k, modulus) if modulus else PrimePowerField.create(p, k)
         self.p, self.k, self.order = p, k, self.field.order
 
     def pack(self, digits) -> int:
@@ -230,6 +231,15 @@ class ScalarField:
         for c in reversed(list(digits)):
             out = out * self.p + c
         return out
+
+    def reduce(self, coefficients) -> list[int]:
+        """The k digits of a polynomial, coefficients ascending, mod the monic modulus: long division."""
+        rem = list(coefficients) + [0] * (self.k - len(coefficients))
+        for top in range(len(rem) - 1, self.k - 1, -1):
+            lead = rem.pop() % self.p
+            for i, c in enumerate(self.field.modulus[:-1]):
+                rem[top - self.k + i] -= lead * c
+        return [c % self.p for c in rem]
 
     def add(self, a: int, b: int) -> int:
         da, db = self.field.digits(a), self.field.digits(b)
@@ -243,11 +253,7 @@ class ScalarField:
         for i, x in enumerate(self.field.digits(a)):
             for j, y in enumerate(self.field.digits(b)):
                 conv[i + j] += x * y
-        out = [0] * self.k
-        for j, c in enumerate(conv):
-            for i in range(self.k):
-                out[i] += c * self.field._xpow[j][i]
-        return self.pack(c % self.p for c in out)
+        return self.pack(self.reduce(conv))
 
     def pow(self, a: int, e: int) -> int:
         result = 1
@@ -264,6 +270,47 @@ class ScalarField:
         if any(digits[1:]):
             raise ValidationError("norm did not land in the prime field")
         return digits[0]
+
+    def norms(self) -> np.ndarray:
+        """``norm`` of every element by one square-and-multiply over the order x k digit array.
+
+        A product's digits are the convolution of its factors' digits, reduced by the
+        matrix whose row j is x^j mod the modulus.
+        """
+        p, k = self.p, self.k
+        xpow = np.array([self.reduce([0] * j + [1]) for j in range(2 * k - 1)])
+
+        def mul(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+            conv = np.zeros((len(x), 2 * k - 1), dtype=np.int64)
+            for i in range(k):
+                conv[:, i : i + k] += x[:, i, None] * y
+            return conv % p @ xpow % p
+
+        base = np.arange(self.order)[:, None] // p ** np.arange(k) % p
+        result = None
+        e = (self.order - 1) // (p - 1)
+        while True:
+            if e & 1:
+                result = base if result is None else mul(result, base)
+            e >>= 1
+            if not e:
+                break
+            base = mul(base, base)
+        if result[:, 1:].any():
+            raise ValidationError("norm did not land in the prime field")
+        return result[:, 0]
+
+
+def prime_divisors(n: int) -> list[int]:
+    """The primes dividing n >= 1, by trial division."""
+    primes, d = [], 2
+    while d * d <= n:
+        if n % d == 0:
+            primes.append(d)
+            while n % d == 0:
+                n //= d
+        d += 1
+    return primes + [n] if n > 1 else primes
 
 
 def reference_element_order(group: FiniteGroup, a: int) -> int:

@@ -6,8 +6,12 @@ import pytest
 
 from pairgraph.errors import ValidationError
 from pairgraph.fields import PrimePowerField, is_prime, reducing_polynomial
+from pairgraph.groups import FIELD_ORDER_CAP
 
-from helpers import ScalarField
+from helpers import ScalarField, prime_divisors
+
+# every (p, k) that make_field_additive accepts
+SUPPORTED = [(p, k) for p in range(2, FIELD_ORDER_CAP + 1) if is_prime(p) for k in range(1, 13) if p**k <= FIELD_ORDER_CAP]
 
 
 @pytest.mark.parametrize("p,k", [(2, 2), (2, 4), (3, 2), (5, 2), (7, 2), (3, 3)])
@@ -57,13 +61,15 @@ def test_norm_restricted_to_prime_field():
 
 
 def test_reducing_polynomial_is_irreducible():
-    for p, k in [(2, 5), (3, 4), (11, 2)]:
-        poly = reducing_polynomial(p, k)
-        assert len(poly) == k + 1 and poly[-1] == 1
-        # no roots in the prime field (necessary; full check ran inside the search)
-        for x in range(p):
-            value = sum(c * pow(x, i, p) for i, c in enumerate(poly)) % p
-            assert value != 0 or k == 1
+    # a modulus is irreducible exactly when its quotient ring has a unit of order p^k - 1
+    assert (4093, 1) in SUPPORTED and (2, 12) in SUPPORTED and (2, 13) not in SUPPORTED
+    for p, k in SUPPORTED:
+        gf = ScalarField(p, k)
+        assert len(gf.field.modulus) == k + 1 and gf.field.modulus[-1] == 1
+        n = gf.order - 1
+        assert any(
+            gf.pow(g, n) == 1 and all(gf.pow(g, n // ell) != 1 for ell in prime_divisors(n)) for g in range(1, gf.order)
+        ), (p, k)
 
 
 def test_degree_one_field():
@@ -87,8 +93,30 @@ def test_create_rejects_bad_parameters():
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 4), (3, 3), (5, 2), (7, 2), (13, 3), (7, 4), (2, 12)])
 def test_vectorised_norms_match_scalar_norm(p, k):
     gf = ScalarField(p, k)
-    norms = gf.field.norms()
+    norms, oracle = gf.field.norms(), gf.norms()
     assert norms.shape == (gf.order,)
+    assert norms.tolist() == oracle.tolist()
+    # the square-and-multiply oracle against one element at a time
     rng = random.Random(p * 100 + k)
     xs = range(gf.order) if gf.order <= 200 else [0, 1, *rng.sample(range(2, gf.order), 60)]
-    assert [int(norms[x]) for x in xs] == [gf.norm(x) for x in xs]
+    assert [int(oracle[x]) for x in xs] == [gf.norm(x) for x in xs]
+
+
+@pytest.mark.parametrize("k", range(1, 13))
+def test_norms_match_square_and_multiply_on_every_supported_field(k):
+    for p in [p for p, d in SUPPORTED if d == k]:
+        gf = ScalarField(p, k)
+        assert gf.field.norms().tolist() == gf.norms().tolist(), (p, k)
+
+
+def test_norms_of_a_field_built_directly():
+    # norms read only p, k and the modulus, so a field built without ``create`` has them too
+    direct = PrimePowerField(7, 2, (3, 6, 1))
+    assert direct.norms().tolist() == PrimePowerField.create(7, 2).norms().tolist()
+    # another irreducible modulus packs F_49 otherwise, and the oracle reads the same modulus
+    other = PrimePowerField(7, 2, (1, 0, 1))
+    assert other.norms().tolist() == ScalarField(7, 2, (1, 0, 1)).norms().tolist()
+    # over F_5, x^2 + 1 = (x - 2)(x - 3); over F_2, x^12 and (x + 1)(x^11 + x^2 + 1)
+    for p, k, modulus in [(5, 2, (1, 0, 1)), (2, 12, (0,) * 12 + (1,)), (2, 12, (1, 1, 1, 1) + (0,) * 7 + (1, 1))]:
+        with pytest.raises(ValidationError, match="reducible"):
+            PrimePowerField(p, k, modulus).norms()

@@ -1,5 +1,6 @@
 """Group constructors, subgroup machinery, and generating-set validation."""
 
+import itertools
 import random
 import re
 import time
@@ -312,6 +313,20 @@ def test_perm_index_is_the_row_of_images(make, n):
     assert [perm_index(group, row) for row in group.images] == list(range(group.order))
 
 
+@pytest.mark.parametrize("n", range(1, 8))
+def test_permutation_listings_are_lexicographic(n):
+    perms = [list(x) for x in itertools.permutations(range(n))]
+    even = [x for x in perms if sum(a > b for i, a in enumerate(x) for b in x[i + 1 :]) % 2 == 0]
+    s, a = make_symmetric(n), make_alternating(n)
+    assert s.images.tolist() == perms
+    assert a.images.tolist() == even
+    for group in (s, a):
+        # composed with its inverse either way round, each row is the identity
+        rows, inverse_rows = group.images, group.images[group.inverses]
+        assert (np.take_along_axis(inverse_rows, rows, axis=1) == np.arange(n)).all()
+        assert (np.take_along_axis(rows, inverse_rows, axis=1) == np.arange(n)).all()
+
+
 def test_closed_forms_multiply_nothing(monkeypatch):
     s6, a6 = make_symmetric(6), make_alternating(6)
     count = count_products(monkeypatch)
@@ -332,6 +347,11 @@ def test_field_norm_preimage():
         field_norm_preimage(f49, [7])
     with pytest.raises(ValidationError):
         field_norm_preimage(make_cyclic(49), [1])
+    # values are read as ints only: int() would round 5.9 to 5 and read True as 1
+    for values, bad in (([5.9], "5.9"), ([True], "True"), (["5"], "'5'"), ([5, 6.0], "6.0")):
+        with pytest.raises(ValidationError, match=re.escape(f"norm value {bad} is not an integer")):
+            field_norm_preimage(f49, values)
+    assert field_norm_preimage(f49, (np.int64(5), 6)) == field_norm_preimage(f49, [5, 6])
 
 
 def test_reducing_polynomial_table():
