@@ -18,6 +18,7 @@ from .errors import ValidationError
 from .groups import (
     FiniteGroup,
     Subgroup,
+    _even_rows,
     closed_subgroup,
     field_norm_preimage,
     make_alternating,
@@ -29,7 +30,6 @@ from .groups import (
     make_sl2,
     make_symmetric,
     perm_index,
-    perm_parities,
     subgroup_from_elements,
     subgroup_generated,
 )
@@ -119,7 +119,7 @@ def builtin_subgroup(group: FiniteGroup, name: str) -> Subgroup:
     if name == "alternating_in_symmetric":
         if kind != "symmetric" or group.images is None:
             raise ValidationError("alternating_in_symmetric needs a symmetric group")
-        return closed_subgroup(group, np.flatnonzero(perm_parities(group.images) == 0))
+        return closed_subgroup(group, np.flatnonzero(_even_rows(group.images.shape[1])))
     if name == "evens":
         if kind != "cyclic" or group.order % 2 != 0:
             raise ValidationError("evens needs a cyclic group of even order")

@@ -25,7 +25,6 @@ are formatted on first read.  Permutations compose left to right:
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -303,14 +302,19 @@ def perm_index(group: FiniteGroup, spec) -> int:
     return rank
 
 
+def _even_rows(n: int) -> np.ndarray:
+    """Mask of the even rows of S_n's lexicographic listing (see ``_permutation_group``)."""
+    return np.indices(range(n, 0, -1)).sum(0).ravel() % 2 == 0
+
+
 def _permutation_group(name: str, n: int, even_only: bool, descriptor: dict) -> FiniteGroup:
     """Permutations of degree n in lexicographic order, all of them or the even ones.
 
     S_m's listing is, for each first image f, f followed by S_(m-1)'s listing
-    mapped in order onto the values other than f: one gather per level above
-    S_4, which ``itertools`` lists.  The f smaller values all follow f, so row
-    r has as many inversions as the digit sum of r in the factorial base, and
-    A_n keeps the rows where that sum is even.
+    mapped in order onto the values other than f: one gather per level from
+    S_0's empty row.  The f smaller values all follow f, so row r has as many
+    inversions as the digit sum of r in the factorial base, and A_n keeps the
+    rows where that sum is even, as ``_even_rows`` marks them.
 
     A permutation is fixed by its first n-1 images (its first image when
     n = 1), so ``rank`` maps their base-n key to the element index: n^(n-1)
@@ -322,17 +326,15 @@ def _permutation_group(name: str, n: int, even_only: bool, descriptor: dict) -> 
     over the last axis.  Each is exact, as every partial sum is an integer
     below n^(n-1) <= 8^7 < 2^24.
     """
-    base = min(n, 4)
-    flat = itertools.chain.from_iterable(itertools.permutations(range(base)))
-    images = np.fromiter(flat, np.int32, base * math.factorial(base)).reshape(-1, base)
-    for m in range(base + 1, n + 1):
+    images = np.zeros((1, 0), dtype=np.int32)
+    for m in range(1, n + 1):
         first = np.arange(m, dtype=np.int32)[:, None, None]
         block = np.empty((m, len(images), m), dtype=np.int32)
         block[..., :1] = first
         block[..., 1:] = images + (images >= first)
         images = block.reshape(-1, m)
     if even_only:
-        images = images[np.indices(range(n, 0, -1)).sum(0).ravel() % 2 == 0]
+        images = images[_even_rows(n)]
     order, width = len(images), max(n - 1, 1)
     weights = n ** np.arange(width - 1, -1, -1, dtype=np.int32)
     rank = np.zeros(n**width, dtype=np.int32)

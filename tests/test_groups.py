@@ -187,23 +187,21 @@ def test_constructor_caps():
         make_direct_product(make_symmetric(7), make_symmetric(7))
 
 
-class _NoEnumeration:
+class _NoListing:
+    """numpy as seen from ``groups``, minus the calls that start a listing.
+
+    ``np.indices`` lists the matrix quads and the even permutations, and
+    ``np.zeros`` and ``np.empty`` hold the permutation rows level by level.
+    """
+
     def __getattr__(self, name):
-        raise AssertionError(f"itertools.{name} used before the order cap was checked")
-
-
-class _NoIndices:
-    """numpy as seen from ``groups``, minus ``np.indices``, which lists the matrix quads."""
-
-    def __getattr__(self, name):
-        if name == "indices":
-            raise AssertionError("np.indices used before the order cap was checked")
+        if name in ("indices", "zeros", "empty"):
+            raise AssertionError(f"np.{name} used before the order cap was checked")
         return getattr(np, name)
 
 
 def test_caps_checked_before_enumeration(monkeypatch):
-    monkeypatch.setattr(groups, "itertools", _NoEnumeration())
-    monkeypatch.setattr(groups, "np", _NoIndices())
+    monkeypatch.setattr(groups, "np", _NoListing())
     for maker, arg in [(make_symmetric, 8), (make_alternating, 8), (make_gl2, 13)]:
         with pytest.raises(SizeCapExceeded):
             maker(arg)
