@@ -25,7 +25,7 @@ from .errors import (
     SizeCapExceeded,
     ValidationError,
 )
-from .groups import FiniteGroup, Subgroup, _element_indices, _element_orders, generated_elements
+from .groups import FiniteGroup, Subgroup, _element_indices, _element_orders, _int_entries, generated_elements
 from .groups import reachable_subgroups, validate_generating_set
 from .graphs import PairGraph
 from .spectral import DEFAULT_TOLERANCE, _check_tolerance, compute_spectra, is_ramanujan, ramanujan_size_bound
@@ -52,28 +52,43 @@ def right_translate_set(subgroup: Subgroup, s_elements: Iterable[int], h: int) -
 
 
 def verify_automorphism(group: FiniteGroup, psi: Sequence[int]) -> None:
-    """Raise unless psi is a bijective homomorphism.
+    """Raise unless psi is a bijective homomorphism: ``_verified_maps`` of one map."""
+    _verified_maps(group, [psi])
 
-    The one-map case of the check in ``automorphism_group``, with U the whole
-    group: psi(u*h) = psi(u)*psi(h) for every u and each generator h of
-    ``_generator_chain``.
+
+def _verified_maps(group: FiniteGroup, maps: Iterable[Sequence[int]]) -> np.ndarray:
+    """The maps as rows of an int array, verified together; ``NotAnAutomorphism`` names the first fault.
+
+    The check of ``automorphism_group`` with U the whole group, on every map
+    at once: each entry an int, each row a permutation fixing the identity,
+    and psi(u*h) = psi(u)*psi(h) for every u and each generator h of one
+    ``_generator_chain``.  A map among several is named by its position.
     """
-    m = group.order
-    if len(psi) != m or set(int(x) for x in psi) != set(range(m)):
-        raise NotAnAutomorphism("map is not a permutation of the elements")
-    if psi[group.identity] != group.identity:
-        raise NotAnAutomorphism("map does not fix the identity")
-    psi, idx = np.asarray(psi), np.arange(m)
+    m, rows = group.order, [_int_entries(psi, "map entry", NotAnAutomorphism) for psi in maps]
+    names = ["map"] if len(rows) == 1 else [f"map {i}" for i in range(len(rows))]
+    # the range test first, so every entry fits the int array
+    for i, row in enumerate(rows):
+        if len(row) != m or min(row) < 0 or max(row) >= m:
+            raise NotAnAutomorphism(f"{names[i]} is not a permutation of the elements")
+    maps, idx = np.array(rows, dtype=np.intp).reshape(-1, m), np.arange(m)
+    bad = (np.sort(maps, axis=1) != idx).any(axis=1)
+    if bad.any():
+        raise NotAnAutomorphism(f"{names[np.argmax(bad)]} is not a permutation of the elements")
+    bad = maps[:, group.identity] != group.identity
+    if bad.any():
+        raise NotAnAutomorphism(f"{names[np.argmax(bad)]} does not fix the identity")
     for h in _generator_chain(group):
-        broken = psi[group.product(idx, h)] != group.product(psi, psi[h])
+        broken = maps[:, group.product(idx, h)] != group.product(maps, maps[:, h, None])
         if broken.any():
-            raise NotAnAutomorphism(f"map breaks the product of {np.argmax(broken)} and {h}")
+            i, x = np.argwhere(broken)[0]
+            raise NotAnAutomorphism(f"{names[i]} breaks the product of {x} and {h}")
+    return maps
 
 
 def apply_automorphism(group: FiniteGroup, psi: Sequence[int], s_elements: Iterable[int]) -> tuple[int, ...]:
     """Image of a set under a verified group automorphism."""
-    verify_automorphism(group, psi)
-    return tuple(sorted(int(psi[x]) for x in _element_indices(group, s_elements)))
+    (psi,) = _verified_maps(group, [psi])
+    return tuple(sorted(psi[_element_indices(group, s_elements)].tolist()))
 
 
 def _generator_chain(group: FiniteGroup) -> list[int]:
@@ -177,12 +192,7 @@ def generating_set_orbit(
     start = validate_generating_set(subgroup, s_elements)
     if start.inside:
         raise ValidationError("orbit needs a set outside the subgroup")
-    if automorphisms is None:
-        automorphisms = automorphism_group(group)
-    else:
-        for psi in automorphisms:
-            verify_automorphism(group, psi)
-    maps = np.array(automorphisms, dtype=np.int64).reshape(-1, group.order)
+    maps = np.array(automorphism_group(group)) if automorphisms is None else _verified_maps(group, automorphisms)
     # an automorphism preserves H when it sends no element of H outside
     usable = maps[~subgroup.coset_of[maps[:, subgroup.elements]].any(axis=1)]
     seen = {start.elements}
@@ -213,6 +223,8 @@ class SearchConfig:
     tolerance: float = DEFAULT_TOLERANCE
 
     def __post_init__(self) -> None:
+        for name in ("size", "trials", "seed"):  # each read as a plain int before any range test
+            object.__setattr__(self, name, *_int_entries([getattr(self, name)], f"search {name}"))
         if self.subgroup.index != 2:
             raise IndexNotTwo("search runs over index-2 subgroups")
         n_outside = self.subgroup.parent.order - self.subgroup.order
@@ -259,6 +271,7 @@ def random_candidate(outside: Sequence[int], size: int, seed: int, trial: int) -
     positions size..n-1 are fixed, the later swaps only permute the first
     ``size``, which the sort forgets, so the replay stops there.
     """
+    size, seed, trial = _int_entries([size, seed, trial], "size, seed or trial")
     if not 0 <= size <= len(outside):
         raise ValidationError(f"random set size {size} is outside 0..{len(outside)}")
     pool = list(outside)

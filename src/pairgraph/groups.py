@@ -164,8 +164,9 @@ def _check_order(order: int) -> None:
 
 def _int_entries(values: Iterable, what: str, error=ValidationError, within=None) -> list[int]:
     """``values`` as ints; an entry that is not an int or numpy integer (a bool, float or str) raises
-    ``error`` naming it as ``what``, and ``within`` if given.  All ints, the usual case, take one pass."""
-    ints = list(values)
+    ``error`` naming it as ``what``, and ``within`` if given.  All ints, the usual case, take one pass,
+    and an integer array is read whole."""
+    ints = values.tolist() if isinstance(values, np.ndarray) and values.dtype.kind in "iu" else list(values)
     if all(type(v) is int for v in ints):
         return ints
     for v in ints:
@@ -180,9 +181,7 @@ def _element_indices(
 ) -> list[int]:
     """``elements`` as ascending distinct ints; ``error`` names, as ``what``, an entry that is not an int
     or numpy integer, else the least one outside 0..order-1."""
-    if isinstance(elements, np.ndarray) and elements.dtype.kind in "iu":
-        elems = sorted(set(elements.tolist()))
-    elif isinstance(elements, Iterable):
+    if isinstance(elements, Iterable):
         elems = sorted(set(_int_entries(elements, what, error)))
     else:
         raise error(f"{what}s must be a list, got {elements!r}")
@@ -198,6 +197,7 @@ def _element_indices(
 
 def make_cyclic(n: int) -> FiniteGroup:
     """Z/nZ with addition; the identity is 0."""
+    (n,) = _int_entries([n], "cyclic group order")
     if n < 1:
         raise ValidationError("cyclic group order must be >= 1")
     _check_order(n)
@@ -268,12 +268,6 @@ def perm_cycle_label(perm: Sequence[int]) -> str:
         if len(cycle) > 1:
             parts.append("(" + ",".join(cycle) + ")")
     return "".join(parts) or "e"
-
-
-def perm_parities(images: np.ndarray) -> np.ndarray:
-    """0 for each even row of an array of image tuples, 1 for each odd one, by counting inversions."""
-    i, j = np.triu_indices(images.shape[1], 1)
-    return np.count_nonzero(images[:, i] > images[:, j], axis=1) & 1
 
 
 def perm_index(group: FiniteGroup, spec) -> int:
@@ -363,27 +357,30 @@ def _permutation_group(name: str, n: int, even_only: bool, descriptor: dict) -> 
     return g
 
 
-def _check_degree(n: int, kind: str) -> None:
+def _check_degree(n: int, kind: str) -> int:
+    (n,) = _int_entries([n], f"{kind} group degree")
     if not 1 <= n <= PERMUTATION_DEGREE_CAP:
         raise ValidationError(f"{kind} group degree must be 1..{PERMUTATION_DEGREE_CAP}")
+    return n
 
 
 def make_symmetric(n: int) -> FiniteGroup:
     """S_n on image tuples in lexicographic order."""
-    _check_degree(n, "symmetric")
+    n = _check_degree(n, "symmetric")
     _check_order(math.factorial(n))
     return _permutation_group(f"S{n}", n, False, {"kind": "symmetric", "params": [n]})
 
 
 def make_alternating(n: int) -> FiniteGroup:
     """A_n: the even permutations of S_n, lexicographic order."""
-    _check_degree(n, "alternating")
+    n = _check_degree(n, "alternating")
     _check_order(max(1, math.factorial(n) // 2))
     return _permutation_group(f"A{n}", n, True, {"kind": "alternating", "params": [n]})
 
 
 def make_dihedral(n: int) -> FiniteGroup:
     """Dihedral group of the n-gon, order 2n; elements s^f r^j with r s = s r^-1."""
+    (n,) = _int_entries([n], "dihedral parameter")
     if not 1 <= n <= 8:
         raise ValidationError("dihedral parameter must be 1..8")
     order = 2 * n
@@ -426,12 +423,14 @@ def make_direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     )
 
 
-def _check_prime(p: int) -> None:
+def _check_prime(p: int) -> int:
+    (p,) = _int_entries([p], "prime")
     # the cap first: trial division of a large p would run for minutes
     if p > PRIME_CAP:
         raise ValidationError(f"prime {p} exceeds the cap {PRIME_CAP}")
     if not is_prime(p):
         raise ValidationError(f"{p} is not prime")
+    return p
 
 
 def _matrix_group(name: str, p: int, order: int, keep_det, descriptor: dict) -> FiniteGroup:
@@ -442,7 +441,6 @@ def _matrix_group(name: str, p: int, order: int, keep_det, descriptor: dict) -> 
     ``by_columns[c1*p^2 + c2]`` the index of the matrix with columns c1, c2,
     so a product is gathers only and pays no ``% p``.
     """
-    _check_prime(p)
     _check_order(order)
     quads = np.indices((p,) * 4).reshape(4, -1).T
     a, b, c, d = quads.T
@@ -486,21 +484,20 @@ def _matrix_group(name: str, p: int, order: int, keep_det, descriptor: dict) -> 
 
 def make_gl2(p: int) -> FiniteGroup:
     """GL_2(F_p), order (p^2-1)(p^2-p), matrices in lexicographic (a,b,c,d) order."""
-    order = (p * p - 1) * (p * p - p)
-    return _matrix_group(f"GL2(F{p})", p, order, lambda det: det != 0, {"kind": "gl2", "params": [p]})
+    p = _check_prime(p)
+    return _matrix_group(f"GL2(F{p})", p, (p * p - 1) * (p * p - p), lambda det: det != 0, {"kind": "gl2", "params": [p]})
 
 
 def make_sl2(p: int) -> FiniteGroup:
     """SL_2(F_p), order p(p^2-1)."""
-    order = p * (p * p - 1)
-    return _matrix_group(f"SL2(F{p})", p, order, lambda det: det == 1, {"kind": "sl2", "params": [p]})
+    p = _check_prime(p)
+    return _matrix_group(f"SL2(F{p})", p, p * (p * p - 1), lambda det: det == 1, {"kind": "sl2", "params": [p]})
 
 
 def make_field_additive(p: int, k: int) -> FiniteGroup:
     """The additive group of F_{p^k}; the field structure rides along in ``.field``."""
-    _check_prime(p)
-    if k < 1:
-        raise ValidationError("extension degree must be >= 1")
+    p = _check_prime(p)
+    (k,) = _int_entries([k], "extension degree")
     # p^k >= 2^k, so a k of the cap's bit length or more exceeds it without forming the power
     if k >= FIELD_ORDER_CAP.bit_length() or p**k > FIELD_ORDER_CAP:
         raise SizeCapExceeded(f"field order {p}^{k} exceeds the cap {FIELD_ORDER_CAP}")

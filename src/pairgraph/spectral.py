@@ -39,7 +39,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from functools import cache, cached_property
-from typing import Iterable, Optional, Sequence, Union
+from typing import Iterable, Optional, Sequence
 
 import numpy as np
 
@@ -174,9 +174,8 @@ def _character_values(gens: Sequence[GeneratingSet]) -> list[np.ndarray]:
         same = [i for i, w in enumerate(widths) if w == width]
         step = max(1, STACK_BYTES // (8 * orbits.listing.size * r * max(1, width)))
         for part in (same[i : i + step] for i in range(0, len(same), step)):
-            rows = slice(None) if len(part) == len(gens) else part
             layout = np.zeros((len(part), orbits.listing.size, r, width))
-            layout[sets[: len(part)], exponent[rows], np.arange(r)[:, None], column[rows]] = 1.0
+            layout[sets[: len(part)], exponent[part], np.arange(r)[:, None], column[part]] = 1.0
             for i, v in zip(part, _stack_values(gen, layout)):
                 values[i] = v
     return values
@@ -236,25 +235,29 @@ def _young_values(gens: Sequence[GeneratingSet]) -> list[np.ndarray]:
     ``FiniteGroup.chain_index``, rho(s) is row (i_2, ..., i_(n-1)) of the
     S_(n-1) table of ``_young_tables`` times rho(c_(i_n)).  One matmul by the
     sets' indicators, each a (|G|/n) x n array in that order, sums the rows by
-    i_n, and one more per dimension of lambda applies rho(c_i).  Both are
-    stacked over the sets, so every matmul and ``svd`` solves the 2-D problem
-    of a block of one, never a flattened larger product, and each set keeps
-    its bits.
+    i_n; then each lambda reads its d x nd factor, entry (a, (i, b)) at row i,
+    column start + a d + b of those sums, and takes one matmul by its stacked
+    rho(c_i) and one ``svd``.  Each call is stacked over the sets, so every
+    matmul and ``svd`` solves the 2-D problem of a block of one, never a
+    flattened larger product, and each set keeps its bits.
     """
     gen, count = gens[0], len(gens)
     n = gen.group.images.shape[1]
-    table, blocks, order, weights = _young_tables(n)
+    table, irreducibles = _young_tables(n)
     indicator = np.zeros((count, gen.group.order // n, n))
     chain = gen.group.chain_index[np.array([g.elements for g in gens], dtype=np.int64)]
     indicator.reshape(count, -1)[np.arange(count)[:, None], chain] = 1.0
-    sums = (indicator.swapaxes(1, 2) @ table).reshape(count, -1)
-    sigma = [np.linalg.svd(sums.take(gather, axis=1) @ last, compute_uv=False).reshape(count, -1) for gather, last in blocks]
-    sigma = np.repeat(np.concatenate(sigma, axis=1)[:, order], weights, axis=1)
+    sums, sigma = indicator.swapaxes(1, 2) @ table, []
+    for start, last, weight in irreducibles:
+        d = last.shape[1]
+        factor = sums[:, :, start : start + d * d].reshape(count, n, d, d).swapaxes(1, 2).reshape(count, d, n * d)
+        sigma.append(np.repeat(np.linalg.svd(factor @ last, compute_uv=False), weight, axis=1))
+    sigma = np.concatenate(sigma, axis=1)
     return list(np.concatenate([sigma, -sigma], axis=1))
 
 
 @cache
-def _young_tables(n: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray]], Union[np.ndarray, slice], np.ndarray]:
+def _young_tables(n: int) -> tuple[np.ndarray, list[tuple[int, np.ndarray, int]]]:
     """Young's orthogonal form of S_n (James and Kerber 1981) along ``coset_chain``.
 
     A standard tableau T is its row word w, entry k + 1 in row w[k], and
@@ -264,11 +267,9 @@ def _young_tables(n: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray
     weight d_lambda (rho_lambda' = sgn rho_lambda has the same singular values
     on an odd set), a self-conjugate one of weight d_lambda / 2.  Returns
     rho(c_(i_2) * ... * c_(i_(n-1))) for all of S_(n-1), flat per lambda and
-    side by side (0.47 MB for S6, 15.7 MB for S7); per dimension d, for its
-    lambdas, the indices of each d x nd factor in a set's n rows of products
-    with that table and the n matrices rho(c_i) of the last level stacked as
-    nd x d; the order that puts the singular values back in lambda order; and
-    the weight of each singular value.
+    side by side (0.47 MB for S6, 15.7 MB for S7), and per kept lambda its
+    first column in that table, the n matrices rho(c_i) of the last level
+    stacked as nd x d, and its weight.
     """
     shapes: dict[tuple[int, ...], list[tuple[int, ...]]] = {}
     words = [()]
@@ -276,7 +277,7 @@ def _young_tables(n: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray
         words = [w + (r,) for w in words for r in range(len(set(w)) + 1) if not r or w.count(r - 1) > w.count(r)]
     for w in words:
         shapes.setdefault(tuple(w.count(r) for r in range(max(w) + 1)), []).append(w)
-    tables, lasts, weights = [], [], []
+    tables, irreducibles, start = [], [], 0
     for shape, tableaux in shapes.items():
         conjugate = tuple(sum(r > c for r in shape) for c in range(shape[0]))
         if shape < conjugate:
@@ -293,20 +294,9 @@ def _young_tables(n: int) -> tuple[np.ndarray, list[tuple[np.ndarray, np.ndarray
             gens.append(rho)
         table, last = coset_chain(n, np.eye(d), gens, np.matmul)
         tables.append(table.reshape(len(table), d * d))
-        lasts.append(last.reshape(n * d, d))
-        weights += [d if shape > conjugate else d // 2] * d
-    width, dims = sum(t.shape[1] for t in tables), [last.shape[1] for last in lasts]
-    # entry (a, (i, b)) of a factor is row i, column start + a d + b of a set's n x width products
-    gathers = [
-        (np.arange(d)[:, None, None] * d + np.arange(n)[:, None] * width + np.arange(d) + start).reshape(d, n * d)
-        for start, d in zip(np.cumsum([0] + [d * d for d in dims]).tolist(), dims)
-    ]
-    # lambdas of one dimension share a stacked matmul and svd; ``order`` puts their values back in lambda order
-    groups = [[i for i, e in enumerate(dims) if e == d] for d in dict.fromkeys(dims)]
-    order = np.argsort(np.concatenate([np.arange(dims[i]) + sum(dims[:i]) for group in groups for i in group]))
-    order = slice(None) if all(len(group) == 1 for group in groups) else order
-    blocks = [(np.stack([gathers[i] for i in group]), np.stack([lasts[i] for i in group])) for group in groups]
-    return np.concatenate(tables, axis=1), blocks, order, np.array(weights)
+        irreducibles.append((start, last.reshape(n * d, d), d if shape > conjugate else d // 2))
+        start += d * d
+    return np.concatenate(tables, axis=1), irreducibles
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,12 @@ from pairgraph.groups import (
 from pairgraph.structure import BipartiteReport, ComponentDecomposition
 
 
+def perm_parities(images: np.ndarray) -> np.ndarray:
+    """0 for each even row of an array of image tuples, 1 for each odd one, by counting inversions."""
+    i, j = np.triu_indices(images.shape[1], 1)
+    return np.count_nonzero(images[:, i] > images[:, j], axis=1) & 1
+
+
 @lru_cache(maxsize=None)
 def subgroup_pool() -> tuple[Subgroup, ...]:
     """Mixed-family (group, subgroup) pairs, all of group order <= 48."""

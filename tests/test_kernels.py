@@ -15,13 +15,13 @@ from pairgraph.groups import (
     generated_elements,
     make_field_additive,
     make_symmetric,
-    perm_parities,
     subgroup_from_elements,
     validate_generating_set,
 )
 
 from helpers import (
     instance_corpus,
+    perm_parities,
     reference_generated_elements,
     reference_mul,
     reference_reachable,

@@ -6,7 +6,14 @@ import numpy as np
 import pytest
 
 from pairgraph import actions, spectral
-from pairgraph.actions import SearchConfig, generating_set_orbit, right_translate_set
+from pairgraph.actions import (
+    SearchConfig,
+    apply_automorphism,
+    generating_set_orbit,
+    random_candidate,
+    right_translate_set,
+    search_ramanujan,
+)
 from pairgraph.cli import main
 from pairgraph.descriptors import set_from_descriptor, subgroup_from_descriptor
 from pairgraph.errors import IndexNotTwo, NotAnAutomorphism, NotASubgroup, SizeCapExceeded, ValidationError
@@ -17,6 +24,8 @@ from pairgraph.groups import (
     make_cyclic,
     make_dihedral,
     make_field_additive,
+    make_gl2,
+    make_sl2,
     make_symmetric,
     perm_from_cycles,
     perm_index,
@@ -148,6 +157,93 @@ def test_numpy_integers_are_read_as_ints():
     gen = validate_generating_set(subgroup_from_elements(group, [0, 3, 6, 9]), (np.int64(1), 11))
     assert gen.elements == (1, 11) and all(type(x) is int for x in gen.elements)
 
+
+MAKERS = {  # one maker per parameter, the other parameter held at a valid value
+    "cyclic": make_cyclic,
+    "symmetric": make_symmetric,
+    "alternating": make_alternating,
+    "dihedral": make_dihedral,
+    "gl2": make_gl2,
+    "sl2": make_sl2,
+    "field-prime": lambda v: make_field_additive(v, 2),
+    "field-degree": lambda v: make_field_additive(7, v),
+}
+
+
+@pytest.mark.parametrize("value", [2.5, True, "3", np.float64(3)], ids=["float", "bool", "str", "np-float"])
+@pytest.mark.parametrize("maker", MAKERS.values(), ids=MAKERS.keys())
+def test_group_parameters_are_ints_only(maker, value):
+    """Each once built a group of a float order, named Z/True, or escaped as a bare TypeError."""
+    with pytest.raises(ValidationError, match=f" {re.escape(repr(value))} is not an integer$"):
+        maker(value)
+
+
+def test_numpy_integer_group_parameters_give_int_groups():
+    for group in (make_cyclic(np.int64(12)), make_symmetric(np.int64(3)), make_alternating(np.int64(4)),
+                  make_dihedral(np.int64(4)), make_gl2(np.int64(3)), make_sl2(np.int64(3)),
+                  make_field_additive(np.int64(7), np.int64(2))):
+        assert type(group.order) is int and all(type(v) is int for v in group.descriptor["params"]), group.name
+    assert make_cyclic(np.int64(12)).order == 12 and make_cyclic(np.int64(12)).name == "Z/12"
+
+
+@pytest.mark.parametrize(
+    "field, value",
+    [("size", 2.5), ("trials", 2.5), ("size", True), ("seed", 1.5), ("seed", "a"), ("trials", np.float64(3))],
+)
+def test_search_parameters_are_ints_only(z12_evens, field, value):
+    """A float size or trials escaped as a TypeError, True searched 1-sets, and seed 1.5 drew a set no int seed draws."""
+    with pytest.raises(ValidationError, match=f"^search {field} {re.escape(repr(value))} is not an integer$"):
+        SearchConfig(subgroup=z12_evens, **{"size": 2, field: value})
+
+
+def test_search_reads_numpy_integers_as_ints(z12_evens):
+    config = SearchConfig(subgroup=z12_evens, size=np.int64(2), trials=np.int32(3), seed=np.int64(4))
+    assert all(type(getattr(config, name)) is int for name in ("size", "trials", "seed"))
+    assert search_ramanujan(config) == search_ramanujan(SearchConfig(subgroup=z12_evens, size=2, trials=3, seed=4))
+
+
+@pytest.mark.parametrize("size, seed, trial, bad", [(True, 0, 0, True), (2, 1.5, 0, 1.5), (2, 0, 0.5, 0.5)])
+def test_random_candidate_reads_ints_only(z12_evens, size, seed, trial, bad):
+    with pytest.raises(ValidationError, match=f"^size, seed or trial {bad!r} is not an integer$"):
+        random_candidate(z12_evens.outside(), size, seed, trial)
+
+
+@pytest.mark.parametrize(
+    "psi, message",
+    [
+        ([float(x) for x in range(12)], "map entry 0.0 is not an integer"),
+        ([False, True, *range(2, 12)], "map entry False is not an integer"),
+        ([str(x) for x in range(12)], "map entry '0' is not an integer"),
+        ([0] * 12, "map is not a permutation of the elements"),
+        ([10**30, *range(1, 12)], "map is not a permutation of the elements"),
+        ([1, 0, *range(2, 12)], "map does not fix the identity"),
+        ([0, 2, 1, *range(3, 12)], "map breaks the product of 1 and 1"),
+    ],
+    ids=["float", "bool", "str", "constant", "huge", "moves-identity", "not-a-homomorphism"],
+)
+def test_automorphism_map_refusals(psi, message):
+    """A float map once passed, as did one starting False, True, and a map of strings read as moving the identity."""
+    with pytest.raises(NotAnAutomorphism, match=f"^{re.escape(message)}$"):
+        apply_automorphism(make_cyclic(12), psi, [1, 3])
+    assert apply_automorphism(make_cyclic(12), np.arange(12) * 5 % 12, [1, 3]) == (3, 5)
+
+
+def test_orbit_names_the_bad_map_among_good_ones(z12_evens, monkeypatch):
+    units = [[u * x % 12 for x in range(12)] for u in (1, 5, 7, 11)]
+    assert generating_set_orbit(z12_evens, [1, 3], units) == generating_set_orbit(z12_evens, [1, 3])
+    chains, chain = [], actions._generator_chain  # the supplied maps are verified together, along one chain
+    monkeypatch.setattr(actions, "_generator_chain", lambda g: chains.append(g) or chain(g))
+    generating_set_orbit(z12_evens, [1, 3], units)
+    assert len(chains) == 1
+    assert generating_set_orbit(z12_evens, [1, 3], np.array(units)) == generating_set_orbit(z12_evens, [1, 3])
+    for bad, message in [
+        ([0, 2, 1, *range(3, 12)], "map 2 breaks the product of 1 and 1"),
+        ([x + 1 for x in range(11)] + [0], "map 2 does not fix the identity"),
+        ([0] * 12, "map 2 is not a permutation of the elements"),
+        ([0, 1.0, *range(2, 12)], "map entry 1.0 is not an integer"),
+    ]:
+        with pytest.raises(NotAnAutomorphism, match=f"^{re.escape(message)}$"):
+            generating_set_orbit(z12_evens, [1, 3], [*units[:2], bad, *units[2:]])
 
 def test_constructor_refusals():
     with pytest.raises(ValidationError, match=r"^dihedral parameter must be 1\.\.8$"):
