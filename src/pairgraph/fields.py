@@ -4,12 +4,15 @@ Field elements are packed integers: the element with polynomial coordinates
 (c_0, c_1, ..., c_{k-1}) over F_p is the index c_0 + c_1*p + ... + c_{k-1}*p^(k-1).
 The prime field therefore occupies the indices 0..p-1.
 
-The reducing polynomial per (p, k) is the Conway polynomial where we carry it
-in the table below, and otherwise the lexicographically first monic irreducible
-polynomial of degree k (ordered by packed index of the non-leading
-coefficients).  The chosen polynomial is exposed via ``PrimePowerField.modulus``
-so that constructions are reproducible.  The norm of every element is one
-gather along the listing of the powers of a primitive element.
+A field has at most ``FIELD_ORDER_CAP`` elements, checked before any other
+work.  The reducing polynomial per (p, k) is looked up, never searched for:
+the Conway polynomial where we carry it, x for the other prime fields, and
+otherwise the lexicographically first monic irreducible polynomial of degree
+k (ordered by packed index of the non-leading coefficients), tabled for the
+31 such (p, k) under the cap.  The chosen polynomial is exposed via
+``PrimePowerField.modulus`` so that constructions are reproducible.  The norm
+of every element is one gather along the listing of the powers of a
+primitive element.
 """
 
 from __future__ import annotations
@@ -18,7 +21,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ValidationError
+from .errors import SizeCapExceeded, ValidationError
+
+FIELD_ORDER_CAP = 4096
 
 # Conway polynomials, coefficients ascending (constant term first), monic.
 CONWAY_POLYNOMIALS = {
@@ -39,6 +44,41 @@ CONWAY_POLYNOMIALS = {
     (13, 2): (2, 12, 1),
 }
 
+# the lexicographically first monic irreducible of every other (p, k >= 2) with p^k <= FIELD_ORDER_CAP, as above
+FIRST_IRREDUCIBLES = {
+    (2, 5): (1, 0, 1, 0, 0, 1),
+    (2, 6): (1, 1, 0, 0, 0, 0, 1),
+    (2, 7): (1, 1, 0, 0, 0, 0, 0, 1),
+    (2, 8): (1, 1, 0, 1, 1, 0, 0, 0, 1),
+    (2, 9): (1, 1, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 10): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 1),
+    (2, 11): (1, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (2, 12): (1, 0, 0, 1, 0, 0, 0, 0, 0, 0, 0, 0, 1),
+    (3, 4): (2, 1, 0, 0, 1),
+    (3, 5): (1, 2, 0, 0, 0, 1),
+    (3, 6): (2, 1, 0, 0, 0, 0, 1),
+    (3, 7): (2, 0, 1, 0, 0, 0, 0, 1),
+    (5, 3): (1, 1, 0, 1),
+    (5, 4): (2, 0, 0, 0, 1),
+    (5, 5): (1, 4, 0, 0, 0, 1),
+    (7, 3): (2, 0, 0, 1),
+    (7, 4): (1, 1, 0, 0, 1),
+    (11, 3): (4, 1, 0, 1),
+    (13, 3): (2, 0, 0, 1),
+    (17, 2): (3, 0, 1),
+    (19, 2): (1, 0, 1),
+    (23, 2): (1, 0, 1),
+    (29, 2): (2, 0, 1),
+    (31, 2): (1, 0, 1),
+    (37, 2): (2, 0, 1),
+    (41, 2): (3, 0, 1),
+    (43, 2): (1, 0, 1),
+    (47, 2): (1, 0, 1),
+    (53, 2): (2, 0, 1),
+    (59, 2): (1, 0, 1),
+    (61, 2): (2, 0, 1),
+}
+
 
 def is_prime(n: int) -> bool:
     if n < 2:
@@ -51,34 +91,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _poly_mod(num: list[int], den: tuple[int, ...], p: int) -> list[int]:
-    """Remainder of num by the monic polynomial den, coefficients mod p."""
-    num = [c % p for c in num]
-    deg_den = len(den) - 1
-    while len(num) > deg_den:
-        lead = num[-1]
-        if lead:
-            shift = len(num) - 1 - deg_den
-            for i, c in enumerate(den[:-1]):
-                num[shift + i] = (num[shift + i] - lead * c) % p
-        num.pop()
-    while len(num) > 1 and num[-1] == 0:
-        num.pop()
-    return num
-
-
-def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
-    """Trial division by every monic polynomial of degree 1..deg/2."""
-    deg = len(poly) - 1
-    for d in range(1, deg // 2 + 1):
-        for packed in range(p**d):
-            den = _unpack(packed, d, p) + [1]
-            if _poly_mod(list(poly), tuple(den), p) == [0]:
-                return False
-    # degree-1 factors were covered above for deg >= 2; deg 1 is irreducible
-    return True
-
-
 def _unpack(value: int, k: int, p: int) -> list[int]:
     digits = []
     for _ in range(k):
@@ -88,14 +100,14 @@ def _unpack(value: int, k: int, p: int) -> list[int]:
 
 
 def reducing_polynomial(p: int, k: int) -> tuple[int, ...]:
-    """The fixed monic irreducible used to realize F_{p^k}."""
+    """The fixed monic irreducible used to realize F_{p^k}, for p^k <= ``FIELD_ORDER_CAP``: a table lookup."""
     if (p, k) in CONWAY_POLYNOMIALS:
         return CONWAY_POLYNOMIALS[(p, k)]
-    for packed in range(p**k):
-        cand = tuple(_unpack(packed, k, p) + [1])
-        if _is_irreducible(cand, p):
-            return cand
-    raise ValidationError(f"no irreducible polynomial found for p={p}, k={k}")
+    if k == 1:
+        return (0, 1)
+    if (p, k) not in FIRST_IRREDUCIBLES:
+        raise ValidationError(f"no reducing polynomial is tabled for p={p}, k={k}")
+    return FIRST_IRREDUCIBLES[(p, k)]
 
 
 @dataclass(frozen=True)
@@ -108,10 +120,13 @@ class PrimePowerField:
 
     @classmethod
     def create(cls, p: int, k: int) -> "PrimePowerField":
-        if not is_prime(p):
-            raise ValidationError(f"{p} is not prime")
         if k < 1:
             raise ValidationError("extension degree must be >= 1")
+        # p^k >= 2^k, so a k of the cap's bit length or more exceeds it without forming the power
+        if k >= FIELD_ORDER_CAP.bit_length() or p**k > FIELD_ORDER_CAP:
+            raise SizeCapExceeded(f"field order {p}^{k} exceeds the cap {FIELD_ORDER_CAP}")
+        if not is_prime(p):
+            raise ValidationError(f"{p} is not prime")
         return cls(p=p, k=k, modulus=reducing_polynomial(p, k))
 
     @property
@@ -128,7 +143,10 @@ class PrimePowerField:
         M_x the companion matrix of the modulus.  The powers g^i, i < q, of the least
         g of order q - 1 are listed by doubling, L[m:2m] = L[:m] M_g^m, and as the
         norm is multiplicative, N(g^i) = g^(i(q-1)/(p-1)) is a gather along the
-        listing.  A modulus with no element of order q - 1 is reducible, and raises.
+        listing.  A candidate's listing stops at the first block holding a 1, at
+        index g's order: in a field that order divides q - 1, and below q - 1 the
+        next candidate is tried.  A first 1 at an order not dividing q - 1, or no 1
+        at all, proves the modulus reducible, and raises at once.
         """
         p, k, q = self.p, self.k, self.order
         mx = np.eye(k, k, 1, dtype=np.int64)
@@ -141,17 +159,19 @@ class PrimePowerField:
         # the prime field's units have orders dividing p - 1, so for k > 1 none has order q - 1
         for g in range(p if k > 1 else 1, q):
             listing, step = np.eye(1, k, dtype=np.int64), (self.digits(g) @ xpow % p).reshape(k, k)
-            while True:
-                listing = np.concatenate([listing, listing[: q - len(listing)] @ step % p])
-                if len(listing) == q:
-                    break
+            packed, order = [np.ones(1, dtype=np.int64)], 0
+            while not order and len(listing) < q:
+                block = listing[: q - len(listing)] @ step % p
+                packed.append(block @ weights)
+                ones = np.flatnonzero(packed[-1] == 1)
+                order = len(listing) + int(ones[0]) if ones.size else 0
+                listing = np.concatenate([listing, block])
                 step = step @ step % p
-            packed = listing @ weights
-            # a field has g^(q-1) = 1 for every g != 0, and g^i = 1 for no 0 < i < q - 1 when g has order q - 1
-            if packed[-1] != 1 or np.count_nonzero(packed == 1) == 2:
+            if order == q - 1 or not order or (q - 1) % order:
                 break
-        if packed[-1] != 1 or np.count_nonzero(packed == 1) != 2:
+        if order != q - 1:
             raise ValidationError(f"modulus {self.modulus} is reducible over F_{p}: no element has order {q - 1}")
+        packed = np.concatenate(packed)
         norms = np.zeros(q, dtype=np.int64)
         norms[packed[:-1]] = packed[np.arange(q - 1) * ((q - 1) // (p - 1)) % (q - 1)]
         if norms.max() >= p:

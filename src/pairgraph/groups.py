@@ -39,10 +39,9 @@ from .errors import (
     SymmetryViolation,
     ValidationError,
 )
-from .fields import PrimePowerField, is_prime
+from .fields import FIELD_ORDER_CAP, PrimePowerField, is_prime
 
 ORDER_CAP = 20000
-FIELD_ORDER_CAP = 4096
 PERMUTATION_DEGREE_CAP = 8
 PRIME_CAP = 13
 # products per kernel call: a permutation kernel then holds under half a
@@ -318,7 +317,10 @@ def _permutation_group(name: str, n: int, even_only: bool, descriptor: dict) -> 
     column of a against a row of b, the shape of every bulk call, takes its
     keys from one matrix product, and every other shape from one ``einsum``
     over the last axis.  Each is exact, as every partial sum is an integer
-    below n^(n-1) <= 8^7 < 2^24.
+    below n^(n-1) <= 8^7 < 2^24.  One ``argsort`` of the rows gives every
+    inverse permutation, which holds i at position a[i]: ``placed`` gathers
+    the weights (0 for the last image) by it, and the inverse's key is read
+    from it as any other.
     """
     images = np.zeros((1, 0), dtype=np.int32)
     for m in range(1, n + 1):
@@ -333,8 +335,8 @@ def _permutation_group(name: str, n: int, even_only: bool, descriptor: dict) -> 
     weights = n ** np.arange(width - 1, -1, -1, dtype=np.int32)
     rank = np.zeros(n**width, dtype=np.int32)
     rank[images[:, :width] @ weights] = np.arange(order, dtype=np.int32)
-    placed = np.zeros(images.shape, dtype=np.float32)
-    placed[np.arange(order)[:, None], images[:, :width]] = weights
+    inverse = np.argsort(images, axis=1)
+    placed = np.append(weights, [0] * (n - width)).astype(np.float32)[inverse]
     columns = images.astype(np.float32)
 
     def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -349,7 +351,7 @@ def _permutation_group(name: str, n: int, even_only: bool, descriptor: dict) -> 
         order=order,
         make_labels=lambda: map(perm_cycle_label, images.tolist()),
         identity=0,
-        inverse=rank[np.argsort(images, axis=1)[:, :width] @ weights],
+        inverse=rank[inverse[:, :width] @ weights],
         kernel=kernel,
         descriptor=descriptor,
     )
@@ -498,9 +500,6 @@ def make_field_additive(p: int, k: int) -> FiniteGroup:
     """The additive group of F_{p^k}; the field structure rides along in ``.field``."""
     p = _check_prime(p)
     (k,) = _int_entries([k], "extension degree")
-    # p^k >= 2^k, so a k of the cap's bit length or more exceeds it without forming the power
-    if k >= FIELD_ORDER_CAP.bit_length() or p**k > FIELD_ORDER_CAP:
-        raise SizeCapExceeded(f"field order {p}^{k} exceeds the cap {FIELD_ORDER_CAP}")
     gf = PrimePowerField.create(p, k)
     weights = [p**d for d in range(k)]
 
@@ -587,6 +586,11 @@ class Subgroup:
         return not self.coset_of[x]
 
     def outside(self) -> tuple[int, ...]:
+        """The parent's elements outside the subgroup, ascending: built on the first call and kept."""
+        return self._outside
+
+    @cached_property
+    def _outside(self) -> tuple[int, ...]:
         return tuple(np.flatnonzero(self.coset_of).tolist())
 
     @cached_property
@@ -640,7 +644,7 @@ def _abelian_subgroup(group: FiniteGroup, h: np.ndarray) -> np.ndarray:
     order, low = _element_orders(group, h, n)
     first = int(order.argmax())
     if order[first] == n:
-        return _powers(group, h[first], n)
+        return _powers(group, h[first])
     # largest order first, least index on ties; the identity, last, never qualifies
     by_order = np.argsort(-order, kind="stable")[:-1]
     h, order, low = h[by_order], order[by_order], np.array(list(low.values()))[:, by_order]
@@ -649,7 +653,7 @@ def _abelian_subgroup(group: FiniteGroup, h: np.ndarray) -> np.ndarray:
     best = None
     for start in dict.fromkeys([0, *(int(np.argmax(order == p)) for p in primes)]):
         free = np.flatnonzero(group.product(h, h[start]) == group.product(h[start], h))
-        listing = _powers(group, h[start], order[start])
+        listing = _powers(group, h[start])
         while True:
             in_k = np.zeros(group.order, dtype=bool)
             in_k[listing] = True
@@ -659,19 +663,22 @@ def _abelian_subgroup(group: FiniteGroup, h: np.ndarray) -> np.ndarray:
             if not free.size:
                 break
             g = h[free[0]]
-            listing = group.product(listing[..., None], _powers(group, g, order[free[0]]))
+            listing = group.product(listing[..., None], _powers(group, g))
             free = free[group.product(h[free], g) == group.product(g, h[free])]
         if best is None or listing.size > best.size:
             best = listing
     return best
 
 
-def _powers(group: FiniteGroup, k: int, n: int) -> np.ndarray:
-    """k^0, ..., k^(n-1) for k of order n, by doubling."""
+def _powers(group: FiniteGroup, k: int) -> np.ndarray:
+    """k^0, ..., k^(n-1) for k of order n, by doubling: k^m..k^(2m-1) is k^0..k^(m-1) times k^m, up to where e recurs."""
     listing = np.array([group.identity])
-    while len(listing) < n:
-        listing = np.concatenate([listing, group.product(listing, group.product(listing[-1], k))])
-    return listing[:n]
+    while True:
+        block = group.product(listing, group.product(listing[-1], k))
+        recur = np.flatnonzero(block == group.identity)
+        listing = np.concatenate([listing, block[: recur[0]] if recur.size else block])
+        if recur.size:
+            return listing
 
 
 def _element_orders(group: FiniteGroup, x: np.ndarray, n: int) -> tuple[np.ndarray, dict[int, np.ndarray]]:
@@ -768,19 +775,23 @@ def generated_elements(group: FiniteGroup, gens: Iterable[int]) -> np.ndarray:
 
     The seeds are taken in ascending order, and one is adjoined only when
     the closure has not reached it yet; each such seed at least doubles the
-    closure, so at most log2 |G| seeds are adjoined.  Adjoining g adjoins its
-    powers g^(2^j) for 2^j < 2^b too, b the bit length of |G|: every power
-    g^k with k < |G| is a product of at most b of them, so a long cycle takes
-    at most b rounds, not one round a step, and a seed brings at most b
-    elements.  The closure so far is closed under right multiplication by the
-    elements adjoined before, so adjoining g starts a breadth-first search
-    from the products x*g^(2^j) and multiplies each new element by every
-    adjoined element.
+    closure, so at most log2 |G| seeds are adjoined.  The least seed g other
+    than e starts the closure with its cyclic group, listed by ``_powers``,
+    and adjoins its powers g^(2^j) for 2^j < n, n the order of g: every power
+    of g is a product of them.  A later seed g adjoins its powers g^(2^j) for
+    2^j < 2^b, b the bit length of |G|, so a long cycle takes at most b
+    rounds, not one round a step, and a seed brings at most b elements.  The
+    closure so far is closed under right multiplication by the elements
+    adjoined before, so adjoining g starts a breadth-first search from the
+    products x*g^(2^j) and multiplies each new element by every adjoined
+    element.
     """
     pending = np.array(_element_indices(group, gens, "generator"), dtype=np.int64)
+    pending = pending[pending != group.identity]
+    cycle = _powers(group, pending[0]) if pending.size else np.array([group.identity])
     seen = np.zeros(group.order, dtype=bool)
-    seen[group.identity] = True
-    adjoined = np.empty(0, dtype=np.int64)
+    seen[cycle] = True
+    adjoined = cycle[1 << np.arange((len(cycle) - 1).bit_length())]
     while (pending := pending[~seen[pending]]).size:
         powers = [pending[0]]
         for _ in range(group.order.bit_length() - 1):

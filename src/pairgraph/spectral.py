@@ -197,7 +197,9 @@ def _stack_values(gen: GeneratingSet, layout: np.ndarray) -> np.ndarray:
     # characters j and -j give conjugate blocks, with the same values: rfft's grid holds one of each pair
     keep, weight = _conjugate_pairs(shape)
     f = np.fft.rfftn(layout.reshape(count, *shape, r, columns), axes=tuple(range(1, 1 + len(shape))))
-    f = f.reshape(count, math.prod(f.shape[1:-2]), r, columns)[:, keep]  # no -1: a stack may have no columns
+    f = f.reshape(count, math.prod(f.shape[1:-2]), r, columns)  # no -1: a stack may have no columns
+    if keep.size < f.shape[1]:  # a one-axis K keeps every point, and a gather would copy the whole grid
+        f = f[:, keep]
     inside, cross = f[..., :in_h], f[..., in_h:]
     if gen.inside:
         adjoint = cross.conj().swapaxes(2, 3)

@@ -307,6 +307,43 @@ class ScalarField:
         return result[:, 0]
 
 
+def _poly_mod(num: list[int], den: tuple[int, ...], p: int) -> list[int]:
+    """Remainder of num by the monic polynomial den, coefficients ascending, mod p."""
+    num = [c % p for c in num]
+    deg_den = len(den) - 1
+    while len(num) > deg_den:
+        lead = num[-1]
+        if lead:
+            shift = len(num) - 1 - deg_den
+            for i, c in enumerate(den[:-1]):
+                num[shift + i] = (num[shift + i] - lead * c) % p
+        num.pop()
+    while len(num) > 1 and num[-1] == 0:
+        num.pop()
+    return num
+
+
+def _is_irreducible(poly: tuple[int, ...], p: int) -> bool:
+    """Trial division by every monic polynomial of degree 1..deg/2; degree 1 is irreducible."""
+    deg = len(poly) - 1
+    for d in range(1, deg // 2 + 1):
+        for packed in range(p**d):
+            den = tuple(packed // p**i % p for i in range(d)) + (1,)
+            if _poly_mod(list(poly), den, p) == [0]:
+                return False
+    return True
+
+
+def first_irreducible(p: int, k: int) -> tuple[int, ...]:
+    """The lexicographically first monic irreducible of degree k over F_p, by trial division of every
+    candidate in packed order of its non-leading coefficients: the oracle for the tabled moduli."""
+    for packed in range(p**k):
+        candidate = tuple(packed // p**i % p for i in range(k)) + (1,)
+        if _is_irreducible(candidate, p):
+            return candidate
+    raise ValueError(f"no irreducible polynomial of degree {k} over F_{p}")
+
+
 def prime_divisors(n: int) -> list[int]:
     """The primes dividing n >= 1, by trial division."""
     primes, d = [], 2

@@ -1,14 +1,18 @@
 """Finite-field arithmetic backing the norm-preimage constructor: the vectorised norms against scalar arithmetic."""
 
 import random
+import re
+import time
 
+import numpy as np
 import pytest
 
-from pairgraph.errors import ValidationError
-from pairgraph.fields import PrimePowerField, is_prime, reducing_polynomial
-from pairgraph.groups import FIELD_ORDER_CAP
+from pairgraph import fields
+from pairgraph.errors import SizeCapExceeded, ValidationError
+from pairgraph.fields import CONWAY_POLYNOMIALS, FIRST_IRREDUCIBLES, PrimePowerField, is_prime, reducing_polynomial
+from pairgraph.groups import FIELD_ORDER_CAP, make_field_additive
 
-from helpers import ScalarField, prime_divisors
+from helpers import ScalarField, first_irreducible, prime_divisors
 
 # every (p, k) that make_field_additive accepts
 SUPPORTED = [(p, k) for p in range(2, FIELD_ORDER_CAP + 1) if is_prime(p) for k in range(1, 13) if p**k <= FIELD_ORDER_CAP]
@@ -90,6 +94,40 @@ def test_create_rejects_bad_parameters():
         PrimePowerField.create(7, 0)
 
 
+def test_tabled_moduli_are_the_first_irreducibles():
+    # the table holds every supported (p, k >= 2) that the Conway table does not, each the search's answer
+    beyond_conway = [(p, k) for p, k in SUPPORTED if k >= 2 and (p, k) not in CONWAY_POLYNOMIALS]
+    assert len(beyond_conway) == 31 and sorted(FIRST_IRREDUCIBLES) == beyond_conway
+    for (p, k), modulus in FIRST_IRREDUCIBLES.items():
+        assert modulus == first_irreducible(p, k) == reducing_polynomial(p, k), (p, k)
+    # a prime field outside the Conway table is realized by x, as the search finds too
+    for p in (17, 61, 4093):
+        assert (p, 1) not in CONWAY_POLYNOMIALS
+        assert reducing_polynomial(p, 1) == first_irreducible(p, 1) == (0, 1)
+    with pytest.raises(ValidationError, match="no reducing polynomial is tabled"):
+        reducing_polynomial(2, 13)
+
+
+def test_create_refuses_fields_over_the_cap(monkeypatch):
+    # the cap is read before the primality test and before any modulus work
+    def no_primality(p):
+        raise AssertionError(f"is_prime({p}) ran before the field-order cap was checked")
+
+    monkeypatch.setattr(fields, "is_prime", no_primality)
+    for p, k in [(2, 13), (67, 2), (3, 8), (2**61 - 1, 1)]:
+        with pytest.raises(SizeCapExceeded, match=re.escape(f"field order {p}^{k} exceeds the cap 4096")):
+            PrimePowerField.create(p, k)
+    start = time.perf_counter()
+    with pytest.raises(SizeCapExceeded, match=r"field order 2\^1000000000 exceeds the cap 4096"):
+        PrimePowerField.create(2, 10**9)
+    assert time.perf_counter() - start < 0.5
+    monkeypatch.undo()
+    # make_field_additive leaves the cap to create, with the message it gave before
+    with pytest.raises(SizeCapExceeded, match=r"^field order 2\^13 exceeds the cap 4096$"):
+        make_field_additive(2, 13)
+    assert PrimePowerField.create(2, 12).order == FIELD_ORDER_CAP
+
+
 @pytest.mark.parametrize("p,k", [(2, 1), (2, 4), (3, 3), (5, 2), (7, 2), (13, 3), (7, 4), (2, 12)])
 def test_vectorised_norms_match_scalar_norm(p, k):
     gf = ScalarField(p, k)
@@ -120,3 +158,36 @@ def test_norms_of_a_field_built_directly():
     for p, k, modulus in [(5, 2, (1, 0, 1)), (2, 12, (0,) * 12 + (1,)), (2, 12, (1, 1, 1, 1) + (0,) * 7 + (1, 1))]:
         with pytest.raises(ValidationError, match="reducible"):
             PrimePowerField(p, k, modulus).norms()
+
+
+class _CountingRows:
+    """numpy as seen from ``fields``, counting the digit rows of every block that ``np.concatenate`` appends."""
+
+    def __init__(self):
+        self.rows = 0
+
+    def concatenate(self, arrays):
+        if arrays[-1].ndim == 2:
+            self.rows += len(arrays[-1])
+        return np.concatenate(arrays)
+
+    def __getattr__(self, name):
+        return getattr(np, name)
+
+
+def test_reducible_modulus_with_units_of_field_orders_is_refused_in_bounded_work(monkeypatch):
+    # over F_7, x^2 + 1 and x^2 + x + 3 are irreducible, so the ring is F_49 x F_49: every unit has an
+    # order dividing 48, which divides q - 1 = 2400, and the first non-unit is x^2 + 1 = 50 in packed order
+    modulus = (3, 1, 4, 1, 1)  # (x^2 + 1)(x^2 + x + 3), coefficients ascending
+    numpy = _CountingRows()
+    monkeypatch.setattr(fields, "np", numpy)
+    with pytest.raises(ValidationError, match=re.escape(f"modulus {modulus} is reducible over F_7")):
+        PrimePowerField(7, 4, modulus).norms()
+    # each of the 43 units stops within 64 powers, and the non-unit lists all 2401 without reaching 1;
+    # listing every candidate whole would take 44 * 2400 rows
+    assert 2400 <= numpy.rows <= 2400 + 43 * 64
+    # a field lists its rejected candidates only up to their orders: in F_{7^4}, 400, 100, 400, 600 and 200
+    numpy.rows = 0
+    PrimePowerField.create(7, 4).norms()
+    # a block starting at power m = 2^j holds powers m..2m-1, so order n stops after the block with m <= n < 2m
+    assert numpy.rows == sum(2 ** n.bit_length() - 1 for n in (400, 100, 400, 600, 200)) + 2400

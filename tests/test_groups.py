@@ -355,7 +355,7 @@ def test_field_norm_preimage():
 def test_reducing_polynomial_table():
     assert reducing_polynomial(7, 2) == (3, 6, 1)
     assert (7, 2) in CONWAY_POLYNOMIALS
-    # fallback search still returns an irreducible for untabled cases
+    # beyond the Conway table, the tabled first irreducible
     poly = reducing_polynomial(2, 5)
     assert len(poly) == 6 and poly[-1] == 1
 
@@ -557,6 +557,7 @@ def test_subgroup_arrays_are_read_only():
     assert sub.contains(3) is True and sub.contains(4) is False
     assert sub.outside() == (1, 2, 4, 5, 7, 8, 10, 11)
     assert all(type(x) is int for x in sub.outside())
+    assert sub.outside() is sub.outside()  # built once per subgroup
 
 
 def test_generating_set_validation():

@@ -5,6 +5,8 @@ import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from pairgraph import groups
 from pairgraph.descriptors import builtin_subgroup, group_from_descriptor
@@ -20,6 +22,7 @@ from pairgraph.groups import (
 )
 
 from helpers import (
+    count_products,
     instance_corpus,
     perm_parities,
     reference_generated_elements,
@@ -30,7 +33,7 @@ from helpers import (
 
 ALL_PAIRS = [
     "symmetric:1", "symmetric:2", "symmetric:3", "symmetric:4", "symmetric:5", "symmetric:6",
-    "alternating:4", "alternating:5", "alternating:6", "gl2:3", "gl2:5", "sl2:5", "field_additive:2,4",
+    "alternating:1", "alternating:2", "alternating:3", "alternating:4", "alternating:5", "alternating:6", "gl2:3", "gl2:5", "sl2:5", "field_additive:2,4",
     "cyclic:1", "cyclic:2", "cyclic:60", '{"kind": "product", "params": ["cyclic:3", "dihedral:4"]}',
 ]
 SAMPLED = [
@@ -171,6 +174,38 @@ def test_generated_elements_match_breadth_first_closure():
     z101 = groups.make_cyclic(101)
     for seeds in ([1], [2], [3, 50], [0, 100]):
         assert generated_elements(z101, seeds).tolist() == list(reference_generated_elements(z101, seeds))
+
+
+# every family, and Z/12000 with its seeds drawn from <120>, of order 100: not a power of two
+CLOSURE_GROUPS = {
+    "cyclic:12000": range(0, 12000, 120), "cyclic:360": None, "dihedral:7": None, "symmetric:5": None,
+    "symmetric:7": None, "alternating:6": None, "gl2:5": None, "sl2:7": None, "field_additive:7,2": None,
+    "field_additive:2,8": None, '{"kind": "product", "params": ["gl2:3", "cyclic:100"]}': None,
+}
+
+
+@st.composite
+def _closure_seeds(draw):
+    descriptor = draw(st.sampled_from(sorted(CLOSURE_GROUPS)))
+    group = group_from_descriptor(descriptor)
+    pool = CLOSURE_GROUPS[descriptor] or range(group.order)
+    return group, draw(st.lists(st.sampled_from(pool), max_size=4))
+
+
+@settings(derandomize=True, database=None, max_examples=80, deadline=None)
+@given(_closure_seeds())
+def test_generated_elements_match_breadth_first_closure_on_drawn_seeds(case):
+    group, seeds = case
+    assert generated_elements(group, seeds).tolist() == list(reference_generated_elements(group, seeds))
+
+
+def test_first_seed_listed_by_doubling(monkeypatch):
+    # <120> in Z/12000 is reached by doubling alone, 1 + 2 + ... + 64 products and one g^m per block,
+    # where a breadth-first closure multiplies each of the 100 elements by every adjoined square
+    z = groups.make_cyclic(12000)
+    count = count_products(monkeypatch)
+    assert generated_elements(z, [0, 120]).tolist() == list(range(0, 12000, 120))
+    assert count == [127 + 7]
 
 
 def test_generated_elements_bound_a_long_cycle():
