@@ -671,7 +671,7 @@ def _abelian_subgroup(group: FiniteGroup, h: np.ndarray) -> np.ndarray:
 
 
 def _powers(group: FiniteGroup, k: int) -> np.ndarray:
-    """k^0, ..., k^(n-1) for k of order n, by doubling: k^m..k^(2m-1) is k^0..k^(m-1) times k^m, up to where e recurs."""
+    """k^0, ..., k^(n-1) for k of order n, by doubling, k^m..k^(2m-1) = k^0..k^(m-1) times k^m, cut where e recurs."""
     listing = np.array([group.identity])
     while True:
         block = group.product(listing, group.product(listing[-1], k))

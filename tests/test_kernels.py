@@ -33,7 +33,8 @@ from helpers import (
 
 ALL_PAIRS = [
     "symmetric:1", "symmetric:2", "symmetric:3", "symmetric:4", "symmetric:5", "symmetric:6",
-    "alternating:1", "alternating:2", "alternating:3", "alternating:4", "alternating:5", "alternating:6", "gl2:3", "gl2:5", "sl2:5", "field_additive:2,4",
+    "alternating:1", "alternating:2", "alternating:3", "alternating:4", "alternating:5", "alternating:6",
+    "gl2:3", "gl2:5", "sl2:5", "field_additive:2,4",
     "cyclic:1", "cyclic:2", "cyclic:60", '{"kind": "product", "params": ["cyclic:3", "dihedral:4"]}',
 ]
 SAMPLED = [
