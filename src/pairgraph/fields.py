@@ -17,6 +17,7 @@ primitive element.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -24,6 +25,9 @@ import numpy as np
 from .errors import SizeCapExceeded, ValidationError
 
 FIELD_ORDER_CAP = 4096
+# candidate primitive elements per order test in ``PrimePowerField.norms`` up to k = 4, fewer by k^3 beyond:
+# past that, a stacked k x k product costs more than a call
+ORDER_TEST_BATCH = 8
 
 # Conway polynomials, coefficients ascending (constant term first), monic.
 CONWAY_POLYNOMIALS = {
@@ -91,6 +95,11 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _prime_factors(n: int) -> set[int]:
+    small = [d for d in range(2, math.isqrt(n) + 1) if n % d == 0]
+    return {d for d in [*small, *(n // d for d in small), n] if is_prime(d)}
+
+
 def _unpack(value: int, k: int, p: int) -> list[int]:
     digits = []
     for _ in range(k):
@@ -139,41 +148,61 @@ class PrimePowerField:
     def norms(self) -> np.ndarray:
         """The norm down to the prime field, a^((q-1)/(p-1)) with q = p^k, of every element a; 0 has norm 0.
 
-        Multiplying by c is F_p-linear on digit rows, by M_c = sum_d c_d M_x^d with
-        M_x the companion matrix of the modulus.  The powers g^i, i < q, of the least
-        g of order q - 1 are listed by doubling, L[m:2m] = L[:m] M_g^m, and as the
-        norm is multiplicative, N(g^i) = g^(i(q-1)/(p-1)) is a gather along the
-        listing.  A candidate's listing stops at the first block holding a 1, at
-        index g's order: in a field that order divides q - 1, and below q - 1 the
-        next candidate is tried.  A first 1 at an order not dividing q - 1, or no 1
-        at all, proves the modulus reducible, and raises at once.
+        Multiplying by c is F_p-linear on digit rows, by M_c = sum_d c_d M_x^d, M_x the
+        companion matrix of the modulus.  Candidates g are tested in stacks: their squares
+        M_g^(2^j) are taken once, and for each prime l | q - 1, g^((q-1)/l) is row 0 of
+        the product of the squares at the set bits of (q-1)/l.  Only the first g with
+        none of these powers 1 is listed, g^i for i < q, by doubling, L[m:2m] = L[:m] M_g^m;
+        as the norm is multiplicative, N(g^i) = g^(i(q-1)/(p-1)) is a gather along the
+        listing.  In a field that g has order q - 1.  A listing that does not end in
+        g^(q-1) = 1 (a non-unit, or a unit of an order not dividing q - 1) proves the
+        modulus reducible, and raises.
         """
         p, k, q = self.p, self.k, self.order
-        mx = np.eye(k, k, 1, dtype=np.int64)
-        mx[-1] = np.negative(self.modulus[:-1]) % p
-        xpow = [np.eye(k, dtype=np.int64)]
+        # the digits of x^n, n < 2k - 1: x^(n+1) moves x^n's digits up one place and reduces x^k by the modulus
+        rows = [[int(i == n) for i in range(k)] for n in range(k)]
         for _ in range(k - 1):
-            xpow.append(xpow[-1] @ mx % p)
-        xpow = np.reshape(xpow, (k, k * k))
+            rows.append([(c - rows[-1][-1] * m) % p for c, m in zip([0, *rows[-1][:-1]], self.modulus)])
+        xpow = np.array(rows)[np.arange(k)[:, None] + np.arange(k)].reshape(k, k * k)  # row i of M_x^d: x^(i+d)
         weights = p ** np.arange(k)
+
+        def refused() -> ValidationError:
+            return ValidationError(f"modulus {self.modulus} is reducible over F_{p}: no element has order {q - 1}")
+
+        # each (q-1)/l < 2^(bits-1), and the listing takes the squares M_g^(2^j) for every j < bits, as 2^j < q
+        bits = (q - 1).bit_length()
+        exponents = np.array([(q - 1) // l for l in _prime_factors(q - 1)], dtype=np.int64)
+        keep = exponents[:, None] >> np.arange(bits - 1) & 1 == 0
         # the prime field's units have orders dividing p - 1, so for k > 1 none has order q - 1
-        for g in range(p if k > 1 else 1, q):
-            listing, step = np.eye(1, k, dtype=np.int64), (self.digits(g) @ xpow % p).reshape(k, k)
-            packed, order = [np.ones(1, dtype=np.int64)], 0
-            while not order and len(listing) < q:
-                block = listing[: q - len(listing)] @ step % p
-                packed.append(block @ weights)
-                ones = np.flatnonzero(packed[-1] == 1)
-                order = len(listing) + int(ones[0]) if ones.size else 0
-                listing = np.concatenate([listing, block])
-                step = step @ step % p
-            if order == q - 1 or not order or (q - 1) % order:
+        batch = max(1, min(ORDER_TEST_BATCH, ORDER_TEST_BATCH * 4**3 // k**3))
+        for first in range(p if k > 1 else 1, q, batch):
+            candidates = np.arange(first, min(first + batch, q))
+            # M_g^(2^j) over a row g^e per exponent: one product squares the one and multiplies the others,
+            # each keeping its row where bit j of its exponent is 0
+            stack = np.zeros((len(candidates), k + len(exponents), k), dtype=np.int64)
+            stack[:, :k] = (candidates[:, None] // weights % p @ xpow % p).reshape(-1, k, k)
+            stack[:, k:, 0] = 1
+            squares = [stack[:, :k]]
+            for j in range(bits - 1):
+                product = stack @ squares[-1] % p
+                np.copyto(product[:, k:], stack[:, k:], where=keep[:, j, None])
+                stack = product
+                squares.append(stack[:, :k])
+            passed = np.flatnonzero((stack[:, k:] @ weights != 1).all(axis=1))
+            if passed.size:
                 break
-        if order != q - 1:
-            raise ValidationError(f"modulus {self.modulus} is reducible over F_{p}: no element has order {q - 1}")
-        packed = np.concatenate(packed)
+        else:
+            raise refused()
+        listing, g = np.zeros((q, k), dtype=np.int64), int(passed[0])
+        listing[0, 0] = 1
+        for j, square in enumerate(squares):
+            np.remainder(listing[: min(1 << j, q - (1 << j))] @ square[g], p, out=listing[1 << j : 2 << j])
+        packed = listing @ weights
+        if packed[-1] != 1:
+            raise refused()
+        # N(g^i) = g^((i mod (p-1))(q-1)/(p-1)): listed in rows of p - 1, column c has the norm g^(c(q-1)/(p-1))
         norms = np.zeros(q, dtype=np.int64)
-        norms[packed[:-1]] = packed[np.arange(q - 1) * ((q - 1) // (p - 1)) % (q - 1)]
+        norms[packed[:-1].reshape(-1, p - 1)] = packed[: q - 1 : (q - 1) // (p - 1)]
         if norms.max() >= p:
             raise ValidationError("norm did not land in the prime field")
         return norms

@@ -200,22 +200,25 @@ def make_cyclic(n: int) -> FiniteGroup:
     if n < 1:
         raise ValidationError("cyclic group order must be >= 1")
     _check_order(n)
-
-    def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # a + b < 2n, so one conditional subtraction reduces it, far cheaper than % n
-        total = np.asarray(a + b)
-        np.subtract(total, n, out=total, where=total >= n)
-        return total
-
     return FiniteGroup(
         name=f"Z/{n}",
         order=n,
         make_labels=lambda: map(str, range(n)),
         identity=0,
         inverse=(-np.arange(n)) % n,
-        kernel=kernel,
+        kernel=_residue_sum(n),
         descriptor={"kind": "cyclic", "params": [n]},
     )
+
+
+def _residue_sum(n: int) -> Kernel:
+    def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        # a + b < 2n, so one conditional subtraction reduces it, far cheaper than % n
+        total = np.asarray(a + b)
+        np.subtract(total, n, out=total, where=total >= n)
+        return total
+
+    return kernel
 
 
 def perm_from_cycles(n: int, spec) -> tuple[int, ...]:
@@ -501,25 +504,47 @@ def make_field_additive(p: int, k: int) -> FiniteGroup:
     p = _check_prime(p)
     (k,) = _int_entries([k], "extension degree")
     gf = PrimePowerField.create(p, k)
-    weights = [p**d for d in range(k)]
-
-    def digitwise(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # digit d of a // w plus digit d of b // w, mod p: higher digits vanish
-        return sum((a // w + b // w) % p * w for w in weights)
-
-    idx = np.arange(gf.order)
+    if p == 2:  # binary digits add by XOR, and every element is its own negative
+        kernel, inverse = (lambda a, b: a ^ b), np.arange(gf.order)
+    elif k == 1:
+        kernel, inverse = _residue_sum(p), (-np.arange(p)) % p
+    else:
+        kernel, inverse = _digit_half_sum(p, k)
     g = FiniteGroup(
         name=f"F{p}^{k}" if k > 1 else f"F{p}",
         order=gf.order,
         make_labels=lambda: map(gf.label, range(gf.order)),
         identity=0,
-        inverse=sum((-(idx // w)) % p * w for w in weights),
-        # binary digits add by XOR
-        kernel=(lambda a, b: a ^ b) if p == 2 else digitwise,
+        inverse=inverse,
+        kernel=kernel,
         descriptor={"kind": "field_additive", "params": [p, k]},
     )
     g.field = gf
     return g
+
+
+def _digit_half_sum(p: int, k: int) -> tuple[Kernel, np.ndarray]:
+    """Digitwise sums mod p in F_{p^k}, k >= 2, by gathers from one table on the first ceil(k/2) digits, and negatives.
+
+    An index is low + half * high, low its first ceil(k/2) digits, so high has no more digits than low; the
+    digitwise sum of two lows, or of two highs, is an entry of the half x half table, read at a pre-scaled row.
+    The table grows by a leading digit at a time, and the 0 in each of its rows marks that row's negative.
+    """
+    half = p ** ((k + 1) // 2)
+    high, low = np.divmod(np.arange(p**k), half)
+    high_row, low_row = high * half, low * half
+    digit = np.arange(p, dtype=np.int32)
+    table = np.zeros((1, 1), dtype=np.int32)
+    for w in (p**d for d in range((k + 1) // 2)):
+        table = ((digit[:, None] + digit) % p * w)[:, None, :, None] + table[:, None]
+        table = table.reshape(p * w, p * w)
+    negative = table.argmin(axis=1)
+    table = table.ravel()
+
+    def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+        return table[low_row[a] + low[b]] + table[high_row[a] + high[b]] * half
+
+    return kernel, negative[low] + negative[high] * half
 
 
 def field_norm_preimage(group: FiniteGroup, values: Iterable[int]) -> tuple[int, ...]:
@@ -632,7 +657,9 @@ def _abelian_subgroup(group: FiniteGroup, h: np.ndarray) -> np.ndarray:
     commutes with K and whose cyclic group meets K only in e, found by g's
     elements of prime order lying outside K; so K<g> = K x <g>.  The largest
     K wins, ties going to the earliest start, so K = <k> unless a larger K
-    is found, and K = H when H is cyclic.  For abelian H the first start
+    is found, and K = H when H is cyclic.  The K grown from a start s lies in
+    its centraliser C_H(s), so a start whose centraliser is no larger than
+    the best K so far is skipped.  For abelian H the first start
     already gives K = H: <k> is a direct factor of H, and when K is one, with
     H = K x C, the image of g in H/K ~ C has g's order, the largest in C, so
     it spans a direct factor of C and K x <g> is a direct factor of H too.
@@ -653,6 +680,8 @@ def _abelian_subgroup(group: FiniteGroup, h: np.ndarray) -> np.ndarray:
     best = None
     for start in dict.fromkeys([0, *(int(np.argmax(order == p)) for p in primes)]):
         free = np.flatnonzero(group.product(h, h[start]) == group.product(h[start], h))
+        if best is not None and free.size + 1 <= best.size:  # K <= C_H(start), which holds e and h[free]
+            continue
         listing = _powers(group, h[start])
         while True:
             in_k = np.zeros(group.order, dtype=bool)

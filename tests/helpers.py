@@ -11,9 +11,10 @@ import numpy as np
 from hypothesis import assume
 from hypothesis import strategies as st
 
+from pairgraph import groups
 from pairgraph.descriptors import builtin_subgroup, group_from_descriptor
 from pairgraph.errors import NotASubgroup, ValidationError
-from pairgraph.fields import PrimePowerField
+from pairgraph.fields import PrimePowerField, is_prime
 from pairgraph.graphs import PairGraph
 from pairgraph.groups import (
     FiniteGroup,
@@ -354,6 +355,35 @@ def prime_divisors(n: int) -> list[int]:
                 n //= d
         d += 1
     return primes + [n] if n > 1 else primes
+
+
+def reference_abelian_subgroup(group: FiniteGroup, h: np.ndarray) -> np.ndarray:
+    """``groups._abelian_subgroup`` as it was before it skipped starts by their centralisers: K grown from every start."""
+    n = len(h)
+    order, low = groups._element_orders(group, h, n)
+    first = int(order.argmax())
+    if order[first] == n:
+        return groups._powers(group, h[first])
+    by_order = np.argsort(-order, kind="stable")[:-1]
+    h, order, low = h[by_order], order[by_order], np.array(list(low.values()))[:, by_order]
+    primes = [p for p in np.unique(order).tolist() if is_prime(p)]
+    best = None
+    for start in dict.fromkeys([0, *(int(np.argmax(order == p)) for p in primes)]):
+        free = np.flatnonzero(group.product(h, h[start]) == group.product(h[start], h))
+        listing = groups._powers(group, h[start])
+        while True:
+            in_k = np.zeros(group.order, dtype=bool)
+            in_k[listing] = True
+            in_k[group.identity] = False
+            free = free[~in_k[low[:, free]].any(axis=0)]
+            if not free.size:
+                break
+            g = h[free[0]]
+            listing = group.product(listing[..., None], groups._powers(group, g))
+            free = free[group.product(h[free], g) == group.product(g, h[free])]
+        if best is None or listing.size > best.size:
+            best = listing
+    return best
 
 
 def reference_element_order(group: FiniteGroup, a: int) -> int:

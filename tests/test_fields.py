@@ -1,5 +1,6 @@
 """Finite-field arithmetic backing the norm-preimage constructor: the vectorised norms against scalar arithmetic."""
 
+import math
 import random
 import re
 import time
@@ -160,16 +161,20 @@ def test_norms_of_a_field_built_directly():
             PrimePowerField(p, k, modulus).norms()
 
 
-class _CountingRows:
-    """numpy as seen from ``fields``, counting the digit rows of every block that ``np.concatenate`` appends."""
+class _CountingNumpy:
+    """numpy as seen from ``fields``: the rows that ``np.remainder`` writes into a listing, and the candidates in
+    each stacked product of the order test, one ``np.copyto`` per product."""
 
     def __init__(self):
-        self.rows = 0
+        self.rows, self.stacks = 0, []
 
-    def concatenate(self, arrays):
-        if arrays[-1].ndim == 2:
-            self.rows += len(arrays[-1])
-        return np.concatenate(arrays)
+    def remainder(self, x, p, out):
+        self.rows += len(out)
+        return np.remainder(x, p, out=out)
+
+    def copyto(self, dst, src, where):
+        self.stacks.append(len(dst))
+        return np.copyto(dst, src, where=where)
 
     def __getattr__(self, name):
         return getattr(np, name)
@@ -179,15 +184,52 @@ def test_reducible_modulus_with_units_of_field_orders_is_refused_in_bounded_work
     # over F_7, x^2 + 1 and x^2 + x + 3 are irreducible, so the ring is F_49 x F_49: every unit has an
     # order dividing 48, which divides q - 1 = 2400, and the first non-unit is x^2 + 1 = 50 in packed order
     modulus = (3, 1, 4, 1, 1)  # (x^2 + 1)(x^2 + x + 3), coefficients ascending
-    numpy = _CountingRows()
+    numpy = _CountingNumpy()
     monkeypatch.setattr(fields, "np", numpy)
     with pytest.raises(ValidationError, match=re.escape(f"modulus {modulus} is reducible over F_7")):
         PrimePowerField(7, 4, modulus).norms()
-    # each of the 43 units stops within 64 powers, and the non-unit lists all 2401 without reaching 1;
+    # the 43 units fail the order test, and the non-unit passes it and is listed once, never reaching 1;
     # listing every candidate whole would take 44 * 2400 rows
     assert 2400 <= numpy.rows <= 2400 + 43 * 64
-    # a field lists its rejected candidates only up to their orders: in F_{7^4}, 400, 100, 400, 600 and 200
-    numpy.rows = 0
+    assert numpy.rows == 2400
+    # candidates 7..54 in six stacks of eight, each squared bit_length(2400) - 1 = 11 times
+    assert numpy.stacks == [8] * 6 * 11
+    # a field lists only its primitive element: the five candidates before it in F_{7^4} share its stack
+    numpy.rows, numpy.stacks = 0, []
     PrimePowerField.create(7, 4).norms()
-    # a block starting at power m = 2^j holds powers m..2m-1, so order n stops after the block with m <= n < 2m
-    assert numpy.rows == sum(2 ** n.bit_length() - 1 for n in (400, 100, 400, 600, 200)) + 2400
+    assert (numpy.rows, numpy.stacks) == (2400, [8] * 11)
+
+
+def test_order_test_stacks_fewer_candidates_of_large_degree(monkeypatch):
+    # a stacked k x k product costs about k^3 per candidate: 8 candidates up to k = 4, then fewer
+    for (p, k), stack in {(7, 2): 8, (13, 3): 8, (3, 5): 4, (2, 6): 2, (2, 7): 1, (2, 12): 1}.items():
+        numpy = _CountingNumpy()
+        monkeypatch.setattr(fields, "np", numpy)
+        oracle = ScalarField(p, k).norms()
+        assert PrimePowerField.create(p, k).norms().tolist() == oracle.tolist()
+        assert set(numpy.stacks) == {stack} and numpy.rows == p**k - 1, (p, k)
+
+
+def test_norms_of_the_field_of_two(monkeypatch):
+    # q - 1 = 1 has no prime divisor, so the first candidate, 1, passes with no stacked product
+    numpy = _CountingNumpy()
+    monkeypatch.setattr(fields, "np", numpy)
+    assert PrimePowerField.create(2, 1).norms().tolist() == [0, 1]
+    assert (numpy.rows, numpy.stacks) == (1, [])
+
+
+def test_no_candidate_passing_the_order_test_is_refused(monkeypatch):
+    # every candidate failing cannot happen (a field has a primitive element, a reducible ring a non-unit),
+    # so the test's verdict is forced; the loop ends, after every stack, with the refusal
+    numpy = _CountingNumpy()
+    numpy.flatnonzero = lambda a: np.array([], dtype=np.intp)
+    monkeypatch.setattr(fields, "np", numpy)
+    with pytest.raises(ValidationError, match=re.escape("modulus (2, 4, 1) is reducible over F_5: no element has order 24")):
+        PrimePowerField.create(5, 2).norms()
+    assert numpy.rows == 0 and len(numpy.stacks) == math.ceil((25 - 5) / 8) * 4
+
+
+def test_prime_factors_match_trial_division():
+    assert [sorted(fields._prime_factors(n)) for n in range(1, FIELD_ORDER_CAP)] == [
+        prime_divisors(n) for n in range(1, FIELD_ORDER_CAP)
+    ]

@@ -23,6 +23,7 @@ from pairgraph.groups import (
     make_direct_product,
     make_field_additive,
     make_gl2,
+    make_sl2,
     make_symmetric,
     perm_index,
     subgroup_from_elements,
@@ -45,11 +46,14 @@ from pairgraph.structure import connected_components
 from pairgraph.actions import SearchConfig, random_candidate, search_ramanujan
 
 from helpers import (
+    GENERATED_FACTORS,
     dense_eigenvalues,
+    generated_group,
     generated_instances,
     index_two_pool,
     instance_corpus,
     random_generating_set,
+    reference_abelian_subgroup,
     reference_element_order,
     reference_mul,
     subgroup_pool,
@@ -338,6 +342,57 @@ def test_conjugate_pairs_keep_each_character_once(shape):
     assert set(pairs) == {frozenset({j, tuple(-x % n for x, n in zip(j, shape))}) for j in np.ndindex(shape)}
     assert weight.tolist() == [len(pair) for pair in pairs]
     assert weight.sum() == math.prod(shape)
+
+
+def _stock_subgroups():
+    """The pairs the benchmark, the README and the reference cases take a K of, and whole nonabelian groups."""
+    subs = [builtin_subgroup(make_gl2(p), "sl2_in_gl2") for p in (3, 5, 7)]
+    subs += [builtin_subgroup(make_symmetric(n), "alternating_in_symmetric") for n in (3, 4, 5, 6, 7)]
+    subs += [subgroup_from_elements(g, range(g.order)) for g in (make_sl2(3), make_sl2(5), make_sl2(7), make_alternating(5))]
+    subs += [subgroup_from_elements(make_field_additive(7, 4), range(7)), subgroup_from_elements(make_cyclic(3000), range(0, 3000, 3))]
+    return subs + list(subgroup_pool()) + _abelian_subgroups()
+
+
+def test_chooser_matches_every_start_on_stock_pairs():
+    for sub in _stock_subgroups():
+        chosen = groups._abelian_subgroup(sub.parent, sub.elements)
+        oracle = reference_abelian_subgroup(sub.parent, sub.elements)
+        assert chosen.shape == oracle.shape and np.array_equal(chosen, oracle), sub
+
+
+@st.composite
+def _drawn_subgroups(draw):
+    first = draw(st.sampled_from(GENERATED_FACTORS))
+    group = generated_group(first, draw(st.none() | st.sampled_from(GENERATED_FACTORS)))
+    return subgroup_generated(group, draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=3)))
+
+
+@settings(derandomize=True, database=None, max_examples=120, deadline=None)
+@given(_drawn_subgroups())
+def test_chooser_matches_every_start_on_drawn_subgroups(sub):
+    chosen = groups._abelian_subgroup(sub.parent, sub.elements)
+    oracle = reference_abelian_subgroup(sub.parent, sub.elements)
+    assert chosen.shape == oracle.shape and np.array_equal(chosen, oracle)
+
+
+def test_chooser_skips_starts_whose_centraliser_cannot_win(monkeypatch):
+    sub = builtin_subgroup(make_gl2(5), "sl2_in_gl2")
+    orders = [reference_element_order(sub.parent, x) for x in sub.elements.tolist()]
+    least = {n: sub.elements[orders.index(n)] for n in (10, 2, 3, 5)}
+    powers, calls = groups._powers, []
+
+    def recording(group, k):
+        calls.append(k)
+        return powers(group, k)
+
+    monkeypatch.setattr(groups, "_powers", recording)
+    assert groups._abelian_subgroup(sub.parent, sub.elements).shape == (10,)
+    # start k of order 10 gives K = <k> = C_H(k); start -I, the central involution, gives <-I> x <g> with g the least
+    # element of order 5, also of order 10; the starts of order 3 and 5, with centralisers of orders 6 and 10, are skipped
+    assert calls == [least[10], least[2], least[5]]
+    calls.clear()
+    reference_abelian_subgroup(sub.parent, sub.elements)
+    assert calls == [least[10], least[2], least[5], least[3], least[2], least[5], least[2]]
 
 
 def test_second_choice_of_k_agrees(monkeypatch):
