@@ -12,7 +12,7 @@ k (ordered by packed index of the non-leading coefficients), tabled for the
 31 such (p, k) under the cap.  The chosen polynomial is exposed via
 ``PrimePowerField.modulus`` so that constructions are reproducible.  The norm
 of every element is one gather along the listing of the powers of a
-primitive element.
+primitive element, found by one stacked order test of several candidates.
 """
 
 from __future__ import annotations
@@ -25,8 +25,7 @@ import numpy as np
 from .errors import SizeCapExceeded, ValidationError
 
 FIELD_ORDER_CAP = 4096
-# candidate primitive elements per order test in ``PrimePowerField.norms`` up to k = 4, fewer by k^3 beyond:
-# past that, a stacked k x k product costs more than a call
+# candidates per order test in ``PrimePowerField.norms`` up to k = 4, then fewer by k^3, the cost of a k x k product
 ORDER_TEST_BATCH = 8
 
 # Conway polynomials, coefficients ascending (constant term first), monic.
@@ -95,19 +94,6 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def _prime_factors(n: int) -> set[int]:
-    small = [d for d in range(2, math.isqrt(n) + 1) if n % d == 0]
-    return {d for d in [*small, *(n // d for d in small), n] if is_prime(d)}
-
-
-def _unpack(value: int, k: int, p: int) -> list[int]:
-    digits = []
-    for _ in range(k):
-        value, r = divmod(value, p)
-        digits.append(r)
-    return digits
-
-
 def reducing_polynomial(p: int, k: int) -> tuple[int, ...]:
     """The fixed monic irreducible used to realize F_{p^k}, for p^k <= ``FIELD_ORDER_CAP``: a table lookup."""
     if (p, k) in CONWAY_POLYNOMIALS:
@@ -143,7 +129,11 @@ class PrimePowerField:
         return self.p**self.k
 
     def digits(self, a: int) -> list[int]:
-        return _unpack(a, self.k, self.p)
+        digits = []
+        for _ in range(self.k):
+            a, r = divmod(a, self.p)
+            digits.append(r)
+        return digits
 
     def norms(self) -> np.ndarray:
         """The norm down to the prime field, a^((q-1)/(p-1)) with q = p^k, of every element a; 0 has norm 0.
@@ -159,20 +149,19 @@ class PrimePowerField:
         modulus reducible, and raises.
         """
         p, k, q = self.p, self.k, self.order
-        # the digits of x^n, n < 2k - 1: x^(n+1) moves x^n's digits up one place and reduces x^k by the modulus
-        rows = [[int(i == n) for i in range(k)] for n in range(k)]
-        for _ in range(k - 1):
-            rows.append([(c - rows[-1][-1] * m) % p for c, m in zip([0, *rows[-1][:-1]], self.modulus)])
-        xpow = np.array(rows)[np.arange(k)[:, None] + np.arange(k)].reshape(k, k * k)  # row i of M_x^d: x^(i+d)
+        mx = np.eye(k, k, 1, dtype=np.int64)
+        mx[-1] = np.negative(self.modulus[:-1]) % p
+        xpow = np.empty((k, k, k), dtype=np.int64)
+        xpow[0] = np.eye(k, dtype=np.int64)
+        for d in range(1, k):
+            xpow[d] = xpow[d - 1] @ mx % p
+        xpow = xpow.reshape(k, k * k)
         weights = p ** np.arange(k)
-
-        def refused() -> ValidationError:
-            return ValidationError(f"modulus {self.modulus} is reducible over F_{p}: no element has order {q - 1}")
-
-        # each (q-1)/l < 2^(bits-1), and the listing takes the squares M_g^(2^j) for every j < bits, as 2^j < q
-        bits = (q - 1).bit_length()
-        exponents = np.array([(q - 1) // l for l in _prime_factors(q - 1)], dtype=np.int64)
-        keep = exponents[:, None] >> np.arange(bits - 1) & 1 == 0
+        small = [d for d in range(2, math.isqrt(q - 1) + 1) if (q - 1) % d == 0]
+        primes = {d for d in [*small, *((q - 1) // d for d in small), q - 1] if is_prime(d)}
+        # bits j < bits - 1 of each exponent (q-1)/l <= (q-1)/2; the listing takes M_g^(2^j) for j < bits, as 2^j < q
+        exponents, bits = [(q - 1) // l for l in primes], (q - 1).bit_length()
+        keep = np.array([[not e >> j & 1 for j in range(bits - 1)] for e in exponents], dtype=bool)
         # the prime field's units have orders dividing p - 1, so for k > 1 none has order q - 1
         batch = max(1, min(ORDER_TEST_BATCH, ORDER_TEST_BATCH * 4**3 // k**3))
         for first in range(p if k > 1 else 1, q, batch):
@@ -192,14 +181,14 @@ class PrimePowerField:
             if passed.size:
                 break
         else:
-            raise refused()
+            passed, squares = [0], []  # no candidate passed: the listing stays at g^0, and the check below raises
         listing, g = np.zeros((q, k), dtype=np.int64), int(passed[0])
         listing[0, 0] = 1
         for j, square in enumerate(squares):
             np.remainder(listing[: min(1 << j, q - (1 << j))] @ square[g], p, out=listing[1 << j : 2 << j])
         packed = listing @ weights
         if packed[-1] != 1:
-            raise refused()
+            raise ValidationError(f"modulus {self.modulus} is reducible over F_{p}: no element has order {q - 1}")
         # N(g^i) = g^((i mod (p-1))(q-1)/(p-1)): listed in rows of p - 1, column c has the norm g^(c(q-1)/(p-1))
         norms = np.zeros(q, dtype=np.int64)
         norms[packed[:-1].reshape(-1, p - 1)] = packed[: q - 1 : (q - 1) // (p - 1)]

@@ -10,9 +10,11 @@ by gathers from small per-family arrays: a permutation's composite is keyed
 by its first n-1 images, as one float32 dot product of two gathered rows for
 every pair of factors, and a dense rank array maps the key to the index; a
 matrix acts on the p^2 column vectors through one m x p^2 array, and the
-product is looked up by its two column codes; F_{2^k} adds by XOR; a cyclic
-sum is reduced by one conditional subtraction, and a direct product reads
-each element's two components from precomputed arrays.
+product is looked up by its two column codes; F_{2^k} adds by XOR, and any
+other F_{p^k}, k >= 2, by two gathers from one table of digitwise sums on
+half the digits; a cyclic sum, F_p's too, is reduced by one conditional
+subtraction, and a direct product reads each element's two components from
+precomputed arrays.
 ``FiniteGroup.product`` is the one multiplication path: it runs the kernel
 in blocks of at most ``BLOCK`` products, so a batch allocates at most a few
 megabytes of temporaries, and ``mul`` and ``left_row`` derive from it.  No
@@ -500,16 +502,31 @@ def make_sl2(p: int) -> FiniteGroup:
 
 
 def make_field_additive(p: int, k: int) -> FiniteGroup:
-    """The additive group of F_{p^k}; the field structure rides along in ``.field``."""
+    """The additive group of F_{p^k}; the field structure rides along in ``.field``.
+
+    F_{2^k} adds by XOR, F_p as Z/p.  Otherwise an index is low + half * high, low its first ceil(k/2) digits,
+    so high has no more digits than low, and a digitwise sum of two lows or of two highs is an entry of one
+    half x half table, read at a pre-scaled row; the table grows by a leading digit at a time, and the 0 in
+    each of its rows marks that row's negative.
+    """
     p = _check_prime(p)
     (k,) = _int_entries([k], "extension degree")
     gf = PrimePowerField.create(p, k)
-    if p == 2:  # binary digits add by XOR, and every element is its own negative
+    if p == 2:  # every element is its own negative
         kernel, inverse = (lambda a, b: a ^ b), np.arange(gf.order)
     elif k == 1:
         kernel, inverse = _residue_sum(p), (-np.arange(p)) % p
     else:
-        kernel, inverse = _digit_half_sum(p, k)
+        half, digit, table = p ** ((k + 1) // 2), np.arange(p, dtype=np.int32), np.zeros((1, 1), dtype=np.int32)
+        for w in (p**d for d in range((k + 1) // 2)):
+            table = (((digit[:, None] + digit) % p * w)[:, None, :, None] + table[:, None]).reshape(p * w, p * w)
+        high, low = np.divmod(np.arange(gf.order), half)
+        negative, table, high_row, low_row = table.argmin(axis=1), table.ravel(), high * half, low * half
+        inverse = negative[low] + negative[high] * half
+
+        def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+            return table[low_row[a] + low[b]] + table[high_row[a] + high[b]] * half
+
     g = FiniteGroup(
         name=f"F{p}^{k}" if k > 1 else f"F{p}",
         order=gf.order,
@@ -521,30 +538,6 @@ def make_field_additive(p: int, k: int) -> FiniteGroup:
     )
     g.field = gf
     return g
-
-
-def _digit_half_sum(p: int, k: int) -> tuple[Kernel, np.ndarray]:
-    """Digitwise sums mod p in F_{p^k}, k >= 2, by gathers from one table on the first ceil(k/2) digits, and negatives.
-
-    An index is low + half * high, low its first ceil(k/2) digits, so high has no more digits than low; the
-    digitwise sum of two lows, or of two highs, is an entry of the half x half table, read at a pre-scaled row.
-    The table grows by a leading digit at a time, and the 0 in each of its rows marks that row's negative.
-    """
-    half = p ** ((k + 1) // 2)
-    high, low = np.divmod(np.arange(p**k), half)
-    high_row, low_row = high * half, low * half
-    digit = np.arange(p, dtype=np.int32)
-    table = np.zeros((1, 1), dtype=np.int32)
-    for w in (p**d for d in range((k + 1) // 2)):
-        table = ((digit[:, None] + digit) % p * w)[:, None, :, None] + table[:, None]
-        table = table.reshape(p * w, p * w)
-    negative = table.argmin(axis=1)
-    table = table.ravel()
-
-    def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return table[low_row[a] + low[b]] + table[high_row[a] + high[b]] * half
-
-    return kernel, negative[low] + negative[high] * half
 
 
 def field_norm_preimage(group: FiniteGroup, values: Iterable[int]) -> tuple[int, ...]:
