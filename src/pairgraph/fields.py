@@ -157,10 +157,14 @@ class PrimePowerField:
             xpow[d] = xpow[d - 1] @ mx % p
         xpow = xpow.reshape(k, k * k)
         weights = p ** np.arange(k)
-        small = [d for d in range(2, math.isqrt(q - 1) + 1) if (q - 1) % d == 0]
-        primes = {d for d in [*small, *((q - 1) // d for d in small), q - 1] if is_prime(d)}
+        n, primes = q - 1, []  # the primes l | q - 1, by trial division; what is left of n above 1 is one
+        for d in range(2, math.isqrt(q - 1) + 1):
+            if n % d == 0:
+                primes.append(d)
+            while n % d == 0:
+                n //= d
         # bits j < bits - 1 of each exponent (q-1)/l <= (q-1)/2; the listing takes M_g^(2^j) for j < bits, as 2^j < q
-        exponents, bits = [(q - 1) // l for l in primes], (q - 1).bit_length()
+        exponents, bits = [(q - 1) // l for l in primes + [n] * (n > 1)], (q - 1).bit_length()
         keep = np.array([[not e >> j & 1 for j in range(bits - 1)] for e in exponents], dtype=bool)
         # the prime field's units have orders dividing p - 1, so for k > 1 none has order q - 1
         batch = max(1, min(ORDER_TEST_BATCH, ORDER_TEST_BATCH * 4**3 // k**3))
