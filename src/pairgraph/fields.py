@@ -163,7 +163,7 @@ class PrimePowerField:
                 primes.append(d)
             while n % d == 0:
                 n //= d
-        # bits j < bits - 1 of each exponent (q-1)/l <= (q-1)/2; the listing takes M_g^(2^j) for j < bits, as 2^j < q
+        # an exponent (q-1)/l <= (q-1)/2 sets bits j < bits - 1 only; the listing takes M_g^(2^j) for all j < bits
         exponents, bits = [(q - 1) // l for l in primes + [n] * (n > 1)], (q - 1).bit_length()
         keep = np.array([[not e >> j & 1 for j in range(bits - 1)] for e in exponents], dtype=bool)
         # the prime field's units have orders dividing p - 1, so for k > 1 none has order q - 1
