@@ -94,6 +94,17 @@ def is_prime(n: int) -> bool:
     return True
 
 
+def _prime_factors(n: int) -> list[int]:
+    """The distinct primes dividing n >= 1, ascending, by trial division up to sqrt(n)."""
+    primes = []
+    for d in range(2, math.isqrt(n) + 1):
+        if n % d == 0:
+            primes.append(d)
+        while n % d == 0:
+            n //= d
+    return primes + [n] * (n > 1)
+
+
 def reducing_polynomial(p: int, k: int) -> tuple[int, ...]:
     """The fixed monic irreducible used to realize F_{p^k}, for p^k <= ``FIELD_ORDER_CAP``: a table lookup."""
     if (p, k) in CONWAY_POLYNOMIALS:
@@ -157,14 +168,8 @@ class PrimePowerField:
             xpow[d] = xpow[d - 1] @ mx % p
         xpow = xpow.reshape(k, k * k)
         weights = p ** np.arange(k)
-        n, primes = q - 1, []  # the primes l | q - 1, by trial division; what is left of n above 1 is one
-        for d in range(2, math.isqrt(q - 1) + 1):
-            if n % d == 0:
-                primes.append(d)
-            while n % d == 0:
-                n //= d
         # an exponent (q-1)/l <= (q-1)/2 sets bits j < bits - 1 only; the listing takes M_g^(2^j) for all j < bits
-        exponents, bits = [(q - 1) // l for l in primes + [n] * (n > 1)], (q - 1).bit_length()
+        exponents, bits = [(q - 1) // l for l in _prime_factors(q - 1)], (q - 1).bit_length()
         keep = np.array([[not e >> j & 1 for j in range(bits - 1)] for e in exponents], dtype=bool)
         # the prime field's units have orders dividing p - 1, so for k > 1 none has order q - 1
         batch = max(1, min(ORDER_TEST_BATCH, ORDER_TEST_BATCH * 4**3 // k**3))

@@ -41,7 +41,7 @@ from .errors import (
     SymmetryViolation,
     ValidationError,
 )
-from .fields import FIELD_ORDER_CAP, PrimePowerField, is_prime
+from .fields import FIELD_ORDER_CAP, PrimePowerField, _prime_factors, is_prime
 
 ORDER_CAP = 20000
 PERMUTATION_DEGREE_CAP = 8
@@ -714,7 +714,7 @@ def _element_orders(group: FiniteGroup, x: np.ndarray, n: int) -> tuple[np.ndarr
     """
     order = np.ones(np.shape(x), dtype=np.int64)
     low = {}
-    for p in (p for p in range(2, n + 1) if n % p == 0 and is_prime(p)):
+    for p in _prime_factors(n):
         part = p
         while n % (part * p) == 0:
             part *= p

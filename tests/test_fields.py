@@ -227,3 +227,8 @@ def test_no_candidate_passing_the_order_test_is_refused(monkeypatch):
     with pytest.raises(ValidationError, match=re.escape("modulus (2, 4, 1) is reducible over F_5: no element has order 24")):
         PrimePowerField.create(5, 2).norms()
     assert numpy.rows == 0 and len(numpy.stacks) == math.ceil((25 - 5) / 8) * 4
+
+
+def test_prime_factors_match_trial_division():
+    # the primes of q - 1 for the order test, and of a subgroup's order for ``groups._element_orders``
+    assert [fields._prime_factors(n) for n in range(1, 20001)] == [prime_divisors(n) for n in range(1, 20001)]
