@@ -512,7 +512,7 @@ def make_field_additive(p: int, k: int) -> FiniteGroup:
     p = _check_prime(p)
     (k,) = _int_entries([k], "extension degree")
     gf = PrimePowerField.create(p, k)
-    if p == 2:  # every element is its own negative
+    if p == 2:  # binary digits add by XOR, and every element is its own negative
         kernel, inverse = (lambda a, b: a ^ b), np.arange(gf.order)
     elif k == 1:
         kernel, inverse = _residue_sum(p), (-np.arange(p)) % p
