@@ -46,9 +46,7 @@ from pairgraph.structure import connected_components
 from pairgraph.actions import SearchConfig, random_candidate, search_ramanujan
 
 from helpers import (
-    GENERATED_FACTORS,
     dense_eigenvalues,
-    generated_group,
     generated_instances,
     index_two_pool,
     instance_corpus,
@@ -360,16 +358,10 @@ def test_chooser_matches_every_start_on_stock_pairs():
         assert chosen.shape == oracle.shape and np.array_equal(chosen, oracle), sub
 
 
-@st.composite
-def _drawn_subgroups(draw):
-    first = draw(st.sampled_from(GENERATED_FACTORS))
-    group = generated_group(first, draw(st.none() | st.sampled_from(GENERATED_FACTORS)))
-    return subgroup_generated(group, draw(st.lists(st.integers(0, group.order - 1), min_size=1, max_size=3)))
-
-
 @settings(derandomize=True, database=None, max_examples=120, deadline=None)
-@given(_drawn_subgroups())
-def test_chooser_matches_every_start_on_drawn_subgroups(sub):
+@given(generated_instances())
+def test_chooser_matches_every_start_on_drawn_subgroups(gen):
+    sub = gen.subgroup
     chosen = groups._abelian_subgroup(sub.parent, sub.elements)
     oracle = reference_abelian_subgroup(sub.parent, sub.elements)
     assert chosen.shape == oracle.shape and np.array_equal(chosen, oracle)
