@@ -84,14 +84,7 @@ FIRST_IRREDUCIBLES = {
 
 
 def is_prime(n: int) -> bool:
-    if n < 2:
-        return False
-    d = 2
-    while d * d <= n:
-        if n % d == 0:
-            return False
-        d += 1
-    return True
+    return n > 1 and _prime_factors(n) == [n]
 
 
 def _prime_factors(n: int) -> list[int]:

@@ -645,7 +645,8 @@ def _abelian_subgroup(group: FiniteGroup, h: np.ndarray) -> np.ndarray:
     """An abelian K = <k_1> x ... x <k_d> <= H, listed as in ``AbelianOrbits.listing``.
 
     K grows from each of several starts: k, an element of largest order in
-    H, least index on ties, then the least element of each prime order.  Each
+    H, least index on ties, then the least element of order p for each prime
+    p | |H|, taken from ``_prime_factors`` (one exists by Cauchy).  Each
     step adjoins the element g of largest order, least index on ties, that
     commutes with K and whose cyclic group meets K only in e, found by g's
     elements of prime order lying outside K; so K<g> = K x <g>.  The largest
@@ -669,9 +670,8 @@ def _abelian_subgroup(group: FiniteGroup, h: np.ndarray) -> np.ndarray:
     by_order = np.argsort(-order, kind="stable")[:-1]
     h, order, low = h[by_order], order[by_order], np.array(list(low.values()))[:, by_order]
     # k, then the least element of each prime order p | n, which exists for every such p
-    primes = [p for p in np.unique(order).tolist() if is_prime(p)]
     best = None
-    for start in dict.fromkeys([0, *(int(np.argmax(order == p)) for p in primes)]):
+    for start in dict.fromkeys([0, *(int(np.argmax(order == p)) for p in _prime_factors(n))]):
         free = np.flatnonzero(group.product(h, h[start]) == group.product(h[start], h))
         if best is not None and free.size + 1 <= best.size:  # K <= C_H(start), which holds e and h[free]
             continue

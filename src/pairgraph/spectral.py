@@ -184,7 +184,7 @@ def _character_values(gens: Sequence[GeneratingSet]) -> list[np.ndarray]:
 def _stack_values(gen: GeneratingSet, layout: np.ndarray) -> np.ndarray:
     """``_character_values`` of the sets with one layout shape: one row of values per set."""
     shape, (count, _, r, columns) = gen.subgroup.abelian_orbits.listing.shape, layout.shape
-    in_h = r if gen.inside or r == 1 else 0
+    in_h = r if gen.inside else 0
     if r == 1:  # K = H: each block [[c, b], [b^*, 0]] has the nonzero values (c +/- sqrt(c^2 + 4|b|^2)) / 2
         # one C-ordered row per column, so |b|^2 sums in a fixed order
         rows = np.ascontiguousarray(layout[:, :, 0].swapaxes(1, 2)).reshape(count, columns, *shape)

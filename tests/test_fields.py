@@ -86,6 +86,8 @@ def test_degree_one_field():
 
 def test_is_prime():
     assert [n for n in range(20) if is_prime(n)] == [2, 3, 5, 7, 11, 13, 17, 19]
+    # negatives, 0, 1, prime squares, 4093 and 4096 against the reference factoring
+    assert [n for n in range(-3, 5001) if is_prime(n)] == [n for n in range(2, 5001) if prime_divisors(n) == [n]]
 
 
 def test_create_rejects_bad_parameters():

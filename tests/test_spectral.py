@@ -351,8 +351,15 @@ def _stock_subgroups():
     return subs + list(subgroup_pool()) + _abelian_subgroups()
 
 
-def test_chooser_matches_every_start_on_stock_pairs():
-    for sub in _stock_subgroups():
+def test_chooser_matches_every_start_on_stock_pairs(monkeypatch):
+    subs = _stock_subgroups()
+
+    def no_primality(p):
+        raise AssertionError(f"the chooser tested {p} for primality: its primes are those of |H|")
+
+    # patched once the groups are built, as their makers test primes; the oracle keeps its own filter
+    monkeypatch.setattr(groups, "is_prime", no_primality)
+    for sub in subs:
         chosen = groups._abelian_subgroup(sub.parent, sub.elements)
         oracle = reference_abelian_subgroup(sub.parent, sub.elements)
         assert chosen.shape == oracle.shape and np.array_equal(chosen, oracle), sub
@@ -963,6 +970,13 @@ def test_size_bound_examples():
     # ... yet that 7-regular graph is still Ramanujan: the bound is not necessary
     report = is_ramanujan(build_pair_graph(sl3, seven))
     assert report.ramanujan
+    # |H| = 36 is a square, so the bound 36 + 2 - 2*6 = 26 is attained: 26 odd residues satisfy it, 25 do not
+    evens = subgroup_from_elements(make_cyclic(72), range(0, 72, 2))
+    odd = list(range(1, 72, 2))
+    bound26 = ramanujan_size_bound(validate_generating_set(evens, odd[:26]))
+    assert bound26.bound == 26.0 and bound26.satisfied
+    assert not ramanujan_size_bound(validate_generating_set(evens, odd[:25])).satisfied
+    assert is_ramanujan(build_pair_graph(evens, odd[:26])).ramanujan
 
 
 def test_spectrum_size_cap():
