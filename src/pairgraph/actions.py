@@ -51,11 +51,6 @@ def right_translate_set(subgroup: Subgroup, s_elements: Iterable[int], h: int) -
     return tuple(np.sort(group.product(elems, h)).tolist())
 
 
-def verify_automorphism(group: FiniteGroup, psi: Sequence[int]) -> None:
-    """Raise unless psi is a bijective homomorphism: ``_verified_maps`` of one map."""
-    _verified_maps(group, [psi])
-
-
 def _verified_maps(group: FiniteGroup, maps: Iterable[Sequence[int]]) -> np.ndarray:
     """The maps as rows of an int array, verified together; ``NotAnAutomorphism`` names the first fault.
 
@@ -86,7 +81,7 @@ def _verified_maps(group: FiniteGroup, maps: Iterable[Sequence[int]]) -> np.ndar
 
 
 def apply_automorphism(group: FiniteGroup, psi: Sequence[int], s_elements: Iterable[int]) -> tuple[int, ...]:
-    """Image of a set under a verified group automorphism."""
+    """Image of a set under a verified group automorphism; the empty set checks psi alone."""
     (psi,) = _verified_maps(group, [psi])
     return tuple(sorted(psi[_element_indices(group, s_elements)].tolist()))
 
@@ -131,8 +126,7 @@ def automorphism_group(group: FiniteGroup) -> list[tuple[int, ...]]:
     generators so far, one word level at a time, and keeps those that are
     homomorphisms on U sending only the identity to the identity.  A depth
     that would hold more than ``AUTOMORPHISM_BATCH_CAP`` map entries raises.
-    The map arrays and the conjugates multiply by gathers from one m x m
-    array of all products, at most 14 400 entries under the order cap.
+    The map arrays and the conjugates multiply by ``FiniteGroup.product``.
 
     A map with phi(e) = e is a homomorphism on U exactly when
     phi(x*h) = phi(x)*phi(h) for every x in U and each generator h: the y in
@@ -146,14 +140,9 @@ def automorphism_group(group: FiniteGroup) -> list[tuple[int, ...]]:
             f"automorphism enumeration is capped at order {AUTOMORPHISM_ORDER_CAP}"
         )
     idx = np.arange(m)
-    products = group.product(idx[:, None], idx).ravel()
-
-    def product(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        return products[a * m + b]
-
     orders, _ = _element_orders(group, idx, m)
     # column x holds g*x*g^-1 for every g: its distinct values are x's class
-    conjugates = np.sort(product(product(idx[:, None], idx), group.inverses[:, None]), axis=0)
+    conjugates = np.sort(group.product(group.product(idx[:, None], idx), group.inverses[:, None]), axis=0)
     class_sizes = 1 + np.count_nonzero(np.diff(conjugates, axis=0), axis=0)
     gens = _generator_chain(group)
     maps = np.full((1, m), group.identity, dtype=np.int32)
@@ -165,13 +154,13 @@ def automorphism_group(group: FiniteGroup) -> list[tuple[int, ...]]:
         maps[:, g] = np.tile(images, len(maps) // len(images))
         u = [np.array([group.identity])]
         for reached, parents, steps in _word_levels(group, gens[: depth + 1]):
-            maps[:, reached] = product(maps[:, parents], maps[:, steps])
+            maps[:, reached] = group.product(maps[:, parents], maps[:, steps])
             u.append(reached)
         u = np.concatenate(u)
         maps = maps[(maps[:, u[1:]] != group.identity).all(axis=1)]
-        targets = product(u[:, None], np.array(gens[: depth + 1]))
+        targets = group.product(u[:, None], np.array(gens[: depth + 1]))
         for j, h in enumerate(gens[: depth + 1]):
-            maps = maps[(maps[:, targets[:, j]] == product(maps[:, u], maps[:, h : h + 1])).all(axis=1)]
+            maps = maps[(maps[:, targets[:, j]] == group.product(maps[:, u], maps[:, h : h + 1])).all(axis=1)]
     return sorted(map(tuple, maps.tolist()))
 
 

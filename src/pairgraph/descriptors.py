@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import json
 import re
-from typing import Iterable, Union
+from typing import Callable, Iterable, Union
 
 import numpy as np
 
@@ -89,14 +89,22 @@ def _integers(tokens: Iterable, what: str) -> list[int]:
     return values
 
 
-def _one_key(descriptor: dict, what: str, choices: tuple[str, ...]) -> str:
-    """The one key of ``choices`` the descriptor holds; none, two, or a key it does not read raises."""
+def _keyed(descriptor, what: str, choices: tuple[str, ...], shorthand: Callable[[str], dict]) -> tuple[str, object]:
+    """The one key of ``choices`` a descriptor holds, and its value; none, two, or a key it does not read raises.
+
+    Text is JSON when it starts with '{' and ``shorthand(text)`` otherwise; any other non-dict is the 'elements'.
+    """
+    if isinstance(descriptor, str):
+        text = descriptor.strip()
+        descriptor = _json(text, f"{what} descriptor") if text.startswith("{") else shorthand(text)
+    elif not isinstance(descriptor, dict):
+        descriptor = {"elements": descriptor}
     found = [key for key in choices if key in descriptor]
     if not found:
         raise ValidationError(f"{what} descriptor needs {', '.join(map(repr, choices[:-1]))} or {choices[-1]!r}")
     if len(found) > 1 or len(descriptor) > 1:
         raise ValidationError(f"{what} descriptor takes one of {choices} and no other key, got {list(descriptor)}")
-    return found[0]
+    return found[0], descriptor[found[0]]
 
 
 def _json(text: str, what: str):
@@ -134,34 +142,20 @@ def builtin_subgroup(group: FiniteGroup, name: str) -> Subgroup:
 
 
 def subgroup_from_descriptor(group: FiniteGroup, descriptor: Union[str, dict, Iterable[int]]) -> Subgroup:
-    if isinstance(descriptor, str):
-        text = descriptor.strip()
-        if text.startswith("{"):
-            descriptor = _json(text, "subgroup descriptor")
-        elif re.fullmatch(r"[\d ,+-]*\d[\d ,+-]*", text):  # integer literals, signed ones too
-            descriptor = {"elements": text.split(",")}
-        else:
-            descriptor = {"builtin": text}
-    elif not isinstance(descriptor, dict):
-        descriptor = {"elements": descriptor}
-    key = _one_key(descriptor, "subgroup", ("elements", "generators", "builtin"))
+    def shorthand(text: str) -> dict:  # integer literals, signed ones too, or a builtin's name
+        return {"elements": text.split(",")} if re.fullmatch(r"[\d ,+-]*\d[\d ,+-]*", text) else {"builtin": text}
+
+    key, value = _keyed(descriptor, "subgroup", ("elements", "generators", "builtin"), shorthand)
     if key == "builtin":
-        return builtin_subgroup(group, descriptor["builtin"])
+        return builtin_subgroup(group, value)
     if key == "elements":
-        return subgroup_from_elements(group, _integers(descriptor["elements"], "subgroup element"))
-    return subgroup_generated(group, _integers(descriptor["generators"], "subgroup generator"))
+        return subgroup_from_elements(group, _integers(value, "subgroup element"))
+    return subgroup_generated(group, _integers(value, "subgroup generator"))
 
 
 def set_from_descriptor(group: FiniteGroup, descriptor: Union[str, dict, Iterable[int]]) -> tuple[int, ...]:
     """Generating-set elements from an explicit list or a norm-preimage rule."""
-    if isinstance(descriptor, str):
-        text = descriptor.strip()
-        if text.startswith("{"):
-            descriptor = _json(text, "set descriptor")
-        else:
-            descriptor = {"elements": text.split(",")}
-    if isinstance(descriptor, dict):
-        if _one_key(descriptor, "set", ("elements", "norm_preimage")) == "norm_preimage":
-            return field_norm_preimage(group, _integers(descriptor["norm_preimage"], "norm value"))
-        return tuple(_integers(descriptor["elements"], "set element"))
-    return tuple(_integers(descriptor, "set element"))
+    key, value = _keyed(descriptor, "set", ("elements", "norm_preimage"), lambda text: {"elements": text.split(",")})
+    if key == "norm_preimage":
+        return field_norm_preimage(group, _integers(value, "norm value"))
+    return tuple(_integers(value, "set element"))

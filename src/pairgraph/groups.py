@@ -11,10 +11,9 @@ by its first n-1 images, as one float32 dot product of two gathered rows for
 every pair of factors, and a dense rank array maps the key to the index; a
 matrix acts on the p^2 column vectors through one m x p^2 array, and the
 product is looked up by its two column codes; F_{2^k} adds by XOR, and any
-other F_{p^k}, k >= 2, by two gathers from one table of digitwise sums on
-half the digits; a cyclic sum, F_p's too, is reduced by one conditional
-subtraction, and a direct product reads each element's two components from
-precomputed arrays.
+other F_{p^k}, F_p included, by two gathers from one table of digitwise sums
+on half the digits; a cyclic sum is reduced by ``% n``, and a direct product
+reads each element's two components from precomputed arrays.
 ``FiniteGroup.product`` is the one multiplication path: it runs the kernel
 in blocks of at most ``BLOCK`` products, so a batch allocates at most a few
 megabytes of temporaries, and ``mul`` and ``left_row`` derive from it.  No
@@ -208,19 +207,9 @@ def make_cyclic(n: int) -> FiniteGroup:
         make_labels=lambda: map(str, range(n)),
         identity=0,
         inverse=(-np.arange(n)) % n,
-        kernel=_residue_sum(n),
+        kernel=lambda a, b: (a + b) % n,
         descriptor={"kind": "cyclic", "params": [n]},
     )
-
-
-def _residue_sum(n: int) -> Kernel:
-    def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-        # a + b < 2n, so one conditional subtraction reduces it, far cheaper than % n
-        total = np.asarray(a + b)
-        np.subtract(total, n, out=total, where=total >= n)
-        return total
-
-    return kernel
 
 
 def perm_from_cycles(n: int, spec) -> tuple[int, ...]:
@@ -504,7 +493,7 @@ def make_sl2(p: int) -> FiniteGroup:
 def make_field_additive(p: int, k: int) -> FiniteGroup:
     """The additive group of F_{p^k}; the field structure rides along in ``.field``.
 
-    F_{2^k} adds by XOR, F_p as Z/p.  Otherwise an index is low + half * high, low its first ceil(k/2) digits,
+    F_{2^k} adds by XOR.  Otherwise an index is low + half * high, low its first ceil(k/2) digits,
     so high has no more digits than low, and a digitwise sum of two lows or of two highs is an entry of one
     half x half table, read at a pre-scaled row; the table grows by a leading digit at a time, and the 0 in
     each of its rows marks that row's negative.
@@ -514,8 +503,6 @@ def make_field_additive(p: int, k: int) -> FiniteGroup:
     gf = PrimePowerField.create(p, k)
     if p == 2:  # binary digits add by XOR, and every element is its own negative
         kernel, inverse = (lambda a, b: a ^ b), np.arange(gf.order)
-    elif k == 1:
-        kernel, inverse = _residue_sum(p), (-np.arange(p)) % p
     else:
         half, digit, table = p ** ((k + 1) // 2), np.arange(p, dtype=np.int32), np.zeros((1, 1), dtype=np.int32)
         for w in (p**d for d in range((k + 1) // 2)):

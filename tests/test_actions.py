@@ -21,7 +21,6 @@ from pairgraph.actions import (
     random_candidate,
     right_translate_set,
     search_ramanujan,
-    verify_automorphism,
 )
 from pairgraph.descriptors import builtin_subgroup
 from pairgraph.errors import (
@@ -152,21 +151,21 @@ def test_apply_automorphism_examples(z20_evens):
     with pytest.raises(NotAnAutomorphism):
         apply_automorphism(z20, [(x + 1) % 20 for x in range(20)], [3])
     with pytest.raises(NotAnAutomorphism):
-        verify_automorphism(z20, [0] * 20)
+        apply_automorphism(z20, [0] * 20, ())
 
 
-def test_verify_automorphism_exact_above_order_64():
+def test_apply_automorphism_verifies_exactly_above_order_64():
     s5 = make_symmetric(5)
     rng = random.Random(5)
     others = [x for x in range(s5.order) if x != s5.identity]
     for c in rng.sample(range(s5.order), 6):
         conjugation = [s5.mul(s5.mul(s5.inv(c), x), c) for x in range(s5.order)]
-        verify_automorphism(s5, conjugation)
+        assert apply_automorphism(s5, conjugation, ()) == ()
         near = list(conjugation)
         u, v = rng.sample(others, 2)
         near[u], near[v] = near[v], near[u]
         with pytest.raises(NotAnAutomorphism):
-            verify_automorphism(s5, near)
+            apply_automorphism(s5, near, ())
     # swapping two orbits of x -> g*x, power by power, commutes with the first
     # generator g, so only the later generators can reject the map
     g = _generator_chain(s5)[0]
@@ -183,7 +182,7 @@ def test_verify_automorphism_exact_above_order_64():
     for a, b in zip(first, second):
         swapped[a], swapped[b] = b, a
     with pytest.raises(NotAnAutomorphism):
-        verify_automorphism(s5, swapped)
+        apply_automorphism(s5, swapped, ())
 
 
 def test_apply_automorphism_preserves_structure():

@@ -35,11 +35,13 @@ ALL_PAIRS = [
     "symmetric:1", "symmetric:2", "symmetric:3", "symmetric:4", "symmetric:5", "symmetric:6",
     "alternating:1", "alternating:2", "alternating:3", "alternating:4", "alternating:5", "alternating:6",
     "gl2:3", "gl2:5", "sl2:5", "field_additive:2,4", "field_additive:3,3", "field_additive:5,2", "field_additive:7,2",
+    # k = 1: F_p's digit table has one low digit and an all-zero high half
+    "field_additive:3,1", "field_additive:5,1", "field_additive:7,1", "field_additive:11,1",
     "cyclic:1", "cyclic:2", "cyclic:60", '{"kind": "product", "params": ["cyclic:3", "dihedral:4"]}',
 ]
 SAMPLED = [
     "symmetric:7", "alternating:7", "gl2:11", "sl2:13", "field_additive:2,12",
-    # odd p up to PRIME_CAP = 13: k = 3, 7 and 5 leave the high digit half shorter than the low one, and k = 1 is Z/p
+    # odd p up to PRIME_CAP = 13: k = 3, 7 and 5 leave the high digit half shorter than the low one
     "field_additive:7,4", "field_additive:3,7", "field_additive:5,5", "field_additive:13,3",
     "field_additive:13,2", "field_additive:13,1",
     "cyclic:12000", '{"kind": "product", "params": ["gl2:3", "cyclic:100"]}',

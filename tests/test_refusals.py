@@ -289,11 +289,20 @@ def test_size_bound_refusals(z12_evens):
 
 
 def test_iterable_descriptors():
+    # bare lists and iterables, text, JSON text and dicts: every form of one subgroup or set reads the same
     z12 = make_cyclic(12)
-    for elements in ([0, 3, 6, 9], range(0, 12, 3)):
+    for elements in (
+        [0, 3, 6, 9], range(0, 12, 3), " 0, 3,6 ,+9", '{"elements": [0, "3", 6, 9]}', {"elements": [0, 3, 6, 9]},
+        ' {"generators": [3]}', {"generators": ["3"]},
+    ):
         assert subgroup_from_descriptor(z12, elements).elements.tolist() == [0, 3, 6, 9]
-    for elements in ([1, 5], iter([1, 5])):
+    for evens in ("evens", ' {"builtin": "evens"} ', {"builtin": "evens"}):
+        assert subgroup_from_descriptor(z12, evens).elements.tolist() == list(range(0, 12, 2))
+    for elements in ([1, 5], iter([1, 5]), " 1,+5 ", '{"elements": ["1", 5]}', {"elements": [1, 5]}):
         assert set_from_descriptor(z12, elements) == (1, 5)
+    f9 = make_field_additive(3, 2)
+    expected = set_from_descriptor(f9, {"norm_preimage": [1]})
+    assert len(expected) == 4 and set_from_descriptor(f9, '{"norm_preimage": ["1"]}') == expected
 
 
 def test_field_labels_with_higher_powers():
