@@ -89,7 +89,8 @@ def _build_edges(graph: PairGraph) -> dict:
     (m <= ``ORDER_CAP`` < 2^15, so keys stay below 2^30): the row h*S of each
     h in H lists an inside edge from both of its ends already, so only the
     outside columns add reverse keys.  One sort orders the keys by (u, v), row
-    u starts at the first key >= u << 15, and v is the key's low 15 bits.
+    u's length is the count of keys whose high bits are u, so the rows start at
+    the running sums of those counts, and v is the key's low 15 bits.
     """
     gen, subgroup = graph.gen, graph.subgroup
     m, size = subgroup.parent.order, gen.size
@@ -101,8 +102,8 @@ def _build_edges(graph: PairGraph) -> dict:
     keys[:, size:] |= h
     keys = keys.ravel()
     keys.sort()
-    indptr = np.searchsorted(keys, np.arange(m + 1, dtype=np.int32) << 15)
-    vars(graph).update(indptr=indptr, indices=keys & 0x7FFF, degrees=np.diff(indptr))
+    degrees = np.bincount(keys >> 15, minlength=m)
+    vars(graph).update(indptr=np.concatenate([[0], np.cumsum(degrees)]), indices=keys & 0x7FFF, degrees=degrees)
     return vars(graph)
 
 
@@ -120,26 +121,21 @@ def adjacency_rows_via_group_matrix(
 
     It goes through the right cosets of H.  Every g is x*t for one x in H and
     one coset representative t, and h^-1*(x*t) = (h^-1*x)*t.  So the |G|
-    products x*t, the cells, and the |H|^2 quotients h^-1*x give every entry:
-    row i is the indicator at the cells, its rows taken by the quotients of
-    h_i, its columns put back in natural order.  Where the cells are
+    products x*t, the cells, made once per subgroup (``Subgroup.coset_layout``),
+    and the |H|^2 quotients h^-1*x, made per call, give every entry: row i is
+    the indicator at the cells, its rows taken by the quotients of h_i, its
+    columns put back in natural order.  Where the cells are
     0..|G|-1 already, as on every cyclic Z/n > <d>, that reorder is the
     identity and is skipped: the row gather writes into the result.  Rows are
     computed BLOCK // |H| at a time, so a block's quotients are one kernel
     call and its temporaries about BLOCK * [G:H] bytes.
     """
     gen = _as_generating_set(subgroup, s)
-    group, h = subgroup.parent, subgroup.elements
-    n, m = len(h), group.order
+    group, h, n, m = subgroup.parent, subgroup.elements, subgroup.order, subgroup.parent.order
+    cells, position, natural, in_order, inverses = subgroup.coset_layout
     indicator = np.zeros(m, dtype=np.int8)
     indicator[list(gen.elements)] = 1
-    cells = group.product(h[:, None], subgroup.coset_reps)
-    position = np.empty(m, dtype=np.int32)
-    position[h] = np.arange(n, dtype=np.int32)
-    natural = np.empty(m, dtype=np.int64)
-    natural[cells.ravel()] = np.arange(m)
-    in_order = np.array_equal(natural, np.arange(m))
-    values, inverses = indicator[cells], group.inverses[h]
+    values = indicator[cells]
     out = np.empty((n, m), dtype=np.int8)
     rows = max(1, BLOCK // n)
     for i in range(0, n, rows):

@@ -624,6 +624,20 @@ class Subgroup:
             inside=int(np.count_nonzero(~outside)),
         )
 
+    @cached_property
+    def coset_layout(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, bool, np.ndarray]:
+        """(cells, position, natural, in_order, inverses) for ``adjacency_rows_via_group_matrix``, on first read.
+
+        cells[i, j] = h_i * t_j over the sorted h_i and the representatives t_j; position[h_i] = i;
+        natural[g] is g's flat cell; in_order says natural is 0..|G|-1; inverses[i] = h_i^-1.
+        """
+        group, h = self.parent, self.elements
+        cells = group.product(h[:, None], self.coset_reps)
+        position = np.cumsum(self.coset_of == 0, dtype=np.int32) - 1  # the count of elements of H <= each h, less 1
+        natural = np.argsort(cells, axis=None)
+        in_order = np.array_equal(natural, np.arange(group.order))
+        return (*map(_read_only, (cells, position, natural)), in_order, _read_only(group.inverses[h]))
+
     def __repr__(self) -> str:
         return f"Subgroup(order={self.order}, index={self.index} in {self.parent.name})"
 

@@ -147,10 +147,23 @@ def test_group_matrix_takes_square_of_subgroup_plus_group_products(monkeypatch):
     # Z/12000 > <120>: |H|^2 + |G| = 10 000 + 12 000 products, not |H|*|G| = 1 200 000
     sub = subgroup_generated(make_cyclic(12000), [120])
     gen = validate_generating_set(sub, [1, 11999, 120, 11880])
+    other = validate_generating_set(sub, [7, 5000, 240, 11760])
     count = count_products(monkeypatch)
     rows = adjacency_rows_via_group_matrix(sub, gen)
     assert count[0] == sub.order**2 + sub.parent.order == 22000
     assert rows.sum() == sub.order * gen.size
+    # the |G| products x*t are kept with the subgroup: a second set costs the |H|^2 quotients alone
+    second = adjacency_rows_via_group_matrix(sub, other)
+    assert count[0] - 22000 == sub.order**2 == 10000
+    fresh = subgroup_generated(make_cyclic(12000), [120])
+    assert np.array_equal(rows, adjacency_rows_via_group_matrix(fresh, gen.elements))
+    assert np.array_equal(second, adjacency_rows_via_group_matrix(fresh, other.elements))
+    cells, position, natural, in_order, inverses = sub.coset_layout
+    assert in_order and sub.coset_layout is sub.coset_layout
+    for array in (cells, position, natural, inverses):
+        assert array.size in (sub.order, sub.parent.order)
+        with pytest.raises(ValueError, match="read-only"):
+            array[0] = 0
 
 
 def test_group_matrix_on_large_pairs_matches_reference_csr():
@@ -401,6 +414,27 @@ def test_build_matches_sort_and_dedupe_reference():
         assert np.array_equal(graph.degrees, degrees)
         kinds.add((bool(gen.inside), bool(gen.outside)))
     assert len(kinds) == 4
+
+
+def _searchsorted_indptr(gen):
+    """Row starts as the first of the sorted, distinct keys u*m + v at or above each u*m."""
+    m, h = gen.group.order, gen.subgroup.elements.astype(np.int64)
+    targets = gen.group.product(h[:, None], np.array(gen.elements, dtype=np.int64))
+    sources = np.broadcast_to(h[:, None], targets.shape)
+    keys = np.unique(np.concatenate([sources * m + targets, targets * m + sources], axis=None))
+    return np.searchsorted(keys, np.arange(m + 1) * m)
+
+
+def test_row_starts_by_counting_match_searchsorted_reference():
+    # Z/20 > <5> with S = {1} leaves 17, 18 and 19 isolated, so the last rows are empty
+    trailing = validate_generating_set(subgroup_generated(make_cyclic(20), [5]), [1])
+    edgeless = validate_generating_set(subgroup_generated(make_cyclic(20000), [2]), [])
+    for gen in [*instance_corpus(200, seed=31), trailing, edgeless]:
+        graph = build_pair_graph(gen.subgroup, gen)
+        assert np.array_equal(graph.indptr, _searchsorted_indptr(gen))
+        assert graph.degrees.dtype == np.intp and np.array_equal(graph.degrees, np.diff(graph.indptr))
+    assert build_pair_graph(trailing.subgroup, trailing).degrees[-4:].tolist() == [1, 0, 0, 0]
+    assert not build_pair_graph(edgeless.subgroup, edgeless).indptr.any()
 
 
 def test_storage_is_linear_in_edges():

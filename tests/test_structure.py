@@ -334,7 +334,7 @@ def test_vertex_sets_are_read_only_int_arrays(z12_sub):
             vertices[0] = 1
 
 
-def test_least_labels_match_breadth_first_reference():
+def test_least_labels_match_breadth_first_reference(monkeypatch):
     z4000 = subgroup_generated(make_cyclic(4000), [1])
     trivial = subgroup_generated(make_cyclic(1), [])
     cases = [(gen.subgroup, gen) for gen in instance_corpus(400, seed=83)]
@@ -345,16 +345,24 @@ def test_least_labels_match_breadth_first_reference():
     rng, large = random.Random(89), analyze_large_pairs()
     cases += [(large[kind], analyze_large_set(kind, rng)) for kind in ("cyclic", "cyclic", "s7", "s7", "product")]
     cases += [(subgroup_generated(make_cyclic(20000), [2]), [])]
+    # components and the coloring share one labelling of the double cover, whichever asks first
+    labellings, least_labels = [], structure._least_labels
+    monkeypatch.setattr(structure, "_least_labels", lambda *csr: labellings.append(csr) or least_labels(*csr))
     verdicts = set()
     for sub, s in cases:
-        graph = build_pair_graph(sub, s)
-        comp, (expected, sizes, identity_component) = connected_components(graph), reference_components(graph)
-        assert differing_fields(comp, expected) == []
-        assert np.bincount(comp.component_of).tolist() == sizes
-        assert _identity_component(graph).tolist() == identity_component
-        report = is_bipartite(graph)
-        assert differing_fields(report, reference_bipartite(graph)) == []
-        verdicts.add(report.bipartite)
+        for bipartite_first in (False, True):
+            graph = build_pair_graph(sub, s)
+            if bipartite_first:
+                report, comp = is_bipartite(graph), connected_components(graph)
+            else:
+                comp, report = connected_components(graph), is_bipartite(graph)
+            expected, sizes, identity_component = reference_components(graph)
+            assert differing_fields(comp, expected) == []
+            assert np.bincount(comp.component_of).tolist() == sizes
+            assert _identity_component(graph).tolist() == identity_component
+            assert differing_fields(report, reference_bipartite(graph)) == []
+            verdicts.add(report.bipartite)
+            assert len(labellings) == 1 and labellings.pop()[0] is graph.indptr
     assert verdicts == {True, False}
 
 
