@@ -10,16 +10,17 @@ by gathers from small per-family arrays: a permutation's composite is keyed
 by its first n-1 images, as one float32 dot product of two gathered rows for
 every pair of factors, and a dense rank array maps the key to the index; a
 matrix acts on the p^2 column vectors through one m x p^2 array, and the
-product is looked up by its two column codes; F_{2^k} adds by XOR, and any
-other F_{p^k}, F_p included, by two gathers from one table of digitwise sums
-on half the digits; a cyclic sum is reduced by ``% n``, and a direct product
+product is looked up by its two column codes; a cyclic sum, F_p's included,
+is reduced by ``% n``, F_{2^k} adds by XOR, and any other F_{p^k} by two
+gathers from one table of digitwise sums on half the digits; a direct product
 reads each element's two components from precomputed arrays.
 ``FiniteGroup.product`` is the one multiplication path: it runs the kernel
 in blocks of at most ``BLOCK`` products, so a batch allocates at most a few
 megabytes of temporaries, and ``mul`` and ``left_row`` derive from it.  No
-group keeps an order x order table.  The hard cap on group order is
-``ORDER_CAP``, checked from each family's order formula before any element
-is listed; ``F_{p^k}`` is capped at ``FIELD_ORDER_CAP`` elements.  Element labels
+group keeps an order x order table.  A family's one size limit is its
+order: at most ``ORDER_CAP``, checked from the family's order formula before
+any array is allocated or any primality test runs, and at most
+``FIELD_ORDER_CAP`` for ``F_{p^k}``.  Element labels
 are formatted on first read.  Permutations compose left to right:
 ``(p*q)(x) = q(p(x))``.
 """
@@ -43,8 +44,6 @@ from .errors import (
 from .fields import FIELD_ORDER_CAP, PrimePowerField, _prime_factors, is_prime
 
 ORDER_CAP = 20000
-PERMUTATION_DEGREE_CAP = 8
-PRIME_CAP = 13
 # products per kernel call: a permutation kernel then holds under half a
 # megabyte of temporaries, and large frees do not make malloc keep freed heap
 BLOCK = 1 << 13
@@ -157,9 +156,21 @@ def coset_chain(n: int, one, s: Sequence, multiply: Callable) -> tuple[np.ndarra
     return listing, reps
 
 
-def _check_order(order: int) -> None:
+def _check_order(order: int, shown: Optional[str] = None) -> None:
     if order > ORDER_CAP:
-        raise SizeCapExceeded(f"group order {order} exceeds the cap {ORDER_CAP}")
+        raise SizeCapExceeded(f"group order {order if shown is None else shown} exceeds the cap {ORDER_CAP}")
+
+
+def _parameter(value, what: str, low: int, order: Callable[[int], int], shown: Optional[str] = None, prime=False) -> int:
+    """A family's parameter n, checked in turn: an integer, at least ``low``, of an order ``order(n)`` within
+    ``ORDER_CAP`` (named as ``shown.format(n)`` if given), and prime if ``prime``: no trial division past the cap."""
+    (n,) = _int_entries([value], what)
+    if n < low:
+        raise ValidationError(f"{n} is not prime" if prime else f"{what} must be >= {low}")
+    _check_order(order(n), shown and shown.format(n))
+    if prime and not is_prime(n):
+        raise ValidationError(f"{n} is not prime")
+    return n
 
 
 def _int_entries(values: Iterable, what: str, error=ValidationError, within=None) -> list[int]:
@@ -197,19 +208,22 @@ def _element_indices(
 
 def make_cyclic(n: int) -> FiniteGroup:
     """Z/nZ with addition; the identity is 0."""
-    (n,) = _int_entries([n], "cyclic group order")
-    if n < 1:
-        raise ValidationError("cyclic group order must be >= 1")
-    _check_order(n)
+    n = _parameter(n, "cyclic group order", 1, lambda n: n)
+    kernel, inverse = _sum_mod(n)
     return FiniteGroup(
         name=f"Z/{n}",
         order=n,
         make_labels=lambda: map(str, range(n)),
         identity=0,
-        inverse=(-np.arange(n)) % n,
-        kernel=lambda a, b: (a + b) % n,
+        inverse=inverse,
+        kernel=kernel,
         descriptor={"kind": "cyclic", "params": [n]},
     )
+
+
+def _sum_mod(n: int) -> tuple[Kernel, np.ndarray]:
+    """The kernel (a + b) % n of Z/n, and its inverse map."""
+    return (lambda a, b: (a + b) % n), (-np.arange(n)) % n
 
 
 def perm_from_cycles(n: int, spec) -> tuple[int, ...]:
@@ -294,8 +308,8 @@ def _even_rows(n: int) -> np.ndarray:
     return np.indices(range(n, 0, -1)).sum(0).ravel() % 2 == 0
 
 
-def _permutation_group(name: str, n: int, even_only: bool, descriptor: dict) -> FiniteGroup:
-    """Permutations of degree n in lexicographic order, all of them or the even ones.
+def _permutation_group(kind: str, n: int) -> FiniteGroup:
+    """Permutations of degree n in lexicographic order, all of them or, for A_n, the even ones.
 
     S_m's listing is, for each first image f, f followed by S_(m-1)'s listing
     mapped in order onto the values other than f: one gather per level from
@@ -311,11 +325,15 @@ def _permutation_group(name: str, n: int, even_only: bool, descriptor: dict) -> 
     column of a against a row of b, the shape of every bulk call, takes its
     keys from one matrix product, and every other shape from one ``einsum``
     over the last axis.  Each is exact, as every partial sum is an integer
-    below n^(n-1) <= 8^7 < 2^24.  One ``argsort`` of the rows gives every
-    inverse permutation, which holds i at position a[i]: ``placed`` gathers
-    the weights (0 for the last image) by it, and the inverse's key is read
-    from it as any other.
+    below n^(n-1) <= 7^6 < 2^24, 7 the largest n with n!/2 <= ``ORDER_CAP``.
+    One ``argsort`` of the rows gives every inverse permutation, which holds
+    i at position a[i]: ``placed`` gathers the weights (0 for the last image)
+    by it, and the inverse's key is read from it as any other.
     """
+    even_only, b = kind == "alternating", ORDER_CAP.bit_length()
+    # the order n! (n!/2 in A_n) from min(n, b)!: n!/2 >= 2^n from n = 5 and 2^b > ORDER_CAP, so any n >= b is over
+    shown = "{}!/2" if even_only else "{}!"
+    n = _parameter(n, f"{kind} group degree", 1, lambda n: math.factorial(min(n, b)) >> even_only, shown)
     images = np.zeros((1, 0), dtype=np.int32)
     for m in range(1, n + 1):
         first = np.arange(m, dtype=np.int32)[:, None, None]
@@ -341,44 +359,31 @@ def _permutation_group(name: str, n: int, even_only: bool, descriptor: dict) -> 
         return rank[key.astype(np.intp)]
 
     g = FiniteGroup(
-        name=name,
+        name=f"{kind[0].upper()}{n}",
         order=order,
         make_labels=lambda: map(perm_cycle_label, images.tolist()),
         identity=0,
         inverse=rank[inverse[:, :width] @ weights],
         kernel=kernel,
-        descriptor=descriptor,
+        descriptor={"kind": kind, "params": [n]},
     )
     g.images = _read_only(images)
     return g
 
 
-def _check_degree(n: int, kind: str) -> int:
-    (n,) = _int_entries([n], f"{kind} group degree")
-    if not 1 <= n <= PERMUTATION_DEGREE_CAP:
-        raise ValidationError(f"{kind} group degree must be 1..{PERMUTATION_DEGREE_CAP}")
-    return n
-
-
 def make_symmetric(n: int) -> FiniteGroup:
     """S_n on image tuples in lexicographic order."""
-    n = _check_degree(n, "symmetric")
-    _check_order(math.factorial(n))
-    return _permutation_group(f"S{n}", n, False, {"kind": "symmetric", "params": [n]})
+    return _permutation_group("symmetric", n)
 
 
 def make_alternating(n: int) -> FiniteGroup:
     """A_n: the even permutations of S_n, lexicographic order."""
-    n = _check_degree(n, "alternating")
-    _check_order(max(1, math.factorial(n) // 2))
-    return _permutation_group(f"A{n}", n, True, {"kind": "alternating", "params": [n]})
+    return _permutation_group("alternating", n)
 
 
 def make_dihedral(n: int) -> FiniteGroup:
     """Dihedral group of the n-gon, order 2n; elements s^f r^j with r s = s r^-1."""
-    (n,) = _int_entries([n], "dihedral parameter")
-    if not 1 <= n <= 8:
-        raise ValidationError("dihedral parameter must be 1..8")
+    n = _parameter(n, "dihedral parameter", 1, lambda n: 2 * n)
     order = 2 * n
 
     def kernel(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -419,17 +424,7 @@ def make_direct_product(g1: FiniteGroup, g2: FiniteGroup) -> FiniteGroup:
     )
 
 
-def _check_prime(p: int) -> int:
-    (p,) = _int_entries([p], "prime")
-    # the cap first: trial division of a large p would run for minutes
-    if p > PRIME_CAP:
-        raise ValidationError(f"prime {p} exceeds the cap {PRIME_CAP}")
-    if not is_prime(p):
-        raise ValidationError(f"{p} is not prime")
-    return p
-
-
-def _matrix_group(name: str, p: int, order: int, keep_det, descriptor: dict) -> FiniteGroup:
+def _matrix_group(name: str, p: int, keep_det, descriptor: dict) -> FiniteGroup:
     """2x2 matrices over F_p with an admissible determinant, lexicographic (a,b,c,d) order.
 
     x*y is x applied to the two columns of y.  The column (u, v) has code
@@ -437,7 +432,6 @@ def _matrix_group(name: str, p: int, order: int, keep_det, descriptor: dict) -> 
     ``by_columns[c1*p^2 + c2]`` the index of the matrix with columns c1, c2,
     so a product is gathers only and pays no ``% p``.
     """
-    _check_order(order)
     quads = np.indices((p,) * 4).reshape(4, -1).T
     a, b, c, d = quads.T
     mats = quads[keep_det((a * d - b * c) % p)]
@@ -480,28 +474,33 @@ def _matrix_group(name: str, p: int, order: int, keep_det, descriptor: dict) -> 
 
 def make_gl2(p: int) -> FiniteGroup:
     """GL_2(F_p), order (p^2-1)(p^2-p), matrices in lexicographic (a,b,c,d) order."""
-    p = _check_prime(p)
-    return _matrix_group(f"GL2(F{p})", p, (p * p - 1) * (p * p - p), lambda det: det != 0, {"kind": "gl2", "params": [p]})
+    p = _parameter(p, "prime", 2, lambda p: (p * p - 1) * (p * p - p), prime=True)
+    return _matrix_group(f"GL2(F{p})", p, lambda det: det != 0, {"kind": "gl2", "params": [p]})
 
 
 def make_sl2(p: int) -> FiniteGroup:
     """SL_2(F_p), order p(p^2-1)."""
-    p = _check_prime(p)
-    return _matrix_group(f"SL2(F{p})", p, p * (p * p - 1), lambda det: det == 1, {"kind": "sl2", "params": [p]})
+    p = _parameter(p, "prime", 2, lambda p: p * (p * p - 1), prime=True)
+    return _matrix_group(f"SL2(F{p})", p, lambda det: det == 1, {"kind": "sl2", "params": [p]})
 
 
 def make_field_additive(p: int, k: int) -> FiniteGroup:
     """The additive group of F_{p^k}; the field structure rides along in ``.field``.
 
-    F_{2^k} adds by XOR.  Otherwise an index is low + half * high, low its first ceil(k/2) digits,
-    so high has no more digits than low, and a digitwise sum of two lows or of two highs is an entry of one
-    half x half table, read at a pre-scaled row; the table grows by a leading digit at a time, and the 0 in
-    each of its rows marks that row's negative.
+    ``PrimePowerField.create`` checks p^k against ``FIELD_ORDER_CAP`` before p's primality.  F_p adds as Z/p,
+    by ``(a + b) % p``, and F_{2^k} by XOR.  Otherwise (odd p, k >= 2) an index is low + half * high, low its
+    first ceil(k/2) digits, so high has no more digits than low, and a digitwise sum of two lows or of two highs
+    is an entry of one half x half table (F_{13^3}'s, 169 x 169, is the largest), read at a pre-scaled row; the
+    table grows by a leading digit at a time, and the 0 in each of its rows marks that row's negative.
     """
-    p = _check_prime(p)
+    (p,) = _int_entries([p], "prime")
+    if p < 2:  # else the field cap would name p^k, no field's order, for a large k
+        raise ValidationError(f"{p} is not prime")
     (k,) = _int_entries([k], "extension degree")
     gf = PrimePowerField.create(p, k)
-    if p == 2:  # binary digits add by XOR, and every element is its own negative
+    if k == 1:
+        kernel, inverse = _sum_mod(p)
+    elif p == 2:  # binary digits add by XOR, and every element is its own negative
         kernel, inverse = (lambda a, b: a ^ b), np.arange(gf.order)
     else:
         half, digit, table = p ** ((k + 1) // 2), np.arange(p, dtype=np.int32), np.zeros((1, 1), dtype=np.int32)

@@ -22,6 +22,7 @@ from pairgraph.errors import (
 )
 from pairgraph.fields import CONWAY_POLYNOMIALS, is_prime, reducing_polynomial
 from pairgraph.groups import (
+    ORDER_CAP,
     closed_subgroup,
     field_norm_preimage,
     generated_elements,
@@ -171,11 +172,11 @@ def test_documented_orders():
 def test_constructor_caps():
     with pytest.raises(ValidationError):
         make_gl2(4)  # composite
-    with pytest.raises(ValidationError):
-        make_gl2(17)
+    with pytest.raises(SizeCapExceeded):
+        make_gl2(17)  # order 78336 > hard cap
     with pytest.raises(SizeCapExceeded):
         make_gl2(13)  # order 26208 > hard cap
-    with pytest.raises(ValidationError):
+    with pytest.raises(SizeCapExceeded):
         make_symmetric(9)
     with pytest.raises(SizeCapExceeded):
         make_symmetric(8)  # 40320 > hard cap
@@ -188,42 +189,77 @@ def test_constructor_caps():
 
 
 class _NoListing:
-    """numpy as seen from ``groups``, minus the calls that start a listing.
+    """numpy as seen from ``groups``, minus the calls that allocate a family's first array.
 
-    ``np.indices`` lists the matrix quads and the even permutations, and
-    ``np.zeros`` and ``np.empty`` hold the permutation rows level by level.
+    ``np.indices`` lists the matrix quads and the even permutations,
+    ``np.zeros`` and ``np.empty`` hold the permutation rows level by level,
+    ``np.arange`` lists Z/n's and a field's inverses, and ``np.asarray``
+    holds the dihedral inverses.
     """
 
     def __getattr__(self, name):
-        if name in ("indices", "zeros", "empty"):
+        if name in ("indices", "zeros", "empty", "arange", "asarray", "array", "full"):
             raise AssertionError(f"np.{name} used before the order cap was checked")
         return getattr(np, name)
 
 
 def test_caps_checked_before_enumeration(monkeypatch):
     monkeypatch.setattr(groups, "np", _NoListing())
-    for maker, arg in [(make_symmetric, 8), (make_alternating, 8), (make_gl2, 13)]:
+    for maker, arg in [(make_symmetric, 8), (make_alternating, 8), (make_gl2, 13), (make_symmetric, 9)]:
         with pytest.raises(SizeCapExceeded):
             maker(arg)
-    with pytest.raises(ValidationError):
-        make_symmetric(9)
+
+
+# each family's largest accepted parameters, their order, its smallest refused ones and the order its refusal names
+BOUNDARIES = [
+    (make_cyclic, (20000,), 20000, (20001,), "group order 20001"),
+    (make_dihedral, (10000,), 20000, (10001,), "group order 20002"),
+    (make_symmetric, (7,), 5040, (8,), "group order 8!"),
+    (make_alternating, (7,), 2520, (8,), "group order 8!/2"),
+    (make_gl2, (11,), 13200, (13,), "group order 26208"),
+    (make_sl2, (23,), 12144, (29,), "group order 24360"),
+    (make_field_additive, (2, 12), 4096, (4099, 1), "field order 4099^1"),
+    (make_field_additive, (2, 12), 4096, (67, 2), "field order 67^2"),
+]
+
+
+@pytest.mark.parametrize(
+    "maker, largest, order, refused, message", BOUNDARIES, ids=[f"{m.__name__}{r}" for m, _, _, r, _ in BOUNDARIES]
+)
+def test_each_family_bounded_by_its_order(monkeypatch, maker, largest, order, refused, message):
+    assert maker(*largest).order == order
+    # the refusal comes from the order formula, before the family's first array is allocated
+    monkeypatch.setattr(groups, "np", _NoListing())
+    cap = 4096 if maker is make_field_additive else ORDER_CAP
+    with pytest.raises(SizeCapExceeded, match=f"^{re.escape(message)} exceeds the cap {cap}$"):
+        maker(*refused)
 
 
 def test_caps_checked_before_the_arithmetic(monkeypatch):
-    # trial division of 2^61 - 1 once ran for minutes before the cap was read
+    # trial division of 2^61 - 1 once ran for minutes before the cap was read; the order is read first
     def no_primality(p):
-        raise AssertionError(f"is_prime({p}) ran before the prime cap was checked")
+        raise AssertionError(f"is_prime({p}) ran before the order cap was checked")
 
     monkeypatch.setattr(groups, "is_prime", no_primality)
-    for maker in (make_gl2, make_sl2, lambda p: make_field_additive(p, 1)):
-        with pytest.raises(ValidationError, match=f"prime {2**61 - 1} exceeds the cap 13"):
-            maker(2**61 - 1)
+    p = 2**61 - 1
+    for maker, message in [
+        (make_gl2, f"group order {(p * p - 1) * (p * p - p)} exceeds the cap 20000"),
+        (make_sl2, f"group order {p * (p * p - 1)} exceeds the cap 20000"),
+        (lambda p: make_field_additive(p, 1), f"field order {p}^1 exceeds the cap 4096"),
+    ]:
+        with pytest.raises(SizeCapExceeded, match=f"^{re.escape(message)}$"):
+            maker(p)
     monkeypatch.undo()
-    # 2^(10^9) took seconds to form before the field-order cap compared it
-    start = time.perf_counter()
-    with pytest.raises(SizeCapExceeded, match=r"field order 2\^1000000000 exceeds the cap 4096"):
-        make_field_additive(2, 10**9)
-    assert time.perf_counter() - start < 0.5
+    # 2^(10^9) took seconds to form before the field-order cap compared it, and (10^9)! would never finish
+    for maker, message in [
+        (lambda: make_field_additive(2, 10**9), "field order 2^1000000000 exceeds the cap 4096"),
+        (lambda: make_symmetric(10**9), "group order 1000000000! exceeds the cap 20000"),
+        (lambda: make_alternating(10**9), "group order 1000000000!/2 exceeds the cap 20000"),
+    ]:
+        start = time.perf_counter()
+        with pytest.raises(SizeCapExceeded, match=f"^{re.escape(message)}$"):
+            maker()
+        assert time.perf_counter() - start < 0.5
     assert make_field_additive(2, 12).order == 4096  # the largest field under the cap is still built
     with pytest.raises(SizeCapExceeded):
         make_field_additive(3, 8)  # 6561, with k below the bit-length bound

@@ -1,6 +1,7 @@
 """The gather kernels, labels built on first read, and the fast closures, each against its reference route."""
 
 import itertools
+import math
 import random
 
 import numpy as np
@@ -12,7 +13,6 @@ from pairgraph import groups
 from pairgraph.descriptors import builtin_subgroup, group_from_descriptor
 from pairgraph.groups import (
     ORDER_CAP,
-    PERMUTATION_DEGREE_CAP,
     field_norm_preimage,
     generated_elements,
     make_field_additive,
@@ -35,16 +35,18 @@ ALL_PAIRS = [
     "symmetric:1", "symmetric:2", "symmetric:3", "symmetric:4", "symmetric:5", "symmetric:6",
     "alternating:1", "alternating:2", "alternating:3", "alternating:4", "alternating:5", "alternating:6",
     "gl2:3", "gl2:5", "sl2:5", "field_additive:2,4", "field_additive:3,3", "field_additive:5,2", "field_additive:7,2",
-    # k = 1: F_p's digit table has one low digit and an all-zero high half
+    # k = 1: F_p adds as Z/p, by (a + b) % p
     "field_additive:3,1", "field_additive:5,1", "field_additive:7,1", "field_additive:11,1",
     "cyclic:1", "cyclic:2", "cyclic:60", '{"kind": "product", "params": ["cyclic:3", "dihedral:4"]}',
 ]
 SAMPLED = [
     "symmetric:7", "alternating:7", "gl2:11", "sl2:13", "field_additive:2,12",
-    # odd p up to PRIME_CAP = 13: k = 3, 7 and 5 leave the high digit half shorter than the low one
-    "field_additive:7,4", "field_additive:3,7", "field_additive:5,5", "field_additive:13,3",
-    "field_additive:13,2", "field_additive:13,1",
+    # odd p, k >= 2: k = 3, 7 and 5 leave the high digit half shorter than the low one; F_{13^3}'s is the largest table
+    "field_additive:7,4", "field_additive:3,7", "field_additive:5,5", "field_additive:13,3", "field_additive:13,2",
     "cyclic:12000", '{"kind": "product", "params": ["gl2:3", "cyclic:100"]}',
+    # bounded by their order alone: F_p as Z/p up to F_4093, p past 13, and D_n past n = 8
+    "field_additive:13,1", "field_additive:17,1", "field_additive:4093,1", "field_additive:17,2", "field_additive:61,2",
+    "sl2:17", "sl2:23", "dihedral:9", "dihedral:10000",
 ]
 TABLES = ["gl2:5", "field_additive:2,6"]
 
@@ -105,8 +107,11 @@ def test_kernel_matches_reference_on_sampled_pairs(descriptor):
 
 
 def test_exact_key_bounds():
-    # a permutation kernel's matrix-product key sums integers below n^(n-1): exact in float32
-    assert PERMUTATION_DEGREE_CAP ** (PERMUTATION_DEGREE_CAP - 1) < 2**24
+    # a permutation kernel's matrix-product key sums integers below n^(n-1): exact in float32 for every
+    # degree the order cap admits, the largest n with n!/2 <= ORDER_CAP (A_n's order, S_n's halved)
+    n = next(n for n in itertools.count(1) if math.factorial(n + 1) // 2 > ORDER_CAP)
+    assert n == 7
+    assert n ** (n - 1) < 2**24
     # ``build_pair_graph`` packs an edge (u, v) as u << 15 | v
     assert ORDER_CAP < 1 << 15
 

@@ -246,10 +246,14 @@ def test_orbit_names_the_bad_map_among_good_ones(z12_evens, monkeypatch):
             generating_set_orbit(z12_evens, [1, 3], [*units[:2], bad, *units[2:]])
 
 def test_constructor_refusals():
-    with pytest.raises(ValidationError, match=r"^dihedral parameter must be 1\.\.8$"):
+    # D_n has a lower bound only: its order 2n bounds it above
+    with pytest.raises(ValidationError, match="^dihedral parameter must be >= 1$"):
         make_dihedral(0)
     with pytest.raises(ValidationError, match="^extension degree must be >= 1$"):
         make_field_additive(7, 0)
+    # p below 2 is refused as no prime before the field cap could name 1^13 as an order over 4096
+    with pytest.raises(ValidationError, match="^1 is not prime$"):
+        make_field_additive(1, 13)
 
 
 def test_generating_set_of_another_subgroup(z12_evens):
