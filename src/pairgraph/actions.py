@@ -278,14 +278,14 @@ def search_ramanujan(config: SearchConfig) -> list[SearchResult]:
     """Deterministic search; see SearchConfig.
 
     Candidates are taken in blocks of ``SEARCH_BLOCK`` trials, exhaustive
-    ones too.  Each is drawn and validated on its own; the block's Lagrange
-    certificates of connectivity come from one ``reachable_subgroups`` call,
-    and the size bound, the same for every set, once per search.  Then the
-    connected ones of the block share one ``compute_spectra`` call, whose
-    stacked solves give each set the bits of a solve on its own, and each is
-    certified by ``is_ramanujan``.  Every candidate that is connected and
-    meets the sufficient size bound must certify Ramanujan; a counterexample
-    would refute the bound and raises.
+    ones too.  Each is drawn and validated on its own; one ``reachable_subgroups``
+    call takes the block's seeds in one product call and runs each set's own
+    certificate rounds, and the size bound, the same for every set, comes once
+    per search.  Then the connected ones of the block share one
+    ``compute_spectra`` call, whose stacked solves give each set the bits of
+    a solve on its own, and each is certified by ``is_ramanujan``.  Every
+    candidate that is connected and meets the sufficient size bound must
+    certify Ramanujan; a counterexample would refute the bound and raises.
     """
     subgroup = config.subgroup
     outside = subgroup.outside()

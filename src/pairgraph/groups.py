@@ -432,9 +432,8 @@ def _matrix_group(name: str, p: int, keep_det, descriptor: dict) -> FiniteGroup:
     ``by_columns[c1*p^2 + c2]`` the index of the matrix with columns c1, c2,
     so a product is gathers only and pays no ``% p``.
     """
-    quads = np.indices((p,) * 4).reshape(4, -1).T
-    a, b, c, d = quads.T
-    mats = quads[keep_det((a * d - b * c) % p)]
+    x = np.arange(p)  # a, b, c, d along four axes: np.argwhere lists the kept ones in (a, b, c, d) order
+    mats = np.argwhere(keep_det((x[:, None, None, None] * x - x[:, None, None] * x[:, None]) % p))
     a, b, c, d = mats.T
     p2 = p * p
     first, second = a * p + c, b * p + d
@@ -848,6 +847,7 @@ class GeneratingSet:
     inside: tuple[int, ...]
     outside: tuple[int, ...]
     coset_counts: tuple[int, ...]
+    _covered: tuple[int, ...]
 
     @property
     def group(self) -> FiniteGroup:
@@ -858,12 +858,8 @@ class GeneratingSet:
         return len(self.elements)
 
     def covered_cosets(self) -> tuple[int, ...]:
-        """Nontrivial coset ids met by the outside part."""
-        return tuple(i for i in range(1, len(self.coset_counts)) if self.coset_counts[i] > 0)
-
-    def covered_vertex_count(self) -> int:
-        """Size of the union of the cosets met by the outside part."""
-        return len(self.covered_cosets()) * self.subgroup.order
+        """Nontrivial coset ids met by the outside part, ascending: found once, from the set's own coset ids."""
+        return self._covered
 
     @property
     def regular(self) -> bool:
@@ -879,7 +875,7 @@ class GeneratingSet:
     def reachable(self) -> np.ndarray:
         """The elements of U = <H ∩ (inside ∪ outside·outside^-1)> <= H, sorted, read-only and built once.
 
-        ``reachable_subgroups`` on a block of one.
+        ``reachable_subgroups`` on a block of one: a product call, up to two R·R' rounds, else the closure.
         """
         return reachable_subgroups([self])[0]
 
@@ -894,16 +890,15 @@ def reachable_subgroups(gens: Sequence[GeneratingSet]) -> list[np.ndarray]:
     (s·t_c^-1)·(t·t_c^-1)^-1 for any t_c in that coset; so the inside part
     and the quotients s·t_c^-1, t_c the set's least element in coset c,
     generate U.  One product call gives every set's seeds, the inside part
-    as x·e^-1.
+    as x·e^-1, as rows padded by e; one sort and a distinct count per row
+    give |R| for R = {e} ∪ Q, Q the distinct seeds.
 
-    Then a Lagrange certificate: U holds R = {e} ∪ Q for the distinct seeds Q,
-    and with R its products R·R' by R's first ceil(|H|/|R|) members R'; |U|
-    divides |H|, so |R| > |H|/2 forces U = H.  Up to two rounds R := R ∪ R·R',
-    each under |H| + |R| products, run on the sets with 1 < |R| <= |H|/2:
-    random seeds in A_n almost always pass after one.  The sets' R are the
-    sorted rows of one array, padded by e, so a round is one product call,
-    one sort and a distinct count per row.  A certified set gets H's own
-    element array; the closure runs on each other set alone.
+    Then a Lagrange certificate: |U| divides |H|, so R ⊆ U with |R| > |H|/2
+    forces U = H.  Each set with 1 < |R| <= |H|/2 runs up to two rounds
+    R := R ∪ R·R' on its own R, R' its first ceil(|H|/|R|) members, each
+    under |H| + |R| products: random seeds in A_n almost always pass after
+    one.  A certified set gets H's own element array; the closure runs on
+    each other set alone.
     """
     if not gens:
         return []
@@ -911,8 +906,7 @@ def reachable_subgroups(gens: Sequence[GeneratingSet]) -> list[np.ndarray]:
     if any(g.subgroup is not sub for g in gens[1:]):
         raise ValidationError("a block holds sets on one subgroup")
     group, order, e = sub.parent, sub.order, sub.parent.identity
-    # each row: the inside part, the outside part, then e padding; a row without
-    # padding has an outside part, whose t_c·t_c^-1 = e
+    # rows of the inside part, the outside part, then e; one without e has an outside part, whose t_c·t_c^-1 = e
     width = max(g.size + (not g.outside) for g in gens)
     padded = [[*g.inside, *g.outside, *[e] * (width - g.size)] for g in gens]
     s = np.array(padded, dtype=np.int64)
@@ -924,38 +918,18 @@ def reachable_subgroups(gens: Sequence[GeneratingSet]) -> list[np.ndarray]:
     # in-place sorts and ufunc reductions: numpy's Python-level wrappers cost more than the work on a few rows
     reached = seeds.copy()
     reached.sort(axis=1)
-    repeated = reached[:, 1:] == reached[:, :-1]
-    sizes = (width - np.add.reduce(repeated, axis=1)).tolist()
-    rows = list(range(len(gens)))
-    for _ in range(2):
-        grow = [i for i, row in enumerate(rows) if 1 < sizes[row] <= order // 2]
-        if not grow:
-            break
-        if len(grow) < len(rows):
-            rows, reached, repeated = [rows[i] for i in grow], reached[grow], repeated[grow]
-        # each row's distinct members, ascending, then a sentinel past every element
-        reached[:, 1:][repeated] = group.order
-        reached.sort(axis=1)
-        size = [sizes[row] for row in rows]
-        reached = reached[:, : max(size)]
-        widths = [min(n, -(-order // n)) for n in size]
-        first = reached[:, : max(widths)]
-        if min(size) < max(size):
-            reached[reached == group.order] = e
-            first = np.where(np.arange(max(widths)) < np.array(widths)[:, None], first, e)
-        products = group.product(reached[:, :, None], first[:, None, :]).reshape(len(rows), -1)
-        reached = np.concatenate([reached, products], axis=1)
-        reached.sort(axis=1)
-        repeated = reached[:, 1:] == reached[:, :-1]
-        for row, n in zip(rows, (reached.shape[1] - np.add.reduce(repeated, axis=1)).tolist()):
-            sizes[row] = n
-    for i, g in enumerate(gens):
-        if 2 * sizes[i] > order:
-            u = sub.elements
-        else:
-            u = generated_elements(group, seeds[i, : g.size].tolist())
+    sizes = (width - np.add.reduce(reached[:, 1:] == reached[:, :-1], axis=1)).tolist()
+    for i, (g, size) in enumerate(zip(gens, sizes)):
+        if 1 < size <= order // 2:
+            r = _sorted_unique(reached[i])
+            for _ in range(2):
+                r = _sorted_unique(np.append(r, group.product(r[:, None], r[: -(-order // r.size)])))
+                if 2 * r.size > order:
+                    break
+            size = r.size
+        u = sub.elements if 2 * size > order else generated_elements(group, seeds[i, : g.size].tolist())
         g.__dict__["reachable"] = u  # where cached_property keeps it
-    return [g.__dict__["reachable"] for g in gens]
+    return [g.reachable for g in gens]
 
 
 def validate_generating_set(subgroup: Subgroup, elements: Iterable[int]) -> GeneratingSet:
@@ -986,4 +960,5 @@ def validate_generating_set(subgroup: Subgroup, elements: Iterable[int]) -> Gene
         inside=tuple(inside),
         outside=tuple(outside),
         coset_counts=tuple(counts),
+        _covered=tuple(sorted(set(cosets).difference((0,)))),
     )

@@ -14,6 +14,7 @@ from pairgraph.groups import (
     generated_elements,
     make_alternating,
     make_cyclic,
+    make_gl2,
     make_symmetric,
     perm_index,
     subgroup_from_elements,
@@ -269,6 +270,23 @@ def test_block_certificate_mixes_rounds_and_proper_subgroups(z24_evens, monkeypa
     calls = _count_closures(monkeypatch)
     _check_block(block, calls)
     assert [gen.reachable.size for gen in block] == [12, 12, 12, 6, 2, 12]
+
+
+def test_block_seeds_take_one_product_call(monkeypatch):
+    # 17 outside elements of GL2(3) > SL2(3) give 17 distinct quotients, over |H|/2 = 12: a block of
+    # 20 such sets certifies by its seeds alone, which one product call gives, and runs no round
+    sub = builtin_subgroup(make_gl2(3), "sl2_in_gl2")
+    rng = random.Random(0)
+    block = [validate_generating_set(sub, rng.sample(sub.outside(), 17)) for _ in range(20)]
+    assert all(_certified_after(gen) == 0 for gen in block)
+    shapes = []
+    product = groups.FiniteGroup.product
+    monkeypatch.setattr(
+        groups.FiniteGroup, "product", lambda self, a, b: shapes.append(np.broadcast(a, b).shape) or product(self, a, b)
+    )
+    _refuse_closure(monkeypatch)
+    assert all(u is sub.elements for u in groups.reachable_subgroups(block))
+    assert shapes == [(20 * 17,)]
 
 
 @st.composite
