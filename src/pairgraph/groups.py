@@ -432,8 +432,9 @@ def _matrix_group(name: str, p: int, keep_det, descriptor: dict) -> FiniteGroup:
     ``by_columns[c1*p^2 + c2]`` the index of the matrix with columns c1, c2,
     so a product is gathers only and pays no ``% p``.
     """
-    x = np.arange(p)  # a, b, c, d along four axes: np.argwhere lists the kept ones in (a, b, c, d) order
-    mats = np.argwhere(keep_det((x[:, None, None, None] * x - x[:, None, None] * x[:, None]) % p))
+    x = np.arange(p)  # a, b, c, d on four axes, so np.argwhere lists the kept ones in (a, b, c, d) order
+    a, b, c, d = x[:, None, None, None], x[:, None, None], x[:, None], x
+    mats = np.argwhere(keep_det((a * d - b * c) % p))
     a, b, c, d = mats.T
     p2 = p * p
     first, second = a * p + c, b * p + d
@@ -861,6 +862,10 @@ class GeneratingSet:
         """Nontrivial coset ids met by the outside part, ascending: found once, from the set's own coset ids."""
         return self._covered
 
+    def covered_vertex_count(self) -> int:
+        """Size of the union of the cosets met by the outside part."""
+        return len(self._covered) * self.subgroup.order
+
     @property
     def regular(self) -> bool:
         """Whether the pair graph is regular, of degree |S|, read off (G, H, S).
@@ -906,7 +911,8 @@ def reachable_subgroups(gens: Sequence[GeneratingSet]) -> list[np.ndarray]:
     if any(g.subgroup is not sub for g in gens[1:]):
         raise ValidationError("a block holds sets on one subgroup")
     group, order, e = sub.parent, sub.order, sub.parent.identity
-    # rows of the inside part, the outside part, then e; one without e has an outside part, whose t_c·t_c^-1 = e
+    # each row: the inside part, the outside part, then e padding; a row without
+    # padding has an outside part, whose t_c·t_c^-1 = e
     width = max(g.size + (not g.outside) for g in gens)
     padded = [[*g.inside, *g.outside, *[e] * (width - g.size)] for g in gens]
     s = np.array(padded, dtype=np.int64)
@@ -927,7 +933,10 @@ def reachable_subgroups(gens: Sequence[GeneratingSet]) -> list[np.ndarray]:
                 if 2 * r.size > order:
                     break
             size = r.size
-        u = sub.elements if 2 * size > order else generated_elements(group, seeds[i, : g.size].tolist())
+        if 2 * size > order:
+            u = sub.elements
+        else:
+            u = generated_elements(group, seeds[i, : g.size].tolist())
         g.__dict__["reachable"] = u  # where cached_property keeps it
     return [g.reachable for g in gens]
 

@@ -343,7 +343,7 @@ def largest_eigenvalue_multiplicity(gen: GeneratingSet) -> int:
 def zero_multiplicity_lower_bound(gen: GeneratingSet) -> int:
     """Lower bound for the multiplicity of the eigenvalue 0."""
     outside_count = gen.group.order - gen.subgroup.order
-    return outside_count - min(len(gen.covered_cosets()) * gen.subgroup.order, gen.subgroup.order)
+    return outside_count - min(gen.covered_vertex_count(), gen.subgroup.order)
 
 
 @dataclass(frozen=True)

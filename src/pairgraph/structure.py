@@ -97,7 +97,7 @@ def component_count_by_formula(gen: GeneratingSet) -> ComponentCountBreakdown:
     return ComponentCountBreakdown(
         subgroup_index_term=gen.subgroup.order // len(gen.reachable),
         outside_term=gen.group.order - gen.subgroup.order,
-        covered_term=len(gen.covered_cosets()) * gen.subgroup.order,  # |union of the cosets met|
+        covered_term=gen.covered_vertex_count(),
     )
 
 
@@ -118,8 +118,7 @@ def is_connected(gen: GeneratingSet) -> ConnectivityReport:
     """
     u_order = len(gen.reachable)
     closure_ok = u_order == gen.subgroup.order
-    covers = len(gen.covered_cosets()) == gen.subgroup.index - 1  # then no coset id is walked
-    uncovered = () if covers else tuple(i for i, count in enumerate(gen.coset_counts) if i and not count)
+    uncovered = tuple(i for i, count in enumerate(gen.coset_counts) if i and not count)
     connected = closure_ok and not uncovered
     witness = None
     if not closure_ok:

@@ -30,8 +30,8 @@ ROOT = Path(__file__).resolve().parent.parent
 # (file, old line, new line, reason); tier-1 must fail on each
 MUTANTS = [
     ("groups.py",
-     "u = sub.elements if 2 * size > order else generated_elements(group, seeds[i, : g.size].tolist())",
-     "u = sub.elements if 2 * size >= order else generated_elements(group, seeds[i, : g.size].tolist())",
+     "if 2 * size > order:",
+     "if 2 * size >= order:",
      "the certificate at |R| = |H|/2, where a proper U of index 2 may hold R"),
     ("groups.py",
      "for _ in range(2):",
@@ -62,10 +62,6 @@ EQUIVALENT = [
      "r = _sorted_unique(reached[i])",
      "r = _sorted_unique(seeds[i])",
      "_sorted_unique sorts its input, so the unsorted row of seeds gives the same R"),
-    ("structure.py",
-     "covers = len(gen.covered_cosets()) == gen.subgroup.index - 1  # then no coset id is walked",
-     "covers = False",
-     "the walk over the coset counts finds no uncovered coset exactly when the shortcut skips it"),
     ("groups.py",
      "for _ in range(group.order.bit_length() - 1):",
      "for _ in range(group.order.bit_length() - 2):",
@@ -100,11 +96,13 @@ def _apply(where: Path, file: str, old: str, new: str) -> None:
 def _tier1(where: Path) -> tuple[bool, float]:
     """Whether tier-1 passes on the copy at ``where``, and the seconds it took."""
     env = {**os.environ, "PYTHONPATH": str(where / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
-    found = subprocess.run([sys.executable, "-c", "import pairgraph; print(pairgraph.__file__)"],
-                           cwd=where, env=env, capture_output=True, text=True, check=True).stdout
-    if not Path(found.strip()).is_relative_to(where):
-        sys.exit(f"the copy imports pairgraph from {found.strip()}, not from {where}")
     start = time.perf_counter()
+    found = subprocess.run([sys.executable, "-c", "import pairgraph; print(pairgraph.__file__)"],
+                           cwd=where, env=env, capture_output=True, text=True)
+    if found.returncode:  # a copy that cannot import pairgraph fails tier-1 too
+        return False, time.perf_counter() - start
+    if not Path(found.stdout.strip()).is_relative_to(where):
+        sys.exit(f"the copy imports pairgraph from {found.stdout.strip()}, not from {where}")
     run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
                          cwd=where, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
     return run.returncode == 0, time.perf_counter() - start
