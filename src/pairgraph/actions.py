@@ -31,8 +31,7 @@ from .graphs import PairGraph
 from .spectral import DEFAULT_TOLERANCE, _check_tolerance, compute_spectra, is_ramanujan, ramanujan_size_bound
 from .structure import is_connected
 
-AUTOMORPHISM_ORDER_CAP = 120
-AUTOMORPHISM_BATCH_CAP = 1 << 22  # map entries one depth of automorphism_group may hold
+AUTOMORPHISM_BATCH_CAP = 1 << 22  # entries the class table, or one depth's maps, of automorphism_group may hold
 EXHAUSTIVE_CANDIDATE_CAP = 10**6
 ORBIT_SIZE_CAP = 10**6
 SEED_STRIDE = 2654435761  # fixed trial-to-trial seed advance
@@ -118,14 +117,15 @@ def _word_levels(group: FiniteGroup, gens: Sequence[int]):
 
 
 def automorphism_group(group: FiniteGroup) -> list[tuple[int, ...]]:
-    """All automorphisms, sorted, by a breadth-first search over generator images (order capped).
+    """All automorphisms, sorted, by a breadth-first search over generator images (size capped).
 
     Depth d repeats every surviving map once per candidate image of the d-th
     generator of ``_generator_chain`` (an element of its order and
     conjugacy-class size), evaluates the maps on U, the span of the
     generators so far, one word level at a time, and keeps those that are
-    homomorphisms on U sending only the identity to the identity.  A depth
-    that would hold more than ``AUTOMORPHISM_BATCH_CAP`` map entries raises.
+    homomorphisms on U sending only the identity to the identity.  It raises
+    before the m x m table of conjugates, or a depth's maps, would hold more
+    than ``AUTOMORPHISM_BATCH_CAP`` entries.
     The map arrays and the conjugates multiply by ``FiniteGroup.product``.
 
     A map with phi(e) = e is a homomorphism on U exactly when
@@ -135,10 +135,8 @@ def automorphism_group(group: FiniteGroup) -> list[tuple[int, ...]]:
     passed the checks before it.
     """
     m = group.order
-    if m > AUTOMORPHISM_ORDER_CAP:
-        raise SizeCapExceeded(
-            f"automorphism enumeration is capped at order {AUTOMORPHISM_ORDER_CAP}"
-        )
+    if m * m > AUTOMORPHISM_BATCH_CAP:  # the m x m class table, before it is built
+        raise SizeCapExceeded(f"automorphism search exceeds the cap of {AUTOMORPHISM_BATCH_CAP} map entries")
     idx = np.arange(m)
     orders, _ = _element_orders(group, idx, m)
     # column x holds g*x*g^-1 for every g: its distinct values are x's class
@@ -258,11 +256,16 @@ def random_candidate(outside: Sequence[int], size: int, seed: int, trial: int) -
     whose Mersenne Twister does, whatever its ``shuffle`` becomes.  The swap
     at position i picks from positions 0..i and fixes position i; once
     positions size..n-1 are fixed, the later swaps only permute the first
-    ``size``, which the sort forgets, so the replay stops there.
+    ``size``, which the sort forgets, so the replay stops there.  A seed
+    outside 0..SEED_STRIDE - 1 or a negative trial raises: each pair has its own stream.
     """
     size, seed, trial = _int_entries([size, seed, trial], "size, seed or trial")
     if not 0 <= size <= len(outside):
         raise ValidationError(f"random set size {size} is outside 0..{len(outside)}")
+    if not 0 <= seed < SEED_STRIDE:
+        raise ValidationError(f"seed {seed} is outside 0..{SEED_STRIDE - 1}")
+    if trial < 0:
+        raise ValidationError(f"trial {trial} is negative")
     pool = list(outside)
     getrandbits = random.Random(seed + trial * SEED_STRIDE).getrandbits
     for i in range(len(pool) - 1, max(size, 1) - 1, -1):
@@ -292,9 +295,7 @@ def search_ramanujan(config: SearchConfig) -> list[SearchResult]:
     if config.mode == "exhaustive":
         candidates = itertools.combinations(outside, config.size)
     else:
-        candidates = (
-            random_candidate(outside, config.size, config.seed, t) for t in range(config.trials)
-        )
+        candidates = (random_candidate(outside, config.size, config.seed, t) for t in range(config.trials))
     results: list[SearchResult] = []
     bound = None
     while block := list(itertools.islice(candidates, SEARCH_BLOCK)):

@@ -255,10 +255,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_search.add_argument("--trials", type=int, help="random candidates to try (random mode only, default 10)")
     p_search.add_argument("--no-certify", action="store_true", help="skip the spectral certification")
 
-    p_verify = sub.add_parser("verify", help="re-run the bundled reference cases")
+    p_verify = command("verify", cmd_verify, "re-run the bundled reference cases", [])
     p_verify.add_argument("--only", help="run a single case by id")
     p_verify.add_argument("--verbose", action="store_true", help="print every check, not just failures")
-    p_verify.set_defaults(fn=cmd_verify)
     return parser
 
 

@@ -24,6 +24,7 @@ from .graphs import (
     isolated_vertices,
 )
 from .groups import (
+    Subgroup,
     field_norm_preimage,
     make_alternating,
     make_cyclic,
@@ -68,14 +69,12 @@ def _rows_match(graph, vertices, rows: np.ndarray) -> bool:
     return all(np.array_equal(n, np.flatnonzero(row)) for n, row in zip(neighbours, rows))
 
 
-def _z12_pair() -> tuple:
-    group = make_cyclic(12)
-    sub = subgroup_from_elements(group, [0, 3, 6, 9])
-    return group, sub
+def _z12_sub() -> Subgroup:
+    return subgroup_from_elements(make_cyclic(12), [0, 3, 6, 9])
 
 
 def case_z12_degrees() -> list[Check]:
-    _, sub = _z12_pair()
+    sub = _z12_sub()
     graph = build_pair_graph(sub, [2, 4, 5, 7, 8])
     profile = degree_profile(graph)
     formula = component_count_by_formula(graph.gen)
@@ -87,7 +86,7 @@ def case_z12_degrees() -> list[Check]:
 
 
 def case_z12_group_matrix() -> list[Check]:
-    _, sub = _z12_pair()
+    sub = _z12_sub()
     expected = np.array(
         [
             [0, 0, 1, 0, 1, 1, 0, 1, 1, 0, 0, 0],
@@ -129,7 +128,7 @@ def case_s3_cayley_matrix() -> list[Check]:
 
 
 def case_z12_components() -> list[Check]:
-    _, sub = _z12_pair()
+    sub = _z12_sub()
     gen1 = validate_generating_set(sub, [1, 7])
     gen2 = validate_generating_set(sub, [4, 5, 6, 10, 11])
     f1 = component_count_by_formula(gen1)

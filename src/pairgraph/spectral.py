@@ -54,7 +54,7 @@ from .errors import (
 )
 # build_pair_graph stays importable here: perfbench/test_perfbench.py reaches it through this namespace
 from .graphs import PairGraph, build_pair_graph  # noqa: F401
-from .groups import GeneratingSet, Subgroup, coset_chain, validate_generating_set
+from .groups import GeneratingSet, Subgroup, _read_only, coset_chain, validate_generating_set
 from .structure import is_connected
 
 SPECTRUM_ORDER_CAP = 3000
@@ -64,7 +64,7 @@ DEFAULT_TOLERANCE = 1e-8
 
 @dataclass(frozen=True, eq=False)
 class Spectrum:
-    """All eigenvalues (descending), clustered into (value, multiplicity) pairs on first read."""
+    """All eigenvalues (descending, read-only), clustered into (value, multiplicity) pairs on first read."""
 
     eigenvalues: np.ndarray
     tolerance: float
@@ -143,7 +143,7 @@ def compute_spectra(gens: Sequence[GeneratingSet], tolerance: float = DEFAULT_TO
     # the maximum degree: each vertex of H has |S| neighbours, a vertex x outside only |S ∩ Hx|
     scale = float(max(1, gen.size))
     padded = (v if len(v) == m else np.concatenate([v, np.zeros(m - len(v))]) for v in values)
-    return [Spectrum(np.sort(v)[::-1].copy(), tolerance, scale) for v in padded]
+    return [Spectrum(_read_only(np.sort(v)[::-1].copy()), tolerance, scale) for v in padded]
 
 
 def _character_values(gens: Sequence[GeneratingSet]) -> list[np.ndarray]:

@@ -4,7 +4,8 @@ Every per-vertex result (component labels, a two-coloring, the identity's
 component) is a read-only int array, as the arrays of a ``Subgroup`` are.
 
 Two independent routes to the component structure are kept side by side:
-least labels on the built graph's double cover, and the closed formula
+the least labels on the built graph's double cover, ``PairGraph.cover_labels``,
+which components and the two-coloring both read, and the closed formula
 
     [H : U] + |G - H| - |union of the cosets met by the outside part|
 
@@ -35,47 +36,9 @@ class ComponentDecomposition:
     component_of: np.ndarray
 
 
-def _least_labels(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Least labels on the bipartite double cover of a symmetric graph in CSR form.
-
-    Entry [side, v] is the least vertex in the cover component of (v, side),
-    joined to (u, 1 - side) for each edge {u, v}: min A and min B for a
-    component with sides A and B, else its least vertex; v, v + m for isolated v.
-    Each round hooks every root label[v] to the least label across v's edges,
-    by one np.take (several times faster than 2-d indexing) and one segment
-    reduction over both sides, then jumps each label once (Shiloach and
-    Vishkin).  Labels only fall and stay in their component, so a round that
-    changes nothing ends it: 11 rounds against 976 hooking vertices, on the
-    cover of the cycle Z/4000 with S = {679, 3321}.  Only the n vertices with
-    an edge take part, ascending, (v, side) as v + side*n: no cover CSR is built.
-    """
-    linked = np.flatnonzero(indptr[:-1] < indptr[1:])
-    compact = np.empty(len(indptr) - 1, dtype=np.intp)
-    compact[linked] = np.arange(len(linked))
-    indices, starts = compact[indices], indptr[linked]
-    label = np.arange(2 * len(linked))
-    while True:
-        hooked = label.copy()
-        across = np.minimum.reduceat(np.take(label.reshape(2, -1), indices, axis=1), starts, axis=1)
-        np.minimum.at(hooked, label, across[::-1].ravel())
-        hooked = hooked[hooked]
-        if np.array_equal(hooked, label):
-            least = np.arange(2 * len(compact))
-            least[np.concatenate([linked, linked + len(compact)])] = linked[label]
-            return least.reshape(2, -1)
-        label = hooked
-
-
-def _cover_labels(graph: PairGraph) -> np.ndarray:
-    """``_least_labels`` of ``graph``, computed once and kept in its instance dict, as its CSR is."""
-    if "cover_labels" not in vars(graph):
-        vars(graph)["cover_labels"] = _least_labels(graph.indptr, graph.indices)
-    return vars(graph)["cover_labels"]
-
-
 def connected_components(graph: PairGraph) -> ComponentDecomposition:
-    """Component labeling by least labels; ids ordered by minimal contained vertex."""
-    label = _cover_labels(graph).min(axis=0)
+    """Component labeling by ``graph.cover_labels``; ids ordered by minimal contained vertex."""
+    label = graph.cover_labels.min(axis=0)
     ids = np.cumsum(label == np.arange(graph.order)) - 1
     return ComponentDecomposition(count=int(ids[-1]) + 1, component_of=_read_only(ids[label]))
 
@@ -148,12 +111,12 @@ class BipartiteReport:
 
 
 def is_bipartite(graph: PairGraph) -> BipartiteReport:
-    """Exact two-coloring test on the bipartite double cover of ``_least_labels``.
+    """Exact two-coloring test on the bipartite double cover, by ``graph.cover_labels``.
 
     Bipartite exactly when no v shares a label with its twin.  Color 0 is the
     side of each component's least vertex, where v's side-0 label is the smaller.
     """
-    side0, side1 = _cover_labels(graph)
+    side0, side1 = graph.cover_labels
     if np.any(side0 == side1):
         return BipartiteReport(False, None)
     return BipartiteReport(True, _read_only((side0 > side1).astype(np.intp)))

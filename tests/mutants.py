@@ -54,6 +54,22 @@ MUTANTS = [
      "t.append([fixed.setdefault(c, x) for c, x in zip(cosets[::-1], row[::-1])][::-1])",
      "t_c the set's largest element in its coset: U is the same, but |R|, and so which sets run the closure, "
      "can move, and test_second_round_certifies_analyze_large_cyclic_sets counts them"),
+    ("spectral.py",
+     "irreducibles.append((start, last.reshape(n * d, d), d if shape > conjugate else d // 2))",
+     "irreducibles.append((start, last.reshape(n * d, d), d if shape > conjugate else d))",
+     "the Young route weighting a self-conjugate shape's values d times, not d/2"),
+    ("graphs.py",
+     "np.left_shift(targets[:, len(gen.inside) :], 15, out=keys[:, size:])",
+     "np.left_shift(targets[:, : len(gen.outside)], 15, out=keys[:, size:])",
+     "_build_edges taking its reverse keys from the first |S_outside| columns, inside ones among them"),
+    ("actions.py",
+     "while j > i:",
+     "while j >= i:",
+     "the draw replay rejecting j = i, so no element stays in place as shuffle lets it"),
+    ("actions.py",
+     "if m * m > AUTOMORPHISM_BATCH_CAP:  # the m x m class table, before it is built",
+     "if m > AUTOMORPHISM_BATCH_CAP:  # the m x m class table, before it is built",
+     "automorphism_group building the m x m class table above the entries budget"),
 ]
 
 # (file, old line, new line, why no output can tell it apart); not expected to be caught

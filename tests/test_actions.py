@@ -31,12 +31,14 @@ from pairgraph.errors import (
 )
 from pairgraph.graphs import PairGraph, build_pair_graph, degree_profile
 from pairgraph.groups import (
+    FiniteGroup,
     make_alternating,
     make_cyclic,
     make_dihedral,
     make_direct_product,
     make_field_additive,
     make_gl2,
+    make_sl2,
     make_symmetric,
     subgroup_from_elements,
     subgroup_generated,
@@ -78,12 +80,19 @@ def test_right_translation_preserves_spectrum():
     assert checked >= 30
 
 
-def test_automorphism_group_sizes():
+def test_automorphism_group_sizes(monkeypatch):
     assert len(automorphism_group(make_cyclic(12))) == 4
     assert len(automorphism_group(make_cyclic(20))) == 8
     assert len(automorphism_group(make_symmetric(3))) == 6
-    with pytest.raises(SizeCapExceeded):
-        automorphism_group(make_cyclic(121))
+    # Z/2049's class table would hold 2049^2 = 4198401 > 2^22 entries: refused before one product
+    z2049 = make_cyclic(2049)
+
+    def refuse(*args):
+        raise AssertionError("the class table was built above the budget")
+
+    monkeypatch.setattr(FiniteGroup, "product", refuse)
+    with pytest.raises(SizeCapExceeded, match="exceeds the cap of 4194304 map entries"):
+        automorphism_group(z2049)
 
 
 def test_automorphism_group_brute_force_oracle():
@@ -122,18 +131,20 @@ def test_automorphism_group_independent_oracles():
     assert automorphism_group(s5) == _conjugations(s5, s5)
     assert automorphism_group(make_alternating(5)) == _conjugations(make_alternating(5), s5)
     # the automorphisms of Z/n are x -> u*x for the units u
-    for n in (12, 20, 120):
+    for n in (12, 20, 120, 121, 1009):
         units = [u for u in range(1, n) if np.gcd(u, n) == 1]
         assert automorphism_group(make_cyclic(n)) == sorted(tuple(u * x % n for x in range(n)) for u in units)
 
 
 def test_automorphisms_are_homomorphisms_by_reference_product():
-    group = make_gl2(3)
-    mul = reference_mul(group)
-    auts = automorphism_group(group)
-    assert len(auts) == 48
-    for psi in auts:
-        assert all(psi[mul(a, b)] == mul(psi[a], psi[b]) for a in range(48) for b in range(48))
+    """GL2(3) has 48 automorphisms; SL2(7) has |PGL2(7)| = 336, and lay above a former order cap of 120."""
+    for group, count in ((make_gl2(3), 48), (make_sl2(7), 336)):
+        mul, m = reference_mul(group), group.order
+        table = np.array([[mul(a, b) for b in range(m)] for a in range(m)])
+        auts = automorphism_group(group)
+        assert len(auts) == count, group.name
+        for psi in np.array(auts):
+            assert (psi[table] == table[psi[:, None], psi]).all(), group.name
 
 
 def test_automorphism_batch_cap():

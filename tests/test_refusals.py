@@ -209,6 +209,28 @@ def test_random_candidate_reads_ints_only(z12_evens, size, seed, trial, bad):
 
 
 @pytest.mark.parametrize(
+    "seed, trial, message",
+    [
+        (-3, 0, "seed -3 is outside 0..2654435760"),
+        (-2654435761, 1, "seed -2654435761 is outside 0..2654435760"),
+        (2654435761, 0, "seed 2654435761 is outside 0..2654435760"),
+        (0, -1, "trial -1 is negative"),
+    ],
+)
+def test_random_candidate_refuses_seeds_that_alias(z12_evens, seed, trial, message):
+    """Seed -3 drew the sets of seed 3, (-SEED_STRIDE, 1) the set of (0, 0) and (SEED_STRIDE, 0) that of (0, 1)."""
+    with pytest.raises(ValidationError, match=f"^{re.escape(message)}$"):
+        random_candidate(z12_evens.outside(), 2, seed, trial)
+    assert len(random_candidate(z12_evens.outside(), 2, actions.SEED_STRIDE - 1, 0)) == 2  # the largest seed draws
+
+
+def test_cli_refuses_a_seed_out_of_range(capsys):
+    for argv in (["analyze", "--set-random", "3"], ["search", "--k", "3", "--trials", "2"]):
+        assert main([*argv, "--group", "cyclic:12", "--subgroup", "evens", "--seed", "-3"]) == 2
+        assert capsys.readouterr().err == "error: seed -3 is outside 0..2654435760\n"
+
+
+@pytest.mark.parametrize(
     "psi, message",
     [
         ([float(x) for x in range(12)], "map entry 0.0 is not an integer"),

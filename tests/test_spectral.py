@@ -81,6 +81,15 @@ def test_edgeless_spectrum():
     assert spec.clusters == ((0.0, 12),)
 
 
+def test_spectrum_eigenvalues_are_read_only(z20_evens):
+    """A write into the eigenvalues once changed every later answer read from them, the clusters too."""
+    spec = compute_spectrum(build_pair_graph(z20_evens, [1, 3]))
+    clusters = spec.clusters
+    with pytest.raises(ValueError, match="read-only"):
+        spec.eigenvalues[0] = 7.0
+    assert spec.clusters == clusters and np.isclose(spec.eigenvalues[0], 2.0)
+
+
 def _oracle_instances():
     """The seeded corpus, plus empty, inside-only, outside-only and mixed sets on every
     pooled subgroup, GL2(5) > SL2(5) and F_{7^3} > F_7 with norm preimages."""

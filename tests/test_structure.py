@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from pairgraph import groups, structure
+from pairgraph import graphs, groups, structure
 from pairgraph.actions import SearchConfig, _generator_chain, search_ramanujan
 from pairgraph.graphs import build_pair_graph, isolated_vertices
 from pairgraph.groups import (
@@ -345,6 +345,10 @@ def test_vertex_sets_are_read_only_int_arrays(z12_sub):
         is_bipartite(graph).coloring,
         isolated_vertices(graph),
         identity_component_by_closure(gen),
+        graph.indptr,
+        graph.indices,
+        graph.degrees,
+        graph.cover_labels,
     ):
         assert isinstance(vertices, np.ndarray) and vertices.dtype.kind == "i"
         assert not vertices.flags.writeable
@@ -364,8 +368,8 @@ def test_least_labels_match_breadth_first_reference(monkeypatch):
     cases += [(large[kind], analyze_large_set(kind, rng)) for kind in ("cyclic", "cyclic", "s7", "s7", "product")]
     cases += [(subgroup_generated(make_cyclic(20000), [2]), [])]
     # components and the coloring share one labelling of the double cover, whichever asks first
-    labellings, least_labels = [], structure._least_labels
-    monkeypatch.setattr(structure, "_least_labels", lambda *csr: labellings.append(csr) or least_labels(*csr))
+    labellings, least_labels = [], graphs._least_labels
+    monkeypatch.setattr(graphs, "_least_labels", lambda *csr: labellings.append(csr) or least_labels(*csr))
     verdicts = set()
     for sub, s in cases:
         for bipartite_first in (False, True):
