@@ -7,7 +7,7 @@ which must be closed under inversion so the graph is undirected.  With H = G
 the construction reduces to the ordinary Cayley graph.
 
 A ``PairGraph`` keeps, read-only, each array made from its edges: its CSR and
-the least labels of its double cover, which ``structure`` reads.
+the least labels of its double cover, read off H's rows, for ``structure``.
 """
 
 from __future__ import annotations
@@ -28,15 +28,15 @@ class PairGraph:
     """Immutable pair graph: u's sorted neighbours are indices[indptr[u]:indptr[u+1]].
 
     The first read of ``indptr``, ``indices`` or ``degrees`` builds all three by
-    ``_build_edges``, and of ``cover_labels`` their ``_least_labels``, all four
-    read-only; spectra, certificates and connectivity read only ``gen``.
+    ``_build_edges``, and of ``cover_labels`` their ``_least_labels`` over H's
+    rows, all four read-only; spectra, certificates and connectivity read only ``gen``.
     """
 
     gen: GeneratingSet
     indptr = cached_property(lambda self: _build_edges(self)["indptr"])
     indices = cached_property(lambda self: _build_edges(self)["indices"])
     degrees = cached_property(lambda self: _build_edges(self)["degrees"])
-    cover_labels = cached_property(lambda self: _read_only(_least_labels(self.indptr, self.indices)))
+    cover_labels = cached_property(lambda self: _read_only(_least_labels(self.indptr, self.indices, self.subgroup.elements)))
 
     @property
     def group(self) -> FiniteGroup:
@@ -113,35 +113,43 @@ def _build_edges(graph: PairGraph) -> dict:
     return vars(graph)
 
 
-def _least_labels(indptr: np.ndarray, indices: np.ndarray) -> np.ndarray:
-    """Least labels on the bipartite double cover of a symmetric graph in CSR form.
+def _least_labels(indptr: np.ndarray, indices: np.ndarray, h: np.ndarray) -> np.ndarray:
+    """Least labels on the bipartite double cover of a pair graph in CSR form, H's elements ``h`` ascending.
 
-    Entry [side, v] is the least vertex in the cover component of (v, side),
+    Entry [side, v] is the least side-0 vertex in the cover component of (v, side),
     joined to (u, 1 - side) for each edge {u, v}: min A and min B for a
     component with sides A and B, else its least vertex; v, v + m for isolated v.
-    Each round hooks every root label[v] to the least label across v's edges,
-    by one np.take (several times faster than 2-d indexing) and one segment
-    reduction over both sides, then jumps each label once (Shiloach and
-    Vishkin).  Labels only fall and stay in their component, so a round that
-    changes nothing ends it: 11 rounds against 976 hooking vertices, on the
-    cover of the cycle Z/4000 with S = {679, 3321}.  Only the n vertices with
-    an edge take part, ascending, (v, side) as v + side*n: no cover CSR is built.
+    Every edge has an end in H, so only the copies (h[i], side), as i + side*|H|,
+    hook and jump (Shiloach and Vishkin): an inside entry joins opposite sides,
+    and on each side the H-neighbours of an outside x join rep[x], one of them;
+    then (x, side) takes the labels of (rep[x], 1 - side).  Raises PairGraphError
+    unless every row of H holds k entries and no edge joins two outside vertices.
     """
-    linked = np.flatnonzero(indptr[:-1] < indptr[1:])
-    compact = np.empty(len(indptr) - 1, dtype=np.intp)
-    compact[linked] = np.arange(len(linked))
-    indices, starts = compact[indices], indptr[linked]
-    label = np.arange(2 * len(linked))
-    while True:
-        hooked = label.copy()
-        across = np.minimum.reduceat(np.take(label.reshape(2, -1), indices, axis=1), starts, axis=1)
-        np.minimum.at(hooked, label, across[::-1].ravel())
+    m, n, starts = len(indptr) - 1, len(h), indptr[h]
+    k = indptr[h[0] + 1] - starts[0]
+    if np.any(indptr[h + 1] - starts != k):
+        raise PairGraphError("the rows of the subgroup differ in length")
+    slot = np.full(m, -1)  # i at h[i]; at an outside x, rep[x]
+    slot[h] = np.arange(n)
+    rows, owner = indices[starts[:, None] + np.arange(k)].astype(np.intp).ravel(), np.arange(n).repeat(k)
+    j = slot[rows]
+    i, j, ow, x = owner[j >= 0], j[j >= 0], owner[j < 0], rows[j < 0]
+    if len(indices) != n * k + len(x):
+        raise PairGraphError("an edge joins two vertices outside the subgroup")
+    slot[x] = ow
+    rx = slot[x]
+    a, b = ow[ow != rx], rx[ow != rx]
+    src, dst = np.concatenate([i, i + n, a, b, a + n, b + n]), np.concatenate([j + n, j, b, a, b + n, a + n])
+    hooked, root = np.arange(2 * n), None
+    while not np.array_equal(hooked, root):  # hook each root to the least label across its joins, jump once
+        root, hooked = hooked, hooked.copy()
+        np.minimum.at(hooked, root[src], root[dst])
         hooked = hooked[hooked]
-        if np.array_equal(hooked, label):
-            least = np.arange(2 * len(compact))
-            least[np.concatenate([linked, linked + len(compact)])] = linked[label]
-            return least.reshape(2, -1)
-        label = hooked
+    best, least = np.concatenate([h, h + m]), np.arange(2 * m).reshape(2, m)
+    np.minimum.at(best, root[rx + n], x)
+    least[:, h] = best[root].reshape(2, n)
+    least[0, x], least[1, x] = best[root[rx + n]], best[root[rx]]
+    return least
 
 
 def adjacency_rows_via_group_matrix(

@@ -4,8 +4,8 @@ Every per-vertex result (component labels, a two-coloring, the identity's
 component) is a read-only int array, as the arrays of a ``Subgroup`` are.
 
 Two independent routes to the component structure are kept side by side:
-the least labels on the built graph's double cover, ``PairGraph.cover_labels``,
-which components and the two-coloring both read, and the closed formula
+``PairGraph.cover_labels``, least labels on the 2|H| copies of H in the double
+cover, which components and the two-coloring both read, and the closed formula
 
     [H : U] + |G - H| - |union of the cosets met by the outside part|
 

@@ -9,7 +9,8 @@ Each mutant is (file under src/pairgraph, the exact line to replace with its
 indentation stripped, the new line, the reason).  For each one it copies
 ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory, replaces
 that line there (it must match exactly one line), runs tier-1 with ``-x`` on
-the copy and prints caught or survived with the time taken.  It exits 1 if the
+the copy and prints caught or survived with the time taken and, under a run
+that fails, the tests pytest's summary names (``-rfE``).  It exits 1 if the
 unmutated copy fails, if a listed line is missing or repeated, or if a mutant
 of MUTANTS survives.  pytest does not collect this file.
 """
@@ -70,6 +71,14 @@ MUTANTS = [
      "if m * m > AUTOMORPHISM_BATCH_CAP:  # the m x m class table, before it is built",
      "if m > AUTOMORPHISM_BATCH_CAP:  # the m x m class table, before it is built",
      "automorphism_group building the m x m class table above the entries budget"),
+    ("graphs.py",
+     "least[0, x], least[1, x] = best[root[rx + n]], best[root[rx]]",
+     "least[0, x], least[1, x] = best[root[rx]], best[root[rx]]",
+     "_least_labels attaching the outside copy (x, 0) to (rep[x], 0), not to (rep[x], 1)"),
+    ("graphs.py",
+     "src, dst = np.concatenate([i, i + n, a, b, a + n, b + n]), np.concatenate([j + n, j, b, a, b + n, a + n])",
+     "src, dst = np.concatenate([i, i + n, a, b]), np.concatenate([j + n, j, b, a])",
+     "_least_labels joining the copies that share an outside neighbour on side 0 only"),
 ]
 
 # (file, old line, new line, why no output can tell it apart); not expected to be caught
@@ -109,22 +118,28 @@ def _apply(where: Path, file: str, old: str, new: str) -> None:
     path.write_text("\n".join(lines))
 
 
-def _tier1(where: Path) -> tuple[bool, float]:
-    """Whether tier-1 passes on the copy at ``where``, and the seconds it took."""
+def _tier1(where: Path) -> tuple[bool, float, list[str]]:
+    """Whether tier-1 passes on the copy at ``where``, the seconds it took, and what failed.
+
+    What failed is the node ids of pytest's short summary (``-rfE``), or its
+    last line of output when that names none.
+    """
     env = {**os.environ, "PYTHONPATH": str(where / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
     start = time.perf_counter()
     found = subprocess.run([sys.executable, "-c", "import pairgraph; print(pairgraph.__file__)"],
                            cwd=where, env=env, capture_output=True, text=True)
     if found.returncode:  # a copy that cannot import pairgraph fails tier-1 too
-        return False, time.perf_counter() - start
+        return False, time.perf_counter() - start, found.stderr.strip().splitlines()[-1:]
     if not Path(found.stdout.strip()).is_relative_to(where):
         sys.exit(f"the copy imports pairgraph from {found.stdout.strip()}, not from {where}")
-    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-p", "no:cacheprovider"],
-                         cwd=where, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL)
-    return run.returncode == 0, time.perf_counter() - start
+    run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider"],
+                         cwd=where, env=env, capture_output=True, text=True)
+    lines = run.stdout.splitlines()
+    failed = [line.split(" - ")[0] for line in lines if line.startswith(("FAILED ", "ERROR "))]
+    return run.returncode == 0, time.perf_counter() - start, (failed or lines[-1:]) if run.returncode else []
 
 
-def _run(mutant: tuple[str, str, str] | None = None) -> tuple[bool, float]:
+def _run(mutant: tuple[str, str, str] | None = None) -> tuple[bool, float, list[str]]:
     """Tier-1 on a fresh copy, with ``mutant`` (file, old line, new line) applied if given."""
     where = _copy()
     try:
@@ -141,16 +156,17 @@ def main() -> int:
     args = parser.parse_args()
     for file, old, _, _ in MUTANTS + EQUIVALENT:  # every line is checked before the first run
         _find(ROOT / "src" / "pairgraph" / file, old)
-    passed, seconds = _run()
-    print(f"{'passes' if passed else 'FAILS':10}  {seconds:6.1f} s  unmutated")
+    passed, seconds, failed = _run()
+    print(f"{'passes' if passed else 'FAILS':10}  {seconds:6.1f} s  unmutated", *failed, sep="\n    ")
     if not passed:
         return 1
     survived = 0
     for name, mutants in (("MUTANTS", MUTANTS), ("EQUIVALENT", EQUIVALENT if args.all else [])):
         for file, old, new, reason in mutants:
-            passed, seconds = _run((file, old, new))
+            passed, seconds, failed = _run((file, old, new))
             survived += passed and name == "MUTANTS"
-            print(f"{'survived' if passed else 'caught':10}  {seconds:6.1f} s  {name} {file}: {reason}")
+            print(f"{'survived' if passed else 'caught':10}  {seconds:6.1f} s  {name} {file}: {reason}",
+                  *failed, sep="\n    ")
     print(f"{len(MUTANTS) - survived} of {len(MUTANTS)} mutants caught")
     return 1 if survived else 0
 

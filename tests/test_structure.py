@@ -22,6 +22,7 @@ from pairgraph.groups import (
     validate_generating_set,
 )
 from pairgraph.descriptors import builtin_subgroup
+from pairgraph.errors import PairGraphError
 from pairgraph.structure import (
     component_count_by_formula,
     connected_components,
@@ -367,6 +368,13 @@ def test_least_labels_match_breadth_first_reference(monkeypatch):
     rng, large = random.Random(89), analyze_large_pairs()
     cases += [(large[kind], analyze_large_set(kind, rng)) for kind in ("cyclic", "cyclic", "s7", "s7", "product")]
     cases += [(subgroup_generated(make_cyclic(20000), [2]), [])]
+    # index 2, every outside vertex joined to several of H: S6 > A6 on a 20-set outside it, as the
+    # search benchmark draws, and on 16 outside elements beside 4 inside
+    a6 = builtin_subgroup(make_symmetric(6), "alternating_in_symmetric")
+    rng = random.Random(97)
+    inside = rng.sample([x for x in a6.elements.tolist() if x != a6.parent.identity], 2)
+    mixed = rng.sample(a6.outside(), 16) + inside + [a6.parent.inv(x) for x in inside]
+    cases += [(a6, rng.sample(a6.outside(), 20)), (a6, mixed)]
     # components and the coloring share one labelling of the double cover, whichever asks first
     labellings, least_labels = [], graphs._least_labels
     monkeypatch.setattr(graphs, "_least_labels", lambda *csr: labellings.append(csr) or least_labels(*csr))
@@ -384,8 +392,25 @@ def test_least_labels_match_breadth_first_reference(monkeypatch):
             assert _identity_component(graph).tolist() == identity_component
             assert differing_fields(report, reference_bipartite(graph)) == []
             verdicts.add(report.bipartite)
-            assert len(labellings) == 1 and labellings.pop()[0] is graph.indptr
+            assert len(labellings) == 1
+            indptr, indices, h = labellings.pop()
+            assert indptr is graph.indptr and indices is graph.indices and h is sub.elements
     assert verdicts == {True, False}
+
+
+@pytest.mark.parametrize(
+    "indptr, indices, message",
+    [
+        # H = {0, 1}; edges 0-2, 1-3 and 2-3, the last joining two outside vertices
+        ([0, 1, 2, 4, 6], [2, 3, 0, 3, 1, 2], "an edge joins two vertices outside the subgroup"),
+        # edges 0-1 and 0-2: the rows of 0 and 1 hold 2 and 1 entries
+        ([0, 2, 3, 4, 4], [1, 2, 0, 0], "the rows of the subgroup differ in length"),
+    ],
+    ids=["outside-outside edge", "unequal subgroup rows"],
+)
+def test_least_labels_refuse_a_csr_that_is_not_a_pair_graph(indptr, indices, message):
+    with pytest.raises(PairGraphError, match=f"^{message}$"):
+        graphs._least_labels(np.array(indptr), np.array(indices, dtype=np.int32), np.array([0, 1]))
 
 
 def _components(decomp) -> set[tuple[int, ...]]:
