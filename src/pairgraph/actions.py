@@ -12,7 +12,6 @@ from __future__ import annotations
 
 import itertools
 import random
-from dataclasses import dataclass
 from math import comb
 from typing import Iterable, Optional, Sequence
 
@@ -28,6 +27,7 @@ from .errors import (
 from .groups import FiniteGroup, Subgroup, _element_indices, _element_orders, _int_entries, generated_elements
 from .groups import reachable_subgroups, validate_generating_set
 from .graphs import PairGraph
+from .records import Record
 from .spectral import DEFAULT_TOLERANCE, _check_tolerance, compute_spectra, is_ramanujan, ramanujan_size_bound
 from .structure import is_connected
 
@@ -197,8 +197,7 @@ def generating_set_orbit(
     return sorted(seen)
 
 
-@dataclass(frozen=True)
-class SearchConfig:
+class SearchConfig(Record):
     """Seeded search for Ramanujan pair graphs over size-k sets outside an index-2 subgroup."""
 
     subgroup: Subgroup
@@ -226,8 +225,7 @@ class SearchConfig:
         _check_tolerance(self.tolerance)
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(Record):
     trial: int
     candidate: tuple[int, ...]
     connected: bool

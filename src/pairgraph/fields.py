@@ -18,11 +18,11 @@ primitive element, found by one stacked order test of several candidates.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import SizeCapExceeded, ValidationError
+from .records import Record
 
 FIELD_ORDER_CAP = 4096
 # candidates per order test in ``PrimePowerField.norms`` up to k = 4, then fewer by k^3, the cost of a k x k product
@@ -109,8 +109,7 @@ def reducing_polynomial(p: int, k: int) -> tuple[int, ...]:
     return FIRST_IRREDUCIBLES[(p, k)]
 
 
-@dataclass(frozen=True)
-class PrimePowerField:
+class PrimePowerField(Record):
     """F_{p^k} with packed-integer elements, its reducing polynomial and its norm map."""
 
     p: int

@@ -6,14 +6,14 @@ vertices of H; inside H the edges come from the part of S that lies in H,
 which must be closed under inversion so the graph is undirected.  With H = G
 the construction reduces to the ordinary Cayley graph.
 
-A ``PairGraph`` keeps, read-only, each array made from its edges: its CSR and
-the least labels of its double cover, read off H's rows, for ``structure``.
+A ``PairGraph`` is a ``Record`` whose one field is ``gen``.  It keeps in its
+``__dict__``, read-only, each array made from its edges: its CSR and the least
+labels of its double cover, read off H's rows, for ``structure``.
 """
 
 from __future__ import annotations
 
 import mmap
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Iterable, Optional, Union
 
@@ -21,10 +21,10 @@ import numpy as np
 
 from .errors import IndexNotTwo, PairGraphError, ValidationError
 from .groups import BLOCK, FiniteGroup, GeneratingSet, Subgroup, _read_only, validate_generating_set
+from .records import Record
 
 
-@dataclass(frozen=True, eq=False)
-class PairGraph:
+class PairGraph(Record, eq=False):
     """Immutable pair graph: u's sorted neighbours are indices[indptr[u]:indptr[u+1]].
 
     The first read of ``indptr``, ``indices`` or ``degrees`` builds all three by
@@ -206,8 +206,7 @@ def isolated_vertices(graph: PairGraph) -> np.ndarray:
     return _read_only(np.flatnonzero(graph.degrees == 0))
 
 
-@dataclass(frozen=True)
-class RegularityReport:
+class RegularityReport(Record):
     regular: bool
     degree: Optional[int]
     matches_criterion: Optional[bool]

@@ -28,7 +28,6 @@ are formatted on first read.  Permutations compose left to right:
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional, Sequence
 
@@ -42,6 +41,7 @@ from .errors import (
     ValidationError,
 )
 from .fields import FIELD_ORDER_CAP, PrimePowerField, _prime_factors, is_prime
+from .records import Record
 
 ORDER_CAP = 20000
 # products per kernel call: a permutation kernel then holds under half a
@@ -542,8 +542,7 @@ def field_norm_preimage(group: FiniteGroup, values: Iterable[int]) -> tuple[int,
 # subgroups and generating sets
 
 
-@dataclass(frozen=True, eq=False)
-class AbelianOrbits:
+class AbelianOrbits(Record, eq=False):
     """An abelian K = <k_1> x ... x <k_d> <= H and its orbits K*t on the parent.
 
     ``listing`` has shape (n_1, ..., n_d), n_i the order of k_i, and holds
@@ -561,8 +560,7 @@ class AbelianOrbits:
     inside: int
 
 
-@dataclass(frozen=True, eq=False)
-class Subgroup:
+class Subgroup(Record, eq=False):
     """A subgroup together with the right-coset decomposition of its parent.
 
     ``elements`` (ascending), ``coset_of`` (the coset id of every element of
@@ -835,8 +833,7 @@ def subgroup_generated(group: FiniteGroup, gens: Iterable[int]) -> Subgroup:
     return closed_subgroup(group, generated_elements(group, gens))
 
 
-@dataclass(frozen=True, eq=False)
-class GeneratingSet:
+class GeneratingSet(Record, eq=False):
     """A validated generating set split along the subgroup.
 
     ``coset_counts[0]`` is the size of the part inside the subgroup,

@@ -37,7 +37,6 @@ to its own block of one, which is ``compute_spectrum``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cache, cached_property
 from typing import Iterable, Optional, Sequence
 
@@ -55,6 +54,7 @@ from .errors import (
 # build_pair_graph stays importable here: perfbench/test_perfbench.py reaches it through this namespace
 from .graphs import PairGraph, build_pair_graph  # noqa: F401
 from .groups import GeneratingSet, Subgroup, _read_only, coset_chain, validate_generating_set
+from .records import Record
 from .structure import is_connected
 
 SPECTRUM_ORDER_CAP = 3000
@@ -62,8 +62,7 @@ STACK_BYTES = 1 << 20  # the most a stacked K-route layout holds: sets above it 
 DEFAULT_TOLERANCE = 1e-8
 
 
-@dataclass(frozen=True, eq=False)
-class Spectrum:
+class Spectrum(Record, eq=False):
     """All eigenvalues (descending, read-only), clustered into (value, multiplicity) pairs on first read."""
 
     eigenvalues: np.ndarray
@@ -301,8 +300,7 @@ def _young_tables(n: int) -> tuple[np.ndarray, list[tuple[int, np.ndarray, int]]
     return np.concatenate(tables, axis=1), irreducibles
 
 
-@dataclass(frozen=True)
-class TrivialEigenvalues:
+class TrivialEigenvalues(Record):
     """The closed-form eigenvalue pair determined by the coset profile.
 
     Writing q = |S ∩ H| and c_i = |S ∩ coset_i|, the two values are the roots
@@ -346,8 +344,7 @@ def zero_multiplicity_lower_bound(gen: GeneratingSet) -> int:
     return outside_count - min(gen.covered_vertex_count(), gen.subgroup.order)
 
 
-@dataclass(frozen=True)
-class RamanujanReport:
+class RamanujanReport(Record):
     ramanujan: bool
     degree: int
     worst_nontrivial: float
@@ -395,8 +392,7 @@ def is_ramanujan(
     )
 
 
-@dataclass(frozen=True, eq=False)
-class ComplementarySpectraReport:
+class ComplementarySpectraReport(Record, eq=False):
     ok: bool
     max_interior_gap: float
     first_size: int
@@ -450,8 +446,7 @@ def compare_complementary_spectra(
     )
 
 
-@dataclass(frozen=True)
-class SizeBoundReport:
+class SizeBoundReport(Record):
     bound: float
     satisfied: bool
     set_size: int

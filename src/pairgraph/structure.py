@@ -15,17 +15,16 @@ pairwise quotients of outside generators.  The two must agree on every input.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .graphs import PairGraph
 from .groups import FiniteGroup, GeneratingSet, _element_indices, _read_only, _sorted_unique, generated_elements
+from .records import Record
 
 
-@dataclass(frozen=True, eq=False)
-class ComponentDecomposition:
+class ComponentDecomposition(Record, eq=False):
     """``component_of[v]`` is v's component id, the ids numbered by least member.
 
     The sizes are ``np.bincount(component_of)`` and the identity's component
@@ -43,8 +42,7 @@ def connected_components(graph: PairGraph) -> ComponentDecomposition:
     return ComponentDecomposition(count=int(ids[-1]) + 1, component_of=_read_only(ids[label]))
 
 
-@dataclass(frozen=True)
-class ComponentCountBreakdown:
+class ComponentCountBreakdown(Record):
     """The three terms of the closed component-count formula and their total."""
 
     subgroup_index_term: int
@@ -64,8 +62,7 @@ def component_count_by_formula(gen: GeneratingSet) -> ComponentCountBreakdown:
     )
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
+class ConnectivityReport(Record):
     connected: bool
     closure_generates: bool
     closure_order: int
@@ -104,8 +101,7 @@ def identity_component_by_closure(gen: GeneratingSet) -> np.ndarray:
     return _read_only(_sorted_unique(np.concatenate([u, translates], axis=None)))
 
 
-@dataclass(frozen=True, eq=False)
-class BipartiteReport:
+class BipartiteReport(Record, eq=False):
     bipartite: bool
     coloring: Optional[np.ndarray]
 

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import random
 from collections import deque
 from functools import lru_cache
@@ -479,12 +478,12 @@ def coset_members(sub: Subgroup) -> list[list[int]]:
 
 
 def differing_fields(a, b) -> list[str]:
-    """The fields in which two dataclass values differ: a subgroup's parent by identity, the rest by value."""
+    """The fields in which two record values differ: a subgroup's parent by identity, the rest by value."""
     differing = []
-    for field in dataclasses.fields(a):
-        x, y = getattr(a, field.name), getattr(b, field.name)
-        if not (x is y if field.name == "parent" else np.array_equal(x, y)):
-            differing.append(field.name)
+    for name in a._fields:
+        x, y = getattr(a, name), getattr(b, name)
+        if not (x is y if name == "parent" else np.array_equal(x, y)):
+            differing.append(name)
     return differing
 
 

@@ -79,6 +79,14 @@ MUTANTS = [
      "src, dst = np.concatenate([i, i + n, a, b, a + n, b + n]), np.concatenate([j + n, j, b, a, b + n, a + n])",
      "src, dst = np.concatenate([i, i + n, a, b]), np.concatenate([j + n, j, b, a])",
      "_least_labels joining the copies that share an outside neighbour on side 0 only"),
+    ("spectral.py",
+     "ramanujan=bool(worst <= bound + eps),",
+     "ramanujan=bool(worst <= bound),",
+     "is_ramanujan's boundary verdict without its tolerance, so a graph at the bound reads not Ramanujan"),
+    ("records.py",
+     'raise AttributeError(f"a {type(self).__name__} is immutable: {name!r} cannot be set or deleted")',
+     "object.__setattr__(self, name, *value)",
+     "Record.__setattr__ storing the value instead of raising, so a record's fields can change"),
 ]
 
 # (file, old line, new line, why no output can tell it apart); not expected to be caught
