@@ -4,7 +4,6 @@ from .actions import (
     SearchConfig,
     SearchResult,
     apply_automorphism,
-    automorphism_group,
     generating_set_orbit,
     random_candidate,
     right_translate_set,

@@ -1,11 +1,13 @@
-"""Generating-set transformations, automorphism orbits, and Ramanujan search.
+"""Generating-set moves, orbits, and Ramanujan search.
 
-Right translation by a subgroup element and application of a group
-automorphism both send a generating set outside the subgroup to one whose
-pair graph is isomorphic; orbits under these moves therefore classify
-isomorphic constructions.  The search driver samples generating sets of a
-fixed size for an index-2 subgroup, pre-filters by the closed-form
-connectivity criterion, and certifies the Ramanujan property spectrally.
+Translating a set outside an index-2 subgroup H by an element of H, on
+either side, and applying an automorphism that preserves H both send it to
+a set whose pair graph is isomorphic; orbits under these moves therefore
+classify isomorphic constructions.  Automorphisms are checked, not
+enumerated: a caller passes the maps it wants applied.  The search driver
+samples generating sets of a fixed size for an index-2 subgroup,
+pre-filters by the closed-form connectivity criterion, and certifies the
+Ramanujan property spectrally.
 """
 
 from __future__ import annotations
@@ -24,14 +26,13 @@ from .errors import (
     SizeCapExceeded,
     ValidationError,
 )
-from .groups import FiniteGroup, Subgroup, _element_indices, _element_orders, _int_entries, generated_elements
+from .groups import FiniteGroup, Subgroup, _element_indices, _int_entries, generated_elements
 from .groups import reachable_subgroups, validate_generating_set
 from .graphs import PairGraph
 from .records import Record
 from .spectral import DEFAULT_TOLERANCE, _check_tolerance, compute_spectra, is_ramanujan, ramanujan_size_bound
 from .structure import is_connected
 
-AUTOMORPHISM_BATCH_CAP = 1 << 22  # entries the class table, or one depth's maps, of automorphism_group may hold
 EXHAUSTIVE_CANDIDATE_CAP = 10**6
 ORBIT_SIZE_CAP = 10**6
 SEED_STRIDE = 2654435761  # fixed trial-to-trial seed advance
@@ -53,10 +54,12 @@ def right_translate_set(subgroup: Subgroup, s_elements: Iterable[int], h: int) -
 def _verified_maps(group: FiniteGroup, maps: Iterable[Sequence[int]]) -> np.ndarray:
     """The maps as rows of an int array, verified together; ``NotAnAutomorphism`` names the first fault.
 
-    The check of ``automorphism_group`` with U the whole group, on every map
-    at once: each entry an int, each row a permutation fixing the identity,
-    and psi(u*h) = psi(u)*psi(h) for every u and each generator h of one
-    ``_generator_chain``.  A map among several is named by its position.
+    Every map at once: each entry an int, each row a permutation fixing the
+    identity, and psi(x*h) = psi(x)*psi(h) for every x and each generator h
+    of one ``_generator_chain``.  That makes psi a homomorphism: with
+    psi(e) = e, the y with psi(x*y) = psi(x)*psi(y) for every x hold the
+    generators and are closed under products.  A map among several is named
+    by its position.
     """
     m, rows = group.order, [_int_entries(psi, "map entry", NotAnAutomorphism) for psi in maps]
     names = ["map"] if len(rows) == 1 else [f"map {i}" for i in range(len(rows))]
@@ -96,99 +99,40 @@ def _generator_chain(group: FiniteGroup) -> list[int]:
     return gens
 
 
-def _word_levels(group: FiniteGroup, gens: Sequence[int]):
-    """Breadth-first word levels of <gens> past the identity, as arrays v, u, g with v = u*g.
-
-    ``generated_elements`` finds the same set several times faster when the parents are not needed.
-    """
-    gens_arr = np.array(gens, dtype=np.int64)
-    seen = np.zeros(group.order, dtype=bool)
-    seen[group.identity] = True
-    frontier = np.array([group.identity])
-    while True:
-        reached, first = np.unique(group.product(frontier[:, None], gens_arr), return_index=True)
-        new = ~seen[reached]
-        if not new.any():
-            return
-        parents, steps = np.divmod(first[new], len(gens_arr))
-        yield reached[new], frontier[parents], gens_arr[steps]
-        frontier = reached[new]
-        seen[frontier] = True
-
-
-def automorphism_group(group: FiniteGroup) -> list[tuple[int, ...]]:
-    """All automorphisms, sorted, by a breadth-first search over generator images (size capped).
-
-    Depth d repeats every surviving map once per candidate image of the d-th
-    generator of ``_generator_chain`` (an element of its order and
-    conjugacy-class size), evaluates the maps on U, the span of the
-    generators so far, one word level at a time, and keeps those that are
-    homomorphisms on U sending only the identity to the identity.  It raises
-    before the m x m table of conjugates, or a depth's maps, would hold more
-    than ``AUTOMORPHISM_BATCH_CAP`` entries.
-    The map arrays and the conjugates multiply by ``FiniteGroup.product``.
-
-    A map with phi(e) = e is a homomorphism on U exactly when
-    phi(x*h) = phi(x)*phi(h) for every x in U and each generator h: the y in
-    U with phi(x*y) = phi(x)*phi(y) for every x hold the generators and are
-    closed under products.  Each generator's check runs on the maps that
-    passed the checks before it.
-    """
-    m = group.order
-    if m * m > AUTOMORPHISM_BATCH_CAP:  # the m x m class table, before it is built
-        raise SizeCapExceeded(f"automorphism search exceeds the cap of {AUTOMORPHISM_BATCH_CAP} map entries")
-    idx = np.arange(m)
-    orders, _ = _element_orders(group, idx, m)
-    # column x holds g*x*g^-1 for every g: its distinct values are x's class
-    conjugates = np.sort(group.product(group.product(idx[:, None], idx), group.inverses[:, None]), axis=0)
-    class_sizes = 1 + np.count_nonzero(np.diff(conjugates, axis=0), axis=0)
-    gens = _generator_chain(group)
-    maps = np.full((1, m), group.identity, dtype=np.int32)
-    for depth, g in enumerate(gens):
-        images = np.flatnonzero((orders == orders[g]) & (class_sizes == class_sizes[g]))
-        if len(maps) * len(images) * m > AUTOMORPHISM_BATCH_CAP:
-            raise SizeCapExceeded(f"automorphism search exceeds the cap of {AUTOMORPHISM_BATCH_CAP} map entries")
-        maps = np.repeat(maps, len(images), axis=0)
-        maps[:, g] = np.tile(images, len(maps) // len(images))
-        u = [np.array([group.identity])]
-        for reached, parents, steps in _word_levels(group, gens[: depth + 1]):
-            maps[:, reached] = group.product(maps[:, parents], maps[:, steps])
-            u.append(reached)
-        u = np.concatenate(u)
-        maps = maps[(maps[:, u[1:]] != group.identity).all(axis=1)]
-        targets = group.product(u[:, None], np.array(gens[: depth + 1]))
-        for j, h in enumerate(gens[: depth + 1]):
-            maps = maps[(maps[:, targets[:, j]] == group.product(maps[:, u], maps[:, h : h + 1])).all(axis=1)]
-    return sorted(map(tuple, maps.tolist()))
-
-
 def generating_set_orbit(
     subgroup: Subgroup,
     s_elements: Iterable[int],
     automorphisms: Optional[Sequence[Sequence[int]]] = None,
 ) -> list[tuple[int, ...]]:
-    """Orbit of a set outside an index-2 subgroup under right translations and automorphisms.
+    """Orbit of a set outside an index-2 subgroup H under translations by H and automorphisms preserving H.
 
-    Only automorphisms that preserve the subgroup are applied, so every orbit
-    member again avoids the subgroup.  Automorphisms may be supplied
-    explicitly to bypass the enumeration cap.
+    The moves are x -> x*h and x -> h*x for every h in H, the conjugation
+    x -> t*x*t^-1 by the least t outside H, and the maps passed, verified
+    together and kept when they preserve H.  Conjugation by t*h is t's
+    composed with translations, so t stands for every element outside H.
+    Other automorphisms, such as the unit multipliers of Z/n or the affine
+    maps of a dihedral group, move sets only when they are passed.
     """
     if subgroup.index != 2:
         raise IndexNotTwo("orbits are defined for index-2 subgroups")
-    group = subgroup.parent
+    group, h = subgroup.parent, subgroup.elements
     start = validate_generating_set(subgroup, s_elements)
     if start.inside:
         raise ValidationError("orbit needs a set outside the subgroup")
-    maps = np.array(automorphism_group(group)) if automorphisms is None else _verified_maps(group, automorphisms)
+    t, idx = int(np.argmax(subgroup.coset_of)), np.arange(group.order)
+    # conjugation by t, the least element outside H, which preserves the normal subgroup H
+    maps = group.product(group.product(t, idx), group.inverses[t])[None]
+    if automorphisms is not None:
+        maps = np.concatenate([maps, _verified_maps(group, automorphisms)])
     # an automorphism preserves H when it sends no element of H outside
-    usable = maps[~subgroup.coset_of[maps[:, subgroup.elements]].any(axis=1)]
+    usable = maps[~subgroup.coset_of[maps[:, h]].any(axis=1)]
     seen = {start.elements}
     queue = [start.elements]
     while queue:
         current = np.array(queue.pop(), dtype=np.int64)
-        # each row is one move: the right translates current*h, then the images psi(current)
-        moved = np.concatenate([group.product(current, subgroup.elements[:, None]), usable[:, current]])
-        for nxt in map(tuple, np.sort(moved, axis=1).tolist()):
+        # each row is one move: the right translates current*h, the left translates h*current, then psi(current)
+        moved = [group.product(current, h[:, None]), group.product(h[:, None], current), usable[:, current]]
+        for nxt in map(tuple, np.sort(np.concatenate(moved), axis=1).tolist()):
             if nxt not in seen:
                 if len(seen) >= ORBIT_SIZE_CAP:
                     raise SizeCapExceeded("orbit exceeded the size cap")

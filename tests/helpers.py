@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import itertools
+import math
 import random
 from collections import deque
 from functools import lru_cache
@@ -222,6 +224,54 @@ def reference_mul(group: FiniteGroup):
 
         return pairwise
     raise ValueError(f"no reference multiplication for {kind!r}")
+
+
+@lru_cache(maxsize=None)
+def reference_table(group: FiniteGroup) -> np.ndarray:
+    """The |G| x |G| product table, one ``reference_mul`` call per entry, read-only."""
+    mul, m = reference_mul(group), group.order
+    return _read_only(np.array([[mul(a, b) for b in range(m)] for a in range(m)], dtype=np.int64).reshape(m, m))
+
+
+def _reference_identity(table: np.ndarray) -> int:
+    return int(np.flatnonzero((table == np.arange(len(table))).all(axis=1))[0])
+
+
+def reference_conjugations(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """The inner automorphisms x -> c^-1 * x * c, sorted and without repeats, from ``reference_table`` alone."""
+    table = reference_table(group)
+    inverse = np.argmax(table == _reference_identity(table), axis=1)
+    # row c holds table[c^-1 * x, c] for every x
+    return sorted(set(map(tuple, table[table[inverse], np.arange(group.order)[:, None]].tolist())))
+
+
+def unit_multipliers(n: int) -> list[tuple[int, ...]]:
+    """The automorphisms x -> u*x of Z/n, one per unit u, sorted."""
+    return [tuple(u * x % n for x in range(n)) for u in range(1, n) if math.gcd(u, n) == 1]
+
+
+def reference_automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """Automorphisms built without the library: the unit multipliers on Z/n, the inner ones on any other group."""
+    return unit_multipliers(group.order) if group.descriptor["kind"] == "cyclic" else reference_conjugations(group)
+
+
+def identity_fixing_bijections(group: FiniteGroup) -> tuple[np.ndarray, np.ndarray]:
+    """Every bijection of a group of order at most 8 that fixes the identity, one per row, and whether each
+    is a homomorphism by ``reference_table``."""
+    table, m = reference_table(group), group.order
+    assert m <= 8, "brute force runs over (|G| - 1)! bijections"
+    identity = _reference_identity(table)
+    others = [x for x in range(m) if x != identity]
+    psi = np.full((math.factorial(m - 1), m), identity)
+    psi[:, others] = list(itertools.permutations(others))
+    # psi(a*b) == psi(a)*psi(b) for every a, b, one row per bijection
+    return psi, (psi[:, table] == table[psi[:, :, None], psi[:, None, :]]).all(axis=(1, 2))
+
+
+def brute_force_automorphisms(group: FiniteGroup) -> list[tuple[int, ...]]:
+    """Every automorphism of a group of order at most 8, sorted."""
+    psi, homomorphic = identity_fixing_bijections(group)
+    return sorted(map(tuple, psi[homomorphic].tolist()))
 
 
 class ScalarField:

@@ -10,7 +10,8 @@ indentation stripped, the new line, the reason).  For each one it copies
 ``src/``, ``tests/`` and ``pyproject.toml`` to a temporary directory, replaces
 that line there (it must match exactly one line), runs tier-1 with ``-x`` on
 the copy and prints caught or survived with the time taken and, under a run
-that fails, the tests pytest's summary names (``-rfE``).  It exits 1 if the
+that fails, the lines of pytest's short summary (``-rfE``): each failing
+test's node id and the first line of its error, untrimmed.  It exits 1 if the
 unmutated copy fails, if a listed line is missing or repeated, or if a mutant
 of MUTANTS survives.  pytest does not collect this file.
 """
@@ -68,9 +69,9 @@ MUTANTS = [
      "while j >= i:",
      "the draw replay rejecting j = i, so no element stays in place as shuffle lets it"),
     ("actions.py",
-     "if m * m > AUTOMORPHISM_BATCH_CAP:  # the m x m class table, before it is built",
-     "if m > AUTOMORPHISM_BATCH_CAP:  # the m x m class table, before it is built",
-     "automorphism_group building the m x m class table above the entries budget"),
+     "maps = group.product(group.product(t, idx), group.inverses[t])[None]",
+     "maps = idx[None]",
+     "generating_set_orbit's default moves without the conjugation by t, the identity map in its place"),
     ("graphs.py",
      "least[0, x], least[1, x] = best[root[rx + n]], best[root[rx]]",
      "least[0, x], least[1, x] = best[root[rx]], best[root[rx]]",
@@ -129,10 +130,12 @@ def _apply(where: Path, file: str, old: str, new: str) -> None:
 def _tier1(where: Path) -> tuple[bool, float, list[str]]:
     """Whether tier-1 passes on the copy at ``where``, the seconds it took, and what failed.
 
-    What failed is the node ids of pytest's short summary (``-rfE``), or its
-    last line of output when that names none.
+    What failed is the lines of pytest's short summary (``-rfE``), or its
+    last line of output when that names none.  pytest trims a summary line to
+    the terminal's width, dropping the error when the node id nearly fills
+    it, so the run gets a width that fits both.
     """
-    env = {**os.environ, "PYTHONPATH": str(where / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+    env = {**os.environ, "PYTHONPATH": str(where / "src"), "PYTHONDONTWRITEBYTECODE": "1", "COLUMNS": "1000"}
     start = time.perf_counter()
     found = subprocess.run([sys.executable, "-c", "import pairgraph; print(pairgraph.__file__)"],
                            cwd=where, env=env, capture_output=True, text=True)
@@ -143,7 +146,7 @@ def _tier1(where: Path) -> tuple[bool, float, list[str]]:
     run = subprocess.run([sys.executable, "-m", "pytest", "-q", "-x", "-rfE", "-p", "no:cacheprovider"],
                          cwd=where, env=env, capture_output=True, text=True)
     lines = run.stdout.splitlines()
-    failed = [line.split(" - ")[0] for line in lines if line.startswith(("FAILED ", "ERROR "))]
+    failed = [line for line in lines if line.startswith(("FAILED ", "ERROR "))]
     return run.returncode == 0, time.perf_counter() - start, (failed or lines[-1:]) if run.returncode else []
 
 

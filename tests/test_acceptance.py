@@ -12,7 +12,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from pairgraph.actions import apply_automorphism, automorphism_group, right_translate_set
+from pairgraph.actions import apply_automorphism, right_translate_set
 from pairgraph.descriptors import builtin_subgroup
 from pairgraph.graphs import adjacency_rows_via_group_matrix, build_pair_graph
 from pairgraph.groups import make_cyclic, make_gl2, make_symmetric, subgroup_from_elements
@@ -26,7 +26,13 @@ from pairgraph.spectral import (
 )
 from pairgraph.structure import component_count_by_formula, connected_components
 
-from helpers import index_two_pool, instance_corpus, left_translation_matrix, random_generating_set
+from helpers import (
+    index_two_pool,
+    instance_corpus,
+    left_translation_matrix,
+    random_generating_set,
+    reference_automorphisms,
+)
 
 ATOL = 1e-6
 
@@ -143,14 +149,12 @@ def test_criterion_9_invariance_suite():
             assert np.allclose(spec1.eigenvalues, spec2.eigenvalues, atol=ATOL)
             translations += 1
 
-        aut_cache = {}
         automorphisms = 0
         while automorphisms < 50:
             sub = pool[rng.randrange(len(pool))]
             group = sub.parent
-            if group not in aut_cache:
-                aut_cache[group] = automorphism_group(group)
-            psi = aut_cache[group][rng.randrange(len(aut_cache[group]))]
+            auts = reference_automorphisms(group)
+            psi = auts[rng.randrange(len(auts))]
             members = set(sub.elements)
             assert all(psi[h] in members for h in sub.elements)  # index 2: preserved
             gen = random_generating_set(rng, sub, outside_only=True, min_size=1)

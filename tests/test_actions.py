@@ -3,7 +3,6 @@
 import functools
 import itertools
 import json
-import math
 import random
 
 import numpy as np
@@ -16,7 +15,6 @@ from pairgraph.actions import (
     SearchResult,
     _generator_chain,
     apply_automorphism,
-    automorphism_group,
     generating_set_orbit,
     random_candidate,
     right_translate_set,
@@ -31,14 +29,11 @@ from pairgraph.errors import (
 )
 from pairgraph.graphs import PairGraph, build_pair_graph, degree_profile
 from pairgraph.groups import (
-    FiniteGroup,
     make_alternating,
     make_cyclic,
     make_dihedral,
     make_direct_product,
-    make_field_additive,
     make_gl2,
-    make_sl2,
     make_symmetric,
     subgroup_from_elements,
     subgroup_generated,
@@ -48,7 +43,17 @@ from pairgraph.spectral import compute_spectrum, is_ramanujan, ramanujan_size_bo
 from pairgraph.structure import connected_components, is_connected
 
 from isomorphism import are_isomorphic, find_isomorphism
-from helpers import index_two_pool, instance_corpus, random_generating_set, reference_mul
+from helpers import (
+    brute_force_automorphisms,
+    identity_fixing_bijections,
+    index_two_pool,
+    instance_corpus,
+    random_generating_set,
+    reference_automorphisms,
+    reference_conjugations,
+    reference_table,
+    unit_multipliers,
+)
 
 
 @pytest.fixture(scope="module")
@@ -80,77 +85,17 @@ def test_right_translation_preserves_spectrum():
     assert checked >= 30
 
 
-def test_automorphism_group_sizes(monkeypatch):
-    assert len(automorphism_group(make_cyclic(12))) == 4
-    assert len(automorphism_group(make_cyclic(20))) == 8
-    assert len(automorphism_group(make_symmetric(3))) == 6
-    # Z/2049's class table would hold 2049^2 = 4198401 > 2^22 entries: refused before one product
-    z2049 = make_cyclic(2049)
-
-    def refuse(*args):
-        raise AssertionError("the class table was built above the budget")
-
-    monkeypatch.setattr(FiniteGroup, "product", refuse)
-    with pytest.raises(SizeCapExceeded, match="exceeds the cap of 4194304 map entries"):
-        automorphism_group(z2049)
-
-
-def test_automorphism_group_brute_force_oracle():
-    # tiny groups: compare against the set of all identity-fixing bijections
-    import itertools
-
-    for group in (make_cyclic(6), make_cyclic(8), make_symmetric(3)):
-        m = group.order
-        idx = np.arange(m)
-        products = group.product(idx[:, None], idx)
-        others = [x for x in range(m) if x != group.identity]
-        psi = np.full((math.factorial(m - 1), m), group.identity)
-        psi[:, others] = list(itertools.permutations(others))
-        # psi(a*b) == psi(a)*psi(b) for every a, b, one row per bijection
-        homomorphic = (psi[:, products] == group.product(psi[:, :, None], psi[:, None, :])).all(axis=(1, 2))
-        expected = set(map(tuple, psi[homomorphic].tolist()))
-        assert set(automorphism_group(group)) == expected
-
-
-def _conjugations(group, by):
-    """The maps x -> c^-1 * x * c for every c in ``by``, on the permutations of ``group``."""
-    perms = list(map(tuple, group.images.tolist()))
-    index = {perm: i for i, perm in enumerate(perms)}
-    maps = set()
-    for c in by.images.tolist():
-        c_inv = tuple(sorted(range(len(c)), key=c.__getitem__))
-        # left to right: apply c^-1, then x, then c
-        maps.add(tuple(index[tuple(c[x[c_inv[v]]] for v in range(len(c)))] for x in perms))
-    return sorted(maps)
-
-
-def test_automorphism_group_independent_oracles():
-    s4, s5 = make_symmetric(4), make_symmetric(5)
-    # S4 and S5 have only inner automorphisms, and every automorphism of A5 is conjugation in S5
-    assert automorphism_group(s4) == _conjugations(s4, s4)
-    assert automorphism_group(s5) == _conjugations(s5, s5)
-    assert automorphism_group(make_alternating(5)) == _conjugations(make_alternating(5), s5)
-    # the automorphisms of Z/n are x -> u*x for the units u
-    for n in (12, 20, 120, 121, 1009):
-        units = [u for u in range(1, n) if np.gcd(u, n) == 1]
-        assert automorphism_group(make_cyclic(n)) == sorted(tuple(u * x % n for x in range(n)) for u in units)
-
-
-def test_automorphisms_are_homomorphisms_by_reference_product():
-    """GL2(3) has 48 automorphisms; SL2(7) has |PGL2(7)| = 336, and lay above a former order cap of 120."""
-    for group, count in ((make_gl2(3), 48), (make_sl2(7), 336)):
-        mul, m = reference_mul(group), group.order
-        table = np.array([[mul(a, b) for b in range(m)] for a in range(m)])
-        auts = automorphism_group(group)
-        assert len(auts) == count, group.name
-        for psi in np.array(auts):
-            assert (psi[table] == table[psi[:, None], psi]).all(), group.name
-
-
-def test_automorphism_batch_cap():
-    # Aut(F_2^6) = GL6(F2): the third generator's candidates would hold 63*62*63 maps of 64 entries
-    with pytest.raises(SizeCapExceeded, match="exceeds the cap"):
-        automorphism_group(make_field_additive(2, 6))
+def test_verified_maps_accept_exactly_the_homomorphisms():
+    """Every identity-fixing bijection of Z/6 and S3, 120 each, against the reference table."""
+    for group in (make_cyclic(6), make_symmetric(3)):
+        bijections, homomorphic = identity_fixing_bijections(group)
+        assert len(bijections) == 120 and 0 < homomorphic.sum() < 120
+        for psi, accepted in zip(bijections.tolist(), homomorphic.tolist()):
+            if accepted:
+                assert apply_automorphism(group, psi, ()) == ()
+            else:
+                with pytest.raises(NotAnAutomorphism):
+                    apply_automorphism(group, psi, ())
 
 
 def test_apply_automorphism_examples(z20_evens):
@@ -210,14 +155,11 @@ def test_apply_automorphism_preserves_structure():
 def test_automorphism_invariance_of_spectra():
     rng = random.Random(113)
     pool = index_two_pool()
-    aut_cache = {}
     checked = 0
     for _ in range(25):
         sub = pool[rng.randrange(len(pool))]
         group = sub.parent
-        if group not in aut_cache:
-            aut_cache[group] = automorphism_group(group)
-        auts = aut_cache[group]
+        auts = reference_automorphisms(group)
         psi = auts[rng.randrange(len(auts))]
         sub_set = set(sub.elements)
         if not all(psi[h] in sub_set for h in sub.elements):
@@ -252,7 +194,7 @@ def test_orbit_is_the_closure_of_single_moves(s):
     D4 > {e, r^2, s, s r^2}: half the automorphisms of D4 move this Klein subgroup, so the orbit must skip them.
     """
     sub = subgroup_generated(make_dihedral(4), [2, 4])
-    group, automorphisms = sub.parent, automorphism_group(sub.parent)
+    group, automorphisms = sub.parent, brute_force_automorphisms(sub.parent)
     usable = [psi for psi in automorphisms if all(sub.contains(psi[h]) for h in sub.elements.tolist())]
     assert 0 < len(usable) < len(automorphisms)
     seen, queue = {s}, [s]
@@ -266,8 +208,56 @@ def test_orbit_is_the_closure_of_single_moves(s):
     assert generating_set_orbit(sub, s) == generating_set_orbit(sub, s, automorphisms) == sorted(seen)
 
 
+def _closure(s, moves):
+    """The sets reached from s by the rows of ``moves``, each a permutation of G, one move at a time."""
+    moves = np.array(moves, dtype=np.int64).reshape(-1, len(moves[0]))
+    seen, queue = {tuple(s)}, [tuple(s)]
+    while queue:
+        for nxt in map(tuple, np.sort(moves[:, list(queue.pop())], axis=1).tolist()):
+            if nxt not in seen:
+                seen.add(nxt)
+                queue.append(nxt)
+    return sorted(seen)
+
+
+@pytest.mark.parametrize("make, name", [
+    (lambda: make_symmetric(4), "alternating_in_symmetric"),
+    (lambda: make_symmetric(5), "alternating_in_symmetric"),
+    (lambda: make_gl2(3), "sl2_in_gl2"),
+], ids=["s4", "s5", "gl2f3"])
+def test_default_orbit_is_the_closure_under_translations_and_conjugations(make, name):
+    """S4 and S5 have only inner automorphisms; of GL2(3)'s 48, these are the 24 inner ones."""
+    sub = builtin_subgroup(make(), name)
+    table = reference_table(sub.parent)
+    moves = [table[:, x].tolist() for x in sub.elements.tolist()] + reference_conjugations(sub.parent)  # x -> x*h, psi
+    rng = random.Random(51)
+    for _ in range(8):
+        s = sorted(rng.sample(sub.outside(), rng.randint(1, 3)))
+        assert generating_set_orbit(sub, s) == _closure(s, moves)
+
+
+def test_conjugation_moves_sets_that_translations_do_not():
+    sub = builtin_subgroup(make_symmetric(4), "alternating_in_symmetric")
+    table = reference_table(sub.parent)
+    h = sub.elements.tolist()
+    translations = [table[:, x].tolist() for x in h] + [table[x].tolist() for x in h]  # x -> x*h and x -> h*x
+    rng = random.Random(53)
+    grew = 0
+    for _ in range(12):
+        s = sorted(rng.sample(sub.outside(), rng.randint(1, 3)))
+        orbit, translates = generating_set_orbit(sub, s), _closure(s, translations)
+        assert set(translates) <= set(orbit)
+        grew += len(orbit) > len(translates)
+    assert grew > 0
+
+
+def test_orbit_on_z20_moves_by_the_units_only_when_passed(z20_evens):
+    assert len(generating_set_orbit(z20_evens, [1, 3, 7])) == 10
+    assert len(generating_set_orbit(z20_evens, [1, 3, 7], unit_multipliers(20))) == 40
+
+
 def test_orbit_members_share_invariants(z20_evens):
-    orbit = generating_set_orbit(z20_evens, [1, 3, 7])
+    orbit = generating_set_orbit(z20_evens, [1, 3, 7], unit_multipliers(20))
     reference = None
     for member in orbit:
         graph = build_pair_graph(z20_evens, member)
@@ -286,7 +276,7 @@ def test_orbit_members_explicitly_isomorphic():
     # at order <= 24 back the spectral proxy with an explicit isomorphism search
     z12 = make_cyclic(12)
     evens12 = subgroup_from_elements(z12, range(0, 12, 2))
-    orbit = generating_set_orbit(evens12, [1, 3, 5])
+    orbit = generating_set_orbit(evens12, [1, 3, 5], unit_multipliers(12))
     base = build_pair_graph(evens12, orbit[0]).adjacency
     for member in orbit[1:]:
         other = build_pair_graph(evens12, member).adjacency
