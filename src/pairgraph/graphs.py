@@ -57,8 +57,7 @@ class PairGraph(Record, eq=False):
         # once a row fills a page, a sparse adjacency leaves most pages unwritten;
         # a mapping of its own keeps them out of memory, where numpy would back
         # them with 2 MB huge pages (all 144 MB resident at order 12000)
-        out = (np.frombuffer(mmap.mmap(-1, m * m), dtype=np.int8).reshape(m, m)
-               if m >= mmap.PAGESIZE else np.zeros((m, m), dtype=np.int8))
+        out = np.frombuffer(mmap.mmap(-1, m * m), dtype=np.int8).reshape(m, m)
         out[np.repeat(np.arange(m), self.degrees), self.indices] = 1
         return out
 

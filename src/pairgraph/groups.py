@@ -11,9 +11,9 @@ by its first n-1 images, as one float32 dot product of two gathered rows for
 every pair of factors, and a dense rank array maps the key to the index; a
 matrix acts on the p^2 column vectors through one m x p^2 array, and the
 product is looked up by its two column codes; a cyclic sum, F_p's included,
-is reduced by ``% n``, F_{2^k} adds by XOR, and any other F_{p^k} by two
-gathers from one table of digitwise sums on half the digits; a direct product
-reads each element's two components from precomputed arrays.
+is reduced by ``% n``, and F_{p^k} with k >= 2 adds by two gathers from one
+table of digitwise sums on half the digits; a direct product reads each
+element's two components from precomputed arrays.
 ``FiniteGroup.product`` is the one multiplication path: it runs the kernel
 in blocks of at most ``BLOCK`` products, so a batch allocates at most a few
 megabytes of temporaries, and ``mul`` and ``left_row`` derive from it.  No
@@ -487,11 +487,11 @@ def make_sl2(p: int) -> FiniteGroup:
 def make_field_additive(p: int, k: int) -> FiniteGroup:
     """The additive group of F_{p^k}; the field structure rides along in ``.field``.
 
-    ``PrimePowerField.create`` checks p^k against ``FIELD_ORDER_CAP`` before p's primality.  F_p adds as Z/p,
-    by ``(a + b) % p``, and F_{2^k} by XOR.  Otherwise (odd p, k >= 2) an index is low + half * high, low its
-    first ceil(k/2) digits, so high has no more digits than low, and a digitwise sum of two lows or of two highs
-    is an entry of one half x half table (F_{13^3}'s, 169 x 169, is the largest), read at a pre-scaled row; the
-    table grows by a leading digit at a time, and the 0 in each of its rows marks that row's negative.
+    ``PrimePowerField.create`` checks p^k against ``FIELD_ORDER_CAP`` before p's primality.  F_p adds as Z/p, by
+    ``(a + b) % p``, since a p x p table of sums would be 67 MB at p = 4093.  For k >= 2 an index is low + half *
+    high, low its first ceil(k/2) digits, so high has no more digits than low, and a digitwise sum of two lows or of
+    two highs is an entry of one half x half table (F_{13^3}'s, 169 x 169, is the largest), read at a pre-scaled
+    row; the table grows by a leading digit at a time, and the 0 in each of its rows marks that row's negative.
     """
     (p,) = _int_entries([p], "prime")
     if p < 2:  # else the field cap would name p^k, no field's order, for a large k
@@ -500,8 +500,6 @@ def make_field_additive(p: int, k: int) -> FiniteGroup:
     gf = PrimePowerField.create(p, k)
     if k == 1:
         kernel, inverse = _sum_mod(p)
-    elif p == 2:  # binary digits add by XOR, and every element is its own negative
-        kernel, inverse = (lambda a, b: a ^ b), np.arange(gf.order)
     else:
         half, digit, table = p ** ((k + 1) // 2), np.arange(p, dtype=np.int32), np.zeros((1, 1), dtype=np.int32)
         for w in (p**d for d in range((k + 1) // 2)):
@@ -854,10 +852,6 @@ class GeneratingSet(Record, eq=False):
     @property
     def size(self) -> int:
         return len(self.elements)
-
-    def covered_cosets(self) -> tuple[int, ...]:
-        """Nontrivial coset ids met by the outside part, ascending: found once, from the set's own coset ids."""
-        return self._covered
 
     def covered_vertex_count(self) -> int:
         """Size of the union of the cosets met by the outside part."""

@@ -16,16 +16,14 @@ class Record:
 
     def __init__(self, *args: object, **kwargs: object) -> None:
         fields, values = self._fields, self.__dict__  # where cached_property stores too
-        if args:
-            values.update(zip(fields, args))
-        if kwargs or len(args) != len(fields):  # the other fields by keyword, else by default
-            try:
-                for name in fields[len(args) :]:
-                    values[name] = kwargs.pop(name) if name in kwargs else self._defaults[name]
-            except KeyError as missing:
-                raise TypeError(f"{type(self).__name__} lacks the field {missing}") from None
-            if kwargs or len(args) > len(fields):
-                raise TypeError(f"{type(self).__name__} has the fields {fields}, not {len(args)} or {sorted(kwargs)}")
+        values.update(zip(fields, args))
+        try:  # the fields after the positional ones by keyword, else by default
+            for name in fields[len(args) :]:
+                values[name] = kwargs.pop(name) if name in kwargs else self._defaults[name]
+        except KeyError as missing:
+            raise TypeError(f"{type(self).__name__} lacks the field {missing}") from None
+        if kwargs or len(args) > len(fields):
+            raise TypeError(f"{type(self).__name__} has the fields {fields}, not {len(args)} or {sorted(kwargs)}")
         self.__post_init__()
 
     def __post_init__(self) -> None:

@@ -519,6 +519,13 @@ def count_products(monkeypatch) -> list[int]:
     return count
 
 
+class UnpowerableInt(int):
+    """An int that fails the test when raised to a power: a p for a cap that must refuse p^k without forming it."""
+
+    def __pow__(self, exponent, modulo=None):
+        raise AssertionError(f"{int(self)}^{exponent} was formed before the cap refused it")
+
+
 def coset_members(sub: Subgroup) -> list[list[int]]:
     """Each right coset's elements in ascending order, by one pass over ``coset_of``."""
     members: list[list[int]] = [[] for _ in range(sub.index)]

@@ -88,6 +88,18 @@ MUTANTS = [
      'raise AttributeError(f"a {type(self).__name__} is immutable: {name!r} cannot be set or deleted")',
      "object.__setattr__(self, name, *value)",
      "Record.__setattr__ storing the value instead of raising, so a record's fields can change"),
+    ("groups.py",
+     "return self.size == 0 or (not self.inside and index == 2) or index == 1",
+     "return self.size == 0 or (not self.inside and index >= 2) or index == 1",
+     "GeneratingSet.regular reading any set outside H as regular, whatever the index"),
+    ("spectral.py",
+     "return outside_count - min(gen.covered_vertex_count(), gen.subgroup.order)",
+     "return outside_count - max(gen.covered_vertex_count(), gen.subgroup.order)",
+     "zero_multiplicity_lower_bound subtracting the larger of the covered vertices and |H|, not the smaller"),
+    ("spectral.py",
+     "return keep, np.where(negated[keep] == own[keep], 1, 2)",
+     "return keep, np.where(negated[keep] == own[keep], 2, 2)",
+     "_conjugate_pairs weighting a self-conjugate character 2 times, as if it stood for a pair"),
 ]
 
 # (file, old line, new line, why no output can tell it apart); not expected to be caught

@@ -1,9 +1,10 @@
 """Group constructors, subgroup machinery, and generating-set validation."""
 
 import itertools
+import math
 import random
 import re
-import time
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from pairgraph.errors import (
     SymmetryViolation,
     ValidationError,
 )
-from pairgraph.fields import CONWAY_POLYNOMIALS, is_prime, reducing_polynomial
+from pairgraph.fields import CONWAY_POLYNOMIALS, PrimePowerField, is_prime, reducing_polynomial
 from pairgraph.groups import (
     ORDER_CAP,
     closed_subgroup,
@@ -44,6 +45,7 @@ from pairgraph.structure import sign_homomorphism_exists
 
 from helpers import (
     GENERATED_FACTORS,
+    UnpowerableInt,
     count_products,
     coset_members,
     difference_set,
@@ -250,16 +252,24 @@ def test_caps_checked_before_the_arithmetic(monkeypatch):
         with pytest.raises(SizeCapExceeded, match=f"^{re.escape(message)}$"):
             maker(p)
     monkeypatch.undo()
-    # 2^(10^9) took seconds to form before the field-order cap compared it, and (10^9)! would never finish
+    # 2^(10^9) took seconds to form before the field-order cap compared it, and (10^9)! would never finish:
+    # each is refused from k's or n's size, and forming p^k or a factorial past the cap's bit length fails here
+    create, factorial, bits = PrimePowerField.create, math.factorial, ORDER_CAP.bit_length()
+
+    def bounded_factorial(n):
+        assert n <= bits, f"{n}! was formed before the order cap refused it"
+        return factorial(n)
+
+    monkeypatch.setattr(groups, "PrimePowerField", SimpleNamespace(create=lambda p, k: create(UnpowerableInt(p), k)))
+    monkeypatch.setattr(math, "factorial", bounded_factorial)
     for maker, message in [
         (lambda: make_field_additive(2, 10**9), "field order 2^1000000000 exceeds the cap 4096"),
         (lambda: make_symmetric(10**9), "group order 1000000000! exceeds the cap 20000"),
         (lambda: make_alternating(10**9), "group order 1000000000!/2 exceeds the cap 20000"),
     ]:
-        start = time.perf_counter()
         with pytest.raises(SizeCapExceeded, match=f"^{re.escape(message)}$"):
             maker()
-        assert time.perf_counter() - start < 0.5
+    monkeypatch.undo()
     assert make_field_additive(2, 12).order == 4096  # the largest field under the cap is still built
     with pytest.raises(SizeCapExceeded):
         make_field_additive(3, 8)  # 6561, with k below the bit-length bound
@@ -621,9 +631,10 @@ def test_generating_set_split_properties():
         assert sum(gen.coset_counts) == gen.size
         group = gen.group
         assert all(group.inv(x) in set(gen.inside) for x in gen.inside)
-        for cid in gen.covered_cosets():
-            members = set(coset_members(gen.subgroup)[cid])
-            assert len(members & set(gen.outside)) == gen.coset_counts[cid]
+        members = coset_members(gen.subgroup)
+        assert all(len(set(members[c]) & set(gen.outside)) == n for c, n in enumerate(gen.coset_counts) if c)
+        covered = sum(1 for n in gen.coset_counts[1:] if n)
+        assert gen.covered_vertex_count() == covered * gen.subgroup.order
 
 
 def test_kernel_builtins_equal_checked_subgroups():

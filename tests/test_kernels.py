@@ -28,32 +28,30 @@ from helpers import (
     reference_generated_elements,
     reference_mul,
     reference_reachable,
+    reference_table,
     subgroup_pool,
 )
 
 ALL_PAIRS = [
     "symmetric:1", "symmetric:2", "symmetric:3", "symmetric:4", "symmetric:5", "symmetric:6",
     "alternating:1", "alternating:2", "alternating:3", "alternating:4", "alternating:5", "alternating:6",
-    "gl2:3", "gl2:5", "sl2:5", "field_additive:2,4", "field_additive:3,3", "field_additive:5,2", "field_additive:7,2",
+    "gl2:3", "gl2:5", "sl2:5", "field_additive:2,3", "field_additive:2,4", "field_additive:3,3", "field_additive:5,2",
+    "field_additive:7,2",
     # k = 1: F_p adds as Z/p, by (a + b) % p
     "field_additive:3,1", "field_additive:5,1", "field_additive:7,1", "field_additive:11,1",
     "cyclic:1", "cyclic:2", "cyclic:60", '{"kind": "product", "params": ["cyclic:3", "dihedral:4"]}',
 ]
 SAMPLED = [
     "symmetric:7", "alternating:7", "gl2:11", "sl2:13", "field_additive:2,12",
-    # odd p, k >= 2: k = 3, 7 and 5 leave the high digit half shorter than the low one; F_{13^3}'s is the largest table
-    "field_additive:7,4", "field_additive:3,7", "field_additive:5,5", "field_additive:13,3", "field_additive:13,2",
+    # k >= 2: k = 9, 3, 7 and 5 leave the high digit half shorter than the low one; F_{13^3}'s is the largest table
+    "field_additive:2,9", "field_additive:7,4", "field_additive:3,7", "field_additive:5,5", "field_additive:13,3",
+    "field_additive:13,2",
     "cyclic:12000", '{"kind": "product", "params": ["gl2:3", "cyclic:100"]}',
     # bounded by their order alone: F_p as Z/p up to F_4093, p past 13, and D_n past n = 8
     "field_additive:13,1", "field_additive:17,1", "field_additive:4093,1", "field_additive:17,2", "field_additive:61,2",
     "sl2:17", "sl2:23", "dihedral:9", "dihedral:10000",
 ]
 TABLES = ["gl2:5", "field_additive:2,6"]
-
-
-def reference_table(group) -> np.ndarray:
-    mul = reference_mul(group)
-    return np.array([[mul(a, b) for b in range(group.order)] for a in range(group.order)])
 
 
 def assert_every_shape(group, a, b, expected):
